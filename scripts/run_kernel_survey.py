@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from latticewh.errors import UnsupportedFamily
 from latticewh.kernels import (
     MatrixKernelSpec,
     det_closed_form,
@@ -50,25 +51,19 @@ def main():
 
     print(f"{'family':22s} {'dim':>4s} {'det err':>10s} {'DK err':>10s} {'limit dist':>11s}")
     for spec in survey_specs(omega):
+        k = eval_matrix_kernel(spec, zs)
         det_err = dk_err = lim_dist = float("nan")
         try:
-            det_err = max(
-                abs(complex(np.linalg.det(eval_matrix_kernel(spec, z)))
-                    - det_closed_form(spec, z))
-                for z in zs)
-        except Exception:
+            det_err = float(np.max(np.abs(np.linalg.det(k) - det_closed_form(spec, zs))))
+        except UnsupportedFamily:
             pass
         try:
-            form = dk_form(spec)
-            dk_err = max(float(np.max(np.abs(eval_matrix_kernel(spec, z)
-                                             - form.reconstruct(z)))) for z in zs)
-        except Exception:
+            dk_err = float(np.max(np.abs(k - dk_form(spec).reconstruct(zs))))
+        except UnsupportedFamily:
             pass
         try:
-            limit = diag_limit_defect(spec)
-            lim_dist = max(float(np.max(np.abs(eval_matrix_kernel(spec, z) - limit(z))))
-                           for z in zs)
-        except Exception:
+            lim_dist = float(np.max(np.abs(k - diag_limit_defect(spec)(zs))))
+        except UnsupportedFamily:
             pass
         print(f"{spec.family:22s} {spec.dim:4d} {det_err:10.2e} "
               f"{dk_err:10.2e} {lim_dist:11.2e}")

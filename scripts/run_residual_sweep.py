@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from latticewh.branches import Frequency, dispersion_solve, square_branches
-from latticewh.kernels import MatrixKernelSpec, eval_matrix_kernel
+from latticewh.kernels import MatrixKernelSpec, eval_matrix_kernel, family_record
 from latticewh.oracle import assemble, problem_for, solve_direct, wh_residual
 
 
@@ -34,12 +34,13 @@ def main():
     omega = complex(re_w, im_w)
     inc = dispersion_solve("square", Frequency(omega), args.theta)
 
+    rec = family_record(args.family)
     kwargs = {"sep": args.sep}
-    if args.family in ("array_cracks", "array_constraints"):
+    if rec.count:
         kwargs.update(count=args.nu, offsets=tuple(range(0, 2 * args.nu, 2)))
-    elif args.family in ("opposing_cracks", "opposing_constraints", "opposing_mixed"):
+    elif rec.offsets:
         kwargs.update(offsets=(args.offset,))
-    elif args.family == "mixed_array":
+    if rec.psi:
         kwargs.update(psi=complex(np.exp(-1j * inc.kappa_y * args.sep)))
     spec = MatrixKernelSpec(args.family, omega, **kwargs)
     prob = problem_for(spec, inc)
@@ -48,7 +49,7 @@ def main():
     if args.perturb:
         def kernel_eval(z):
             k = eval_matrix_kernel(spec, z)
-            k[0, 1] *= square_branches(z, omega).lam
+            k[..., 0, 1] *= square_branches(z, omega).lam
             return k
 
     print(f"{args.family}: omega={omega}, theta={args.theta:.3f}, "

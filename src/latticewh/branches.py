@@ -94,11 +94,6 @@ class Frequency:
     def omega2(self) -> float:
         return self.omega.imag
 
-    def require_solver_grade(self):
-        if self.omega2 <= 0:
-            raise ValueError("solver-grade operation requires Im(omega) > 0")
-        return self
-
 
 def _omega_value(omega) -> complex:
     """Accept a Frequency or a bare complex (closed-form point checks use w=0)."""
@@ -111,8 +106,9 @@ def _omega_value(omega) -> complex:
 class Incidence:
     """Incident plane wave A exp(-i kx x - i ky y) in lattice indices.
 
-    omega is the frequency the wavenumbers were solved at; it is
-    redundant with the dispersion relation but kept for exact reuse.
+    omega is the frequency the wavenumbers were solved at, redundant with
+    the dispersion relation but kept for exact reuse.  Kernels, forcings
+    and the oracle read it; `dispersion_solve` sets it.
     """
 
     amplitude: complex
@@ -378,8 +374,10 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
         if abs(k.imag) > 1e-9:
             raise OutsidePassBand(f"no propagating root at omega={w} along theta={theta}")
         k = complex(k.real, 0.0)
-    elif k.imag <= 0:
-        raise OutsidePassBand("damped frequency produced a non-decaying wavenumber")
+    elif k.imag <= 0 or k.real <= 0:
+        # near a band top Newton can land on the mirrored root -k* (Re k < 0),
+        # whose wave does not travel along theta
+        raise OutsidePassBand(f"damped frequency gave k = {k}, no wave travelling along theta")
 
     kx, ky = k * c, k * s
     hex_ratio = None

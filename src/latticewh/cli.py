@@ -39,6 +39,7 @@ from .errors import (
 )
 from .fields import FieldGrid, compare_fields
 from .kernels import (
+    FAMILIES,
     MATRIX_FAMILIES,
     SCALAR_FAMILIES,
     MatrixKernelSpec,
@@ -48,6 +49,7 @@ from .kernels import (
     dk_form,
     eval_matrix_kernel,
     eval_scalar_kernel,
+    family_record,
 )
 from .oracle import BlochSpec, Defect, LatticeProblemSpec, assemble, problem_for, solve_direct, wh_residual
 from .series import CircleGrid, mult_factorize, sample, series_to_csv
@@ -80,7 +82,6 @@ class RunConfig:
     count: int | None = None
     sep: int = 1
     offsets: tuple[int, ...] = field(default_factory=tuple)
-    bloch_period: int | None = None
 
     def validate(self, need_damping: bool):
         if self.omega.real <= 0:
@@ -118,23 +119,20 @@ def _config_from_args(args) -> RunConfig:
         count=getattr(args, "nu", None),
         sep=getattr(args, "sep", 1),
         offsets=tuple(int(t) for t in getattr(args, "offsets", "").split(",") if t != ""),
-        bloch_period=getattr(args, "bloch_period", None),
     )
     return cfg
 
 
 def _kernel_descriptor(cfg: RunConfig):
     """ScalarKernel or MatrixKernelSpec from a validated configuration."""
-    fam = cfg.family
-    if fam in SCALAR_FAMILIES:
-        return ScalarKernel(fam, cfg.omega)
-    if fam not in MATRIX_FAMILIES:
-        raise UnsupportedFamily(f"unknown kernel family {fam!r}")
+    rec = family_record(cfg.family)
+    if rec.dim == 1:
+        return ScalarKernel(cfg.family, cfg.omega)
     psi = None
-    if fam == "mixed_array":
-        inc = dispersion_solve(Lattice.SQUARE, Frequency(cfg.omega), cfg.theta)
+    if rec.psi:
+        inc = dispersion_solve(rec.lattice, Frequency(cfg.omega), cfg.theta)
         psi = complex(np.exp(-1j * inc.kappa_y * cfg.sep))
-    return MatrixKernelSpec(fam, cfg.omega, count=cfg.count, sep=cfg.sep,
+    return MatrixKernelSpec(cfg.family, cfg.omega, count=cfg.count, sep=cfg.sep,
                             offsets=cfg.offsets, psi=psi)
 
 
@@ -176,23 +174,15 @@ def _cmd_kernel(args) -> int:
     kern = _kernel_descriptor(cfg)
     grid = CircleGrid(cfg.radius, cfg.nq)
     nodes = grid.nodes
+    vals = kern(nodes)  # (nq,) for a scalar kernel, (nq, d, d) for a matrix one
     with open(args.output, "w") as fh:
         fh.write(f"# family = {cfg.family}\n# omega = {cfg.omega}\n")
         fh.write(f"# nq = {cfg.nq}\n# radius = {cfg.radius}\n")
-        if isinstance(kern, ScalarKernel):
-            vals = eval_scalar_kernel(kern, nodes)
-            fh.write("k,z_re,z_im,re,im\n")
-            for k, (z, val) in enumerate(zip(nodes, vals)):
-                fh.write(f"{k},{z.real:.17e},{z.imag:.17e},{val.real:.17e},{val.imag:.17e}\n")
-        else:
-            fh.write("k,z_re,z_im,i,j,re,im\n")
-            for k, z in enumerate(nodes):
-                mat = eval_matrix_kernel(kern, z)
-                for i in range(kern.dim):
-                    for j in range(kern.dim):
-                        val = mat[i, j]
-                        fh.write(f"{k},{z.real:.17e},{z.imag:.17e},{i},{j},"
-                                 f"{val.real:.17e},{val.imag:.17e}\n")
+        fh.write("k,z_re,z_im,re,im\n" if vals.ndim == 1 else "k,z_re,z_im,i,j,re,im\n")
+        for (k, *ij), val in np.ndenumerate(vals):
+            z = nodes[k]
+            entry = "".join(f"{i}," for i in ij)  # matrix row and column
+            fh.write(f"{k},{z.real:.17e},{z.imag:.17e},{entry}{val.real:.17e},{val.imag:.17e}\n")
     return 0
 
 
@@ -317,10 +307,10 @@ def _suite_dets(failures: list):
     for nu in (2, 3, 5):
         for sep in (1, 2, 4):
             offsets = tuple(int(v) for v in rng.integers(0, 9, nu))
-            for fam in ("array_cracks", "array_constraints"):
-                spec = MatrixKernelSpec(fam, omega, count=nu, sep=sep, offsets=offsets)
+            for name in [n for n, rec in FAMILIES.items() if rec.count]:
+                spec = MatrixKernelSpec(name, omega, count=nu, sep=sep, offsets=offsets)
                 err = _det_err(spec, rng, 64)
-                _check(failures, f"det {fam} nu={nu} N={sep}", err, 1e-10)
+                _check(failures, f"det {name} nu={nu} N={sep}", err, 1e-10)
     for fam, kw in (
         ("mixed_array", {"sep": 3, "psi": 0.8 + 0.35j}),
         ("pair_crack_constraint", {"sep": 2}),
@@ -334,32 +324,28 @@ def _suite_dets(failures: list):
 
 
 def _det_err(spec, rng, count) -> float:
-    worst = 0.0
-    for _ in range(count):
-        z = complex(np.exp(2j * np.pi * rng.random()) * (0.95 + 0.1 * rng.random()))
-        num = complex(np.linalg.det(eval_matrix_kernel(spec, z)))
-        ref = det_closed_form(spec, z)
-        worst = max(worst, abs(num - ref) / max(1.0, abs(ref)))
-    return worst
+    angle, radius = rng.random((count, 2)).T
+    zs = np.exp(2j * np.pi * angle) * (0.95 + 0.1 * radius)
+    num = np.linalg.det(eval_matrix_kernel(spec, zs))
+    ref = det_closed_form(spec, zs)
+    return float(np.max(np.abs(num - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 def _suite_dk(failures: list):
     rng = np.random.default_rng(7)
-    for fam in ("tri_crack_2x2", "hex_constraint_2x2"):
-        spec = MatrixKernelSpec(fam, 1 + 0.1j)
+    for name in [n for n, rec in FAMILIES.items() if rec.dk is not None]:
+        spec = MatrixKernelSpec(name, 1 + 0.1j)
         form = dk_form(spec)
-        worst_recon = worst_r = worst_det = 0.0
-        for _ in range(256):
-            z = complex(np.exp(2j * np.pi * rng.random()))
-            kz = eval_matrix_kernel(spec, z)
-            worst_recon = max(worst_recon, float(np.max(np.abs(kz - form.reconstruct(z)))))
-            rr = form.R(z) @ form.R(z) - z * np.eye(2)
-            worst_r = max(worst_r, float(np.max(np.abs(rr))))
-            worst_det = max(worst_det,
-                            abs(complex(np.linalg.det(kz)) - form.det(z)) / abs(form.det(z)))
-        _check(failures, f"DK reconstruction {fam}", worst_recon, 1e-12)
-        _check(failures, f"R^2 = z I {fam}", worst_r, 1e-12)
-        _check(failures, f"det K = (a1^2 - z a2^2)^-1 {fam}", worst_det, 1e-11)
+        zs = np.exp(2j * np.pi * rng.random(256))
+        kz = eval_matrix_kernel(spec, zs)
+        r = form.R(zs)
+        det = form.det(zs)
+        worst_recon = float(np.max(np.abs(kz - form.reconstruct(zs))))
+        worst_r = float(np.max(np.abs(r @ r - zs[:, None, None] * np.eye(2))))
+        worst_det = float(np.max(np.abs(np.linalg.det(kz) - det) / np.abs(det)))
+        _check(failures, f"DK reconstruction {name}", worst_recon, 1e-12)
+        _check(failures, f"R^2 = z I {name}", worst_r, 1e-12)
+        _check(failures, f"det K = (a1^2 - z a2^2)^-1 {name}", worst_det, 1e-11)
 
 
 def _suite_limits(failures: list):
@@ -447,7 +433,7 @@ def _build_parser() -> _Parser:
                      description="Wiener-Hopf kernels and solvers for lattice defect scattering")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, damping: bool):
+    def add_common(p):
         p.add_argument("--omega", default="1,0.1", help="complex frequency, e.g. 1,0.1")
         p.add_argument("--theta", type=float, default=0.0, help="incidence angle (rad)")
         p.add_argument("--amplitude", default="1", help="incident amplitude, e.g. 1,0")
@@ -458,7 +444,7 @@ def _build_parser() -> _Parser:
     pk.add_argument("--family")
     pk.add_argument("--list", action="store_true", dest="list_families",
                     help="print the kernel catalog and exit")
-    add_common(pk, damping=False)
+    add_common(pk)
     pk.add_argument("--nu", type=int, default=None, help="defect count (array kernels)")
     pk.add_argument("--sep", type=int, default=1, help="row separation N")
     pk.add_argument("--offsets", default="", help="tip offsets, e.g. 0,2,5")
@@ -467,7 +453,7 @@ def _build_parser() -> _Parser:
 
     pf = sub.add_parser("factorize", help="factorize a scalar kernel")
     pf.add_argument("--family", required=True)
-    add_common(pf, damping=False)
+    add_common(pf)
     pf.add_argument("--output-plus", default="factor_plus.csv")
     pf.add_argument("--output-minus", default="factor_minus.csv")
     pf.add_argument("--report", default=None, help="JSON report path (stdout if omitted)")
@@ -475,7 +461,7 @@ def _build_parser() -> _Parser:
 
     ps = sub.add_parser("solve", help="solve a scalar WH problem end to end")
     ps.add_argument("--family", required=True)
-    add_common(ps, damping=True)
+    add_common(ps)
     ps.add_argument("--window", type=int, default=20, help="field half window")
     ps.add_argument("-o", "--output", required=True, help="field CSV path")
     ps.add_argument("--report", default=None)
@@ -487,8 +473,6 @@ def _build_parser() -> _Parser:
     po.add_argument("--omega", default="1,0.1")
     po.add_argument("--theta", type=float, default=0.0)
     po.add_argument("--amplitude", default="1")
-    po.add_argument("--nq", type=int, default=4096)
-    po.add_argument("--radius", type=float, default=1.0)
     po.add_argument("--nu", type=int, default=None)
     po.add_argument("--sep", type=int, default=1)
     po.add_argument("--offsets", default="")

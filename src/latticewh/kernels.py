@@ -1,4 +1,11 @@
-"""Catalog of scalar and matrix Wiener-Hopf kernels for lattice defects.
+"""The defect families: one record each, and the Wiener-Hopf kernels they define.
+
+Every problem of the package reduces to one functional equation on an
+annulus, f+(z) + K(z) f-(z) = c(z), and one family differs from another
+only in data: its lattice, K, det K, forcing c, defect layout and
+symmetry.  Each family is one `Family` record in `FAMILIES` (the fields
+are listed there), the public functions below are lookups in that table,
+and adding a family means adding one record.
 
 Scalar families (one semi-infinite defect, kernel is a scalar function
 on the annulus):
@@ -25,7 +32,7 @@ kernels have removable limits (t -> 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,12 +49,15 @@ from .errors import SingularN, UnsupportedFamily
 from .series import half_transform_exp
 
 __all__ = [
+    "FAMILIES",
     "SCALAR_FAMILIES",
     "MATRIX_FAMILIES",
+    "Family",
     "ScalarKernel",
     "MatrixKernelSpec",
     "DKForm",
     "AffineForcing",
+    "family_record",
     "eval_scalar_kernel",
     "scalar_kernel_forms",
     "eval_matrix_kernel",
@@ -59,65 +69,8 @@ __all__ = [
     "kernel_lattice",
 ]
 
-SCALAR_FAMILIES = ("sq_crack", "sq_constraint", "tri_dirichlet", "hex_crack")
-MATRIX_FAMILIES = (
-    "tri_crack_2x2",
-    "hex_constraint_2x2",
-    "array_cracks",
-    "array_constraints",
-    "mixed_array",
-    "pair_crack_constraint",
-    "opposing_cracks",
-    "opposing_constraints",
-    "opposing_mixed",
-)
 
-_FAMILY_LATTICE = {
-    "sq_crack": Lattice.SQUARE,
-    "sq_constraint": Lattice.SQUARE,
-    "tri_dirichlet": Lattice.TRIANGULAR,
-    "hex_crack": Lattice.HONEYCOMB,
-    "tri_crack_2x2": Lattice.TRIANGULAR,
-    "hex_constraint_2x2": Lattice.HONEYCOMB,
-    "array_cracks": Lattice.SQUARE,
-    "array_constraints": Lattice.SQUARE,
-    "mixed_array": Lattice.SQUARE,
-    "pair_crack_constraint": Lattice.SQUARE,
-    "opposing_cracks": Lattice.SQUARE,
-    "opposing_constraints": Lattice.SQUARE,
-    "opposing_mixed": Lattice.SQUARE,
-}
-
-
-def kernel_lattice(family: str) -> Lattice:
-    try:
-        return _FAMILY_LATTICE[family]
-    except KeyError:
-        raise UnsupportedFamily(f"unknown kernel family {family!r}") from None
-
-
-@dataclass(frozen=True)
-class ScalarKernel:
-    """Descriptor of a scalar WH kernel; evaluable at any z off the cuts."""
-
-    family: str
-    omega: object  # Frequency, or bare complex for closed-form point checks
-
-    def __post_init__(self):
-        if self.family not in SCALAR_FAMILIES:
-            raise UnsupportedFamily(f"{self.family!r} is not a scalar kernel family")
-
-    @property
-    def omega_value(self) -> complex:
-        return _omega_value(self.omega)
-
-    @property
-    def lattice(self) -> Lattice:
-        return kernel_lattice(self.family)
-
-    def __call__(self, z):
-        return eval_scalar_kernel(self, z)
-
+# --- shared pieces of the kernels ---------------------------------------------
 
 def _sq_h2p2(z, w2):
     """h^2 + 2 = 4 - z - 1/z - w^2 (polynomial; no branch needed)."""
@@ -129,6 +82,527 @@ def _tri_G(z, s_eff):
     return 6.0 - z - 1.0 / z - 1.5 * s_eff
 
 
+def _crack(lam):
+    return (1.0 - lam) / (1.0 + lam)
+
+
+def _constraint(lam):
+    return (1.0 + lam**2) / (1.0 - lam**2)
+
+
+def _tri_n(z, w2):
+    """N(z) = 4 - z - 1/z - (1 + 1/z) t - (3/2) w^2 of the triangular crack."""
+    t = _slant_root(z, w2)
+    nz = 4.0 - z - 1.0 / z - (1.0 + 1.0 / z) * t - 1.5 * w2
+    if np.any(np.abs(nz) < 1e-14):
+        raise SingularN("N(z) vanished; printed inverse kernel undefined")
+    return nz
+
+
+def _hex_m(z, w):
+    """M(z) = ((1 + 1/z) hh + 1)/beta of the honeycomb zigzag constraint."""
+    return ((1.0 + 1.0 / z) * _slant_root(z, hex_reduced_omega_sq(w)) + 1.0) / hex_coupling(w)
+
+
+def _hex_ns(z, w):
+    """Ns of the honeycomb crack, (1 + z)/hh rewritten through the quadratic.
+
+    The cleared form stays finite as hh -> 0 (at z = -1).
+    """
+    s = hex_reduced_omega_sq(w)
+    hh = np.asarray(_slant_root(z, s))
+    return (_tri_G(z, s) - (1.0 + 1.0 / z) * hh + 1.0) / hex_coupling(w)
+
+
+def _matrix(rows):
+    """Entries (broadcastable arrays) stacked into shape (..., n, m)."""
+    flat = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for row in rows for e in row))
+    out = np.stack(flat, axis=-1)
+    return out.reshape(out.shape[:-1] + (len(rows), len(rows[0])))
+
+
+def _scale(a):
+    """A factor of shape (...) broadcast over trailing (d, d) axes."""
+    return np.asarray(a)[..., None, None]
+
+
+def _apply(mat, vec):
+    """Matrix-vector product over leading axes: (..., d, d) x (..., d)."""
+    return np.einsum("...ij,...j->...i", mat, vec)
+
+
+def _sq(spec, z):
+    """Square-lattice branch triple at z and w^2 of a kernel descriptor."""
+    w = spec.omega_value
+    return square_branches(z, w), w * w
+
+
+# --- kernels, determinants, limits of the square-lattice families ------------
+
+def _h_over_r(bv, w2, z):
+    return bv.h / bv.r
+
+
+def _h2p2_over_rh(bv, w2, z):
+    return _sq_h2p2(z, w2) / (bv.r * bv.h)
+
+
+def _array_kernel(scalar):
+    """nu x nu array of one scalar kernel: entry (p, q) = s lam^(N|p-q|) z^(m_p - m_q).
+
+    Paper row p holds defect nu - 1 - p, so the offsets run reversed.
+    """
+    def kernel(spec, z):
+        bv, w2 = _sq(spec, z)
+        p = np.arange(spec.count)
+        m = np.array(spec.offsets[::-1])
+        power = spec.sep * np.abs(p[:, None] - p[None, :])
+        shift = m[:, None] - m[None, :]
+        return _scale(scalar(bv, w2, z)) * _scale(bv.lam) ** power * _scale(z) ** shift
+    return kernel
+
+
+def _array_det(scalar):
+    def det(spec, z):
+        bv, w2 = _sq(spec, z)
+        return (scalar(bv, w2, z) ** spec.count
+                * (1.0 - bv.lam ** (2 * spec.sep)) ** (spec.count - 1))
+    return det
+
+
+def _mixed_k(spec, z):
+    lam = _sq(spec, z)[0].lam
+    n, psi = spec.sep, complex(spec.psi)
+    pn = lam**n - psi
+    qn = lam**n - 1.0 / psi
+    pn1 = lam ** (n - 1) - psi
+    qn1 = lam ** (n - 1) - 1.0 / psi
+    top_left = -(pn / psi + lam ** (n + 2) * qn) / (1.0 - lam**2)
+    top_right = (-(lam ** (n - 1)) * pn + lam**2 * psi * qn) / (1.0 + lam)
+    bot_left = lam * (-pn1 / psi + lam**n * qn1) / (1.0 + lam)
+    bot_right = _crack(lam) * (1.0 - lam ** (2 * n))
+    return _matrix([[top_left, top_right], [bot_left, bot_right]]) / _scale(pn * qn)
+
+
+def _mixed_det(spec, z):
+    lam = _sq(spec, z)[0].lam
+    n, psi = spec.sep, complex(spec.psi)
+    return ((1.0 + lam**3) * (lam**-n + lam ** (n - 1))
+            / ((1.0 + lam) ** 2 * (lam**-n + lam**n - psi - 1.0 / psi)))
+
+
+def _mixed_limit(spec, z):
+    # one combined crack+constraint defect: the limit is not diagonal
+    lam = _sq(spec, z)[0].lam
+    return _matrix([[1.0 / (1.0 - lam**2), -(lam**2) / (1.0 + lam)],
+                    [lam / (1.0 + lam), _crack(lam)]])
+
+
+def _pair_k(spec, z):
+    lam, n = _sq(spec, z)[0].lam, spec.sep
+    return _matrix([
+        [_constraint(lam), -(lam**n) * (1.0 + lam**2) / (1.0 + lam)],
+        [lam ** (n + 1) / (1.0 + lam), _crack(lam)],
+    ])
+
+
+def _pair_det(spec, z):
+    lam, n = _sq(spec, z)[0].lam, spec.sep
+    return (1.0 + lam**2) * (1.0 + lam ** (2 * n + 1)) / (1.0 + lam) ** 2
+
+
+def _opposing_k(upper, lower):
+    """Opposing tips: inverse upper scalar, lower scalar, off-diagonal lam^N z^(+-M)."""
+    def kernel(spec, z):
+        lam, n, m = _sq(spec, z)[0].lam, spec.sep, spec.offsets[0]
+        return _matrix([
+            [1.0 / upper(lam), lam**n * z**m],
+            [-(lam**n) * z**-m, lower(lam) * (1.0 - lam ** (2 * n))],
+        ])
+    return kernel
+
+
+def _opposing_mixed_k(spec, z):
+    lam, n, m = _sq(spec, z)[0].lam, spec.sep, spec.offsets[0]
+    return _matrix([
+        [1.0 / _constraint(lam), -(1.0 - lam) * lam**n * z**m],
+        [-(1.0 - lam) * lam * lam**n * z**-m / (1.0 + lam**2),
+         _crack(lam) * (1.0 + lam ** (2 * n + 1))],
+    ])
+
+
+def _unit_det(spec, z):
+    return np.ones_like(np.asarray(z, dtype=complex))
+
+
+def _opposing_mixed_det(spec, z):
+    lam = _sq(spec, z)[0].lam
+    return (1.0 - lam) ** 2 / (1.0 + lam**2)
+
+
+# --- the slant-lattice families ----------------------------------------------
+
+def _tri_dirichlet_k(spec, z):
+    t = np.asarray(_slant_root(z, spec.omega_value**2))
+    return (z + t * t) / (z - t * t)
+
+
+def _tri_dirichlet_alt(spec, z):
+    w2 = spec.omega_value**2
+    F = _tri_G(z, w2) / (1.0 + 1.0 / z)
+    return F / (F - 2.0 * np.asarray(_slant_root(z, w2)))
+
+
+def _hex_crack_k(spec, z):
+    ns = _hex_ns(z, spec.omega_value)
+    return (ns - 1.0) / (ns + 1.0)
+
+
+def _hex_crack_alt(spec, z):
+    w = spec.omega_value
+    hh = np.asarray(_slant_root(z, hex_reduced_omega_sq(w)))
+    ns = ((1.0 + z) / hh + 1.0) / hex_coupling(w)
+    return (ns - 1.0) / (ns + 1.0)
+
+
+def _tri_crack_k(spec, z):
+    nz = _tri_n(z, spec.omega_value**2)
+    den = (nz + 2.0) ** 2 - (1.0 + z) * (1.0 + 1.0 / z)
+    return _scale(nz / den) * _matrix([[nz + 2.0, 1.0 + z], [1.0 + 1.0 / z, nz + 2.0]])
+
+
+def _tri_crack_dk(spec, z):
+    nz = _tri_n(z, spec.omega_value**2)
+    return 1.0 + 2.0 / nz, (1.0 + 1.0 / z) / nz
+
+
+def _hex_constraint_k(spec, z):
+    w = spec.omega_value
+    beta = hex_coupling(w)
+    inner = _matrix([[-beta, 1.0 + z], [1.0 + 1.0 / z, -beta]])
+    k_inv = np.eye(2) + _scale(_hex_m(z, w)) * np.linalg.inv(inner)
+    return np.linalg.inv(k_inv)
+
+
+def _hex_constraint_dk(spec, z):
+    w = spec.omega_value
+    beta = hex_coupling(w)
+    m_fn = _hex_m(z, w)
+    den = beta**2 - (1.0 + z) * (1.0 + 1.0 / z)
+    return 1.0 - beta * m_fn / den, (1.0 + 1.0 / z) * m_fn / den
+
+
+# --- forcings -----------------------------------------------------------------
+
+class Chi(NamedTuple):
+    """Data of the forcing vector chi(z), which enters c = P(z) chi(z).
+
+    halves   (component, weight, combine, row, offset, side): the closed-form
+             half transform of an incident row combination (`combine` as in
+             `components`, over x = offset + m for m on `side`), times
+             weight(z, w^2) when weight is callable, else the number weight
+    known    ((sub, x, y), const, zcoef): the incident value at the site
+             times const + z zcoef
+    unknown  ((sub, x, y), const, zcoef): one unknown scattered value at
+             the site, entering as the term const + z zcoef
+
+    const and zcoef are numbers for the scalar families and length-d
+    vectors otherwise.
+    """
+
+    halves: tuple
+    known: tuple = ()
+    unknown: tuple = ()
+
+
+def _i_minus_k(mix=None):
+    """Projector c = (I - K) mix chi of the matrix forcings; mix(spec) defaults to I."""
+    def project(spec, z, halves, points):
+        chi = halves + points
+        if mix is not None:
+            chi = chi @ np.transpose(mix(spec))
+        return _apply(np.eye(spec.dim) - eval_matrix_kernel(spec, z), chi)
+    return project
+
+
+def _sq_scalar_project(kernel, z, halves, points):
+    return 0.5 * (1.0 - eval_scalar_kernel(kernel, z)) * (halves + points)
+
+
+def _tri_dirichlet_project(kernel, z, halves, points):
+    # c = -t (G u0m + u_in(-1,0) - 2 u(-1,1) + z u(0,0)) / D with
+    # D = G - 2 t (1 + 1/z); stable through the removable point z = -1
+    w2 = kernel.omega_value**2
+    t = np.asarray(_slant_root(z, w2))
+    return -t * (halves + points) / (_tri_G(z, w2) - 2.0 * t * (1.0 + 1.0 / z))
+
+
+def _tri_crack_project(spec, z, halves, points):
+    # the tip value u(0,-1) enters through K/N, not through I - K
+    k = eval_matrix_kernel(spec, z)
+    nz = _tri_n(z, spec.omega_value**2)
+    return _apply(np.eye(2) - k, halves) + _apply(k / _scale(nz), points)
+
+
+def _mixed_chi(spec):
+    # the crack shares row 0 with the constraint, which then keeps h^2 + 1
+    zero, e = np.zeros(2), np.eye(2)[0]
+    return Chi(halves=((0, lambda z, w2: _sq_h2p2(z, w2) - 1.0, "u_row", 0, 0, "minus"),
+                       (1, None, "crack_diff", 0, 0, "minus")),
+               unknown=((("u", -1, 0), -e, zero), (("u", 0, 0), zero, e)))
+
+
+def _tri_crack_chi(spec):
+    tip = (("u", 0, -1), np.array([0.0, 1.0]), np.array([-1.0, 0.0]))
+    return Chi(halves=((0, None, "u_row", 0, 0, "minus"), (1, None, "u_row", -1, 0, "minus")),
+               known=(tip,), unknown=(tip,))
+
+
+def _hex_constraint_chi(spec):
+    # chi holds the total field at the two tip sites: incident plus unknown
+    tips = ((("u", 0, 0), np.zeros(2), np.eye(2)[0]), (("v", -1, 0), -np.eye(2)[1], np.zeros(2)))
+    return Chi(halves=((0, None, "u_row", 1, 0, "minus"), (1, None, "v_row", -1, 0, "minus")),
+               known=tips, unknown=tips)
+
+
+# --- the family record and table ---------------------------------------------
+
+class Image(NamedTuple):
+    """Reflection image of a scalar problem: rows y < 0 from rows y >= 0.
+
+    value(sub, x, y) = +-value(src, x + x_per_row * y + x_shift, -y - row_shift)
+    for each (sub, src, x_shift) in sources, with the minus sign when odd.
+    """
+
+    odd: bool
+    row_shift: int
+    x_per_row: int
+    sources: tuple
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one defect family.
+
+    lattice     square, triangular or honeycomb
+    dim         d: 1 for the scalar families, else 2 (arrays: nu)
+    count       the descriptor takes nu >= 2 defect rows, one tip offset each
+    offsets     otherwise, the number of tip offsets it takes (0 or 1)
+    psi         the descriptor takes a Floquet-Bloch multiplier
+    kernel      K(z) on arrays: shape (...) for scalars, (..., d, d) otherwise
+    det         closed-form det K
+    dk          Daniele-Khrapkov coefficients (a1, a2) of a reducible 2x2 kernel
+    limit       K in the separation limit N -> infinity
+    alternate   the second printed form of a scalar kernel
+    chi         descriptor -> `Chi`: the data of the forcing vector chi(z)
+    project     the map c = P(z) chi(z); (I - K(z)) mix for most matrix families
+    components  the row combinations making up f, for `oracle.wh_residual`
+    defects     the oracle layout: (kind, row, side, tip) tuples and a Bloch
+                period or None
+    closure     scalar constraint families: x-shifts of the row-1 neighbours
+                of a defect-row site, which close the unknown constants
+    image       scalar families: the reflection `Image` filling rows y < 0
+    """
+
+    lattice: Lattice
+    kernel: Callable
+    chi: Callable
+    project: Callable
+    components: Callable
+    defects: Callable
+    dim: int = 2
+    count: bool = False
+    offsets: int = 0
+    psi: bool = False
+    det: Callable | None = None
+    dk: Callable | None = None
+    limit: Callable | None = None
+    alternate: Callable | None = None
+    closure: tuple | None = None
+    image: Image | None = None
+
+
+def _single(kind):
+    return lambda spec: (((kind, 0, "left", 0),), None)
+
+
+def _solved_row(row):
+    return lambda spec: (("u_row", row, 0),)
+
+
+def _square_rows(defects, **fields) -> Family:
+    """A square-lattice family whose defects sit on distinct rows.
+
+    f and chi have one component per defect row, top row first.  A crack
+    row adds the jump of f across it ("crack_diff") and the incident jump
+    to chi.  A constraint row adds the two rows next to it ("sum_pm1"),
+    and (h^2+2) times its incident row plus its two tip values,
+    z u(tip, row) - u(tip-1, row), to chi; a right-pointing constraint
+    takes them with the opposite sign, since with the recentered
+    transform chi_N = (h^2+2) u_in_N^+ + u(M-1, N) - z u(M, N).  As
+    N -> infinity the rows decouple: the limit is diagonal, each row's
+    single-defect kernel, inverted for a right-pointing tip.  The forcing
+    is c = (I - K) S chi, where S negates the right-pointing rows.
+    """
+    def rows(spec):
+        layout = sorted(defects(spec)[0], key=lambda d: -d[1])
+        return [(kind, row, tip, "minus" if side == "left" else "plus")
+                for kind, row, side, tip in layout]
+
+    def chi(spec):
+        halves, unknown = [], []
+        layout = rows(spec)
+        for p, (kind, row, tip, side) in enumerate(layout):
+            if kind == "crack":
+                halves.append((p, None, "crack_diff", row, tip, side))
+                continue
+            halves.append((p, _sq_h2p2, "u_row", row, tip, side))
+            e = np.eye(len(layout))[p] * (1.0 if side == "minus" else -1.0)
+            zero = np.zeros(len(layout))
+            unknown += [(("u", tip - 1, row), -e, zero), (("u", tip, row), zero, e)]
+        return Chi(halves=tuple(halves), unknown=tuple(unknown))
+
+    def limit(spec, z):
+        lam = _sq(spec, z)[0].lam
+        entries = []
+        for kind, _, _, side in rows(spec):
+            single = _crack(lam) if kind == "crack" else _constraint(lam)
+            entries.append(single if side == "minus" else 1.0 / single)
+        return np.stack(np.broadcast_arrays(*entries), axis=-1)[..., None] * np.eye(len(entries))
+
+    return Family(
+        lattice=Lattice.SQUARE, defects=defects, limit=limit, chi=chi,
+        project=_i_minus_k(lambda s: np.diag([1.0 if side == "minus" else -1.0
+                                              for *_, side in rows(s)])),
+        components=lambda s: tuple(("crack_diff" if kind == "crack" else "sum_pm1", row, tip)
+                                   for kind, row, tip, _ in rows(s)),
+        **fields)
+
+
+FAMILIES = {
+    "sq_crack": Family(
+        lattice=Lattice.SQUARE, dim=1, kernel=lambda s, z: _h_over_r(*_sq(s, z), z),
+        alternate=lambda s, z: _crack(_sq(s, z)[0].lam),
+        chi=lambda s: Chi(halves=((0, None, "crack_diff", 0, 0, "minus"),)),
+        project=_sq_scalar_project, components=_solved_row(0), defects=_single("crack"),
+        image=Image(odd=True, row_shift=1, x_per_row=0, sources=(("u", "u", 0),))),
+    "sq_constraint": Family(
+        lattice=Lattice.SQUARE, dim=1, kernel=lambda s, z: _h2p2_over_rh(*_sq(s, z), z),
+        alternate=lambda s, z: _constraint(_sq(s, z)[0].lam),
+        chi=lambda s: Chi(halves=((0, _sq_h2p2, "u_row", 0, 0, "minus"),),
+                          known=((("u", -1, 0), 1, 0),), unknown=((("u", 0, 0), 0, 1),)),
+        project=_sq_scalar_project, components=_solved_row(1),
+        defects=_single("constraint"), closure=(0,),
+        image=Image(odd=False, row_shift=0, x_per_row=0, sources=(("u", "u", 0),))),
+    "tri_dirichlet": Family(
+        lattice=Lattice.TRIANGULAR, dim=1, kernel=_tri_dirichlet_k,
+        alternate=_tri_dirichlet_alt,
+        chi=lambda s: Chi(halves=((0, _tri_G, "u_row", 0, 0, "minus"),),
+                          known=((("u", -1, 0), 1, 0),),
+                          unknown=((("u", -1, 1), -2, 0), (("u", 0, 0), 0, 1))),
+        project=_tri_dirichlet_project, components=_solved_row(1),
+        defects=_single("constraint"), closure=(0, -1),
+        image=Image(odd=False, row_shift=0, x_per_row=1, sources=(("u", "u", 0),))),
+    "hex_crack": Family(
+        lattice=Lattice.HONEYCOMB, dim=1, kernel=_hex_crack_k, alternate=_hex_crack_alt,
+        # c = (u0m - v(-1)m)/(Ns + 1)
+        chi=lambda s: Chi(halves=((0, None, "u_row", 0, 0, "minus"),
+                                  (0, -1.0, "v_row", -1, 0, "minus"))),
+        project=lambda k, z, h, p: (h + p) / (1.0 + _hex_ns(z, k.omega_value)),
+        components=_solved_row(0), defects=_single("crack"),
+        # odd across the crack line: u(x,y) = -v(x+y, -1-y), v(x,y) = -u(x+y+1, -1-y)
+        image=Image(odd=True, row_shift=1, x_per_row=1,
+                    sources=(("u", "v", 0), ("v", "u", 1)))),
+    "tri_crack_2x2": Family(
+        lattice=Lattice.TRIANGULAR, kernel=_tri_crack_k, dk=_tri_crack_dk,
+        chi=_tri_crack_chi, project=_tri_crack_project,
+        components=lambda s: (("u_row", 0, 0), ("u_row", -1, 0)), defects=_single("crack")),
+    "hex_constraint_2x2": Family(
+        lattice=Lattice.HONEYCOMB, kernel=_hex_constraint_k, dk=_hex_constraint_dk,
+        chi=_hex_constraint_chi, project=_i_minus_k(),
+        components=lambda s: (("u_row", 1, 0), ("v_row", -1, 0)),
+        defects=_single("constraint")),
+    "array_cracks": _square_rows(
+        lambda s: (tuple(("crack", j * s.sep, "left", s.offsets[j]) for j in range(s.count)),
+                   None),
+        count=True, kernel=_array_kernel(_h_over_r), det=_array_det(_h_over_r)),
+    "array_constraints": _square_rows(
+        lambda s: (tuple(("constraint", j * s.sep, "left", s.offsets[j])
+                         for j in range(s.count)), None),
+        count=True, kernel=_array_kernel(_h2p2_over_rh),
+        # grouped as ((h^2+2)/(r h))^nu (1 - lam^(2N))^(nu-1), the grouping
+        # pinned by numeric comparison against the assembled kernel
+        det=_array_det(_h2p2_over_rh)),
+    "mixed_array": Family(
+        lattice=Lattice.SQUARE, psi=True, kernel=_mixed_k, det=_mixed_det,
+        limit=_mixed_limit, chi=_mixed_chi, project=_i_minus_k(lambda s: ((1.0, 1.0), (0.0, 1.0))),
+        components=lambda s: (("u_row", 1, 0), ("crack_diff", 0, 0)),
+        defects=lambda s: ((("constraint", 0, "left", 0), ("crack", 0, "left", 0)), s.sep)),
+    "pair_crack_constraint": _square_rows(
+        lambda s: ((("crack", 0, "left", 0), ("constraint", s.sep, "left", 0)), None),
+        kernel=_pair_k, det=_pair_det),
+    "opposing_cracks": _square_rows(
+        lambda s: ((("crack", s.sep, "right", s.offsets[0]), ("crack", 0, "left", 0)), None),
+        offsets=1, kernel=_opposing_k(_crack, _crack), det=_unit_det),
+    "opposing_constraints": _square_rows(
+        lambda s: ((("constraint", s.sep, "right", s.offsets[0]),
+                    ("constraint", 0, "left", 0)), None),
+        offsets=1, kernel=_opposing_k(_constraint, _constraint), det=_unit_det),
+    "opposing_mixed": _square_rows(
+        lambda s: ((("constraint", s.sep, "right", s.offsets[0]), ("crack", 0, "left", 0)),
+                   None),
+        offsets=1, kernel=_opposing_mixed_k, det=_opposing_mixed_det),
+}
+
+SCALAR_FAMILIES = tuple(name for name, rec in FAMILIES.items() if rec.dim == 1)
+MATRIX_FAMILIES = tuple(name for name, rec in FAMILIES.items() if rec.dim != 1)
+
+
+def family_record(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise UnsupportedFamily(f"unknown kernel family {name!r}") from None
+
+
+def kernel_lattice(family: str) -> Lattice:
+    return family_record(family).lattice
+
+
+# --- descriptors and the public lookups ----------------------------------------
+
+class _Descriptor:
+    """What the scalar and matrix kernel descriptors share."""
+
+    @property
+    def omega_value(self) -> complex:
+        return _omega_value(self.omega)
+
+    @property
+    def lattice(self) -> Lattice:
+        return kernel_lattice(self.family)
+
+
+@dataclass(frozen=True)
+class ScalarKernel(_Descriptor):
+    """Descriptor of a scalar WH kernel; evaluable at any z off the cuts."""
+
+    family: str
+    omega: object  # Frequency, or bare complex for closed-form point checks
+    dim = 1
+
+    def __post_init__(self):
+        if self.family not in SCALAR_FAMILIES:
+            raise UnsupportedFamily(f"{self.family!r} is not a scalar kernel family")
+
+    def __call__(self, z):
+        return eval_scalar_kernel(self, z)
+
+
+def _scalar_out(z, out):
+    return complex(out) if np.ndim(z) == 0 else out
+
+
 def eval_scalar_kernel(kernel: ScalarKernel, z):
     """Evaluate the scalar kernel at z (scalar or ndarray).
 
@@ -136,28 +610,8 @@ def eval_scalar_kernel(kernel: ScalarKernel, z):
     (in particular through the removable point z = -1 of the slant
     families).
     """
-    w = kernel.omega_value
-    w2 = w * w
     za = np.asarray(z, dtype=complex)
-    scalar = za.ndim == 0
-
-    if kernel.family == "sq_crack":
-        bv = square_branches(za, w)
-        out = np.asarray(bv.h / bv.r)
-    elif kernel.family == "sq_constraint":
-        bv = square_branches(za, w)
-        out = np.asarray(_sq_h2p2(za, w2) / (bv.r * bv.h))
-    elif kernel.family == "tri_dirichlet":
-        t = np.asarray(_slant_root(za, w2))
-        out = (za + t * t) / (za - t * t)
-    else:  # hex_crack
-        beta = hex_coupling(w)
-        s = hex_reduced_omega_sq(w)
-        hh = np.asarray(_slant_root(za, s))
-        # (1+z)/hh rewritten through the quadratic: stable as hh -> 0
-        ns = (_tri_G(za, s) - (1.0 + 1.0 / za) * hh + 1.0) / beta
-        out = (ns - 1.0) / (ns + 1.0)
-    return complex(out) if scalar else out
+    return _scalar_out(za, np.asarray(FAMILIES[kernel.family].kernel(kernel, za)))
 
 
 def scalar_kernel_forms(kernel: ScalarKernel, z):
@@ -166,29 +620,13 @@ def scalar_kernel_forms(kernel: ScalarKernel, z):
     Returns (primary, alternate): h/r vs (1-lam)/(1+lam) style pairs.
     Not defined at the removable point z = -1 for the slant families.
     """
-    w = kernel.omega_value
-    w2 = w * w
     za = np.asarray(z, dtype=complex)
-    if kernel.family == "sq_crack":
-        bv = square_branches(za, w)
-        return bv.h / bv.r, (1.0 - bv.lam) / (1.0 + bv.lam)
-    if kernel.family == "sq_constraint":
-        bv = square_branches(za, w)
-        return _sq_h2p2(za, w2) / (bv.r * bv.h), (1.0 + bv.lam**2) / (1.0 - bv.lam**2)
-    if kernel.family == "tri_dirichlet":
-        t = np.asarray(_slant_root(za, w2))
-        F = _tri_G(za, w2) / (1.0 + 1.0 / za)
-        return (za + t * t) / (za - t * t), F / (F - 2.0 * t)
-    beta = hex_coupling(w)
-    s = hex_reduced_omega_sq(w)
-    hh = np.asarray(_slant_root(za, s))
-    ns_direct = ((1.0 + za) / hh + 1.0) / beta
-    ns_cleared = (_tri_G(za, s) - (1.0 + 1.0 / za) * hh + 1.0) / beta
-    return (ns_cleared - 1.0) / (ns_cleared + 1.0), (ns_direct - 1.0) / (ns_direct + 1.0)
+    rec = FAMILIES[kernel.family]
+    return rec.kernel(kernel, za), rec.alternate(kernel, za)
 
 
 @dataclass(frozen=True)
-class MatrixKernelSpec:
+class MatrixKernelSpec(_Descriptor):
     """Descriptor of a matrix WH kernel.
 
     count    number of defect rows (nu), arrays only;
@@ -209,155 +647,44 @@ class MatrixKernelSpec:
         if self.family not in MATRIX_FAMILIES:
             raise UnsupportedFamily(f"{self.family!r} is not a matrix kernel family")
         object.__setattr__(self, "offsets", tuple(int(m) for m in self.offsets))
-        if self.family in ("array_cracks", "array_constraints"):
+        rec = FAMILIES[self.family]
+        if rec.count:
             if self.count is None or self.count < 2:
                 raise ValueError("array kernels require count (nu) >= 2")
             if len(self.offsets) != self.count:
                 raise ValueError("array kernels require one tip offset per defect row")
-        elif self.family in ("opposing_cracks", "opposing_constraints", "opposing_mixed"):
-            if len(self.offsets) != 1:
-                raise ValueError("opposing kernels take a single tip offset")
-        elif self.offsets:
-            raise ValueError(f"{self.family} takes no tip offsets")
+        elif len(self.offsets) != rec.offsets:
+            raise ValueError(f"{self.family} takes {rec.offsets} tip offset(s), "
+                             f"got {len(self.offsets)}")
         if self.sep < 1:
             raise ValueError("row separation must be >= 1")
-        if self.family == "mixed_array":
-            if self.psi is None or self.psi == 0:
-                raise ValueError("mixed_array requires a nonzero Floquet multiplier")
+        if rec.psi and (self.psi is None or self.psi == 0):
+            raise ValueError(f"{self.family} requires a nonzero Floquet multiplier")
 
     @property
     def dim(self) -> int:
-        if self.family in ("array_cracks", "array_constraints"):
-            return self.count
-        return 2
-
-    @property
-    def omega_value(self) -> complex:
-        return _omega_value(self.omega)
-
-    @property
-    def lattice(self) -> Lattice:
-        return kernel_lattice(self.family)
+        return self.count if FAMILIES[self.family].count else FAMILIES[self.family].dim
 
     def __call__(self, z):
         return eval_matrix_kernel(self, z)
 
 
-def _lam(z, w):
-    return square_branches(z, w).lam
-
-
 def eval_matrix_kernel(spec: MatrixKernelSpec, z) -> np.ndarray:
-    """Evaluate the matrix kernel at one point z; returns a (d, d) array."""
-    w = spec.omega_value
-    w2 = w * w
-    z = complex(z)
-    fam = spec.family
-
-    if fam == "tri_crack_2x2":
-        t = _slant_root(z, w2)
-        nz = 4.0 - z - 1.0 / z - (1.0 + 1.0 / z) * t - 1.5 * w2
-        if abs(nz) < 1e-14:
-            raise SingularN("N(z) vanished; printed inverse kernel undefined")
-        den = (nz + 2.0) ** 2 - (1.0 + z) * (1.0 + 1.0 / z)
-        return (nz / den) * np.array([[nz + 2.0, 1.0 + z], [1.0 + 1.0 / z, nz + 2.0]])
-
-    if fam == "hex_constraint_2x2":
-        beta = hex_coupling(w)
-        s = hex_reduced_omega_sq(w)
-        hh = _slant_root(z, s)
-        m_fn = ((1.0 + 1.0 / z) * hh + 1.0) / beta
-        inner = np.array([[-beta, 1.0 + z], [1.0 + 1.0 / z, -beta]])
-        k_inv = np.eye(2) + m_fn * np.linalg.inv(inner)
-        return np.linalg.inv(k_inv)
-
-    bv = square_branches(z, w)
-    lam = bv.lam
-    n = spec.sep
-
-    if fam in ("array_cracks", "array_constraints"):
-        nu = spec.count
-        if fam == "array_cracks":
-            scalar = bv.h / bv.r
-        else:
-            scalar = _sq_h2p2(z, w2) / (bv.r * bv.h)
-        # paper row index i = p + 1 corresponds to defect j = nu - 1 - p
-        out = np.empty((nu, nu), dtype=complex)
-        for p in range(nu):
-            for q in range(nu):
-                mj = spec.offsets[nu - 1 - p] - spec.offsets[nu - 1 - q]
-                out[p, q] = scalar * lam ** (n * abs(p - q)) * z**mj
-        return out
-
-    if fam == "mixed_array":
-        psi = complex(spec.psi)
-        pn = lam**n - psi
-        qn = lam**n - 1.0 / psi
-        pn1 = lam ** (n - 1) - psi
-        qn1 = lam ** (n - 1) - 1.0 / psi
-        top_left = -(pn / psi + lam ** (n + 2) * qn) / (1.0 - lam**2)
-        top_right = (-(lam ** (n - 1)) * pn + lam**2 * psi * qn) / (1.0 + lam)
-        bot_left = lam * (-pn1 / psi + lam**n * qn1) / (1.0 + lam)
-        bot_right = (1.0 - lam) / (1.0 + lam) * (1.0 - lam ** (2 * n))
-        return np.array([[top_left, top_right], [bot_left, bot_right]]) / (pn * qn)
-
-    if fam == "pair_crack_constraint":
-        return np.array([
-            [(1.0 + lam**2) / (1.0 - lam**2), -(lam**n) * (1.0 + lam**2) / (1.0 + lam)],
-            [lam ** (n + 1) / (1.0 + lam), (1.0 - lam) / (1.0 + lam)],
-        ])
-
-    m = spec.offsets[0]
-    if fam == "opposing_cracks":
-        return np.array([
-            [(1.0 + lam) / (1.0 - lam), lam**n * z**m],
-            [-(lam**n) * z**-m, (1.0 - lam) / (1.0 + lam) * (1.0 - lam ** (2 * n))],
-        ])
-    if fam == "opposing_constraints":
-        return np.array([
-            [(1.0 - lam**2) / (1.0 + lam**2), lam**n * z**m],
-            [-(lam**n) * z**-m, (1.0 + lam**2) / (1.0 - lam**2) * (1.0 - lam ** (2 * n))],
-        ])
-    # opposing_mixed
-    return np.array([
-        [(1.0 - lam**2) / (1.0 + lam**2), -(1.0 - lam) * lam**n * z**m],
-        [-(1.0 - lam) * lam * lam**n * z**-m / (1.0 + lam**2),
-         (1.0 - lam) / (1.0 + lam) * (1.0 + lam ** (2 * n + 1))],
-    ])
+    """Evaluate the matrix kernel: z of shape (...) gives shape (..., d, d)."""
+    return FAMILIES[spec.family].kernel(spec, np.asarray(z, dtype=complex))
 
 
-def det_closed_form(spec: MatrixKernelSpec, z) -> complex:
-    """Printed closed-form determinant of the matrix kernel at z.
+def det_closed_form(spec: MatrixKernelSpec, z):
+    """Printed closed-form determinant of the matrix kernel, shape of z.
 
-    The constraint-array formula is grouped as
-    ((h^2+2)/(r h))^nu * (1 - lam^(2N))^(nu-1), the grouping pinned by
-    numeric comparison against the assembled kernel.
+    The two Daniele-Khrapkov families take theirs from `dk_form`.
     """
-    fam = spec.family
-    if fam in ("tri_crack_2x2", "hex_constraint_2x2"):
+    det = FAMILIES[spec.family].det
+    if det is None:
         raise UnsupportedFamily(
-            f"{fam} determinant comes from the Daniele-Khrapkov form; use dk_form")
-    w = spec.omega_value
-    w2 = w * w
-    z = complex(z)
-    bv = square_branches(z, w)
-    lam = bv.lam
-    n = spec.sep
-    if fam == "array_cracks":
-        return (bv.h / bv.r) ** spec.count * (1.0 - lam ** (2 * n)) ** (spec.count - 1)
-    if fam == "array_constraints":
-        scalar = _sq_h2p2(z, w2) / (bv.r * bv.h)
-        return scalar**spec.count * (1.0 - lam ** (2 * n)) ** (spec.count - 1)
-    if fam == "mixed_array":
-        psi = complex(spec.psi)
-        return ((1.0 + lam**3) * (lam**-n + lam ** (n - 1))
-                / ((1.0 + lam) ** 2 * (lam**-n + lam**n - psi - 1.0 / psi)))
-    if fam == "pair_crack_constraint":
-        return (1.0 + lam**2) * (1.0 + lam ** (2 * n + 1)) / (1.0 + lam) ** 2
-    if fam in ("opposing_cracks", "opposing_constraints"):
-        return 1.0 + 0j
-    # opposing_mixed
-    return (1.0 - lam) ** 2 / (1.0 + lam**2)
+            f"{spec.family} determinant comes from the Daniele-Khrapkov form; use dk_form")
+    za = np.asarray(z, dtype=complex)
+    return _scalar_out(za, np.asarray(det(spec, za)))
 
 
 @dataclass(frozen=True)
@@ -369,60 +696,26 @@ class DKForm:
 
     @staticmethod
     def R(z) -> np.ndarray:
-        z = complex(z)
-        return np.array([[0.0, z], [1.0, 0.0]])
+        return _matrix([[0.0, z], [1.0, 0.0]])
 
     def reconstruct(self, z) -> np.ndarray:
-        z = complex(z)
-        a1, a2 = complex(self.a1(z)), complex(self.a2(z))
-        return (a1 * np.eye(2) + a2 * self.R(z)) / (a1 * a1 - z * a2 * a2)
+        z = np.asarray(z, dtype=complex)
+        a1, a2 = self.a1(z), self.a2(z)
+        return (_scale(a1) * np.eye(2) + _scale(a2) * self.R(z)) / _scale(a1 * a1 - z * a2 * a2)
 
-    def det(self, z) -> complex:
-        z = complex(z)
-        a1, a2 = complex(self.a1(z)), complex(self.a2(z))
-        return 1.0 / (a1 * a1 - z * a2 * a2)
+    def det(self, z):
+        z = np.asarray(z, dtype=complex)
+        a1, a2 = self.a1(z), self.a2(z)
+        return _scalar_out(z, 1.0 / (a1 * a1 - z * a2 * a2))
 
 
 def dk_form(spec: MatrixKernelSpec) -> DKForm:
     """Daniele-Khrapkov representation of the two reducible 2x2 kernels."""
-    w = spec.omega_value
-    w2 = w * w
-    if spec.family == "tri_crack_2x2":
-        def a1(z):
-            z = complex(z)
-            t = _slant_root(z, w2)
-            nz = 4.0 - z - 1.0 / z - (1.0 + 1.0 / z) * t - 1.5 * w2
-            if abs(nz) < 1e-14:
-                raise SingularN("N(z) vanished in the DK coefficients")
-            return 1.0 + 2.0 / nz
-
-        def a2(z):
-            z = complex(z)
-            t = _slant_root(z, w2)
-            nz = 4.0 - z - 1.0 / z - (1.0 + 1.0 / z) * t - 1.5 * w2
-            if abs(nz) < 1e-14:
-                raise SingularN("N(z) vanished in the DK coefficients")
-            return (1.0 + 1.0 / z) / nz
-
-        return DKForm(a1=a1, a2=a2)
-
-    if spec.family == "hex_constraint_2x2":
-        beta = hex_coupling(w)
-        s = hex_reduced_omega_sq(w)
-
-        def a1(z):
-            z = complex(z)
-            m_fn = ((1.0 + 1.0 / z) * _slant_root(z, s) + 1.0) / beta
-            return 1.0 - beta * m_fn / (beta**2 - (1.0 + z) * (1.0 + 1.0 / z))
-
-        def a2(z):
-            z = complex(z)
-            m_fn = ((1.0 + 1.0 / z) * _slant_root(z, s) + 1.0) / beta
-            return (1.0 + 1.0 / z) * m_fn / (beta**2 - (1.0 + z) * (1.0 + 1.0 / z))
-
-        return DKForm(a1=a1, a2=a2)
-
-    raise UnsupportedFamily(f"{spec.family} has no Daniele-Khrapkov form here")
+    dk = FAMILIES[spec.family].dk
+    if dk is None:
+        raise UnsupportedFamily(f"{spec.family} has no Daniele-Khrapkov form here")
+    return DKForm(a1=lambda z: dk(spec, np.asarray(z, dtype=complex))[0],
+                  a2=lambda z: dk(spec, np.asarray(z, dtype=complex))[1])
 
 
 def diag_limit_defect(spec: MatrixKernelSpec) -> Callable:
@@ -433,37 +726,11 @@ def diag_limit_defect(spec: MatrixKernelSpec) -> Callable:
     to the full (non-diagonal) kernel of one combined crack+constraint
     defect instead; that limit matrix is returned verbatim.
     """
-    fam = spec.family
-    if fam in ("tri_crack_2x2", "hex_constraint_2x2"):
-        raise UnsupportedFamily(f"{fam} has no separation parameter to send to infinity")
-    w = spec.omega_value
-    w2 = w * w
-
-    def limit(z) -> np.ndarray:
-        z = complex(z)
-        bv = square_branches(z, w)
-        lam = bv.lam
-        crack = (1.0 - lam) / (1.0 + lam)
-        constraint = (1.0 + lam**2) / (1.0 - lam**2)
-        if fam == "array_cracks":
-            return (bv.h / bv.r) * np.eye(spec.count, dtype=complex)
-        if fam == "array_constraints":
-            return (_sq_h2p2(z, w2) / (bv.r * bv.h)) * np.eye(spec.count, dtype=complex)
-        if fam == "pair_crack_constraint":
-            return np.diag([constraint, crack]).astype(complex)
-        if fam == "opposing_cracks":
-            return np.diag([1.0 / crack, crack]).astype(complex)
-        if fam == "opposing_constraints":
-            return np.diag([1.0 / constraint, constraint]).astype(complex)
-        if fam == "opposing_mixed":
-            return np.diag([1.0 / constraint, crack]).astype(complex)
-        # mixed_array: single crack+constraint defect, not diagonal
-        return np.array([
-            [1.0 / (1.0 - lam**2), -(lam**2) / (1.0 + lam)],
-            [lam / (1.0 + lam), crack],
-        ])
-
-    return limit
+    limit = FAMILIES[spec.family].limit
+    if limit is None:
+        raise UnsupportedFamily(
+            f"{spec.family} has no separation parameter to send to infinity")
+    return lambda z: limit(spec, np.asarray(z, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -493,9 +760,64 @@ class AffineForcing:
         return val
 
 
-def _require_lattice(inc: Incidence, lattice: Lattice):
-    if inc.lattice is not lattice:
-        raise ValueError(f"incidence is for {inc.lattice.value}, kernel needs {lattice.value}")
+def _incident_half(inc: Incidence, combine: str, row: int, offset: int, side: str,
+                   strict: bool):
+    """Closed-form half transform of an incident row combination.
+
+    combine: "u_row"      u_in at (m + offset, row)
+             "v_row"      the honeycomb v sublattice at (m + offset, row)
+             "crack_diff" u_in(.., row) - u_in(.., row - 1)
+
+    Sums run over m in Z^+ (side "plus") or Z^- ("minus") with weight
+    z^(-m).  With strict=False divergent sides are evaluated by analytic
+    continuation of the geometric sum (legitimate: the incident transform
+    continues to the whole plane minus the single pole).
+    """
+    amp = inc.field(offset, row, "v" if combine == "v_row" else "u")
+    if combine == "crack_diff":
+        amp = amp * (1.0 - np.exp(1j * inc.kappa_y))
+    return half_transform_exp(amp, np.exp(1j * inc.kappa_x), side, strict=strict)
+
+
+def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
+    """AffineForcing c = P(z) chi(z) from the family record's data."""
+    rec = FAMILIES[kernel.family]
+    if inc.lattice is not rec.lattice:
+        raise ValueError(f"incidence is for {inc.lattice.value}, kernel needs {rec.lattice.value}")
+    w2 = kernel.omega_value**2
+    chi = rec.chi(kernel)
+    halves = [(p, weight, _incident_half(inc, combine, row, offset, side, strict))
+              for p, weight, combine, row, offset, side in chi.halves]
+    known = [(complex(inc.field(x, y, sub)), c, e) for (sub, x, y), c, e in chi.known]
+
+    def point(c, e, z):
+        return c + np.multiply.outer(z, e)
+
+    def halves_at(z):
+        comps = [0] * kernel.dim
+        for p, weight, fn in halves:
+            val = fn(z)
+            if weight is not None:
+                val = (weight(z, w2) if callable(weight) else weight) * val
+            comps[p] = comps[p] + val
+        return comps[0] if rec.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
+
+    def finish(z, out):
+        return _scalar_out(z, out) if rec.dim == 1 else out
+
+    def base(z):
+        za = np.asarray(z, dtype=complex)
+        h = halves_at(za)
+        pts = sum((value * point(c, e, za) for value, c, e in known), np.zeros_like(h))
+        return finish(za, rec.project(kernel, za, h, pts))
+
+    def term(c, e, z):
+        za = np.asarray(z, dtype=complex)
+        pts = np.asarray(point(c, e, za), dtype=complex)
+        return finish(za, rec.project(kernel, za, np.zeros_like(pts), pts))
+
+    terms = tuple((key, lambda z, c=c, e=e: term(c, e, z)) for key, c, e in chi.unknown)
+    return AffineForcing(dim=kernel.dim, base=base, terms=terms)
 
 
 def scalar_forcing(family: str, inc: Incidence) -> AffineForcing:
@@ -505,134 +827,7 @@ def scalar_forcing(family: str, inc: Incidence) -> AffineForcing:
     unknown scattered value u(0,0) and tri_dirichlet carries u(-1,1) and
     u(0,0).  Incident half-transforms are the exact geometric sums.
     """
-    if family not in SCALAR_FAMILIES:
-        raise UnsupportedFamily(f"{family!r} is not a scalar kernel family")
-    _require_lattice(inc, kernel_lattice(family))
-    amp = inc.amplitude
-    q = np.exp(1j * inc.kappa_x)
-    row_shift = np.exp(1j * inc.kappa_y)  # row y -> y-1 multiplies the incident by this
-
-    if family == "sq_crack":
-        u0m = half_transform_exp(amp * (1.0 - row_shift), q, "minus")
-        kern = ScalarKernel("sq_crack", inc_omega(inc))
-
-        def base(z):
-            return 0.5 * (1.0 - eval_scalar_kernel(kern, z)) * u0m(z)
-
-        return AffineForcing(dim=1, base=base)
-
-    if family == "sq_constraint":
-        w2 = inc_omega(inc) ** 2
-        u0m = half_transform_exp(amp, q, "minus")
-        u_in_m10 = complex(inc.field(-1, 0))
-        kern = ScalarKernel("sq_constraint", inc_omega(inc))
-
-        def base(z):
-            half = 0.5 * (1.0 - eval_scalar_kernel(kern, z))
-            return half * (_sq_h2p2(z, w2) * u0m(z) + u_in_m10)
-
-        def term_u00(z):
-            return 0.5 * (1.0 - eval_scalar_kernel(kern, z)) * z
-
-        return AffineForcing(dim=1, base=base, terms=((("u", 0, 0), term_u00),))
-
-    if family == "tri_dirichlet":
-        w2 = inc_omega(inc) ** 2
-        u0m = half_transform_exp(amp, q, "minus")
-        u_in_m10 = complex(inc.field(-1, 0))
-
-        # c = -t (G u0m + u_in(-1,0) - 2 u(-1,1) + z u(0,0)) / D with
-        # D = G - 2 t (1 + 1/z); stable through the removable point z = -1.
-        def _t_over_d(z):
-            za = np.asarray(z, dtype=complex)
-            t = np.asarray(_slant_root(za, w2))
-            g = _tri_G(za, w2)
-            return t, g, g - 2.0 * t * (1.0 + 1.0 / za)
-
-        def base(z):
-            t, g, d = _t_over_d(z)
-            out = -t * (g * u0m(z) + u_in_m10) / d
-            return complex(out) if np.asarray(z).ndim == 0 else out
-
-        def term_um11(z):
-            t, _, d = _t_over_d(z)
-            out = 2.0 * t / d
-            return complex(out) if np.asarray(z).ndim == 0 else out
-
-        def term_u00(z):
-            t, _, d = _t_over_d(z)
-            out = -t * np.asarray(z, dtype=complex) / d
-            return complex(out) if np.asarray(z).ndim == 0 else out
-
-        return AffineForcing(
-            dim=1, base=base,
-            terms=((("u", -1, 1), term_um11), (("u", 0, 0), term_u00)),
-        )
-
-    # hex_crack: c = (u0m - v(-1)m)/(Ns + 1)
-    w = inc_omega(inc)
-    s = hex_reduced_omega_sq(w)
-    beta = hex_coupling(w)
-    u0m = half_transform_exp(amp, q, "minus")
-    vm1m = half_transform_exp(amp * inc.hex_ratio * row_shift, q, "minus")
-
-    def base(z):
-        za = np.asarray(z, dtype=complex)
-        hh = np.asarray(_slant_root(za, s))
-        ns = (_tri_G(za, s) - (1.0 + 1.0 / za) * hh + 1.0) / beta
-        out = (u0m(z) - vm1m(z)) / (1.0 + ns)
-        return complex(out) if np.asarray(z).ndim == 0 else out
-
-    return AffineForcing(dim=1, base=base)
-
-
-def inc_omega(inc: Incidence) -> complex:
-    """Frequency recovered from the incidence via the dispersion relation."""
-    if inc.omega is not None:
-        return complex(inc.omega)
-    kx, ky = inc.kappa_x, inc.kappa_y
-    if inc.lattice is Lattice.SQUARE:
-        w2 = 4.0 - 2.0 * np.cos(kx) - 2.0 * np.cos(ky)
-    elif inc.lattice is Lattice.TRIANGULAR:
-        w2 = (6.0 - 2.0 * np.cos(kx) - 2.0 * np.cos(ky) - 2.0 * np.cos(kx - ky)) / 1.5
-    else:
-        p = 1.0 + np.exp(1j * kx) + np.exp(1j * ky)
-        m = 1.0 + np.exp(-1j * kx) + np.exp(-1j * ky)
-        # beta^2 = p m with beta = 3 - 3 w^2/4; the physical acoustic branch
-        # has beta near +3 for moderate omega
-        beta = np.sqrt(p * m)
-        if beta.real < 0:
-            beta = -beta
-        w2 = (3.0 - beta) * 4.0 / 3.0
-    w = complex(np.sqrt(complex(w2)))
-    return w if w.real >= 0 else -w
-
-
-def _incident_half(inc: Incidence, row: int, offset: int, side: str,
-                   combine: str = "value"):
-    """Closed-form half transform of an incident row combination.
-
-    combine: "value"      u_in at (m+offset, row)
-             "crack_diff" u_in(.., row) - u_in(.., row-1)
-             "sum_pm1"    u_in(.., row+1) + u_in(.., row-1)
-
-    Sums run over m in Z^+ (side "plus") or Z^- ("minus") with weight
-    z^(-m); divergent sides are evaluated by analytic continuation of the
-    geometric sum (legitimate: the incident transform continues to the
-    whole plane minus the single pole).
-    """
-    q = np.exp(1j * inc.kappa_x)
-    base_amp = inc.amplitude * np.exp(-1j * (inc.kappa_x * offset + inc.kappa_y * row))
-    row_shift = np.exp(1j * inc.kappa_y)
-    if combine == "value":
-        factor = 1.0
-    elif combine == "crack_diff":
-        factor = 1.0 - row_shift
-    elif combine == "sum_pm1":
-        factor = 1.0 / row_shift + row_shift
-    else:
-        raise ValueError(combine)
-    return half_transform_exp(base_amp * factor, q, side, strict=False)
+    return _affine_forcing(ScalarKernel(family, inc.omega), inc, strict=True)
 
 
 def vector_forcing(spec: MatrixKernelSpec, inc: Incidence) -> AffineForcing:
@@ -644,188 +839,4 @@ def vector_forcing(spec: MatrixKernelSpec, inc: Incidence) -> AffineForcing:
     Incident half transforms on divergent sides use the analytic
     continuation of the geometric sum.
     """
-    _require_lattice(inc, spec.lattice)
-    w = spec.omega_value
-    w2 = w * w
-    fam = spec.family
-    n = spec.sep
-    amp = inc.amplitude
-    q = np.exp(1j * inc.kappa_x)
-
-    def i_minus_k(z):
-        return np.eye(spec.dim) - eval_matrix_kernel(spec, z)
-
-    if fam == "array_cracks":
-        rows = [(spec.count - 1 - p) * n for p in range(spec.count)]
-        offs = [spec.offsets[spec.count - 1 - p] for p in range(spec.count)]
-        fns = [_incident_half(inc, r, m, "minus", "crack_diff") for r, m in zip(rows, offs)]
-
-        def base(z):
-            vec = np.array([fn(z) for fn in fns])
-            return i_minus_k(z) @ vec
-
-        return AffineForcing(dim=spec.dim, base=base)
-
-    if fam == "array_constraints":
-        rows = [(spec.count - 1 - p) * n for p in range(spec.count)]
-        offs = [spec.offsets[spec.count - 1 - p] for p in range(spec.count)]
-        fns = [_incident_half(inc, r, m, "minus", "value") for r, m in zip(rows, offs)]
-
-        def base(z):
-            vec = np.array([_sq_h2p2(z, w2) * fn(z) for fn in fns])
-            return i_minus_k(z) @ vec
-
-        terms = []
-        for p, (r, m) in enumerate(zip(rows, offs)):
-            def tip_left(z, p=p):
-                e = np.zeros(spec.dim, dtype=complex); e[p] = -1.0
-                return i_minus_k(z) @ e
-
-            def tip_right(z, p=p):
-                e = np.zeros(spec.dim, dtype=complex); e[p] = 1.0
-                return z * (i_minus_k(z) @ e)
-
-            terms.append((("u", m - 1, r), tip_left))
-            terms.append((("u", m, r), tip_right))
-        return AffineForcing(dim=spec.dim, base=base, terms=tuple(terms))
-
-    if fam == "pair_crack_constraint":
-        u_n_minus = _incident_half(inc, n, 0, "minus", "value")
-        v0_minus = _incident_half(inc, 0, 0, "minus", "crack_diff")
-
-        def base(z):
-            vec = np.array([_sq_h2p2(z, w2) * u_n_minus(z), v0_minus(z)])
-            return i_minus_k(z) @ vec
-
-        def t_m1n(z):
-            return i_minus_k(z) @ np.array([-1.0, 0.0])
-
-        def t_0n(z):
-            return z * (i_minus_k(z) @ np.array([1.0, 0.0]))
-
-        return AffineForcing(dim=2, base=base,
-                             terms=((("u", -1, n), t_m1n), (("u", 0, n), t_0n)))
-
-    if fam == "mixed_array":
-        mix = np.array([[1.0, 1.0], [0.0, 1.0]])
-        u0_minus = _incident_half(inc, 0, 0, "minus", "value")
-        v0_minus = _incident_half(inc, 0, 0, "minus", "crack_diff")
-
-        def h2p1(z):
-            return _sq_h2p2(z, w2) - 1.0
-
-        def base(z):
-            vec = np.array([h2p1(z) * u0_minus(z), v0_minus(z)])
-            return i_minus_k(z) @ (mix @ vec)
-
-        def t_m10(z):
-            return i_minus_k(z) @ (mix @ np.array([-1.0, 0.0]))
-
-        def t_00(z):
-            return z * (i_minus_k(z) @ (mix @ np.array([1.0, 0.0])))
-
-        return AffineForcing(dim=2, base=base,
-                             terms=((("u", -1, 0), t_m10), (("u", 0, 0), t_00)))
-
-    if fam in ("opposing_cracks", "opposing_constraints", "opposing_mixed"):
-        m_off = spec.offsets[0]
-        sel = np.diag([-1.0, 1.0])  # I2 - I1
-
-        if fam == "opposing_cracks":
-            vn_plus = _incident_half(inc, n, m_off, "plus", "crack_diff")
-            v0_minus = _incident_half(inc, 0, 0, "minus", "crack_diff")
-
-            def base(z):
-                vec = np.array([vn_plus(z), v0_minus(z)])
-                return i_minus_k(z) @ (sel @ vec)
-
-            return AffineForcing(dim=2, base=base)
-
-        # chi of the right-pointing constraint: with the recentered
-        # transform convention the tip values enter bare,
-        # chi_N = (h^2+2) u_in_N^+ + u(M-1, N) - z u(M, N)
-        un_plus = _incident_half(inc, n, m_off, "plus", "value")
-
-        def t_up_left(z):
-            return i_minus_k(z) @ (sel @ np.array([1.0, 0.0]))
-
-        def t_up_right(z):
-            return i_minus_k(z) @ (sel @ np.array([-z, 0.0]))
-
-        if fam == "opposing_constraints":
-            u0_minus = _incident_half(inc, 0, 0, "minus", "value")
-
-            def base(z):
-                chi_n = _sq_h2p2(z, w2) * un_plus(z)
-                chi_0 = _sq_h2p2(z, w2) * u0_minus(z)
-                return i_minus_k(z) @ (sel @ np.array([chi_n, chi_0]))
-
-            def t_lo_left(z):
-                return i_minus_k(z) @ (sel @ np.array([0.0, -1.0]))
-
-            def t_lo_right(z):
-                return i_minus_k(z) @ (sel @ np.array([0.0, z]))
-
-            return AffineForcing(
-                dim=2, base=base,
-                terms=(
-                    (("u", m_off - 1, n), t_up_left),
-                    (("u", m_off, n), t_up_right),
-                    (("u", -1, 0), t_lo_left),
-                    (("u", 0, 0), t_lo_right),
-                ),
-            )
-
-        # opposing_mixed: constraint (right) at row N, crack (left) at row 0
-        v0_minus = _incident_half(inc, 0, 0, "minus", "crack_diff")
-
-        def base(z):
-            chi_n = _sq_h2p2(z, w2) * un_plus(z)
-            return i_minus_k(z) @ (sel @ np.array([chi_n, v0_minus(z)]))
-
-        return AffineForcing(
-            dim=2, base=base,
-            terms=((("u", m_off - 1, n), t_up_left), (("u", m_off, n), t_up_right)),
-        )
-
-    if fam == "tri_crack_2x2":
-        u0_minus = _incident_half(inc, 0, 0, "minus", "value")
-        um1_minus = _incident_half(inc, -1, 0, "minus", "value")
-        u_in_0m1 = complex(inc.field(0, -1))
-
-        def n_of(z):
-            t = _slant_root(z, w2)
-            return 4.0 - z - 1.0 / z - (1.0 + 1.0 / z) * t - 1.5 * w2
-
-        def base(z):
-            k = eval_matrix_kernel(spec, z)
-            vec = (np.eye(2) - k) @ np.array([u0_minus(z), um1_minus(z)])
-            extra = (k / n_of(z)) @ np.array([-z * u_in_0m1, u_in_0m1])
-            return vec + extra
-
-        def t_0m1(z):
-            k = eval_matrix_kernel(spec, z)
-            return (k / n_of(z)) @ np.array([-z, 1.0])
-
-        return AffineForcing(dim=2, base=base, terms=((("u", 0, -1), t_0m1),))
-
-    # hex_constraint_2x2
-    u1_minus = _incident_half(inc, 1, 0, "minus", "value")
-    row_shift = np.exp(1j * inc.kappa_y)
-    vm1_amp = amp * inc.hex_ratio * row_shift
-    vm1_minus = half_transform_exp(vm1_amp, q, "minus", strict=False)
-    u_in_00 = complex(inc.field(0, 0))
-    v_in_m10 = complex(inc.field(-1, 0, "v"))
-
-    def base(z):
-        vec = np.array([u1_minus(z) + z * u_in_00, vm1_minus(z) - v_in_m10])
-        return i_minus_k(z) @ vec
-
-    def t_u00(z):
-        return i_minus_k(z) @ np.array([z, 0.0])
-
-    def t_vm10(z):
-        return i_minus_k(z) @ np.array([0.0, -1.0])
-
-    return AffineForcing(dim=2, base=base,
-                         terms=((("u", 0, 0), t_u00), (("v", -1, 0), t_vm10)))
+    return _affine_forcing(spec, inc, strict=False)

@@ -37,15 +37,8 @@ from .fields import (
     compare_fields,
     lattice_omega_shift,
 )
-from .kernels import (
-    ScalarKernel,
-    eval_matrix_kernel,
-    eval_scalar_kernel,
-    inc_omega,
-    scalar_forcing,
-    vector_forcing,
-)
-from .series import CircleGrid
+from .kernels import ScalarKernel, family_record, scalar_forcing, vector_forcing
+from .series import CircleGrid, sample
 
 __all__ = [
     "Defect",
@@ -172,7 +165,7 @@ def _straight_backgrounds(spec: LatticeProblemSpec) -> tuple:
     if not right:
         return ()
     inc = spec.incidence
-    w = inc_omega(inc)
+    w = inc.omega
     kx, ky, amp = inc.kappa_x, inc.kappa_y, inc.amplitude
     # vertical mode at the incident horizontal wavenumber: the propagation
     # root of the square lattice evaluated at z0 = exp(-i kx)
@@ -247,7 +240,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         if abs(d.tip) >= L // 2:
             raise WindowTooSmall(f"tip offset {d.tip} needs half width > {2 * abs(d.tip)}")
     inc = spec.incidence
-    w = inc_omega(inc)
+    w = inc.omega
     if w.imag <= 0:
         raise InvalidSpec("oracle solves require Im(omega) > 0")
     w2 = w * w
@@ -440,7 +433,7 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     inc = spec.incidence
     meta = {
         "lattice": spec.lattice.value,
-        "omega": inc_omega(inc),
+        "omega": inc.omega,
         "theta": inc.theta,
         "amplitude": inc.amplitude,
         "half_width": system.half_width,
@@ -459,62 +452,13 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
 
 # --- WH residual verification -------------------------------------------------
 
-def _component_layout(kernel) -> list:
-    """Row combinations making up f for each kernel family.
-
-    Each entry: (combine, row, offset) with combine in
-    {"u_row", "v_row", "crack_diff", "sum_pm1"}; component order follows
-    the paper's vectors (top defect row first).
-    """
-    if isinstance(kernel, ScalarKernel):
-        row = 1 if kernel.family in ("sq_constraint", "tri_dirichlet") else 0
-        return [("u_row", row, 0)]
-    fam = kernel.family
-    n = kernel.sep
-    if fam == "tri_crack_2x2":
-        return [("u_row", 0, 0), ("u_row", -1, 0)]
-    if fam == "hex_constraint_2x2":
-        return [("u_row", 1, 0), ("v_row", -1, 0)]
-    if fam == "array_cracks":
-        return [("crack_diff", (kernel.count - 1 - p) * n, kernel.offsets[kernel.count - 1 - p])
-                for p in range(kernel.count)]
-    if fam == "array_constraints":
-        return [("sum_pm1", (kernel.count - 1 - p) * n, kernel.offsets[kernel.count - 1 - p])
-                for p in range(kernel.count)]
-    if fam == "pair_crack_constraint":
-        return [("sum_pm1", n, 0), ("crack_diff", 0, 0)]
-    if fam == "mixed_array":
-        return [("u_row", 1, 0), ("crack_diff", 0, 0)]
-    m = kernel.offsets[0]
-    if fam == "opposing_cracks":
-        return [("crack_diff", n, m), ("crack_diff", 0, 0)]
-    if fam == "opposing_constraints":
-        return [("sum_pm1", n, m), ("sum_pm1", 0, 0)]
-    if fam == "opposing_mixed":
-        return [("sum_pm1", n, m), ("crack_diff", 0, 0)]
-    raise InvalidSpec(f"wh_residual does not support family {fam!r}")
-
-
-def _combo_values(field: FieldGrid, combine: str, row: int) -> np.ndarray:
-    if combine == "u_row":
-        return field.row(row, "u")
-    if combine == "v_row":
-        return field.row(row, "v")
+def _combine(rows, combine: str, row: int):
+    """Row combination of f: rows(y, sub) gives row y of one sublattice."""
+    if combine in ("u_row", "v_row"):
+        return rows(row, combine[0])
     if combine == "crack_diff":
-        return field.row(row, "u") - field.row(row - 1, "u")
-    return field.row(row + 1, "u") + field.row(row - 1, "u")
-
-
-def _combo_background(backgrounds, combine: str, row: int) -> complex:
-    total = 0j
-    for bg in backgrounds:
-        if combine == "u_row":
-            total += complex(bg.profile(row))
-        elif combine == "crack_diff":
-            total += complex(bg.profile(row)) - complex(bg.profile(row - 1))
-        else:
-            total += complex(bg.profile(row + 1)) + complex(bg.profile(row - 1))
-    return total
+        return rows(row, "u") - rows(row - 1, "u")
+    return rows(row + 1, "u") + rows(row - 1, "u")
 
 
 def _half_sums(values: np.ndarray, xs: np.ndarray, offset: int, nodes: np.ndarray):
@@ -548,32 +492,31 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     equal omega than the square lattice).
     """
     inc = problem.incidence
-    w = inc_omega(inc)
-    if w.imag < 0.05:
+    if inc.omega.imag < 0.05:
         raise InvalidSpec("wh_residual requires damping Im(omega) >= 0.05")
     if grid is None:
         grid = CircleGrid(1.0, 256)
     nodes = grid.nodes
-    layout = _component_layout(kernel)
+    # row combinations making up f, top defect row first
+    layout = family_record(kernel.family).components(kernel)
     backgrounds = _straight_backgrounds(problem)
     q = np.exp(1j * inc.kappa_x)
 
     dim = len(layout)
-    f_plus = np.empty((dim, nodes.size), dtype=complex)
-    f_minus = np.empty((dim, nodes.size), dtype=complex)
+    f_plus = np.empty((nodes.size, dim), dtype=complex)
+    f_minus = np.empty((nodes.size, dim), dtype=complex)
     xs = field.xs
     mode = np.exp(-1j * inc.kappa_x * xs)
     for i, (combine, row, offset) in enumerate(layout):
-        vals = _combo_values(field, combine, row)
-        gamma = _combo_background(backgrounds, combine, row)
+        vals = _combine(field.row, combine, row)
+        gamma = sum((complex(_combine(lambda y, _: bg.profile(y), combine, row))
+                     for bg in backgrounds), 0j)
         rem = vals - gamma * mode
         plus, minus = _half_sums(rem, xs, offset, nodes)
         amp = gamma * np.exp(-1j * inc.kappa_x * offset)
         qz = q * nodes
-        plus += amp * qz / (qz - 1.0)
-        minus += amp * qz / (1.0 - qz)
-        f_plus[i] = plus
-        f_minus[i] = minus
+        f_plus[:, i] = plus + amp * qz / (qz - 1.0)
+        f_minus[:, i] = minus + amp * qz / (1.0 - qz)
 
     if isinstance(kernel, ScalarKernel):
         forcing = scalar_forcing(kernel.family, inc)
@@ -583,75 +526,16 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     for key in forcing.constant_ids:
         sub, x, y = key
         constants[key] = field.value(x, y, sub)
-
-    worst = 0.0
-    c_scale = 1.0
-    residuals = np.empty(nodes.size)
-    c_norms = np.empty(nodes.size)
-    for k, z in enumerate(nodes):
-        c = forcing(z, constants if forcing.terms else None)
-        if kernel_eval is not None:
-            kz = kernel_eval(z)
-        elif isinstance(kernel, ScalarKernel):
-            kz = eval_scalar_kernel(kernel, z)
-        else:
-            kz = eval_matrix_kernel(kernel, z)
-        if dim == 1:
-            res = f_plus[0, k] + kz * f_minus[0, k] - c
-            residuals[k] = abs(res)
-            c_norms[k] = abs(c)
-        else:
-            res = f_plus[:, k] + kz @ f_minus[:, k] - np.asarray(c)
-            residuals[k] = float(np.max(np.abs(res)))
-            c_norms[k] = float(np.max(np.abs(c)))
-    worst = float(np.max(residuals))
-    c_scale = max(1.0, float(np.max(c_norms)))
-    return worst / c_scale
+    c = sample(lambda z: forcing(z, constants), grid).reshape(nodes.size, dim)
+    k = sample(kernel_eval or kernel, grid).reshape(nodes.size, dim, dim)
+    res = f_plus + np.einsum("nij,nj->ni", k, f_minus) - c
+    return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(c))))
 
 
-def problem_for(kernel, incidence: Incidence, bloch_period: int | None = None) -> LatticeProblemSpec:
+def problem_for(kernel, incidence: Incidence) -> LatticeProblemSpec:
     """Defect layout matching a kernel descriptor, for oracle runs."""
-    if isinstance(kernel, ScalarKernel):
-        kind = {"sq_crack": "crack", "sq_constraint": "constraint",
-                "tri_dirichlet": "constraint", "hex_crack": "crack"}[kernel.family]
-        return LatticeProblemSpec(
-            lattice=kernel.lattice,
-            defects=(Defect(kind, 0, "left", 0),),
-            incidence=incidence,
-        )
-    fam = kernel.family
-    n = kernel.sep
-    if fam in ("array_cracks", "array_constraints"):
-        kind = "crack" if fam == "array_cracks" else "constraint"
-        defects = tuple(Defect(kind, j * n, "left", kernel.offsets[j])
-                        for j in range(kernel.count))
-        return LatticeProblemSpec(Lattice.SQUARE, defects, incidence)
-    if fam == "pair_crack_constraint":
-        return LatticeProblemSpec(
-            Lattice.SQUARE,
-            (Defect("crack", 0, "left", 0), Defect("constraint", n, "left", 0)),
-            incidence,
-        )
-    if fam == "mixed_array":
-        return LatticeProblemSpec(
-            Lattice.SQUARE,
-            (Defect("constraint", 0, "left", 0), Defect("crack", 0, "left", 0)),
-            incidence,
-            bloch=BlochSpec(period=n, multiplier=complex(kernel.psi)),
-        )
-    if fam == "tri_crack_2x2":
-        return LatticeProblemSpec(Lattice.TRIANGULAR,
-                                  (Defect("crack", 0, "left", 0),), incidence)
-    if fam == "hex_constraint_2x2":
-        return LatticeProblemSpec(Lattice.HONEYCOMB,
-                                  (Defect("constraint", 0, "left", 0),), incidence)
-    m = kernel.offsets[0]
-    if fam == "opposing_cracks":
-        defects = (Defect("crack", n, "right", m), Defect("crack", 0, "left", 0))
-    elif fam == "opposing_constraints":
-        defects = (Defect("constraint", n, "right", m), Defect("constraint", 0, "left", 0))
-    elif fam == "opposing_mixed":
-        defects = (Defect("constraint", n, "right", m), Defect("crack", 0, "left", 0))
-    else:
-        raise InvalidSpec(f"no oracle layout for family {fam!r}")
-    return LatticeProblemSpec(Lattice.SQUARE, defects, incidence)
+    rec = family_record(kernel.family)
+    defects, period = rec.defects(kernel)
+    bloch = None if period is None else BlochSpec(period=period,
+                                                  multiplier=complex(kernel.psi))
+    return LatticeProblemSpec(rec.lattice, tuple(Defect(*d) for d in defects), incidence, bloch)

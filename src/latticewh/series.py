@@ -115,14 +115,6 @@ class LaurentSeries:
         out = pos + neg
         return complex(out) if za.ndim == 0 else out
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.coeff.size != other.coeff.size:
-            raise LengthMismatch("cannot add series of different lengths")
-        return LaurentSeries(self.coeff + other.coeff, self.radius)
-
-    def scaled(self, factor: complex) -> "LaurentSeries":
-        return LaurentSeries(self.coeff * factor, self.radius)
-
 
 @dataclass(frozen=True)
 class SplitPair:
@@ -135,25 +127,26 @@ class SplitPair:
 def sample(func, grid: CircleGrid) -> np.ndarray:
     """Evaluate func at every grid node, preserving order.
 
-    Tries one vectorized call first; falls back to a per-node loop, in
-    which case any evaluation error is re-raised with the node index and
-    location attached.
+    Values may be scalars, vectors or matrices: the result has shape
+    (count,), (count, d) or (count, d, d).  Tries one vectorized call
+    first; falls back to a per-node loop, in which case any evaluation
+    error is re-raised with the node index and location attached.
     """
     nodes = grid.nodes
     try:
         vals = np.asarray(func(nodes), dtype=complex)
-        if vals.shape == nodes.shape:
+        if vals.shape[:1] == nodes.shape:
             return vals
     except (TypeError, ValueError):
         pass
-    out = np.empty(grid.count, dtype=complex)
+    out = []
     for k, z in enumerate(nodes):
         try:
-            out[k] = func(z)
+            out.append(func(z))
         except Exception as exc:
             exc.args = (f"node {k} (z={z!r}): {exc}",)
             raise
-    return out
+    return np.asarray(out, dtype=complex)
 
 
 def coefficients(samples, grid: CircleGrid) -> LaurentSeries:

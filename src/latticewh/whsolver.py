@@ -25,17 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .branches import Incidence, annulus_bounds, square_branches, _slant_root
-from .errors import IllConditionedClosure, WindowTooLarge
-from .fields import FieldGrid
-from .kernels import (
-    AffineForcing,
-    ScalarKernel,
+from .branches import (
+    Incidence,
+    Lattice,
+    _slant_root,
+    annulus_bounds,
     hex_coupling,
     hex_reduced_omega_sq,
-    inc_omega,
-    scalar_forcing,
+    square_branches,
 )
+from .errors import IllConditionedClosure, WindowTooLarge
+from .fields import FieldGrid, lattice_omega_shift
+from .kernels import AffineForcing, ScalarKernel, family_record, scalar_forcing
 from .series import (
     CircleGrid,
     FactorizationReport,
@@ -74,7 +75,7 @@ class ScalarWHProblem:
     @classmethod
     def for_family(cls, family: str, incidence: Incidence,
                    grid: CircleGrid | None = None) -> "ScalarWHProblem":
-        kernel = ScalarKernel(family, inc_omega(incidence))
+        kernel = ScalarKernel(family, incidence.omega)
         forcing = scalar_forcing(family, incidence)
         return cls(kernel=kernel, forcing=forcing,
                    grid=grid or CircleGrid(1.0, 4096), incidence=incidence)
@@ -180,50 +181,42 @@ def _derive_estimates(problem: ScalarWHProblem, fp_vals, fm_vals,
                       with_incident_boundary: bool) -> dict:
     """Re-derive each unknown constant from one affine solution component.
 
-    f = u_1 for both constraint problems; u(-1, 1) is a direct coefficient
-    read-off, u(0, 0) comes from the half-line defect-row recurrence
-    driven by the reconstructed row 1, truncated at x = _CLOSURE_SPAN with
-    a zero tail (justified by the exponential damping decay).
+    f = u_1 for both constraint problems; a row-1 unknown is a direct
+    coefficient read-off, a row-0 unknown comes from the half-line
+    defect-row recurrence driven by the reconstructed row 1, truncated at
+    x = _CLOSURE_SPAN with a zero tail (justified by the exponential
+    damping decay).
     """
     grid = problem.grid
-    family = problem.kernel.family
-    w2 = problem.kernel.omega_value ** 2
+    kernel = problem.kernel
+    if family_record(kernel.family).closure is None:
+        raise ValueError(f"no closure rule for family {kernel.family!r}")
     row1_series = coefficients(fp_vals + fm_vals, grid)
     span = _CLOSURE_SPAN
     row1 = inverse_transform_row(row1_series, range(-1, span + 2))  # x = -1 .. span+1
-
-    if family == "sq_constraint":
-        left = -complex(problem.incidence.field(-1, 0)) if with_incident_boundary else 0j
-        row0 = _row0_half_line(family, w2, row1, left, span)
-        return {("u", 0, 0): complex(row0[0])}
-
-    if family == "tri_dirichlet":
-        left = -complex(problem.incidence.field(-1, 0)) if with_incident_boundary else 0j
-        row0 = _row0_half_line(family, w2, row1, left, span)
-        return {
-            ("u", -1, 1): row1_series.coefficient(1),
-            ("u", 0, 0): complex(row0[0]),
-        }
-
-    raise ValueError(f"no closure rule for family {family!r}")
+    left = -complex(problem.incidence.field(-1, 0)) if with_incident_boundary else 0j
+    row0 = _row0_half_line(kernel, row1, left, span)
+    estimates = {}
+    for key in problem.forcing.constant_ids:
+        _, x, y = key
+        estimates[key] = complex(row1[x + 1] if y == 1 else row0[x])
+    return estimates
 
 
-def _row0_half_line(family: str, w2: complex, row1: np.ndarray,
+def _row0_half_line(kernel: ScalarKernel, row1: np.ndarray,
                     left_boundary: complex, span: int) -> np.ndarray:
     """Defect-row values u_{x,0}, x = 0..span, from the adjacent row.
 
     Solves the one-dimensional row equation of the constraint problems
     (square: u[x+1] + u[x-1] + 2 u1[x] + (w^2-4) u[x] = 0; triangular:
-    the slant-symmetric analogue) as a tridiagonal system with the given
-    left boundary value u_{-1,0} and a zero tail at x = span + 1.
-    row1 holds u_{x,1} for x = -1 .. span+1.
+    the slant-symmetric analogue, whose row-1 neighbours are x and x-1)
+    as a tridiagonal system with the given left boundary value u_{-1,0}
+    and a zero tail at x = span + 1.  row1 holds u_{x,1} for x = -1 .. span+1.
     """
-    if family == "sq_constraint":
-        diag = w2 - 4.0
-        rhs = -2.0 * row1[1: span + 2]
-    else:
-        diag = 1.5 * w2 - 6.0
-        rhs = -2.0 * (row1[1: span + 2] + row1[0: span + 1])
+    w = kernel.omega_value
+    diag = lattice_omega_shift(kernel.lattice, w * w)
+    neighbours = [row1[1 + s: span + 2 + s] for s in family_record(kernel.family).closure]
+    rhs = -2.0 * sum(neighbours[1:], neighbours[0])
     n = span + 1
     ab = np.zeros((3, n), dtype=complex)
     ab[0, 1:] = 1.0
@@ -260,20 +253,28 @@ def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
     return dict(zip(keys, alpha)), condition
 
 
+def _row_multiplier(lattice: Lattice, w: complex, z):
+    """Per-row propagation multiplier of the lattice: lam, t or hh."""
+    if lattice is Lattice.SQUARE:
+        return square_branches(z, w).lam
+    s = w * w if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w)
+    return np.asarray(_slant_root(z, s))
+
+
 def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) -> FieldGrid:
     """Scattered field on the window from the solved row transform.
 
     Rows y >= 0 follow u_y = u_0 * multiplier^y (with the honeycomb
     companion factor for the v rows); the lower half plane is filled by
-    the problem's reflection symmetry (odd across the crack line, even
-    across the constraint row, slant-shifted for the triangular lattice).
+    the family's reflection image (odd across the crack line, even
+    across the constraint row, slant-shifted for the slant lattices).
     """
     (x0, x1), (y0, y1) = window
     grid = problem.grid
     nodes = grid.nodes
-    family = problem.kernel.family
-    w = problem.kernel.omega_value
-    w2 = w * w
+    kernel = problem.kernel
+    rec = family_record(kernel.family)
+    w = kernel.omega_value
     inc = problem.incidence
 
     pad = abs(y0) + 1
@@ -283,77 +284,52 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     y_top = max(y1, abs(y0) + 1, 1)
 
     f_vals = solution.transform_values(grid)
-    constraint_like = family in ("sq_constraint", "tri_dirichlet")
-    if family in ("sq_crack", "sq_constraint"):
-        prop = square_branches(nodes, w).lam
-    elif family == "tri_dirichlet":
-        prop = np.asarray(_slant_root(nodes, w2))
-    else:  # hex_crack
-        prop = np.asarray(_slant_root(nodes, hex_reduced_omega_sq(w)))
-        v_factor = (1.0 + nodes + prop) / hex_coupling(w)
+    prop = _row_multiplier(kernel.lattice, w, nodes)
+    honeycomb = kernel.lattice is Lattice.HONEYCOMB
+    v_factor = (1.0 + nodes + prop) / hex_coupling(w) if honeycomb else None
 
     ex_range = range(ex0, ex1 + 1)
-    upper_u = {}
-    upper_v = {}
+    upper = {sub: np.zeros((y_top + 1, len(ex_range)), dtype=complex)
+             for sub in (("u", "v") if honeycomb else ("u",))}
     # crack problems solve for row 0 directly; constraint problems solve
     # for row 1 and never divide by the propagator (it vanishes at the
     # z = -1 node for the slant lattices)
+    constraint_like = rec.closure is not None
     level = f_vals.copy()
     for y in range(1 if constraint_like else 0, y_top + 1):
-        row_series = coefficients(level, grid)
-        upper_u[y] = inverse_transform_row(row_series, ex_range)
-        if family == "hex_crack":
-            v_series = coefficients(level * v_factor, grid)
-            upper_v[y] = inverse_transform_row(v_series, ex_range)
+        upper["u"][y] = inverse_transform_row(coefficients(level, grid), ex_range)
+        if honeycomb:
+            upper["v"][y] = inverse_transform_row(coefficients(level * v_factor, grid), ex_range)
         level = level * prop
 
     if constraint_like:
         span = max(_CLOSURE_SPAN, ex1 + 50)
-        row1_series = coefficients(f_vals, grid)
-        row1 = inverse_transform_row(row1_series, range(-1, span + 2))
-        row0_pos = _row0_half_line(family, w2, row1,
-                                   -complex(inc.field(-1, 0)), span)
-        row0 = np.empty(len(list(ex_range)), dtype=complex)
-        for i, x in enumerate(ex_range):
-            if x < 0:
-                row0[i] = -complex(inc.field(x, 0))  # pinned: u = -u_in
-            else:
-                row0[i] = row0_pos[x]
-        upper_u[0] = row0
+        row1 = inverse_transform_row(coefficients(f_vals, grid), range(-1, span + 2))
+        row0_pos = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
+        xs = np.arange(ex0, ex1 + 1)
+        pinned = xs < 0
+        # u = -u_in on the constraint, one site at a time: the array form
+        # of inc.field rounds differently in the last bit
+        upper["u"][0, pinned] = [-complex(inc.field(x, 0)) for x in xs[pinned]]
+        upper["u"][0, ~pinned] = row0_pos[xs[~pinned]]
 
-    nx = x1 - x0 + 1
-    ny = y1 - y0 + 1
-    u = np.zeros((ny, nx), dtype=complex)
-    v = np.zeros((ny, nx), dtype=complex) if family == "hex_crack" else None
-
-    def upper(store, x, y):
-        return store[y][x - ex0]
-
-    for iy, y in enumerate(range(y0, y1 + 1)):
-        for ix, x in enumerate(range(x0, x1 + 1)):
-            if family == "sq_crack":
-                u[iy, ix] = upper(upper_u, x, y) if y >= 0 else -upper(upper_u, x, -1 - y)
-            elif family == "sq_constraint":
-                u[iy, ix] = upper(upper_u, x, abs(y))
-            elif family == "tri_dirichlet":
-                u[iy, ix] = upper(upper_u, x, y) if y >= 0 else upper(upper_u, x + y, -y)
-            else:
-                if y >= 0:
-                    u[iy, ix] = upper(upper_u, x, y)
-                    v[iy, ix] = upper(upper_v, x, y)
-                else:
-                    # odd image across the crack line: u(x,y) = -v(x+y, -1-y)
-                    # and v(x,y) = -u(x+y+1, -1-y)
-                    u[iy, ix] = -upper(upper_v, x + y, -1 - y)
-                    v[iy, ix] = -upper(upper_u, x + y + 1, -1 - y)
+    image = rec.image
+    cols = np.arange(x0, x1 + 1) - ex0
+    above = np.arange(max(y0, 0), y1 + 1)[:, None]
+    below = np.arange(y0, min(y1, -1) + 1)[:, None]
+    out = {}
+    for sub, src, x_shift in image.sources:
+        mirrored = upper[src][-below - image.row_shift, cols + image.x_per_row * below + x_shift]
+        out[sub] = np.concatenate([-mirrored if image.odd else mirrored,
+                                   upper[sub][above, cols]])
 
     meta = {
-        "lattice": problem.kernel.lattice.value,
+        "lattice": kernel.lattice.value,
         "omega": w,
         "theta": inc.theta,
         "amplitude": inc.amplitude,
-        "family": family,
+        "family": kernel.family,
         "window": f"[{x0},{x1}]x[{y0},{y1}]",
     }
-    return FieldGrid(lattice=problem.kernel.lattice, x_range=(x0, x1),
-                     y_range=(y0, y1), u=u, v=v, meta=meta)
+    return FieldGrid(lattice=kernel.lattice, x_range=(x0, x1),
+                     y_range=(y0, y1), u=out["u"], v=out.get("v"), meta=meta)

@@ -181,6 +181,13 @@ class TestDispersion:
         with pytest.raises(OutsidePassBand):
             dispersion_solve("square", Frequency(2.5), 0.0)  # directional edge at 2
 
+    def test_damped_root_with_negative_real_part(self):
+        # near the band top Newton lands on k = -3.19 + 1.08i: Im k > 0 but
+        # Re k < 0, which used to escape as a plain ValueError from
+        # annulus_bounds
+        with pytest.raises(OutsidePassBand):
+            dispersion_solve("square", Frequency(2.3237 + 0.00655j), 0.1115)
+
 
 class TestAnnulus:
     def test_normal_incidence(self):

@@ -5,7 +5,9 @@ import pytest
 
 from latticewh.branches import square_branches, tri_branch
 from latticewh.errors import UnsupportedFamily
+from latticewh.branches import Lattice
 from latticewh.kernels import (
+    FAMILIES,
     MATRIX_FAMILIES,
     MatrixKernelSpec,
     ScalarKernel,
@@ -18,6 +20,7 @@ from latticewh.kernels import (
     scalar_kernel_forms,
     vector_forcing,
 )
+from latticewh.oracle import problem_for
 
 from conftest import unit_samples
 
@@ -350,3 +353,56 @@ def test_every_matrix_family_evaluates():
         mat = eval_matrix_kernel(spec, z)
         assert mat.shape == (spec.dim, spec.dim)
         assert np.all(np.isfinite(mat))
+
+
+def _example_descriptor(name):
+    rec = FAMILIES[name]
+    if rec.dim == 1:
+        return ScalarKernel(name, OMEGA)
+    kwargs = {"sep": 2}
+    if rec.count:
+        kwargs.update(count=3, offsets=(0, 2, 5))
+    elif rec.offsets:
+        kwargs.update(offsets=(3,))
+    if rec.psi:
+        kwargs.update(psi=0.8 + 0.4j)
+    return MatrixKernelSpec(name, OMEGA, **kwargs)
+
+
+def _assert_matches_points(fn, zs, trailing):
+    """fn on the array zs has shape zs.shape + trailing and equals the stacked point calls."""
+    arr = np.asarray(fn(zs))
+    assert arr.shape == zs.shape + trailing
+    points = np.array([fn(z) for z in zs.ravel()]).reshape(arr.shape)
+    assert np.max(np.abs(arr - points)) <= 1e-13 * np.max(np.abs(points))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_array_and_point_evaluation_agree(name, request):
+    rec = FAMILIES[name]
+    kern = _example_descriptor(name)
+    inc = request.getfixturevalue(f"inc_{rec.lattice.value}")
+    rng = np.random.default_rng(23)
+    zs = rng.uniform(0.97, 1.03, 12) * np.exp(2j * np.pi * rng.random(12))
+    if rec.lattice is not Lattice.SQUARE:
+        zs[0] = -1.0  # a node of every power-of-two grid; removable for the slant roots
+    zs = zs.reshape(3, 4)
+    scalar = rec.dim == 1
+    d = 1 if scalar else kern.dim
+    matrix_shape = () if scalar else (d, d)
+    vector_shape = () if scalar else (d,)
+
+    _assert_matches_points(kern, zs, matrix_shape)
+    if rec.det is not None:
+        _assert_matches_points(lambda z: det_closed_form(kern, z), zs, ())
+    if rec.dk is not None:
+        _assert_matches_points(dk_form(kern).reconstruct, zs, matrix_shape)
+    if rec.limit is not None:
+        _assert_matches_points(diag_limit_defect(kern), zs, matrix_shape)
+    forcing = scalar_forcing(name, inc) if scalar else vector_forcing(kern, inc)
+    for fn in (forcing.base, *(term for _, term in forcing.terms)):
+        _assert_matches_points(fn, zs, vector_shape)
+
+    assert forcing.dim == d
+    assert len(rec.components(kern)) == d
+    assert problem_for(kern, inc).lattice is rec.lattice

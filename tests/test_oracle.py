@@ -4,7 +4,7 @@ import pytest
 from latticewh.branches import Frequency, dispersion_solve, square_branches
 from latticewh.errors import InvalidSpec, WindowMismatch, WindowTooSmall
 from latticewh.fields import FieldGrid, compare_fields
-from latticewh.kernels import MatrixKernelSpec, ScalarKernel
+from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel
 from latticewh.oracle import (
     BlochSpec,
     Defect,
@@ -233,7 +233,49 @@ class TestWHResidual:
             assert wh_residual(prob, kern, fld) < 5e-2
 
 
+# Oracle layouts of every family, as problem_for wrote them before the
+# layouts moved into the family table: (kernel, lattice, defects, Bloch period)
+LAYOUTS = [
+    (ScalarKernel("sq_crack", OMEGA), "square", [("crack", 0, "left", 0)], None),
+    (ScalarKernel("sq_constraint", OMEGA), "square", [("constraint", 0, "left", 0)], None),
+    (ScalarKernel("tri_dirichlet", OMEGA), "triangular", [("constraint", 0, "left", 0)], None),
+    (ScalarKernel("hex_crack", OMEGA), "honeycomb", [("crack", 0, "left", 0)], None),
+    (MatrixKernelSpec("tri_crack_2x2", OMEGA), "triangular", [("crack", 0, "left", 0)], None),
+    (MatrixKernelSpec("hex_constraint_2x2", OMEGA), "honeycomb",
+     [("constraint", 0, "left", 0)], None),
+    (MatrixKernelSpec("array_cracks", OMEGA, count=3, sep=2, offsets=(0, 2, 5)), "square",
+     [("crack", 0, "left", 0), ("crack", 2, "left", 2), ("crack", 4, "left", 5)], None),
+    (MatrixKernelSpec("array_constraints", OMEGA, count=2, sep=3, offsets=(4, 1)), "square",
+     [("constraint", 0, "left", 4), ("constraint", 3, "left", 1)], None),
+    (MatrixKernelSpec("mixed_array", OMEGA, sep=5, psi=0.8 + 0.3j), "square",
+     [("constraint", 0, "left", 0), ("crack", 0, "left", 0)], 5),
+    (MatrixKernelSpec("pair_crack_constraint", OMEGA, sep=3), "square",
+     [("crack", 0, "left", 0), ("constraint", 3, "left", 0)], None),
+    (MatrixKernelSpec("opposing_cracks", OMEGA, sep=3, offsets=(2,)), "square",
+     [("crack", 3, "right", 2), ("crack", 0, "left", 0)], None),
+    (MatrixKernelSpec("opposing_constraints", OMEGA, sep=4, offsets=(1,)), "square",
+     [("constraint", 4, "right", 1), ("constraint", 0, "left", 0)], None),
+    (MatrixKernelSpec("opposing_mixed", OMEGA, sep=2, offsets=(3,)), "square",
+     [("constraint", 2, "right", 3), ("crack", 0, "left", 0)], None),
+]
+
+
 class TestProblemFor:
+    def test_every_family_has_a_pinned_layout(self):
+        assert [kernel.family for kernel, *_ in LAYOUTS] == list(FAMILIES)
+
+    @pytest.mark.parametrize("kernel,lattice,defects,period", LAYOUTS,
+                             ids=[kernel.family for kernel, *_ in LAYOUTS])
+    def test_layout(self, request, kernel, lattice, defects, period):
+        prob = problem_for(kernel, request.getfixturevalue(f"inc_{lattice}"))
+        assert prob.lattice.value == lattice
+        assert [(d.kind, d.row, d.side, d.tip) for d in prob.defects] == defects
+        if period is None:
+            assert prob.bloch is None
+        else:
+            assert prob.bloch.period == period
+            assert prob.bloch.multiplier == kernel.psi
+
     def test_array_layout(self, inc_square):
         spec = MatrixKernelSpec("array_constraints", OMEGA, count=3, sep=2,
                                 offsets=(0, 1, 2))
