@@ -10,6 +10,8 @@ Subpackages by responsibility:
                field reconstruction
 * oracle    -- the independent finite-lattice direct solver and the
                WH-equation residual verification
+* checks    -- the invariant suites shared by `latticewh verify` and the
+               acceptance tests (not imported here)
 * cli       -- the `latticewh` command-line interface
 """
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import branches, kernels, whsolver
+from . import checks, kernels, whsolver
 from .branches import Frequency, Lattice, dispersion_solve
 from .errors import (
     DivergentSeries,
@@ -39,19 +39,14 @@ from .errors import (
 )
 from .fields import FieldGrid, compare_fields
 from .kernels import (
-    FAMILIES,
     MATRIX_FAMILIES,
     SCALAR_FAMILIES,
     MatrixKernelSpec,
     ScalarKernel,
-    det_closed_form,
-    diag_limit_defect,
-    dk_form,
-    eval_matrix_kernel,
     eval_scalar_kernel,
     family_record,
 )
-from .oracle import BlochSpec, Defect, LatticeProblemSpec, assemble, problem_for, solve_direct, wh_residual
+from .oracle import BlochSpec, Defect, LatticeProblemSpec, assemble, problem_for, solve_direct
 from .series import CircleGrid, mult_factorize, sample, series_to_csv
 
 _NUMERICAL_ERRORS = (
@@ -175,14 +170,16 @@ def _cmd_kernel(args) -> int:
     grid = CircleGrid(cfg.radius, cfg.nq)
     nodes = grid.nodes
     vals = kern(nodes)  # (nq,) for a scalar kernel, (nq, d, d) for a matrix one
+    # one row per entry in row-major order: node k, then matrix row i and column j
+    k, *ij = np.indices(vals.shape).reshape(vals.ndim, -1)
+    rows = np.column_stack([k, nodes.real[k], nodes.imag[k], *ij,
+                            vals.real.ravel(), vals.imag.ravel()])
     with open(args.output, "w") as fh:
         fh.write(f"# family = {cfg.family}\n# omega = {cfg.omega}\n")
         fh.write(f"# nq = {cfg.nq}\n# radius = {cfg.radius}\n")
         fh.write("k,z_re,z_im,re,im\n" if vals.ndim == 1 else "k,z_re,z_im,i,j,re,im\n")
-        for (k, *ij), val in np.ndenumerate(vals):
-            z = nodes[k]
-            entry = "".join(f"{i}," for i in ij)  # matrix row and column
-            fh.write(f"{k},{z.real:.17e},{z.imag:.17e},{entry}{val.real:.17e},{val.imag:.17e}\n")
+        np.savetxt(fh, rows, fmt=["%d", "%.17e", "%.17e", *["%d"] * len(ij), "%.17e", "%.17e"],
+                   delimiter=",")
     return 0
 
 
@@ -278,149 +275,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-# --- verify suites -----------------------------------------------------------
-
-def _suite_branches(failures: list):
-    ks = np.arange(4096)
-    zs = np.exp(2j * np.pi * (ks + 0.5) / 4096)
-    for omega in (0.5 + 0.05j, 1 + 0.1j, 2 + 0.2j):
-        bv = branches.square_branches(zs, omega)
-        lam = np.asarray(bv.lam)
-        quad = np.abs(lam + 1 / lam + zs + 1 / zs - 4 + omega**2)
-        _check(failures, f"lam quadratic residual omega={omega}", float(np.max(quad)), 1e-11)
-        _check(failures, f"r^2-h^2=4 omega={omega}",
-               float(np.max(np.abs(np.asarray(bv.r)**2 - np.asarray(bv.h)**2 - 4))), 1e-12)
-        _check(failures, f"|lam|<=1 omega={omega}", float(np.max(np.abs(lam))), 1 + 1e-12)
-        for name, root in (("t", branches.tri_branch(zs, omega)),
-                           ("hh", branches.hex_branch(zs, omega))):
-            root = np.asarray(root)
-            s = omega**2 if name == "t" else branches.hex_reduced_omega_sq(omega)
-            res = np.abs((1 + 1 / zs) * root**2
-                         - (6 - zs - 1 / zs - 1.5 * s) * root + (1 + zs))
-            _check(failures, f"{name} quadratic residual omega={omega}", float(np.max(res)), 1e-11)
-            _check(failures, f"|{name}|<1 omega={omega}", float(np.max(np.abs(root))), 1.0)
-
-
-def _suite_dets(failures: list):
-    rng = np.random.default_rng(42)
-    omega = 1 + 0.1j
-    for nu in (2, 3, 5):
-        for sep in (1, 2, 4):
-            offsets = tuple(int(v) for v in rng.integers(0, 9, nu))
-            for name in [n for n, rec in FAMILIES.items() if rec.count]:
-                spec = MatrixKernelSpec(name, omega, count=nu, sep=sep, offsets=offsets)
-                err = _det_err(spec, rng, 64)
-                _check(failures, f"det {name} nu={nu} N={sep}", err, 1e-10)
-    for fam, kw in (
-        ("mixed_array", {"sep": 3, "psi": 0.8 + 0.35j}),
-        ("pair_crack_constraint", {"sep": 2}),
-        ("opposing_mixed", {"sep": 2, "offsets": (3,)}),
-        ("opposing_cracks", {"sep": 2, "offsets": (3,)}),
-        ("opposing_constraints", {"sep": 2, "offsets": (3,)}),
-    ):
-        spec = MatrixKernelSpec(fam, omega, **kw)
-        err = _det_err(spec, rng, 64)
-        _check(failures, f"det {fam}", err, 1e-10)
-
-
-def _det_err(spec, rng, count) -> float:
-    angle, radius = rng.random((count, 2)).T
-    zs = np.exp(2j * np.pi * angle) * (0.95 + 0.1 * radius)
-    num = np.linalg.det(eval_matrix_kernel(spec, zs))
-    ref = det_closed_form(spec, zs)
-    return float(np.max(np.abs(num - ref) / np.maximum(1.0, np.abs(ref))))
-
-
-def _suite_dk(failures: list):
-    rng = np.random.default_rng(7)
-    for name in [n for n, rec in FAMILIES.items() if rec.dk is not None]:
-        spec = MatrixKernelSpec(name, 1 + 0.1j)
-        form = dk_form(spec)
-        zs = np.exp(2j * np.pi * rng.random(256))
-        kz = eval_matrix_kernel(spec, zs)
-        r = form.R(zs)
-        det = form.det(zs)
-        worst_recon = float(np.max(np.abs(kz - form.reconstruct(zs))))
-        worst_r = float(np.max(np.abs(r @ r - zs[:, None, None] * np.eye(2))))
-        worst_det = float(np.max(np.abs(np.linalg.det(kz) - det) / np.abs(det)))
-        _check(failures, f"DK reconstruction {name}", worst_recon, 1e-12)
-        _check(failures, f"R^2 = z I {name}", worst_r, 1e-12)
-        _check(failures, f"det K = (a1^2 - z a2^2)^-1 {name}", worst_det, 1e-11)
-
-
-def _suite_limits(failures: list):
-    omega = 1 + 0.1j
-    z = complex(np.exp(0.9j))
-    lam = abs(branches.square_branches(z, omega).lam)
-    for fam, kw in (
-        ("pair_crack_constraint", {}),
-        ("opposing_cracks", {"offsets": (0,)}),
-        ("opposing_constraints", {"offsets": (0,)}),
-        ("opposing_mixed", {"offsets": (0,)}),
-        ("array_cracks", {"count": 2, "offsets": (0, 2)}),
-        ("array_constraints", {"count": 2, "offsets": (0, 2)}),
-    ):
-        errs = {}
-        for n in (10, 15, 20):
-            spec = MatrixKernelSpec(fam, omega, sep=n, **kw)
-            limit = diag_limit_defect(spec)(z)
-            errs[n] = float(np.max(np.abs(eval_matrix_kernel(spec, z) - limit)))
-        for n0, n1 in ((10, 15), (15, 20)):
-            expected = lam ** (n1 - n0)
-            ratio = errs[n1] / errs[n0]
-            mismatch = max(ratio / expected, expected / ratio)
-            _check(failures, f"limit rate {fam} N={n0}->{n1} vs |lam|^{n1 - n0}",
-                   mismatch, 3.0)
-
-
-def _suite_residuals(failures: list, half_width: int = 100):
-    omega = 1 + 0.15j
-    theta = math.pi / 6
-    inc = dispersion_solve(Lattice.SQUARE, Frequency(omega), theta)
-    psi = complex(np.exp(-1j * inc.kappa_y * 3))
-    cases = [
-        MatrixKernelSpec("array_cracks", omega, count=2, sep=3, offsets=(0, 2)),
-        MatrixKernelSpec("array_cracks", omega, count=3, sep=2, offsets=(0, 2, 5)),
-        MatrixKernelSpec("array_constraints", omega, count=2, sep=3, offsets=(0, 2)),
-        MatrixKernelSpec("array_constraints", omega, count=3, sep=2, offsets=(0, 2, 5)),
-        MatrixKernelSpec("pair_crack_constraint", omega, sep=3),
-        MatrixKernelSpec("mixed_array", omega, sep=3, psi=psi),
-        MatrixKernelSpec("opposing_cracks", omega, sep=3, offsets=(3,)),
-        MatrixKernelSpec("opposing_constraints", omega, sep=3, offsets=(3,)),
-        MatrixKernelSpec("opposing_mixed", omega, sep=3, offsets=(3,)),
-    ]
-    for spec in cases:
-        prob = problem_for(spec, inc)
-        fld = solve_direct(assemble(prob, half_width))
-        res = wh_residual(prob, spec, fld)
-        label = f"wh_residual {spec.family}" + (f" nu={spec.count}" if spec.count else "")
-        _check(failures, label, res, 5e-2)
-
-
-_SUITES = {
-    "branches": _suite_branches,
-    "dets": _suite_dets,
-    "dk": _suite_dk,
-    "limits": _suite_limits,
-    "residuals": _suite_residuals,
-}
-
-
-def _check(failures: list, label: str, value: float, bound: float):
-    ok = value <= bound
-    print(f"{'PASS' if ok else 'FAIL'}  {label}: {value:.3e} (bound {bound:.1e})")
-    if not ok:
-        failures.append(label)
-
+# --- verify -----------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    failures: list = []
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    failures = 0
     for name in names:
         print(f"== suite {name}")
-        _SUITES[name](failures)
+        for check in checks.SUITES[name]():
+            print(f"{'PASS' if check.ok else 'FAIL'}  {check.label}: "
+                  f"{check.value:.3e} (bound {check.bound:.1e})")
+            failures += not check.ok
     if failures:
-        print(f"{len(failures)} check(s) failed")
+        print(f"{failures} check(s) failed")
         return 2
     print("all checks passed")
     return 0
@@ -488,7 +355,7 @@ def _build_parser() -> _Parser:
     pc.set_defaults(func=_cmd_compare)
 
     pv = sub.add_parser("verify", help="run invariant suites")
-    pv.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
+    pv.add_argument("--suite", choices=[*checks.SUITES, "all"], default="all")
     pv.set_defaults(func=_cmd_verify)
     return parser
 

@@ -34,7 +34,7 @@ from .branches import (
     hex_reduced_omega_sq,
     square_branches,
 )
-from .errors import IllConditionedClosure, WindowTooLarge
+from .errors import IllConditionedClosure, InvalidSpec, WindowTooLarge
 from .fields import FieldGrid, lattice_omega_shift
 from .kernels import AffineForcing, ScalarKernel, family_record, scalar_forcing
 from .series import (
@@ -69,7 +69,7 @@ class ScalarWHProblem:
     def __post_init__(self):
         lo, hi = annulus_bounds(self.incidence)
         if not lo < self.grid.radius < hi:
-            raise ValueError(
+            raise InvalidSpec(
                 f"grid radius {self.grid.radius} outside the annulus ({lo:.6f}, {hi:.6f})")
 
     @classmethod

@@ -1,6 +1,12 @@
 import json
 
-from latticewh.cli import main
+import numpy as np
+
+from latticewh import checks
+from latticewh.checks import Check
+from latticewh.cli import _build_parser, main
+from latticewh.kernels import MatrixKernelSpec, ScalarKernel
+from latticewh.series import CircleGrid
 
 
 def run(args):
@@ -25,6 +31,23 @@ class TestKernelCommand:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert data[0] == "k,z_re,z_im,i,j,re,im"
         assert len(data) == 1 + 16 * 9  # nine entries per node, row-major
+
+    def test_csv_values_are_exact(self, tmp_path):
+        for kern, args in (
+            (ScalarKernel("tri_dirichlet", 1 + 0.1j), ["--family", "tri_dirichlet"]),
+            (MatrixKernelSpec("array_constraints", 1 + 0.1j, count=3, sep=2, offsets=(0, 2, 5)),
+             ["--family", "array_constraints", "--nu", "3", "--sep", "2", "--offsets", "0,2,5"]),
+        ):
+            out = tmp_path / "k.csv"
+            assert run(["kernel", *args, "--omega", "1,0.1", "--nq", "64", "-o", str(out)]) == 0
+            data = np.loadtxt([l for l in out.read_text().splitlines()
+                               if not l.startswith("#")][1:], delimiter=",")
+            nodes = CircleGrid(1.0, 64).nodes
+            vals = kern(nodes)
+            index = np.indices(vals.shape).reshape(vals.ndim, -1)  # k, then i, j
+            assert np.array_equal(data[:, [0, *range(3, 2 + vals.ndim)]].T, index)
+            assert np.array_equal(data[:, 1] + 1j * data[:, 2], nodes[index[0]])
+            assert np.array_equal(data[:, -2] + 1j * data[:, -1], vals.ravel())
 
     def test_invalid_count_exits_one(self, tmp_path):
         code = run(["kernel", "--family", "array_cracks", "--omega", "1,0.1",
@@ -71,6 +94,11 @@ class TestSolveCommand:
         assert code == 0
         header = [l for l in out.read_text().splitlines() if l.startswith("x,")][0]
         assert header == "x,y,re_u,im_u,re_v,im_v"
+
+    def test_radius_outside_annulus_exits_one(self, tmp_path):
+        code = run(["solve", "--family", "sq_crack", "--omega", "1,0.1", "--theta", "0.5",
+                    "--radius", "2.0", "-o", str(tmp_path / "f.csv")])
+        assert code == 1
 
     def test_undamped_rejected(self, tmp_path):
         code = run(["solve", "--family", "sq_crack", "--omega", "1,0",
@@ -122,3 +150,15 @@ class TestVerify:
 
     def test_limits_suite_passes(self):
         assert run(["verify", "--suite", "limits"]) == 0
+
+    def test_suite_choices(self):
+        verify = _build_parser()._subparsers._group_actions[0].choices["verify"]
+        suite = next(a for a in verify._actions if a.dest == "suite")
+        assert suite.choices == [*checks.SUITES, "all"]
+
+    def test_failing_check_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setitem(checks.SUITES, "dk", lambda: [Check("forced", 2.0, 1.0)])
+        assert run(["verify", "--suite", "dk"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  forced: 2.000e+00 (bound 1.0e+00)" in out
+        assert "1 check(s) failed" in out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latticewh.branches import Frequency, dispersion_solve
-from latticewh.errors import WindowTooLarge
+from latticewh.errors import InvalidSpec, WindowTooLarge
 from latticewh.fields import compare_fields
 from latticewh.kernels import AffineForcing
 from latticewh.oracle import Defect, LatticeProblemSpec, assemble, solve_direct
@@ -65,6 +65,11 @@ class TestSplitSolve:
         half = problem.grid.count // 2
         assert not np.any(sol.f_plus.coeff[half + 1:])
         assert not np.any(sol.f_minus.coeff[: half + 1])
+
+    def test_grid_radius_outside_annulus(self):
+        inc = dispersion_solve("square", Frequency(OMEGA), 0.5)
+        with pytest.raises(InvalidSpec, match="outside the annulus"):
+            ScalarWHProblem.for_family("sq_crack", inc, CircleGrid(2.0, 256))
 
 
 class TestInverseTransformRow:
