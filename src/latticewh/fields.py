@@ -115,16 +115,12 @@ class FieldGrid:
         with open(path, "w") as fh:
             for key in sorted(meta):
                 fh.write(f"# {key} = {meta[key]}\n")
-            cols = "x,y,re_u,im_u"
-            if self.v is not None:
-                cols += ",re_v,im_v"
-            fh.write(cols + "\n")
-            for iy, y in enumerate(self.ys):
-                for ix, x in enumerate(self.xs):
-                    row = f"{x},{y},{self.u[iy, ix].real:.17e},{self.u[iy, ix].imag:.17e}"
-                    if self.v is not None:
-                        row += f",{self.v[iy, ix].real:.17e},{self.v[iy, ix].imag:.17e}"
-                    fh.write(row + "\n")
+            fh.write("x,y,re_u,im_u" + (",re_v,im_v" if self.v is not None else "") + "\n")
+            X, Y = np.meshgrid(self.xs, self.ys)
+            values = [self.u] if self.v is None else [self.u, self.v]
+            cols = [X, Y] + [part for val in values for part in (val.real, val.imag)]
+            np.savetxt(fh, np.column_stack([c.ravel() for c in cols]),
+                       fmt=["%d", "%d"] + ["%.17e"] * (len(cols) - 2), delimiter=",")
 
     @staticmethod
     def from_csv(path) -> "FieldGrid":
@@ -147,11 +143,10 @@ class FieldGrid:
         ny = y_range[1] - y_range[0] + 1
         u = np.zeros((ny, nx), dtype=complex)
         v = np.zeros((ny, nx), dtype=complex) if data.shape[1] > 4 else None
-        for row in data:
-            ix, iy = int(row[0]) - x_range[0], int(row[1]) - y_range[0]
-            u[iy, ix] = row[2] + 1j * row[3]
-            if v is not None:
-                v[iy, ix] = row[4] + 1j * row[5]
+        site = (ys - y_range[0], xs - x_range[0])
+        u[site] = data[:, 2] + 1j * data[:, 3]
+        if v is not None:
+            v[site] = data[:, 4] + 1j * data[:, 5]
         lattice = Lattice(meta.get("lattice", "square" if v is None else "honeycomb"))
         return FieldGrid(lattice=lattice, x_range=x_range, y_range=y_range,
                          u=u, v=v, meta=meta)

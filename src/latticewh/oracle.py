@@ -6,6 +6,14 @@ and solves them with a sparse LU factorization.  Defects are semi-infinite
 rows of broken bonds (cracks) or pinned sites (rigid constraints),
 pointing left (x < tip) or right (x >= tip).
 
+Assembly is array code driven by one table, _STENCILS: per lattice, one
+neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
+bond cell).  Masks on the window padded by one site mark pinned sites and
+cracked bonds; crack[y, x] is the bond between (x, y) and the row below
+(honeycomb: u(x, y) -- v(x, y-1)), and the bond to the neighbour is broken
+when crack[y+by, x+bx] is set for the bond cell (bx, by).  A broken bond
+raises the diagonal by one; a pinned neighbour (total field zero) drops out.
+
 Truncation uses zero Dirichlet data on the solved unknown, relying on the
 damping Im(omega) > 0.  A right-pointing defect is illuminated by the
 growing flank of the damped incident wave, so the plain scattered field
@@ -75,9 +83,6 @@ class Defect:
         if self.side not in ("left", "right"):
             raise InvalidSpec(f"unknown defect side {self.side!r}")
 
-    def covers(self, x: int) -> bool:
-        return x < self.tip if self.side == "left" else x >= self.tip
-
 
 @dataclass(frozen=True)
 class BlochSpec:
@@ -115,20 +120,6 @@ class LatticeProblemSpec:
         if self.bloch is not None:
             return row % self.bloch.period
         return row
-
-    def crack_rows(self) -> dict:
-        out = {}
-        for d in self.defects:
-            if d.kind == "crack":
-                out.setdefault(self._norm_row(d.row), []).append(d)
-        return out
-
-    def constraint_rows(self) -> dict:
-        out = {}
-        for d in self.defects:
-            if d.kind == "constraint":
-                out.setdefault(self._norm_row(d.row), []).append(d)
-        return out
 
 
 # --- closed-form straight-defect backgrounds --------------------------------
@@ -194,6 +185,18 @@ def _straight_backgrounds(spec: LatticeProblemSpec) -> tuple:
 
 # --- assembly ----------------------------------------------------------------
 
+# per sublattice: (dx, dy, neighbour sublattice, bond cell or None); see the module docstring
+_SQUARE = ((1, 0, "u", None), (-1, 0, "u", None), (0, 1, "u", (0, 1)), (0, -1, "u", (0, 0)))
+_STENCILS = {
+    Lattice.SQUARE: {"u": _SQUARE},
+    Lattice.TRIANGULAR: {"u": _SQUARE + ((-1, 1, "u", (-1, 1)), (1, -1, "u", (0, 0)))},
+    Lattice.HONEYCOMB: {
+        "u": ((0, 0, "v", None), (-1, 0, "v", None), (0, -1, "v", (0, 0))),
+        "v": ((0, 0, "u", None), (1, 0, "u", None), (0, 1, "u", (0, 1))),
+    },
+}
+
+
 @dataclass
 class AssembledSystem:
     matrix: sp.csc_matrix
@@ -204,7 +207,6 @@ class AssembledSystem:
     y_range: tuple[int, int]
     index_u: np.ndarray
     index_v: np.ndarray | None
-    backgrounds: tuple
     bg_u: np.ndarray          # background-only values on the window (adds back)
     incident_u: np.ndarray    # incident values on the window
     incident_v: np.ndarray | None
@@ -243,159 +245,86 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     w = inc.omega
     if w.imag <= 0:
         raise InvalidSpec("oracle solves require Im(omega) > 0")
-    w2 = w * w
 
     bloch = spec.bloch
     x0, x1 = -L, L
     y0, y1 = (0, bloch.period - 1) if bloch is not None else (-L, L)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
 
-    cracks = spec.crack_rows()
-    constraints = spec.constraint_rows()
-    backgrounds = _straight_backgrounds(spec)
+    # masks and known field (incident + backgrounds) on the padded grid
+    # [x0-1, x1+1] x [y0-1, y1+1]; window cells are [1:ny+1, 1:nx+1]
+    XP, YP = np.meshgrid(np.arange(x0 - 1, x1 + 2), np.arange(y0 - 1, y1 + 2))
+    masks = {"crack": np.zeros(XP.shape, bool), "constraint": np.zeros(XP.shape, bool)}
+    for d in spec.defects:
+        masks[d.kind] |= (spec._norm_row(YP) == spec._norm_row(d.row)) & (
+            (XP < d.tip) if d.side == "left" else (XP >= d.tip))
+    crack, pinned = masks["crack"], masks["constraint"]
 
-    def norm_row(y: int) -> int:
-        return y % bloch.period if bloch is not None else y
+    bg_pad = sum((bg.evaluate(XP, YP) for bg in _straight_backgrounds(spec)),
+                 np.zeros(XP.shape, complex))
+    stencils = _STENCILS[spec.lattice]
+    known = {sub: np.asarray(inc.field(XP, YP, sub), dtype=complex) for sub in stencils}
+    known["u"] = known["u"] + bg_pad
 
-    def bond_broken(x: int, upper_row: int) -> bool:
-        return any(d.covers(x) for d in cracks.get(norm_row(upper_row), ()))
+    def shifted(arr, dx, dy):
+        """Padded-grid values at (x+dx, y+dy) for every window site (x, y)."""
+        return arr[1 + dy:ny + 1 + dy, 1 + dx:nx + 1 + dx]
 
-    def is_constrained(x: int, y: int) -> bool:
-        return any(d.covers(x) for d in constraints.get(norm_row(y), ()))
+    # unknowns: free u sites row by row, then free v sites; pinned sites
+    # (total field zero) are eliminated
+    free = ~shifted(pinned, 0, 0)
+    count = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
+    n_free = int(count[-1, -1])
+    index = {sub: np.where(free, k * n_free + count - 1, -1) for k, sub in enumerate(stencils)}
+    n_unknowns = len(stencils) * n_free
 
-    # padded known field (incident + backgrounds) on [x0-1, x1+1] x [y0-1, y1+1]
-    xp = np.arange(x0 - 1, x1 + 2)
-    yp = np.arange(y0 - 1, y1 + 2)
-    XP, YP = np.meshgrid(xp, yp)
-    known_u = np.asarray(inc.field(XP, YP, "u"), dtype=complex)
-    known_v = None
-    if spec.lattice is Lattice.HONEYCOMB:
-        known_v = np.asarray(inc.field(XP, YP, "v"), dtype=complex)
-    bg_pad = np.zeros_like(known_u)
-    for bg in backgrounds:
-        bg_pad += bg.evaluate(XP, YP)
-    known_u = known_u + bg_pad
+    # neighbour columns on the padded grid: -1 outside the x range, and
+    # outside the y range unless Bloch rows wrap with weight multiplier**shift
+    if bloch is None:
+        col = {sub: np.pad(idx, 1, constant_values=-1) for sub, idx in index.items()}
+        weight = np.ones(XP.shape)
+    else:
+        shift, wrapped = np.divmod(np.arange(-1, ny + 1), ny)
+        col = {sub: np.pad(idx[wrapped], ((0, 0), (1, 1)), constant_values=-1)
+               for sub, idx in index.items()}
+        weight = np.broadcast_to((bloch.multiplier**shift)[:, None], XP.shape)
 
-    def kn(x: int, y: int, sub: str = "u") -> complex:
-        arr = known_u if sub == "u" else known_v
-        return arr[y - (y0 - 1), x - (x0 - 1)]
-
-    # unknown indexing (constrained sites eliminated)
-    index_u = -np.ones((ny, nx), dtype=np.int64)
-    index_v = None
-    counter = 0
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            if not is_constrained(x, y):
-                index_u[iy, ix] = counter
-                counter += 1
-    if spec.lattice is Lattice.HONEYCOMB:
-        index_v = -np.ones((ny, nx), dtype=np.int64)
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                if not is_constrained(x, y):
-                    index_v[iy, ix] = counter
-                    counter += 1
-    n_unknowns = counter
-
+    diag_base = lattice_omega_shift(spec.lattice, w * w)
     rows, cols, vals = [], [], []
     rhs = np.zeros(n_unknowns, dtype=complex)
-    diag_base = lattice_omega_shift(spec.lattice, w2)
+    for sub, stencil in stencils.items():
+        i = index[sub]
+        diag = np.full((ny, nx), diag_base, dtype=complex)
+        acc = np.zeros((ny, nx), dtype=complex)
+        for dx, dy, nsub, cell in stencil:
+            broken = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
+            diag += broken  # coordination reduced by the missing bond
+            live = ~broken & ~shifted(pinned, dx, dy)
+            acc += np.where(live, shifted(known[nsub], dx, dy), 0)
+            j = shifted(col[nsub], dx, dy)
+            keep = free & live & (j >= 0)
+            rows.append(i[keep])
+            cols.append(j[keep])
+            vals.append(shifted(weight, dx, dy)[keep])
+        rows.append(i[free])
+        cols.append(i[free])
+        vals.append(diag[free])
+        rhs[i[free]] = -(acc + diag * shifted(known[sub], 0, 0))[free]
 
-    def wrap(x: int, y: int):
-        """Map a neighbor to (in-range y, bloch weight) or None if outside x."""
-        if not x0 <= x <= x1:
-            return None
-        if bloch is None:
-            if not y0 <= y <= y1:
-                return None
-            return y, 1.0
-        period = bloch.period
-        shift, rem = divmod(y - y0, period)
-        return rem + y0, bloch.multiplier**shift
-
-    def add_equation(i: int, x: int, y: int, neighbors, sub: str = "u"):
-        """neighbors: iterable of (nx, ny, nsub, broken)."""
-        diag = diag_base
-        acc = 0j
-        for xn, yn, nsub, broken in neighbors:
-            if broken:
-                diag += 1.0  # coordination reduced by the missing bond
-                continue
-            if is_constrained(xn, yn):
-                continue  # pinned site: total field is zero there
-            acc += kn(xn, yn, nsub)
-            loc = wrap(xn, yn)
-            if loc is None:
-                continue
-            yw, weight = loc
-            idx = index_u if nsub == "u" else index_v
-            j = idx[yw - y0, xn - x0]
-            if j >= 0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(weight)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag + 0j)
-        rhs[i] = -(acc + diag * kn(x, y, sub))
-
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            if spec.lattice is Lattice.HONEYCOMB:
-                iu = index_u[iy, ix]
-                if iu >= 0:
-                    nbs = [
-                        (x, y, "v", False),
-                        (x - 1, y, "v", False),
-                        (x, y - 1, "v", bond_broken(x, y)),
-                    ]
-                    add_equation(iu, x, y, nbs, "u")
-                iv = index_v[iy, ix]
-                if iv >= 0:
-                    nbs = [
-                        (x, y, "u", False),
-                        (x + 1, y, "u", False),
-                        (x, y + 1, "u", bond_broken(x, y + 1)),
-                    ]
-                    add_equation(iv, x, y, nbs, "v")
-                continue
-            i = index_u[iy, ix]
-            if i < 0:
-                continue
-            nbs = [
-                (x + 1, y, "u", False),
-                (x - 1, y, "u", False),
-                (x, y + 1, "u", bond_broken(x, y + 1)),
-                (x, y - 1, "u", bond_broken(x, y)),
-            ]
-            if spec.lattice is Lattice.TRIANGULAR:
-                # slant bonds (x, r) -- (x+1, r-1) break with the verticals:
-                # the canonical upper site decides coverage for both families
-                nbs.append((x - 1, y + 1, "u", bond_broken(x - 1, y + 1)))
-                nbs.append((x + 1, y - 1, "u", bond_broken(x, y)))
-            add_equation(i, x, y, nbs, "u")
-
-    matrix = sp.csc_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n_unknowns, n_unknowns)))
-
-    # window views of the known parts for reassembly and reporting
-    sl = (slice(1, ny + 1), slice(1, nx + 1))
     return AssembledSystem(
-        matrix=matrix,
+        matrix=sp.csc_matrix(sp.coo_matrix(
+            (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_unknowns, n_unknowns))),
         rhs=rhs,
         spec=spec,
         half_width=L,
         x_range=(x0, x1),
         y_range=(y0, y1),
-        index_u=index_u,
-        index_v=index_v,
-        backgrounds=backgrounds,
-        bg_u=bg_pad[sl],
-        incident_u=(known_u - bg_pad)[sl],
-        incident_v=None if known_v is None else known_v[sl],
+        index_u=index["u"],
+        index_v=index.get("v"),
+        bg_u=shifted(bg_pad, 0, 0),
+        incident_u=shifted(known["u"] - bg_pad, 0, 0),
+        incident_v=shifted(known["v"], 0, 0) if "v" in known else None,
     )
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "FactorizationReport",
     "half_transform_exp",
     "series_to_csv",
-    "samples_to_csv",
 ]
 
 
@@ -318,18 +317,5 @@ def series_to_csv(series: LaurentSeries, path, header_lines=()):
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write("n,re,im\n")
-        for n, c in zip(series.orders, series.coeff):
-            fh.write(f"{n},{c.real:.17e},{c.imag:.17e}\n")
-
-
-def samples_to_csv(grid: CircleGrid, samples, path, header_lines=()):
-    """Write samples as CSV columns k, z_re, z_im, f_re, f_im."""
-    vals = np.asarray(samples, dtype=complex)
-    nodes = grid.nodes
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("k,z_re,z_im,f_re,f_im\n")
-        for k in range(grid.count):
-            z, f = nodes[k], vals[k]
-            fh.write(f"{k},{z.real:.17e},{z.imag:.17e},{f.real:.17e},{f.imag:.17e}\n")
+        np.savetxt(fh, np.column_stack([series.orders, series.coeff.real, series.coeff.imag]),
+                   fmt=["%d", "%.17e", "%.17e"], delimiter=",")

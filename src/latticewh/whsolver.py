@@ -172,9 +172,11 @@ def inverse_transform_row(series: LaurentSeries, x_range) -> np.ndarray:
 
     The stored coefficients are true Laurent coefficients, so the grid
     radius has already been divided out; on the unit circle this is the
-    plain coefficient read-off.
+    plain coefficient read-off; orders outside the stored range read 0.
     """
-    return np.array([series.coefficient(-int(x)) for x in x_range])
+    i = series.coeff.size // 2 - np.asarray(x_range, dtype=np.int64)
+    inside = (i >= 0) & (i < series.coeff.size)
+    return np.where(inside, series.coeff[np.where(inside, i, 0)], 0j)
 
 
 def _derive_estimates(problem: ScalarWHProblem, fp_vals, fm_vals,

@@ -96,6 +96,105 @@ class TestAssembly:
         row = system.row_entries(6, 0)
         assert row[system.site_id(6, -1)] == 1.0
 
+    def test_right_pointing_crack_stencils(self, inc_square):
+        spec = LatticeProblemSpec("square", (Defect("crack", 0, "right", 3),), inc_square)
+        system = assemble(spec, 20)
+        # broken for x >= 3, from both faces of the crack
+        for y, other in ((0, -1), (-1, 0)):
+            row = system.row_entries(5, y)
+            assert system.site_id(5, other) not in row
+            assert abs(row[system.site_id(5, y)] - (W2 - 3)) < 1e-14
+            row = system.row_entries(2, y)
+            assert row[system.site_id(2, other)] == 1.0
+            assert abs(row[system.site_id(2, y)] - (W2 - 4)) < 1e-14
+
+    def test_triangular_slant_bonds_at_crack(self, inc_triangular):
+        spec = LatticeProblemSpec("triangular", (Defect("crack", 0, "left", 0),),
+                                  inc_triangular)
+        system = assemble(spec, 20)
+        base = 1.5 * W2 - 6
+        # below the crack face (x < 0): the vertical and the (1,-1) slant
+        # bond break together, coordination drops by 2
+        row = system.row_entries(-5, 0)
+        assert len(row) == 5
+        assert system.site_id(-5, -1) not in row and system.site_id(-4, -1) not in row
+        assert row[system.site_id(-6, 1)] == 1.0
+        assert abs(row[system.site_id(-5, 0)] - (base + 2)) < 1e-14
+        # above it the (-1,1) slant bond reads the crack cell of x - 1
+        row = system.row_entries(-5, -1)
+        assert len(row) == 5
+        assert system.site_id(-5, 0) not in row and system.site_id(-6, 0) not in row
+        assert row[system.site_id(-4, -2)] == 1.0
+        assert abs(row[system.site_id(-5, -1)] - (base + 2)) < 1e-14
+        # at the tip only the slant bond (-1,0)--(0,-1) is broken
+        row = system.row_entries(0, -1)
+        assert system.site_id(-1, 0) not in row
+        assert row[system.site_id(0, 0)] == 1.0
+        assert abs(row[system.site_id(0, -1)] - (base + 1)) < 1e-14
+        row = system.row_entries(-1, 0)
+        assert system.site_id(0, -1) not in row and system.site_id(-1, -1) not in row
+        assert abs(row[system.site_id(-1, 0)] - (base + 2)) < 1e-14
+        row = system.row_entries(0, 0)
+        assert row[system.site_id(0, -1)] == row[system.site_id(1, -1)] == 1.0
+        assert abs(row[system.site_id(0, 0)] - base) < 1e-14
+
+    def test_honeycomb_rows_at_crack(self, inc_honeycomb):
+        spec = LatticeProblemSpec("honeycomb", (Defect("crack", 0, "left", 0),),
+                                  inc_honeycomb)
+        system = assemble(spec, 20)
+        base = 0.75 * W2 - 3
+        # u(x, 0) -- v(x, -1) is the broken bond for x < 0
+        row = system.row_entries(-5, 0, "u")
+        assert set(row) == {system.site_id(-5, 0, "u"), system.site_id(-5, 0, "v"),
+                            system.site_id(-6, 0, "v")}
+        assert abs(row[system.site_id(-5, 0, "u")] - (base + 1)) < 1e-14
+        row = system.row_entries(-5, -1, "v")
+        assert set(row) == {system.site_id(-5, -1, "v"), system.site_id(-5, -1, "u"),
+                            system.site_id(-4, -1, "u")}
+        assert abs(row[system.site_id(-5, -1, "v")] - (base + 1)) < 1e-14
+        # intact side
+        row = system.row_entries(5, 0, "u")
+        assert row[system.site_id(5, -1, "v")] == 1.0
+        assert abs(row[system.site_id(5, 0, "u")] - base) < 1e-14
+        row = system.row_entries(5, -1, "v")
+        assert row[system.site_id(5, 0, "u")] == 1.0
+        assert abs(row[system.site_id(5, -1, "v")] - base) < 1e-14
+
+    def test_honeycomb_pinned_neighbours(self, inc_honeycomb):
+        spec = LatticeProblemSpec("honeycomb", (Defect("constraint", 0, "left", 0),),
+                                  inc_honeycomb)
+        system = assemble(spec, 20)
+        base = 0.75 * W2 - 3
+        assert system.site_id(-5, 0, "u") < 0 and system.site_id(-5, 0, "v") < 0
+        # a pinned neighbour drops its column and leaves the diagonal alone
+        for (x, y, sub), kept in (((-5, 1, "u"), {(-5, 1, "v"), (-6, 1, "v")}),
+                                  ((-5, -1, "v"), {(-5, -1, "u"), (-4, -1, "u")}),
+                                  ((0, 0, "u"), {(0, 0, "v"), (0, -1, "v")})):
+            row = system.row_entries(x, y, sub)
+            own = system.site_id(x, y, sub)
+            assert set(row) == {own} | {system.site_id(*site) for site in kept}
+            assert abs(row[own] - base) < 1e-14
+
+    def test_bloch_wrap_entries(self, inc_square):
+        psi = 0.8 + 0.3j
+        spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", 0),), inc_square,
+                                  bloch=BlochSpec(period=3, multiplier=psi))
+        system = assemble(spec, 20)
+        # row 0 couples down to row -1 = psi^-1 * row 2, row 2 up to row 3 = psi * row 0
+        row = system.row_entries(5, 0)
+        assert abs(row[system.site_id(5, 2)] - psi**-1) < 1e-15
+        assert row[system.site_id(5, 1)] == 1.0
+        row = system.row_entries(5, 2)
+        assert abs(row[system.site_id(5, 0)] - psi) < 1e-15
+        assert row[system.site_id(5, 1)] == 1.0
+        # the crack at row 0 (x < 0) cuts the wrapped bond from both sides
+        row = system.row_entries(-5, 0)
+        assert system.site_id(-5, 2) not in row
+        assert abs(row[system.site_id(-5, 0)] - (W2 - 3)) < 1e-14
+        row = system.row_entries(-5, 2)
+        assert system.site_id(-5, 0) not in row
+        assert abs(row[system.site_id(-5, 2)] - (W2 - 3)) < 1e-14
+
 
 class TestSolveDirect:
     def test_no_defects_zero_field(self, inc_square):

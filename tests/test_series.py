@@ -21,7 +21,6 @@ from latticewh.series import (
     mult_factorize,
     sample,
     series_to_csv,
-    samples_to_csv,
     winding_number,
 )
 
@@ -296,11 +295,3 @@ class TestCsv(object):
         assert lines[0] == "# test"
         assert lines[1] == "n,re,im"
         assert len(lines) == 2 + GRID.count
-
-    def test_samples_csv(self, tmp_path):
-        vals = sample(lambda z: z, GRID)
-        path = tmp_path / "samples.csv"
-        samples_to_csv(GRID, vals, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,z_re,z_im,f_re,f_im"
-        assert len(lines) == 1 + GRID.count

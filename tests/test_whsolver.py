@@ -84,6 +84,16 @@ class TestInverseTransformRow:
         assert vals[0] == 2.0
         assert vals[3] == 1j
         assert vals[1] == vals[2] == vals[4] == 0
+        # orders -8 .. 7 are stored; x = -10 .. 10 straddles both ends
+        full[8 + 7] = 3.0   # a_7, x = -7
+        full[0] = -1j       # a_-8, x = 8
+        ser = LaurentSeries(full, 1.0)
+        xs = range(-10, 11)
+        vals = inverse_transform_row(ser, xs)
+        assert vals.shape == (21,)
+        assert list(vals) == [ser.coefficient(-x) for x in xs]
+        assert vals[3] == 3.0 and vals[18] == -1j
+        assert vals[0] == vals[1] == vals[2] == vals[19] == vals[20] == 0
 
     def test_geometric_incident_row(self):
         # minus transform of u_x = 2^{-x} over x < 0 has a_m = 2^m, so the
