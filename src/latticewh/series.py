@@ -18,7 +18,8 @@ stored coefficients are true Laurent coefficients (radius-independent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,10 @@ __all__ = [
     "SplitPair",
     "sample",
     "coefficients",
+    "row_coefficients",
+    "row_values",
     "additive_split",
+    "row_split",
     "winding_number",
     "mult_factorize",
     "FactorizationReport",
@@ -45,9 +49,18 @@ __all__ = [
 ]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class CircleGrid:
-    """Uniform sampling circle: nodes z_k = radius * exp(2*pi*i*k/count)."""
+    """Uniform sampling circle: nodes z_k = radius * exp(2*pi*i*k/count).
+
+    The node, order and radius-power tables are computed on first use and
+    kept, read-only, for the life of the grid.
+    """
 
     radius: float = 1.0
     count: int = 4096
@@ -58,15 +71,25 @@ class CircleGrid:
         if self.count <= 0 or self.count % 2 != 0:
             raise ValueError("grid count must be a positive even integer")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         k = np.arange(self.count)
-        return self.radius * np.exp(2j * np.pi * k / self.count)
+        return _read_only(self.radius * np.exp(2j * np.pi * k / self.count))
 
-    @property
+    @cached_property
     def orders(self) -> np.ndarray:
         """Laurent orders resolved by this grid: [-count/2, count/2)."""
-        return np.arange(-self.count // 2, self.count // 2)
+        return _read_only(np.arange(-self.count // 2, self.count // 2))
+
+    @cached_property
+    def radius_powers(self) -> np.ndarray:
+        """radius**n at each order n: the synthesis scale."""
+        return _read_only(self.radius ** self.orders.astype(float))
+
+    @cached_property
+    def inverse_radius_powers(self) -> np.ndarray:
+        """radius**(-n) at each order n: the analysis scale."""
+        return _read_only(self.radius ** (-self.orders.astype(float)))
 
 
 @dataclass(frozen=True)
@@ -100,8 +123,7 @@ class LaurentSeries:
         """Exact synthesis sum_n a_n z_k^n at the grid nodes (FFT)."""
         if grid.count != self.coeff.size:
             raise LengthMismatch("grid count does not match series length")
-        scaled = self.coeff * grid.radius ** self.orders.astype(float)
-        return self.coeff.size * np.fft.ifft(np.fft.ifftshift(scaled))
+        return row_values(self.coeff, grid)
 
     def __call__(self, z):
         """Evaluate sum_n a_n z^n at arbitrary z (scalar or array)."""
@@ -158,22 +180,52 @@ def coefficients(samples, grid: CircleGrid) -> LaurentSeries:
     vals = np.asarray(samples, dtype=complex)
     if vals.shape != (grid.count,):
         raise LengthMismatch(f"expected {grid.count} samples, got {vals.shape}")
-    raw = np.fft.fftshift(np.fft.fft(vals)) / grid.count
-    coeff = raw * grid.radius ** (-grid.orders.astype(float))
-    return LaurentSeries(coeff, grid.radius)
+    return LaurentSeries(row_coefficients(vals, grid), grid.radius)
+
+
+def row_coefficients(samples, grid: CircleGrid, orders=None) -> np.ndarray:
+    """Laurent coefficients of every row of samples, shape (..., count).
+
+    One FFT along the last axis transforms all rows.  Without orders the
+    result holds every order of grid.orders, as coefficients() does; with
+    orders (each in [-count/2, count/2)) it holds just those, read by index
+    so the others are never scaled.  Each value is bit-identical to the
+    one coefficients() gives for that row.
+    """
+    raw = np.fft.fft(samples, axis=-1)
+    if orders is None:
+        return np.fft.fftshift(raw, axes=-1) / grid.count * grid.inverse_radius_powers
+    n = np.asarray(orders)
+    half = grid.count // 2
+    if n.size and not (-half <= n.min() and n.max() < half):
+        raise LengthMismatch(f"orders outside [-{half}, {half}) on this grid")
+    return np.take(raw, n % grid.count, axis=-1) / grid.count * grid.inverse_radius_powers[n + half]
+
+
+def row_values(coeff, grid: CircleGrid) -> np.ndarray:
+    """Samples on the grid of every row of coefficients, shape (..., count).
+
+    The batched form of LaurentSeries.values_on: one inverse FFT along the
+    last axis, each row bit-identical to values_on of that row.
+    """
+    shifted = np.fft.ifftshift(coeff * grid.radius_powers, axes=-1)
+    return grid.count * np.fft.ifft(shifted, axis=-1)
 
 
 def additive_split(series: LaurentSeries) -> SplitPair:
     """Lossless partition: plus gets n <= 0 (including a_0), minus gets n >= 1."""
-    half = series.coeff.size // 2
-    plus = np.zeros_like(series.coeff)
-    minus = np.zeros_like(series.coeff)
-    plus[: half + 1] = series.coeff[: half + 1]
-    minus[half + 1:] = series.coeff[half + 1:]
+    plus, minus = row_split(series.coeff)
     return SplitPair(
         plus=LaurentSeries(plus, series.radius),
         minus=LaurentSeries(minus, series.radius),
     )
+
+
+def row_split(coeff) -> tuple[np.ndarray, np.ndarray]:
+    """additive_split of every row of coefficients, shape (..., count): (plus, minus)."""
+    half = np.shape(coeff)[-1] // 2
+    plus_side = np.arange(2 * half) <= half  # index half holds order 0
+    return np.where(plus_side, coeff, 0j), np.where(plus_side, 0j, coeff)
 
 
 def _phase_steps(samples: np.ndarray) -> np.ndarray:
@@ -207,6 +259,10 @@ class FactorizationReport:
     leakage_minus: float
     count: int
     radius: float
+    # K_plus and K_minus synthesized on the grid for the residual, kept so
+    # that callers need not transform the factors again
+    plus_samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    minus_samples: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -241,28 +297,24 @@ def mult_factorize(samples, grid: CircleGrid):
     log_samples = np.log(np.abs(vals)) + 1j * phase
 
     split = additive_split(coefficients(log_samples, grid))
-    plus_vals = np.exp(split.plus.values_on(grid))
-    minus_vals = np.exp(split.minus.values_on(grid))
+    factor_vals = np.exp(row_values(np.stack([split.plus.coeff, split.minus.coeff]), grid))
+    plus_coeff, minus_coeff = row_coefficients(factor_vals, grid)
 
-    half = grid.count // 2
-    plus_raw = coefficients(plus_vals, grid)
-    minus_raw = coefficients(minus_vals, grid)
-
-    def _enforce(series, keep_low: bool):
-        coeff = series.coeff.copy()
+    def _leak(coeff, wrong):
+        # wrong-side share of the exponentiated factor, then discard it
         scale = float(np.max(np.abs(coeff)))
-        if keep_low:  # plus factor: orders n <= 0
-            leak = float(np.max(np.abs(coeff[half + 1:]))) / scale
-            coeff[half + 1:] = 0.0
-        else:  # minus factor: orders n >= 0 survive exponentiation
-            leak = float(np.max(np.abs(coeff[:half]))) / scale
-            coeff[:half] = 0.0
-        return LaurentSeries(coeff, grid.radius), leak
+        leak = float(np.max(np.abs(coeff[wrong]))) / scale
+        coeff[wrong] = 0.0
+        return leak
 
-    plus_factor, leak_plus = _enforce(plus_raw, keep_low=True)
-    minus_factor, leak_minus = _enforce(minus_raw, keep_low=False)
+    # plus factor keeps orders n <= 0; minus keeps n >= 0, which survive exponentiation
+    leak_plus = _leak(plus_coeff, grid.orders > 0)
+    leak_minus = _leak(minus_coeff, grid.orders < 0)
+    plus_factor = LaurentSeries(plus_coeff, grid.radius)
+    minus_factor = LaurentSeries(minus_coeff, grid.radius)
 
-    recon = plus_factor.values_on(grid) * minus_factor.values_on(grid)
+    plus_vals, minus_vals = row_values(np.stack([plus_coeff, minus_coeff]), grid)
+    recon = plus_vals * minus_vals
     residual = float(np.max(np.abs(recon - vals) / np.abs(vals)))
     report = FactorizationReport(
         winding=wn,
@@ -271,6 +323,8 @@ def mult_factorize(samples, grid: CircleGrid):
         leakage_minus=leak_minus,
         count=grid.count,
         radius=grid.radius,
+        plus_samples=plus_vals,
+        minus_samples=minus_vals,
     )
     return plus_factor, minus_factor, report
 

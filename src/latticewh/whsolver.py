@@ -41,9 +41,11 @@ from .series import (
     CircleGrid,
     FactorizationReport,
     LaurentSeries,
-    additive_split,
     coefficients,
     mult_factorize,
+    row_coefficients,
+    row_split,
+    row_values,
     sample,
 )
 
@@ -94,19 +96,8 @@ class WHSolution:
 
     def transform_values(self, grid: CircleGrid) -> np.ndarray:
         """Samples of f+ + f- (the solved row transform) on the grid."""
-        return self.f_plus.values_on(grid) + self.f_minus.values_on(grid)
-
-
-def _enforce_support(vals: np.ndarray, grid: CircleGrid, side: str) -> LaurentSeries:
-    """Series from samples with the wrong-side coefficients zeroed."""
-    series = coefficients(vals, grid)
-    half = grid.count // 2
-    coeff = series.coeff.copy()
-    if side == "plus":
-        coeff[half + 1:] = 0.0
-    else:
-        coeff[: half + 1] = 0.0
-    return LaurentSeries(coeff, grid.radius)
+        plus, minus = row_values(np.stack([self.f_plus.coeff, self.f_minus.coeff]), grid)
+        return plus + minus
 
 
 def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
@@ -119,23 +110,19 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
     grid = problem.grid
     k_vals = sample(problem.kernel, grid)  # ScalarKernel or any callable of z
     factor_plus, factor_minus, report = mult_factorize(k_vals, grid)
-    kp_vals = factor_plus.values_on(grid)
-    km_vals = factor_minus.values_on(grid)
+    kp_vals, km_vals = report.plus_samples, report.minus_samples
 
-    def split_solve(c_vals: np.ndarray):
-        ratio = coefficients(c_vals / kp_vals, grid)
-        pair = additive_split(ratio)
-        f_plus = kp_vals * pair.plus.values_on(grid)
-        f_minus = pair.minus.values_on(grid) / km_vals
-        return f_plus, f_minus
-
+    # the known part of the forcing and each unknown's unit component,
+    # split in one pass: row 0 is the base, row i the i-th term
     forcing = problem.forcing
-    c_base = sample(forcing.base, grid)
-    base_pair = split_solve(c_base)
-    term_data = []
-    for key, fn in forcing.terms:
-        c_term = sample(fn, grid)
-        term_data.append((key, c_term, split_solve(c_term)))
+    c_rows = np.stack([sample(forcing.base, grid)] + [sample(fn, grid) for _, fn in forcing.terms])
+    plus, minus = row_split(row_coefficients(c_rows / kp_vals, grid))
+    fp_rows = kp_vals * row_values(plus, grid)
+    fm_rows = row_values(minus, grid) / km_vals
+    c_base = c_rows[0]
+    base_pair = (fp_rows[0], fm_rows[0])
+    term_data = [(key, c_rows[i], (fp_rows[i], fm_rows[i]))
+                 for i, (key, _) in enumerate(forcing.terms, start=1)]
 
     constants: dict = {}
     condition = None
@@ -155,9 +142,11 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
     residual = float(np.max(np.abs(fp_vals + k_vals * fm_vals - c_vals)))
     residual /= max(1.0, float(np.max(np.abs(c_vals))))
 
+    # support-enforced series: f+ keeps orders n <= 0, f- keeps n >= 1
+    plus, minus = row_split(row_coefficients(np.stack([fp_vals, fm_vals]), grid))
     return WHSolution(
-        f_plus=_enforce_support(fp_vals, grid, "plus"),
-        f_minus=_enforce_support(fm_vals, grid, "minus"),
+        f_plus=LaurentSeries(plus[0], grid.radius),
+        f_minus=LaurentSeries(minus[1], grid.radius),
         factor_plus=factor_plus,
         factor_minus=factor_minus,
         factorization=report,
@@ -270,6 +259,9 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     companion factor for the v rows); the lower half plane is filled by
     the family's reflection image (odd across the crack line, even
     across the constraint row, slant-shifted for the slant lattices).
+    All row levels, the honeycomb v rows included, are transformed by
+    one FFT along the last axis and only the window's columns are read
+    from it; each row is bit-identical to coefficients() of its level.
     """
     (x0, x1), (y0, y1) = window
     grid = problem.grid
@@ -288,27 +280,32 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     f_vals = solution.transform_values(grid)
     prop = _row_multiplier(kernel.lattice, w, nodes)
     honeycomb = kernel.lattice is Lattice.HONEYCOMB
-    v_factor = (1.0 + nodes + prop) / hex_coupling(w) if honeycomb else None
 
-    ex_range = range(ex0, ex1 + 1)
-    upper = {sub: np.zeros((y_top + 1, len(ex_range)), dtype=complex)
-             for sub in (("u", "v") if honeycomb else ("u",))}
     # crack problems solve for row 0 directly; constraint problems solve
     # for row 1 and never divide by the propagator (it vanishes at the
     # z = -1 node for the slant lattices)
     constraint_like = rec.closure is not None
-    level = f_vals.copy()
-    for y in range(1 if constraint_like else 0, y_top + 1):
-        upper["u"][y] = inverse_transform_row(coefficients(level, grid), ex_range)
-        if honeycomb:
-            upper["v"][y] = inverse_transform_row(coefficients(level * v_factor, grid), ex_range)
-        level = level * prop
+    first = 1 if constraint_like else 0
+    # level y is f * prop^(y - first), one multiply at a time: a cumulative
+    # product rounds differently
+    subs = ("u", "v") if honeycomb else ("u",)
+    n_levels = y_top + 1 - first
+    levels = np.empty((len(subs) * n_levels, grid.count), dtype=complex)
+    levels[0] = f_vals
+    for i in range(1, n_levels):
+        np.multiply(levels[i - 1], prop, out=levels[i])
+    if honeycomb:  # v rows: the companion factor times each u level
+        np.multiply(levels[:n_levels], (1.0 + nodes + prop) / hex_coupling(w), out=levels[n_levels:])
+    # u_x = a_{-x}: every row of every sublattice from one batched FFT
+    xs = np.arange(ex0, ex1 + 1)
+    upper = np.zeros((len(subs), y_top + 1, xs.size), dtype=complex)
+    upper[:, first:] = row_coefficients(levels, grid, -xs).reshape(len(subs), -1, xs.size)
+    upper = dict(zip(subs, upper))
 
     if constraint_like:
         span = max(_CLOSURE_SPAN, ex1 + 50)
         row1 = inverse_transform_row(coefficients(f_vals, grid), range(-1, span + 2))
         row0_pos = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
-        xs = np.arange(ex0, ex1 + 1)
         pinned = xs < 0
         # u = -u_in on the constraint, one site at a time: the array form
         # of inc.field rounds differently in the last bit

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,40 @@ from latticewh.series import (
     coefficients,
     half_transform_exp,
     mult_factorize,
+    row_coefficients,
+    row_split,
+    row_values,
     sample,
     series_to_csv,
     winding_number,
 )
 
 GRID = CircleGrid(1.0, 256)
+
+
+class TestGridTables:
+    def test_tables_read_only_and_fresh(self):
+        grid = CircleGrid(1.03, 64)
+        n = np.arange(-32, 32)
+        fresh = {
+            "nodes": 1.03 * np.exp(2j * np.pi * np.arange(64) / 64),
+            "orders": n,
+            "radius_powers": 1.03 ** n.astype(float),
+            "inverse_radius_powers": 1.03 ** (-n.astype(float)),
+        }
+        for name, expected in fresh.items():
+            table = getattr(grid, name)
+            assert table is getattr(grid, name)  # computed once per grid
+            assert np.array_equal(table, expected)
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_equal_grids_compare_and_hash_equal(self):
+        filled, empty = CircleGrid(1.03, 64), CircleGrid(1.03, 64)
+        filled.nodes, filled.inverse_radius_powers  # only one grid holds its tables
+        assert filled == empty and hash(filled) == hash(empty)
+        assert {filled: 1}[empty] == 1
+        assert filled != CircleGrid(1.0, 64)
 
 
 class TestSampling:
@@ -89,6 +119,42 @@ class TestCoefficients:
         ser = coefficients(sample(f, grid), grid)
         z = 0.9 * np.exp(0.3j)
         assert abs(ser(z) - f(z)) < 1e-12
+
+
+class TestRows:
+    """The batched transforms equal the one-row ones bit for bit."""
+
+    GRID = CircleGrid(0.97, 64)
+
+    def _rows(self):
+        rng = np.random.default_rng(5)
+        return rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+
+    def test_coefficients_rows(self):
+        rows = self._rows()
+        batched = row_coefficients(rows, self.GRID)
+        orders = np.array([-32, -5, 0, 7, 31, 3])
+        picked = row_coefficients(rows, self.GRID, orders)
+        for r in range(3):
+            single = coefficients(rows[r], self.GRID)
+            assert np.array_equal(batched[r], single.coeff)
+            assert np.array_equal(picked[r], single.coeff[orders + 32])
+
+    def test_values_and_split_rows(self):
+        rows = self._rows()
+        values = row_values(rows, self.GRID)
+        plus, minus = row_split(rows)
+        for r in range(3):
+            series = LaurentSeries(rows[r], 0.97)
+            assert np.array_equal(values[r], series.values_on(self.GRID))
+            pair = additive_split(series)
+            assert np.array_equal(plus[r], pair.plus.coeff)
+            assert np.array_equal(minus[r], pair.minus.coeff)
+
+    @pytest.mark.parametrize("orders", [[-33, 0], [0, 32]])
+    def test_orders_outside_grid_rejected(self, orders):
+        with pytest.raises(LengthMismatch):
+            row_coefficients(self._rows(), self.GRID, orders)
 
 
 class TestSplit:
@@ -194,6 +260,15 @@ class TestFactorization:
         assert abs(plus.coefficient(-1) + 0.3) < 1e-10
         assert abs(minus.coefficient(1) + 0.5) < 1e-10
         assert rep.reconstruction_residual < 1e-12
+
+    def test_report_keeps_factor_samples(self):
+        grid = CircleGrid(1.02, 256)
+        plus, minus, rep = mult_factorize(sample(lambda z: (1 - 0.5 * z) * (1 - 0.3 / z), grid), grid)
+        assert np.array_equal(rep.plus_samples, plus.values_on(grid))
+        assert np.array_equal(rep.minus_samples, minus.values_on(grid))
+        bare = dataclasses.replace(rep, plus_samples=None, minus_samples=None)
+        assert bare == rep and repr(bare) == repr(rep)  # diagnostics only
+        assert "plus_samples" not in rep.as_dict()
 
     def test_nonzero_winding_rejected(self):
         with pytest.raises(NonzeroWinding) as err:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from latticewh.branches import Frequency, dispersion_solve
+from latticewh.branches import Frequency, annulus_bounds, dispersion_solve, hex_coupling
 from latticewh.errors import InvalidSpec, WindowTooLarge
 from latticewh.fields import compare_fields
-from latticewh.kernels import AffineForcing
+from latticewh.kernels import AffineForcing, family_record
 from latticewh.oracle import Defect, LatticeProblemSpec, assemble, solve_direct
 from latticewh.series import CircleGrid, LaurentSeries, coefficients
 from latticewh.whsolver import (
+    _CLOSURE_SPAN,
     ScalarWHProblem,
+    _row0_half_line,
+    _row_multiplier,
     inverse_transform_row,
     reconstruct_field,
     solve_scalar,
@@ -117,7 +120,68 @@ class TestInverseTransformRow:
         assert edges < np.max(mids) * 1e-5  # damping decay along the row
 
 
+def _per_row_field(problem, sol, window):
+    """reconstruct_field one row at a time: one coefficients() call per row and sublattice."""
+    (x0, x1), (y0, y1) = window
+    grid, kernel, inc = problem.grid, problem.kernel, problem.incidence
+    rec = family_record(kernel.family)
+    w = kernel.omega_value
+    pad = abs(y0) + 1
+    ex0, ex1 = x0 - pad, x1 + pad
+    xs = range(ex0, ex1 + 1)
+    y_top = max(y1, abs(y0) + 1, 1)
+    f_vals = sol.f_plus.values_on(grid) + sol.f_minus.values_on(grid)
+    prop = _row_multiplier(kernel.lattice, w, grid.nodes)
+    v_factor = (1.0 + grid.nodes + prop) / hex_coupling(w)
+    first = 0 if rec.closure is None else 1
+    upper = {"u": {}, "v": {}}
+    level = f_vals.copy()
+    for y in range(first, y_top + 1):
+        upper["u"][y] = inverse_transform_row(coefficients(level, grid), xs)
+        upper["v"][y] = inverse_transform_row(coefficients(level * v_factor, grid), xs)
+        level = level * prop
+    if first:  # the constraint row: pinned for x < 0, the closure recurrence for x >= 0
+        span = max(_CLOSURE_SPAN, ex1 + 50)
+        row1 = inverse_transform_row(coefficients(f_vals, grid), range(-1, span + 2))
+        row0 = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
+        upper["u"][0] = np.array([-complex(inc.field(x, 0)) if x < 0 else row0[x] for x in xs])
+    image = rec.image
+    expected = {}
+    for sub, src, x_shift in image.sources:
+        rows = []
+        for y in range(y0, y1 + 1):
+            if y >= 0:
+                rows.append(upper[sub][y][x0 - ex0: x1 - ex0 + 1])
+                continue
+            cols = np.arange(x0, x1 + 1) + image.x_per_row * y + x_shift - ex0
+            mirrored = upper[src][-y - image.row_shift][cols]
+            rows.append(-mirrored if image.odd else mirrored)
+        expected[sub] = np.array(rows)
+    return expected
+
+
 class TestReconstruction:
+    @pytest.mark.parametrize("family, inc_name", [
+        ("sq_crack", "inc_square"),
+        ("sq_constraint", "inc_square"),
+        ("tri_dirichlet", "inc_triangular"),
+        ("hex_crack", "inc_honeycomb"),
+    ])
+    def test_batched_rows_equal_per_row_reference(self, family, inc_name, request):
+        inc = request.getfixturevalue(inc_name)
+        lo, hi = annulus_bounds(inc)
+        radius = 1.0 + 0.5 * (hi - 1.0)
+        assert radius != 1.0 and lo < radius < hi
+        problem = ScalarWHProblem.for_family(family, inc, CircleGrid(radius, 1024))
+        sol = solve_scalar(problem)
+        window = ((-7, 11), (-5, 9))  # 19 x 15 sites, asymmetric about both axes
+        fld = reconstruct_field(problem, sol, window)
+        expected = _per_row_field(problem, sol, window)
+        assert np.array_equal(fld.u, expected["u"])
+        assert (fld.v is None) == ("v" not in expected)
+        if fld.v is not None:
+            assert np.array_equal(fld.v, expected["v"])
+
     def test_crack_odd_symmetry_exact(self, inc_square):
         problem = ScalarWHProblem.for_family("sq_crack", inc_square)
         sol = solve_scalar(problem)
