@@ -228,12 +228,23 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _json_complex(data: dict, key: str, default=None) -> complex:
+    """A config value given as a number or as [re, im]."""
+    value = data.get(key, default)
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2 and all(
+            isinstance(part, (int, float)) for part in value):
+        return complex(*value)
+    raise ValueError(f"{key!r} must be a number or [re, im], got {value!r}")
+
+
 def _problem_from_json(path) -> tuple[LatticeProblemSpec, int]:
     with open(path) as fh:
         data = json.load(fh)
     lattice = Lattice(data["lattice"])
-    omega = complex(*data["omega"]) if isinstance(data["omega"], list) else complex(data["omega"])
-    amplitude = complex(*data.get("amplitude", [1.0, 0.0]))
+    omega = _json_complex(data, "omega")
+    amplitude = _json_complex(data, "amplitude", 1.0)
     inc = dispersion_solve(lattice, Frequency(omega), float(data.get("theta", 0.0)), amplitude)
     defects = tuple(
         Defect(d["kind"], int(d["row"]), d.get("side", "left"), int(d.get("tip", 0)))

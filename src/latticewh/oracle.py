@@ -2,9 +2,17 @@
 
 The solver assembles the scattered-field equations on a truncated window
 [-L, L]^2 (one vertical period with twisted coupling for Bloch problems)
-and solves them with a sparse LU factorization.  Defects are semi-infinite
-rows of broken bonds (cracks) or pinned sites (rigid constraints),
-pointing left (x < tip) or right (x >= tip).
+and solves them.  Defects are semi-infinite rows of broken bonds (cracks)
+or pinned sites (rigid constraints), pointing left (x < tip) or right
+(x >= tip).
+
+A square window without Bloch rows is solved by the capacitance matrix
+method: away from the defects the window operator is diagonalized by the
+2-D DST-I, the defects change a few rows of it, and the Woodbury identity
+turns the solve into two fast free solves plus one small dense system
+(_capacitance_solve).  The triangular and honeycomb windows and Bloch
+problems are solved by a sparse LU factorization.  Both paths must meet
+the same residual check against the assembled matrix.
 
 Assembly is array code driven by one table, _STENCILS: per lattice, one
 neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
@@ -34,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -240,7 +249,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         raise InvalidSpec("half width must be >= 20")
     for d in spec.defects:
         if abs(d.tip) >= L // 2:
-            raise WindowTooSmall(f"tip offset {d.tip} needs half width > {2 * abs(d.tip)}")
+            raise WindowTooSmall(f"tip offset {d.tip} needs half width >= {2 * abs(d.tip) + 2}")
     inc = spec.incidence
     w = inc.omega
     if w.imag <= 0:
@@ -328,22 +337,128 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     )
 
 
-def solve_direct(system: AssembledSystem) -> FieldGrid:
-    """Sparse LU solve of the assembled system; returns the scattered field.
+def _real_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
+    """real @ cplx as one real product over the interleaved real/imaginary parts."""
+    return (real @ np.ascontiguousarray(cplx).view(float)).view(complex)
 
-    The linear-system relative residual must come out below 1e-10 or
-    SolveFailure is raised.  Eliminated (pinned) sites are filled with
-    -incident so boundary conditions can be checked on the output.
+
+def _perturbation(system: AssembledSystem, diag: complex, stencil) -> tuple:
+    """Rows R, columns C and the block D[R, C] of D = A_ext - A0.
+
+    A_ext is system.matrix embedded in the full window grid, with the row
+    e_p and a zero right-hand side at each pinned site p; A0 is the
+    defect-free operator there: diag on the diagonal and weight one on the
+    stencil couplings inside the window.  Both are tabled by (site, offset)
+    over the offsets of the stencil.  A0's couplings from free rows into
+    pinned columns are left out of A0: the pinned unknowns are zero, so
+    those entries leave the solution alone, and R keeps only the defect
+    rows themselves.
     """
-    lu = spla.splu(system.matrix)
-    w = lu.solve(system.rhs)
+    n = system.index_u.shape[1]
+    free = system.index_u >= 0
+    # A0's coupling to a neighbour inside the window, kept from a free row
+    # only when the neighbour is free too
+    live, inside = np.pad(free, 1), np.pad(np.ones_like(free), 1)
+    table = np.empty((n * n, len(stencil) + 1), complex)  # A0 - A_ext
+    table[:, 0] = diag
+    for j, (dx, dy) in enumerate(stencil, 1):
+        cut = (slice(1 + dy, n + 1 + dy), slice(1 + dx, n + 1 + dx))
+        table[:, j] = np.where(free, live[cut], inside[cut]).ravel()
+    shifts = np.array([0] + [dy * n + dx for dx, dy in stencil])
+    slot = np.zeros(2 * n + 3, int)
+    slot[shifts + n + 1] = np.arange(shifts.size)
+    pos, pinned = np.flatnonzero(free), np.flatnonzero(~free)  # grid sites of the unknowns
+    m = system.matrix.tocoo()
+    site = np.concatenate([pos[m.row], pinned])
+    shift = np.concatenate([pos[m.col], pinned]) - site
+    table.ravel()[site * shifts.size + slot[shift + n + 1]] -= np.concatenate(
+        [m.data, np.ones(pinned.size)])
+    r, j = np.nonzero(table)
+    rows, row_at = np.unique(r, return_inverse=True)
+    cols, col_at = np.unique(r + shifts[j], return_inverse=True)
+    return rows, cols, sp.csr_matrix((-table[r, j], (row_at, col_at)),
+                                     shape=(rows.size, cols.size))
+
+
+def _capacitance_solve(system: AssembledSystem) -> np.ndarray:
+    """Solve system.matrix w = system.rhs on a square window without Bloch rows.
+
+    With zero Dirichlet data the defect-free operator A0 on the n x n window
+    is diagonalized by the 2-D DST-I, and the embedded system differs from
+    it by D on a few defect rows R (see _perturbation).  The Woodbury
+    identity (the capacitance matrix method of Buzbee, Dorr, George and
+    Golub) then gives, with G = A0^-1 and y = G b,
+
+        w = y - G P_R (I + D[R, C] G[C, R])^-1 D[R, C] y[C],
+
+    two fast free solves and one dense |R| x |R| LU.
+    """
+    n = system.index_u.shape[1]
+    diag = lattice_omega_shift(Lattice.SQUARE, system.spec.incidence.omega ** 2)
+    stencil = [(dx, dy) for dx, dy, *_ in _STENCILS[Lattice.SQUARE]["u"]]
+    rows, cols, d = _perturbation(system, diag, stencil)
+
+    # orthonormal DST-I matrix (symmetric, its own inverse); A0's symbol on modes [ky, kx]
+    k = np.arange(1, n + 1)
+    sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    t = np.pi * k / (n + 1)
+    inverse = 1.0 / (diag + sum(np.cos(dx * t + dy * t[:, None]) for dx, dy in stencil))
+
+    def free_solve(b):
+        """A0^-1 b for b on the grid: S ((S b S) / symbol) S."""
+        for scale in (inverse, 1.0):
+            b = _real_matmul(sine, _real_matmul(sine, b).T).T * scale
+        return b
+
+    def by_row(sites):
+        """Grid rows of the sorted sites, their x indices and one slice per row."""
+        y, x = np.divmod(sites, n)
+        ys, start = np.unique(y, return_index=True)
+        return ys, x, [slice(a, b) for a, b in zip(start, [*start[1:], sites.size])]
+
+    # G[C, R] by blocks of one grid row of C and one of R: the x-mode weights
+    # of a row pair sum the y-modes of its two rows; g holds G[C, R]^T
+    (c_rows, cx, c_slices), (r_rows, rx, r_slices) = by_row(cols), by_row(rows)
+    pairs = (sine[c_rows][:, None] * sine[r_rows][None]).reshape(-1, n)
+    weights = _real_matmul(pairs, inverse).reshape(c_rows.size, r_rows.size, n)
+    g = np.empty((rows.size, cols.size), complex)
+    for a, cs in enumerate(c_slices):
+        for b, rs in enumerate(r_slices):
+            g[rs, cs] = _real_matmul(sine[rx[rs]], weights[a, b, :, None] * sine[cx[cs]].T)
+    capacitance = d @ g.T
+    capacitance[np.diag_indices(rows.size)] += 1.0
+    lu = scipy.linalg.lu_factor(capacitance)
+
+    free = system.index_u >= 0
+    b = np.zeros((n, n), complex)
+    b[free] = system.rhs
+    y = free_solve(b).ravel()
+    correction = np.zeros(n * n, complex)
+    correction[rows] = scipy.linalg.lu_solve(lu, d @ y[cols])
+    return (y - free_solve(correction.reshape(n, n)).ravel())[free.ravel()]
+
+
+def solve_direct(system: AssembledSystem) -> FieldGrid:
+    """Solve the assembled system; returns the scattered field.
+
+    A square window without Bloch rows is solved by the capacitance matrix
+    method (_capacitance_solve); every other layout by a sparse LU.  On
+    either path the linear-system relative residual against system.matrix
+    must come out below 1e-10 or SolveFailure is raised.  Eliminated
+    (pinned) sites are filled with -incident so boundary conditions can be
+    checked on the output.
+    """
+    spec = system.spec
+    if spec.lattice is Lattice.SQUARE and spec.bloch is None:
+        w = _capacitance_solve(system)
+    else:
+        w = spla.splu(system.matrix).solve(system.rhs)
     norm_rhs = float(np.linalg.norm(system.rhs))
     residual = float(np.linalg.norm(system.matrix @ w - system.rhs))
     residual = residual / norm_rhs if norm_rhs > 0 else residual
     if not np.isfinite(residual) or residual > 1e-10:
         raise SolveFailure("direct solve missed the residual contract", residual)
 
-    spec = system.spec
     ny, nx = system.index_u.shape
     u = np.empty((ny, nx), dtype=complex)
     free = system.index_u >= 0

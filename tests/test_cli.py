@@ -131,6 +131,22 @@ class TestOracleCompare:
         assert run(["oracle", "--config", str(config), "-o", str(out)]) == 0
         assert out.exists()
 
+    def test_json_amplitude_number_or_pair(self, tmp_path):
+        problem = {"lattice": "square", "omega": [1.0, 0.15], "theta": 0.5,
+                   "defects": [{"kind": "crack", "row": 0}], "half_width": 20}
+        fields = {}
+        for label, amplitude in (("number", 2.0), ("pair", [2.0, 0.0])):
+            config = tmp_path / f"{label}.json"
+            config.write_text(json.dumps({**problem, "amplitude": amplitude}))
+            out = tmp_path / f"{label}.csv"
+            assert run(["oracle", "--config", str(config), "-o", str(out)]) == 0
+            fields[label] = out.read_bytes()
+        assert fields["number"] == fields["pair"]
+        for bad in ("2", [2.0]):
+            config = tmp_path / "bad.json"
+            config.write_text(json.dumps({**problem, "amplitude": bad}))
+            assert run(["oracle", "--config", str(config), "-o", str(tmp_path / "x.csv")]) == 1
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):

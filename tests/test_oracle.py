@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from latticewh import oracle
 from latticewh.branches import Frequency, dispersion_solve, square_branches
-from latticewh.errors import InvalidSpec, WindowMismatch, WindowTooSmall
+from latticewh.errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
 from latticewh.fields import FieldGrid, compare_fields
 from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel
 from latticewh.oracle import (
@@ -50,6 +52,12 @@ class TestSpecValidation:
                                   inc_square)
         with pytest.raises(WindowTooSmall):
             assemble(spec, 40)
+
+    def test_window_too_small_states_the_minimum(self, inc_square):
+        spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", -10),), inc_square)
+        with pytest.raises(WindowTooSmall, match="needs half width >= 22"):
+            assemble(spec, 21)
+        assert assemble(spec, 22).half_width == 22
 
 
 class TestAssembly:
@@ -395,3 +403,69 @@ class TestProblemFor:
         prob = problem_for(spec, inc_square)
         assert prob.bloch.period == 5
         assert prob.bloch.multiplier == psi
+
+
+# Square layouts without Bloch rows, solved by the capacitance matrix method:
+# the square non-Bloch entries of LAYOUTS, array_cracks with nu = 2, and
+# hand-made defect sets
+SQUARE_KERNELS = [kernel for kernel, lattice, _, period in LAYOUTS
+                  if lattice == "square" and period is None]
+SQUARE_KERNELS.append(MatrixKernelSpec("array_cracks", OMEGA, count=2, sep=3, offsets=(0, 2)))
+SQUARE_DEFECTS = {
+    "crack_and_constraint_one_row": (Defect("crack", 0, "left", 3),
+                                     Defect("constraint", 0, "left", -2)),
+    "right_crack": (Defect("crack", 1, "right", 3),),
+    "defect_free": (),
+}
+SQUARE_LAYOUTS = SQUARE_KERNELS + list(SQUARE_DEFECTS)
+SQUARE_IDS = [k.family + (f"_{k.count}" if k.family == "array_cracks" else "")
+              for k in SQUARE_KERNELS] + list(SQUARE_DEFECTS)
+
+
+def _square_spec(inc, layout):
+    if isinstance(layout, str):
+        return LatticeProblemSpec("square", SQUARE_DEFECTS[layout], inc)
+    return problem_for(layout, inc)
+
+
+class TestCapacitanceSolve:
+    @pytest.mark.parametrize("half_width", [20, 40, 60])
+    @pytest.mark.parametrize("layout", SQUARE_LAYOUTS, ids=SQUARE_IDS)
+    def test_matches_sparse_lu(self, inc_square, layout, half_width):
+        system = assemble(_square_spec(inc_square, layout), half_width)
+        reference = spla.splu(system.matrix).solve(system.rhs)
+        fast = oracle._capacitance_solve(system)
+        assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+        splu = oracle.spla.splu
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(matrix.shape)
+            return splu(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.spla, "splu", counting)
+        return calls
+
+    @pytest.mark.parametrize("layout", SQUARE_LAYOUTS, ids=SQUARE_IDS)
+    def test_square_skips_sparse_lu(self, inc_square, splu_calls, layout):
+        solve_direct(assemble(_square_spec(inc_square, layout), 20))
+        assert splu_calls == []
+
+    @pytest.mark.parametrize("kernel,lattice", [
+        (ScalarKernel("tri_dirichlet", OMEGA), "triangular"),
+        (ScalarKernel("hex_crack", OMEGA), "honeycomb"),
+        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square"),
+    ], ids=["tri_dirichlet", "hex_crack", "mixed_array"])
+    def test_other_layouts_use_sparse_lu(self, request, splu_calls, kernel, lattice):
+        inc = request.getfixturevalue(f"inc_{lattice}")
+        solve_direct(assemble(problem_for(kernel, inc), 20))
+        assert len(splu_calls) == 1
+
+    def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec):
+        solve = oracle._capacitance_solve
+        monkeypatch.setattr(oracle, "_capacitance_solve", lambda system: solve(system) * (1 + 1e-6))
+        with pytest.raises(SolveFailure):
+            solve_direct(assemble(crack_spec, 20))
