@@ -72,7 +72,6 @@ class RunConfig:
     amplitude: complex = 1.0 + 0j
     nq: int = 4096
     radius: float = 1.0
-    half_width: int = 100
     window: int = 20
     count: int | None = None
     sep: int = 1
@@ -109,7 +108,6 @@ def _config_from_args(args) -> RunConfig:
         amplitude=_parse_complex(getattr(args, "amplitude", "1")),
         nq=getattr(args, "nq", 4096),
         radius=getattr(args, "radius", 1.0),
-        half_width=getattr(args, "half_width", 100),
         window=getattr(args, "window", 20),
         count=getattr(args, "nu", None),
         sep=getattr(args, "sep", 1),
@@ -239,7 +237,8 @@ def _json_complex(data: dict, key: str, default=None) -> complex:
     raise ValueError(f"{key!r} must be a number or [re, im], got {value!r}")
 
 
-def _problem_from_json(path) -> tuple[LatticeProblemSpec, int]:
+def _problem_from_json(path) -> tuple[LatticeProblemSpec, int | None]:
+    """The problem of a JSON spec, and its half_width if it gives one."""
     with open(path) as fh:
         data = json.load(fh)
     lattice = Lattice(data["lattice"])
@@ -256,14 +255,13 @@ def _problem_from_json(path) -> tuple[LatticeProblemSpec, int]:
         bloch = BlochSpec(period=period,
                           multiplier=complex(np.exp(-1j * inc.kappa_y * period)))
     spec = LatticeProblemSpec(lattice, defects, inc, bloch)
-    return spec, int(data.get("half_width", 100))
+    return spec, int(data["half_width"]) if "half_width" in data else None
 
 
 def _cmd_oracle(args) -> int:
+    json_width = None
     if args.config:
-        spec, half_width = _problem_from_json(args.config)
-        if args.half_width is not None:
-            half_width = args.half_width
+        spec, json_width = _problem_from_json(args.config)
     else:
         cfg = _config_from_args(args).validate(need_damping=True)
         if cfg.family is None:
@@ -271,7 +269,8 @@ def _cmd_oracle(args) -> int:
         kern = _kernel_descriptor(cfg)
         inc = _incidence_for(cfg, kern.lattice)
         spec = problem_for(kern, inc)
-        half_width = cfg.half_width
+    # -L first, then the JSON half_width, then 100
+    half_width = next(w for w in (args.half_width, json_width, 100) if w is not None)
     fld = solve_direct(assemble(spec, half_width))
     fld.to_csv(args.output)
     return 0
@@ -354,7 +353,8 @@ def _build_parser() -> _Parser:
     po.add_argument("--nu", type=int, default=None)
     po.add_argument("--sep", type=int, default=1)
     po.add_argument("--offsets", default="")
-    po.add_argument("-L", "--half-width", type=int, default=None)
+    po.add_argument("-L", "--half-width", type=int, default=None,
+                    help="window half width (default: the JSON half_width, else 100)")
     po.add_argument("-o", "--output", required=True)
     po.set_defaults(func=_cmd_oracle)
 
@@ -374,8 +374,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "oracle" and args.half_width is None and not args.config:
-        args.half_width = 100
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -518,8 +518,8 @@ def _half_sums(values: np.ndarray, xs: np.ndarray, offset: int, nodes: np.ndarra
 
 
 def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
-                grid: CircleGrid | None = None, kernel_eval=None) -> float:
-    """Max normalized residual of f+ + K f- = c against oracle data.
+                kernel_eval=None) -> float:
+    """Max normalized residual of f+ + K f- = c against oracle data, at 256 unit-circle nodes.
 
     f+/f- component transforms are computed from the oracle field: the
     closed-form straight-defect background is split off and transformed
@@ -538,8 +538,7 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     inc = problem.incidence
     if inc.omega.imag < 0.05:
         raise InvalidSpec("wh_residual requires damping Im(omega) >= 0.05")
-    if grid is None:
-        grid = CircleGrid(1.0, 256)
+    grid = CircleGrid(1.0, 256)
     nodes = grid.nodes
     # row combinations making up f, top defect row first
     layout = family_record(kernel.family).components(kernel)

@@ -146,28 +146,19 @@ class SplitPair:
 
 
 def sample(func, grid: CircleGrid) -> np.ndarray:
-    """Evaluate func at every grid node, preserving order.
+    """Evaluate func on all grid nodes in one call, preserving order.
 
-    Values may be scalars, vectors or matrices: the result has shape
-    (count,), (count, d) or (count, d, d).  Tries one vectorized call
-    first; falls back to a per-node loop, in which case any evaluation
-    error is re-raised with the node index and location attached.
+    func takes the array of nodes.  Values may be scalars, vectors or
+    matrices per node: the result has shape (count,), (count, d) or
+    (count, d, d).  A result without a leading axis of length count
+    raises LengthMismatch.
     """
     nodes = grid.nodes
-    try:
-        vals = np.asarray(func(nodes), dtype=complex)
-        if vals.shape[:1] == nodes.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    out = []
-    for k, z in enumerate(nodes):
-        try:
-            out.append(func(z))
-        except Exception as exc:
-            exc.args = (f"node {k} (z={z!r}): {exc}",)
-            raise
-    return np.asarray(out, dtype=complex)
+    vals = np.asarray(func(nodes), dtype=complex)
+    if vals.shape[:1] != nodes.shape:
+        raise LengthMismatch(f"expected {grid.count} values along the first axis, "
+                             f"got shape {vals.shape}")
+    return vals
 
 
 def coefficients(samples, grid: CircleGrid) -> LaurentSeries:

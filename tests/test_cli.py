@@ -5,6 +5,7 @@ import numpy as np
 from latticewh import checks
 from latticewh.checks import Check
 from latticewh.cli import _build_parser, main
+from latticewh.fields import FieldGrid
 from latticewh.kernels import MatrixKernelSpec, ScalarKernel
 from latticewh.series import CircleGrid
 
@@ -118,6 +119,11 @@ class TestOracleCompare:
         payload = json.loads(rep.read_text())
         assert payload["rel_l2"] == 0.0
 
+    def test_family_default_half_width(self, tmp_path):
+        out = tmp_path / "field.csv"
+        assert run(["oracle", "--family", "sq_crack", "-o", str(out)]) == 0
+        assert FieldGrid.from_csv(out).x_range == (-100, 100)
+
     def test_json_problem_spec(self, tmp_path):
         config = tmp_path / "prob.json"
         config.write_text(json.dumps({
@@ -129,7 +135,9 @@ class TestOracleCompare:
         }))
         out = tmp_path / "field.csv"
         assert run(["oracle", "--config", str(config), "-o", str(out)]) == 0
-        assert out.exists()
+        assert FieldGrid.from_csv(out).x_range == (-25, 25)
+        assert run(["oracle", "--config", str(config), "-L", "20", "-o", str(out)]) == 0
+        assert FieldGrid.from_csv(out).x_range == (-20, 20)
 
     def test_json_amplitude_number_or_pair(self, tmp_path):
         problem = {"lattice": "square", "omega": [1.0, 0.15], "theta": 0.5,

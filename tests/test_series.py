@@ -72,14 +72,9 @@ class TestSampling:
         vals = sample(lambda z: square_branches(z, 1 + 0.1j).lam, grid)
         assert np.all(np.isfinite(vals))
 
-    def test_error_carries_node_index(self):
-        def bad(z):
-            if abs(z - 1.0) < 1e-12:
-                raise ZeroOnContour("synthetic")
-            return z
-
-        with pytest.raises(ZeroOnContour, match="node 0"):
-            sample(bad, CircleGrid(1.0, 8))
+    def test_scalar_valued_callable_rejected(self):
+        with pytest.raises(LengthMismatch, match="expected 8 values"):
+            sample(lambda z: 5.0, CircleGrid(1.0, 8))
 
 
 class TestCoefficients:
