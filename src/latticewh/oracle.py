@@ -6,13 +6,22 @@ and solves them.  Defects are semi-infinite rows of broken bonds (cracks)
 or pinned sites (rigid constraints), pointing left (x < tip) or right
 (x >= tip).
 
-A square window without Bloch rows is solved by the capacitance matrix
-method: away from the defects the window operator is diagonalized by the
-2-D DST-I, the defects change a few rows of it, and the Woodbury identity
-turns the solve into two fast free solves plus one small dense system
-(_capacitance_solve).  The triangular and honeycomb windows and Bloch
-problems are solved by a sparse LU factorization.  Both paths must meet
-the same residual check against the assembled matrix.
+Every window without Bloch rows is solved by the capacitance matrix
+method (_capacitance_solve): a defect-free operator with a fast free solve
+differs from the window's equations on a few rows, and the Woodbury
+identity turns the solve into two fast free solves plus one small dense
+system.  On the square lattice that operator is the window's own, with
+zero Dirichlet data, diagonalized by the 2-D DST-I.  On the triangular and
+honeycomb lattices it lives on a torus of period 2L + 2, diagonalized by
+the 2-D FFT (per mode a 2 x 2 block on the honeycomb), whose extra row and
+column of pinned sites cut the torus back to the window.  Iterative
+refinement, on the equations whose backward error is still too large,
+recovers the small field near the defects when the damped incident spans
+many orders of magnitude across the window.  Bloch strips, a few rows
+high, and any window whose refinement does not converge are solved by a
+sparse LU factorization.  Both paths must meet the same checks against
+the assembled matrix: the relative residual, and the backward error of
+every equation.
 
 Assembly is array code driven by one table, _STENCILS: per lattice, one
 neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
@@ -342,73 +351,25 @@ def _real_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
     return (real @ np.ascontiguousarray(cplx).view(float)).view(complex)
 
 
-def _perturbation(system: AssembledSystem, diag: complex, stencil) -> tuple:
-    """Rows R, columns C and the block D[R, C] of D = A_ext - A0.
+def _sine_operator(stencils, diag: complex, n: int) -> tuple:
+    """Free solve and Green's function block of A0 on the n x n square window.
 
-    A_ext is system.matrix embedded in the full window grid, with the row
-    e_p and a zero right-hand side at each pinned site p; A0 is the
-    defect-free operator there: diag on the diagonal and weight one on the
-    stencil couplings inside the window.  Both are tabled by (site, offset)
-    over the offsets of the stencil.  A0's couplings from free rows into
-    pinned columns are left out of A0: the pinned unknowns are zero, so
-    those entries leave the solution alone, and R keeps only the defect
-    rows themselves.
+    With zero Dirichlet data A0 is diagonalized by the 2-D DST-I.  Returns
+    free_solve(b), A0^-1 b for b on the grid, and green(cols, rows), the
+    block G[C, R] of G = A0^-1.
     """
-    n = system.index_u.shape[1]
-    free = system.index_u >= 0
-    # A0's coupling to a neighbour inside the window, kept from a free row
-    # only when the neighbour is free too
-    live, inside = np.pad(free, 1), np.pad(np.ones_like(free), 1)
-    table = np.empty((n * n, len(stencil) + 1), complex)  # A0 - A_ext
-    table[:, 0] = diag
-    for j, (dx, dy) in enumerate(stencil, 1):
-        cut = (slice(1 + dy, n + 1 + dy), slice(1 + dx, n + 1 + dx))
-        table[:, j] = np.where(free, live[cut], inside[cut]).ravel()
-    shifts = np.array([0] + [dy * n + dx for dx, dy in stencil])
-    slot = np.zeros(2 * n + 3, int)
-    slot[shifts + n + 1] = np.arange(shifts.size)
-    pos, pinned = np.flatnonzero(free), np.flatnonzero(~free)  # grid sites of the unknowns
-    m = system.matrix.tocoo()
-    site = np.concatenate([pos[m.row], pinned])
-    shift = np.concatenate([pos[m.col], pinned]) - site
-    table.ravel()[site * shifts.size + slot[shift + n + 1]] -= np.concatenate(
-        [m.data, np.ones(pinned.size)])
-    r, j = np.nonzero(table)
-    rows, row_at = np.unique(r, return_inverse=True)
-    cols, col_at = np.unique(r + shifts[j], return_inverse=True)
-    return rows, cols, sp.csr_matrix((-table[r, j], (row_at, col_at)),
-                                     shape=(rows.size, cols.size))
-
-
-def _capacitance_solve(system: AssembledSystem) -> np.ndarray:
-    """Solve system.matrix w = system.rhs on a square window without Bloch rows.
-
-    With zero Dirichlet data the defect-free operator A0 on the n x n window
-    is diagonalized by the 2-D DST-I, and the embedded system differs from
-    it by D on a few defect rows R (see _perturbation).  The Woodbury
-    identity (the capacitance matrix method of Buzbee, Dorr, George and
-    Golub) then gives, with G = A0^-1 and y = G b,
-
-        w = y - G P_R (I + D[R, C] G[C, R])^-1 D[R, C] y[C],
-
-    two fast free solves and one dense |R| x |R| LU.
-    """
-    n = system.index_u.shape[1]
-    diag = lattice_omega_shift(Lattice.SQUARE, system.spec.incidence.omega ** 2)
-    stencil = [(dx, dy) for dx, dy, *_ in _STENCILS[Lattice.SQUARE]["u"]]
-    rows, cols, d = _perturbation(system, diag, stencil)
-
     # orthonormal DST-I matrix (symmetric, its own inverse); A0's symbol on modes [ky, kx]
     k = np.arange(1, n + 1)
     sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
     t = np.pi * k / (n + 1)
-    inverse = 1.0 / (diag + sum(np.cos(dx * t + dy * t[:, None]) for dx, dy in stencil))
+    inverse = 1.0 / (diag + sum(np.cos(dx * t + dy * t[:, None]) for dx, dy, *_ in stencils["u"]))
 
     def free_solve(b):
-        """A0^-1 b for b on the grid: S ((S b S) / symbol) S."""
+        """S ((S b S) / symbol) S."""
+        b = b.reshape(n, n)
         for scale in (inverse, 1.0):
             b = _real_matmul(sine, _real_matmul(sine, b).T).T * scale
-        return b
+        return b.ravel()
 
     def by_row(sites):
         """Grid rows of the sorted sites, their x indices and one slice per row."""
@@ -416,48 +377,229 @@ def _capacitance_solve(system: AssembledSystem) -> np.ndarray:
         ys, start = np.unique(y, return_index=True)
         return ys, x, [slice(a, b) for a, b in zip(start, [*start[1:], sites.size])]
 
-    # G[C, R] by blocks of one grid row of C and one of R: the x-mode weights
-    # of a row pair sum the y-modes of its two rows; g holds G[C, R]^T
-    (c_rows, cx, c_slices), (r_rows, rx, r_slices) = by_row(cols), by_row(rows)
-    pairs = (sine[c_rows][:, None] * sine[r_rows][None]).reshape(-1, n)
-    weights = _real_matmul(pairs, inverse).reshape(c_rows.size, r_rows.size, n)
-    g = np.empty((rows.size, cols.size), complex)
-    for a, cs in enumerate(c_slices):
-        for b, rs in enumerate(r_slices):
-            g[rs, cs] = _real_matmul(sine[rx[rs]], weights[a, b, :, None] * sine[cx[cs]].T)
-    capacitance = d @ g.T
+    def green(cols, rows):
+        """G[C, R] by blocks of one grid row of C and one of R: the x-mode
+        weights of a row pair sum the y-modes of its two rows."""
+        (c_rows, cx, c_slices), (r_rows, rx, r_slices) = by_row(cols), by_row(rows)
+        pairs = (sine[c_rows][:, None] * sine[r_rows][None]).reshape(-1, n)
+        weights = _real_matmul(pairs, inverse).reshape(c_rows.size, r_rows.size, n)
+        g = np.empty((rows.size, cols.size), complex)
+        for a, cs in enumerate(c_slices):
+            for b, rs in enumerate(r_slices):
+                g[rs, cs] = _real_matmul(sine[rx[rs]], weights[a, b, :, None] * sine[cx[cs]].T)
+        return g.T
+
+    return free_solve, green
+
+
+def _torus_operator(stencils, diag: complex, period: int) -> tuple:
+    """Free solve and Green's function block of A0 on the period x period torus.
+
+    A0 is a convolution on each sublattice pair, so one 2-D FFT diagonalizes
+    it: per mode it is an s x s matrix over the s sublattices (1 x 1 on the
+    triangular lattice, 2 x 2 on the honeycomb), inverted mode by mode.  G =
+    A0^-1 is then the convolution G[(a, c), (b, r)] = g_ab[(c - r) mod period]
+    with g = ifft2 of that inverse.  Returns free_solve and green as
+    _sine_operator does.
+    """
+    subs = list(stencils)
+    s = len(subs)
+    t = 2 * np.pi * np.arange(period) / period
+    symbol = np.zeros((s, s, period, period), complex)  # [a, b, ky, kx]
+    for a, stencil in enumerate(stencils.values()):
+        symbol[a, a] = diag
+        for dx, dy, nsub, _ in stencil:
+            symbol[a, subs.index(nsub)] += np.outer(np.exp(1j * dy * t), np.exp(1j * dx * t))
+    if s == 1:
+        inverse = 1.0 / symbol
+    else:  # the 2 x 2 adjugate over the determinant
+        (p, q), (r, u) = symbol
+        inverse = np.array([[u, -q], [-r, p]]) / (p * u - q * r)
+
+    def free_solve(b):
+        b = np.fft.fft2(b.reshape(s, period, period))
+        return np.fft.ifft2(np.einsum("abyx,byx->ayx", inverse, b)).ravel()
+
+    def green(cols, rows):
+        """G[C, R], read off g tiled to (2 period - 1)^2 per sublattice pair so
+        that every offset c - r indexes it directly, without a modulo."""
+        m = 2 * period - 1
+        wrap = np.arange(1 - period, period) % period
+        tiled = np.fft.ifft2(inverse)[:, :, wrap[:, None], wrap].ravel()
+        (cb, cy, cx), (rb, ry, rx) = (np.unravel_index(ids, (s, period, period))
+                                      for ids in (cols, rows))
+        at_c = (cb * s * m + cy) * m + cx
+        at_r = (rb * m - ry) * m - rx + (period - 1) * (m + 1)
+        return tiled[at_c[:, None] + at_r]
+
+    return free_solve, green
+
+
+def _perturbation(system: AssembledSystem, free: np.ndarray, diag: complex) -> tuple:
+    """Rows R, columns C and the block D[R, C] of D = A_ext - A0.
+
+    free marks the free sites on a grid of s x period x period sites, s
+    sublattices whose first n rows and columns hold the window; sites are
+    numbered in that array's order.  A_ext is system.matrix embedded there,
+    with the row e_p and a zero right-hand side at each pinned site p: the
+    pinned window sites and, when period > n, the ring of sites outside the
+    window.  A0 is the defect-free operator: diag on the diagonal and weight
+    one on the stencil couplings, which stop at the window edge when period
+    == n (zero Dirichlet data) and wrap round the grid otherwise (a torus;
+    the pinned ring then makes A_ext equal to the Dirichlet window).  Both
+    are tabled by (site, slot), slot 0 the site itself and slot j its j-th
+    stencil neighbour.  A0's couplings from free rows into pinned columns are
+    left out of A0: the pinned unknowns are zero, so those entries leave the
+    solution alone, and R keeps only the defect rows and the ring.
+    """
+    stencils = _STENCILS[system.spec.lattice]
+    subs = list(stencils)
+    period, n = free.shape[-1], system.index_u.shape[1]
+    # per sublattice and slot: (dx, dy, neighbour sublattice)
+    slots = np.array([[(0, 0, a)] + [(dx, dy, subs.index(nsub)) for dx, dy, nsub, _ in stencil]
+                      for a, stencil in enumerate(stencils.values())])
+    mode = "wrap" if period > n else "constant"
+    live = np.pad(free, ((0, 0), (1, 1), (1, 1)), mode=mode)
+    inside = np.pad(np.ones((period, period), bool), 1, mode=mode)
+    n_slots = slots.shape[1]
+    table = np.empty((*free.shape, n_slots), complex)  # A0 - A_ext
+    table[..., 0] = diag
+    for a, sub_slots in enumerate(slots):
+        for j, (dx, dy, b) in enumerate(sub_slots[1:], 1):
+            cut = (slice(1 + dy, period + 1 + dy), slice(1 + dx, period + 1 + dx))
+            table[a, :, :, j] = np.where(free[a], live[b][cut], inside[cut])
+    # a matrix entry's slot, looked up by its row's sublattice and the site
+    # offset from its row to its column; matrix entries couple window sites,
+    # so that offset never wraps round the grid
+    size = period * period
+    span = (2 * len(subs) - 1) * size  # offsets between any two sublattices
+    slot = np.zeros(len(subs) * span, int)
+    dx, dy, b = np.moveaxis(slots, -1, 0)
+    a = np.indices(b.shape)[0]
+    slot[a * span + (b - a) * size + dy * period + dx + span // 2] = np.arange(n_slots)
+    sites = np.flatnonzero(free)  # grid sites of the unknowns
+    row_key = sites // size * span + span // 2 - sites
+    m = system.matrix.tocoo()
+    table = table.reshape(-1, n_slots)
+    table.ravel()[sites[m.row] * n_slots + slot[sites[m.col] + row_key[m.row]]] -= m.data
+    table[np.flatnonzero(~free), 0] -= 1.0
+    r, j = np.nonzero(table)
+    sub, y, x = np.unravel_index(r, free.shape)
+    dx, dy, b = slots[sub, j].T
+    c = np.ravel_multi_index((b, (y + dy) % period, (x + dx) % period), free.shape)
+    rows, row_at = np.unique(r, return_inverse=True)
+    cols, col_at = np.unique(c, return_inverse=True)
+    return rows, cols, sp.csr_matrix((-table[r, j], (row_at, col_at)),
+                                     shape=(rows.size, cols.size))
+
+
+# bound on the relative residual and on every equation's backward error
+# (_backward_errors) of a direct solve; the capacitance solve refines its
+# answer at most _REFINE_STEPS times, to the tighter _REFINE_TOL, which keeps
+# the field near the defects at about 1e-12 relative
+_SOLVE_TOL = 1e-10
+_REFINE_TOL = 1e-13
+_REFINE_STEPS = 8
+
+
+def _capacitance_solve(system: AssembledSystem) -> np.ndarray | None:
+    """Solve system.matrix w = system.rhs on a window without Bloch rows.
+
+    The defect-free operator A0 has a fast free solve: the 2-D DST-I on the
+    square window with zero Dirichlet data (_sine_operator), and on the
+    triangular and honeycomb lattices the 2-D FFT on a torus of period
+    2L + 2, whose extra row and column are pinned (_torus_operator).  The
+    embedded system differs from A0 by D on a few rows R (see
+    _perturbation).  The Woodbury identity (the capacitance matrix method of
+    Buzbee, Dorr, George and Golub) then gives, with G = A0^-1 and y = G b,
+
+        w = y - G P_R (I + D[R, C] G[C, R])^-1 D[R, C] y[C],
+
+    two fast free solves and one dense |R| x |R| LU.  Iterative refinement
+    reuses the LU; None is returned when it does not bring every equation's
+    backward error below _REFINE_TOL within _REFINE_STEPS steps.
+    """
+    spec = system.spec
+    stencils = _STENCILS[spec.lattice]
+    n = system.index_u.shape[1]
+    diag = lattice_omega_shift(spec.lattice, spec.incidence.omega ** 2)
+    if spec.lattice is Lattice.SQUARE:
+        period, operator = n, _sine_operator
+    else:
+        period, operator = n + 1, _torus_operator
+    free_solve, green = operator(stencils, diag, period)
+    free = np.zeros((len(stencils), period, period), bool)
+    free[:, :n, :n] = system.index_u >= 0  # a pinned site pins every sublattice
+    rows, cols, d = _perturbation(system, free, diag)
+    capacitance = d @ green(cols, rows)
     capacitance[np.diag_indices(rows.size)] += 1.0
     lu = scipy.linalg.lu_factor(capacitance)
+    sites = np.flatnonzero(free)
 
-    free = system.index_u >= 0
-    b = np.zeros((n, n), complex)
-    b[free] = system.rhs
-    y = free_solve(b).ravel()
-    correction = np.zeros(n * n, complex)
-    correction[rows] = scipy.linalg.lu_solve(lu, d @ y[cols])
-    return (y - free_solve(correction.reshape(n, n)).ravel())[free.ravel()]
+    def solve(rhs):
+        b = np.zeros(free.size, complex)
+        b[sites] = rhs
+        y = free_solve(b)
+        correction = np.zeros(free.size, complex)
+        correction[rows] = scipy.linalg.lu_solve(lu, d @ y[cols])
+        return (y - free_solve(correction))[sites]
+
+    # A free solve spreads rounding of order eps |b| over the whole grid, and
+    # the damped incident can span tens of orders of magnitude across the
+    # window, which buries the field near the defects.  Solving again for the
+    # residual of just the equations that miss the bound recovers it.
+    w = solve(system.rhs)
+    abs_matrix = abs(system.matrix)
+    for _ in range(_REFINE_STEPS):
+        residual, errors = _backward_errors(system, w, abs_matrix)
+        bad = ~(errors <= _REFINE_TOL)  # NaN counts as missed
+        if not bad.any():
+            return w
+        w = w + solve(np.where(bad, residual, 0))
+    return None
+
+
+def _backward_errors(system: AssembledSystem, w: np.ndarray, abs_matrix) -> tuple:
+    """Residual r = b - A w and each equation's backward error.
+
+    That is the componentwise backward error |r_i| / (|A| |w| + |b|)_i of
+    Oettli and Prager, except that the scale of an equation never drops
+    below the incident amplitude: the field is compared at that scale, and
+    no fast solve resolves equations 30 orders of magnitude below it.
+    """
+    residual = system.rhs - system.matrix @ w
+    scale = np.maximum(abs_matrix @ np.abs(w) + np.abs(system.rhs),
+                       abs(system.spec.incidence.amplitude))
+    errors = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale > 0)
+    return residual, errors
 
 
 def solve_direct(system: AssembledSystem) -> FieldGrid:
     """Solve the assembled system; returns the scattered field.
 
-    A square window without Bloch rows is solved by the capacitance matrix
-    method (_capacitance_solve); every other layout by a sparse LU.  On
-    either path the linear-system relative residual against system.matrix
-    must come out below 1e-10 or SolveFailure is raised.  Eliminated
-    (pinned) sites are filled with -incident so boundary conditions can be
-    checked on the output.
+    A window without Bloch rows, on any lattice, is solved by the
+    capacitance matrix method (_capacitance_solve: sine transform on the
+    square lattice, torus FFT on the triangular and honeycomb lattices); a
+    Bloch strip, or a window whose capacitance solve does not converge
+    under iterative refinement, by a sparse LU.  On either path both the
+    relative residual against system.matrix and the largest backward error
+    of one equation (see _backward_errors) must come out below 1e-10, or
+    SolveFailure is raised.  Eliminated (pinned) sites are filled with
+    -incident so boundary conditions can be checked on the output.
     """
     spec = system.spec
-    if spec.lattice is Lattice.SQUARE and spec.bloch is None:
-        w = _capacitance_solve(system)
-    else:
+    w = _capacitance_solve(system) if spec.bloch is None else None
+    if w is None:
         w = spla.splu(system.matrix).solve(system.rhs)
+    residual, errors = _backward_errors(system, w, abs(system.matrix))
     norm_rhs = float(np.linalg.norm(system.rhs))
-    residual = float(np.linalg.norm(system.matrix @ w - system.rhs))
+    residual = float(np.linalg.norm(residual))
     residual = residual / norm_rhs if norm_rhs > 0 else residual
-    if not np.isfinite(residual) or residual > 1e-10:
+    if not np.isfinite(residual) or residual > _SOLVE_TOL:
         raise SolveFailure("direct solve missed the residual contract", residual)
+    backward = float(np.max(errors, initial=0.0))
+    if not np.isfinite(backward) or backward > _SOLVE_TOL:
+        raise SolveFailure("direct solve missed the backward error contract", backward)
 
     ny, nx = system.index_u.shape
     u = np.empty((ny, nx), dtype=complex)

@@ -6,7 +6,7 @@ from latticewh import oracle
 from latticewh.branches import Frequency, dispersion_solve, square_branches
 from latticewh.errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
 from latticewh.fields import FieldGrid, compare_fields
-from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel
+from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel, family_record
 from latticewh.oracle import (
     BlochSpec,
     Defect,
@@ -405,34 +405,67 @@ class TestProblemFor:
         assert prob.bloch.multiplier == psi
 
 
-# Square layouts without Bloch rows, solved by the capacitance matrix method:
-# the square non-Bloch entries of LAYOUTS, array_cracks with nu = 2, and
-# hand-made defect sets
-SQUARE_KERNELS = [kernel for kernel, lattice, _, period in LAYOUTS
-                  if lattice == "square" and period is None]
-SQUARE_KERNELS.append(MatrixKernelSpec("array_cracks", OMEGA, count=2, sep=3, offsets=(0, 2)))
-SQUARE_DEFECTS = {
-    "crack_and_constraint_one_row": (Defect("crack", 0, "left", 3),
-                                     Defect("constraint", 0, "left", -2)),
-    "right_crack": (Defect("crack", 1, "right", 3),),
-    "defect_free": (),
+# Layouts without Bloch rows, solved by the capacitance matrix method (the
+# sine transform on the square lattice, the torus on the others): the
+# non-Bloch entries of LAYOUTS, array_cracks with nu = 2, and hand-made
+# defect sets
+CAPACITANCE_KERNELS = [kernel for kernel, _, _, period in LAYOUTS if period is None]
+CAPACITANCE_KERNELS.append(MatrixKernelSpec("array_cracks", OMEGA, count=2, sep=3,
+                                            offsets=(0, 2)))
+DEFECT_SETS = {
+    "crack_and_constraint_one_row": ("square", (Defect("crack", 0, "left", 3),
+                                                Defect("constraint", 0, "left", -2))),
+    "right_crack": ("square", (Defect("crack", 1, "right", 3),)),
+    "defect_free": ("square", ()),
+    "hex_crack_and_constraint": ("honeycomb", (Defect("crack", 0, "left", 2),
+                                               Defect("constraint", 3, "left", -5))),
+    "tri_two_cracks_and_constraint": ("triangular", (Defect("crack", 0, "left", 0),
+                                                     Defect("crack", 2, "left", 3),
+                                                     Defect("constraint", -2, "left", -4))),
+    "tri_defect_free": ("triangular", ()),
+    "hex_defect_free": ("honeycomb", ()),
 }
-SQUARE_LAYOUTS = SQUARE_KERNELS + list(SQUARE_DEFECTS)
-SQUARE_IDS = [k.family + (f"_{k.count}" if k.family == "array_cracks" else "")
-              for k in SQUARE_KERNELS] + list(SQUARE_DEFECTS)
+CAPACITANCE_LAYOUTS = CAPACITANCE_KERNELS + list(DEFECT_SETS)
 
 
-def _square_spec(inc, layout):
+def _layout_id(layout):
     if isinstance(layout, str):
-        return LatticeProblemSpec("square", SQUARE_DEFECTS[layout], inc)
+        return layout
+    return layout.family + (f"_{layout.count}" if layout.family == "array_cracks" else "")
+
+
+def _lattice(layout):
+    if isinstance(layout, str):
+        return DEFECT_SETS[layout][0]
+    return family_record(layout.family).lattice.value
+
+
+SQUARE_LAYOUTS = [layout for layout in CAPACITANCE_LAYOUTS if _lattice(layout) == "square"]
+
+
+def _spec(request, layout):
+    inc = request.getfixturevalue(f"inc_{_lattice(layout)}")
+    if isinstance(layout, str):
+        return LatticeProblemSpec(*DEFECT_SETS[layout], inc)
     return problem_for(layout, inc)
+
+
+@pytest.fixture(scope="module")
+def damped_hex():
+    """A strongly damped honeycomb window: the incident spans 15 orders of
+    magnitude across it, and the first free solve misses the field near the
+    crack by about 1e-8."""
+    w = 1.22 + 0.23j
+    inc = dispersion_solve("honeycomb", Frequency(w), 0.72)
+    system = assemble(problem_for(ScalarKernel("hex_crack", w), inc), 60)
+    return system, spla.splu(system.matrix).solve(system.rhs)
 
 
 class TestCapacitanceSolve:
     @pytest.mark.parametrize("half_width", [20, 40, 60])
-    @pytest.mark.parametrize("layout", SQUARE_LAYOUTS, ids=SQUARE_IDS)
-    def test_matches_sparse_lu(self, inc_square, layout, half_width):
-        system = assemble(_square_spec(inc_square, layout), half_width)
+    @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
+    def test_matches_sparse_lu(self, request, layout, half_width):
+        system = assemble(_spec(request, layout), half_width)
         reference = spla.splu(system.matrix).solve(system.rhs)
         fast = oracle._capacitance_solve(system)
         assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -449,23 +482,50 @@ class TestCapacitanceSolve:
         monkeypatch.setattr(oracle.spla, "splu", counting)
         return calls
 
-    @pytest.mark.parametrize("layout", SQUARE_LAYOUTS, ids=SQUARE_IDS)
-    def test_square_skips_sparse_lu(self, inc_square, splu_calls, layout):
-        solve_direct(assemble(_square_spec(inc_square, layout), 20))
+    @pytest.mark.parametrize("layout", SQUARE_LAYOUTS, ids=_layout_id)
+    def test_square_skips_sparse_lu(self, request, splu_calls, layout):
+        solve_direct(assemble(_spec(request, layout), 20))
         assert splu_calls == []
 
-    @pytest.mark.parametrize("kernel,lattice", [
-        (ScalarKernel("tri_dirichlet", OMEGA), "triangular"),
-        (ScalarKernel("hex_crack", OMEGA), "honeycomb"),
-        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square"),
+    @pytest.mark.parametrize("kernel,lattice,calls", [
+        (ScalarKernel("tri_dirichlet", OMEGA), "triangular", 0),
+        (ScalarKernel("hex_crack", OMEGA), "honeycomb", 0),
+        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square", 1),
     ], ids=["tri_dirichlet", "hex_crack", "mixed_array"])
-    def test_other_layouts_use_sparse_lu(self, request, splu_calls, kernel, lattice):
+    def test_other_layouts_use_sparse_lu(self, request, splu_calls, kernel, lattice, calls):
+        """Only Bloch strips reach the sparse LU; the slant windows go to the torus."""
         inc = request.getfixturevalue(f"inc_{lattice}")
         solve_direct(assemble(problem_for(kernel, inc), 20))
-        assert len(splu_calls) == 1
+        assert len(splu_calls) == calls
 
-    def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec):
+    def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec, inc_honeycomb):
         solve = oracle._capacitance_solve
         monkeypatch.setattr(oracle, "_capacitance_solve", lambda system: solve(system) * (1 + 1e-6))
-        with pytest.raises(SolveFailure):
-            solve_direct(assemble(crack_spec, 20))
+        for spec in (crack_spec, problem_for(ScalarKernel("hex_crack", OMEGA), inc_honeycomb)):
+            with pytest.raises(SolveFailure):
+                solve_direct(assemble(spec, 20))
+
+    def test_refinement_recovers_the_field_near_the_defect(self, damped_hex):
+        system, reference = damped_hex
+        near = system.index_u[40:81, 40:81].ravel()  # |x|, |y| <= 20
+        fast = oracle._capacitance_solve(system)
+        assert np.linalg.norm(fast[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
+
+    def test_backward_error_check_guards_the_field_near_the_defect(self, monkeypatch, damped_hex):
+        # off by 1e-6 next to the crack: invisible to the relative residual,
+        # which the far corners of the window dominate
+        system, reference = damped_hex
+        bumped = reference.copy()
+        bumped[system.site_id(0, 1)] += 1e-6
+        monkeypatch.setattr(oracle, "_capacitance_solve", lambda system: bumped)
+        with pytest.raises(SolveFailure, match="backward error"):
+            solve_direct(system)
+
+    def test_unconverged_refinement_falls_back_to_sparse_lu(self, monkeypatch, splu_calls,
+                                                           damped_hex):
+        system, reference = damped_hex
+        monkeypatch.setattr(oracle, "_REFINE_STEPS", 0)
+        fld = solve_direct(system)
+        assert len(splu_calls) == 1
+        free = system.index_u >= 0
+        assert np.array_equal(fld.u[free], reference[system.index_u[free]])
