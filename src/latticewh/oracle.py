@@ -6,23 +6,6 @@ and solves them.  Defects are semi-infinite rows of broken bonds (cracks)
 or pinned sites (rigid constraints), pointing left (x < tip) or right
 (x >= tip).
 
-Every window without Bloch rows is solved by the capacitance matrix
-method (_capacitance_solve): a defect-free operator with a fast free solve
-differs from the window's equations on a few rows, and the Woodbury
-identity turns the solve into two fast free solves plus one small dense
-system.  On the square lattice that operator is the window's own, with
-zero Dirichlet data, diagonalized by the 2-D DST-I.  On the triangular and
-honeycomb lattices it lives on a torus of period 2L + 2, diagonalized by
-the 2-D FFT (per mode a 2 x 2 block on the honeycomb), whose extra row and
-column of pinned sites cut the torus back to the window.  Iterative
-refinement, on the equations whose backward error is still too large,
-recovers the small field near the defects when the damped incident spans
-many orders of magnitude across the window.  Bloch strips, a few rows
-high, and any window whose refinement does not converge are solved by a
-sparse LU factorization.  Both paths must meet the same checks against
-the assembled matrix: the relative residual, and the backward error of
-every equation.
-
 Assembly is array code driven by one table, _STENCILS: per lattice, one
 neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
 bond cell).  Masks on the window padded by one site mark pinned sites and
@@ -30,6 +13,22 @@ cracked bonds; crack[y, x] is the bond between (x, y) and the row below
 (honeycomb: u(x, y) -- v(x, y-1)), and the bond to the neighbour is broken
 when crack[y+by, x+bx] is set for the bond cell (bx, by).  A broken bond
 raises the diagonal by one; a pinned neighbour (total field zero) drops out.
+The equations come out as a stencil table, a weight and a neighbour per
+unknown and slot, and the sparse matrix is built from it.
+
+Every window without Bloch rows is solved by the capacitance matrix
+method (_capacitance): a defect-free operator A0 with a fast free solve,
+plus multipliers that hold the pinned sites at zero and rank-one terms for
+the broken bonds, read off the stencil table.  That costs two free solves
+and one complex symmetric system with a row per pinned site and per bond.
+A0 is the square window with zero Dirichlet data (2-D DST-I), or on the
+triangular and honeycomb lattices a torus of period 2L + 2 (2-D FFT, per
+mode a 2 x 2 block on the honeycomb) whose extra row and column are
+pinned.  Refinement recovers the small field near the defects when the
+damped incident spans many orders of magnitude across the window.  Bloch
+strips, and windows whose refinement does not converge, are solved by a
+sparse LU.  Both paths must meet the same checks against the assembled
+matrix: the relative residual, and the backward error of every equation.
 
 Truncation uses zero Dirichlet data on the solved unknown, relying on the
 damping Im(omega) > 0.  A right-pointing defect is illuminated by the
@@ -217,7 +216,9 @@ _STENCILS = {
 
 @dataclass
 class AssembledSystem:
-    matrix: sp.csc_matrix
+    matrix: sp.csr_matrix
+    weights: np.ndarray       # stencil table [unknown, slot]: coupling, 0 for a broken bond
+    neighbours: np.ndarray    # [unknown, slot]: unknown coupled, -1 if pinned or outside
     rhs: np.ndarray
     spec: LatticeProblemSpec
     half_width: int
@@ -252,6 +253,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     the exact lattice equation of motion with all known parts (incident
     plus backgrounds) moved to the right-hand side, so sites adjacent to
     the window boundary keep the known contributions of outside sites.
+    The equations are kept as a stencil table: per unknown, one slot for
+    itself and one per stencil neighbour, in column order.
     """
     L = int(half_width)
     if L < 20:
@@ -307,33 +310,42 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
                for sub, idx in index.items()}
         weight = np.broadcast_to((bloch.multiplier**shift)[:, None], XP.shape)
 
+    # the stencil table: slots in column order, which for unknowns numbered
+    # by (sublattice, y, x) is the order of (sublattice, dy, dx) unless
+    # Bloch rows wrap
     diag_base = lattice_omega_shift(spec.lattice, w * w)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_unknowns, dtype=complex)
-    for sub, stencil in stencils.items():
-        i = index[sub]
-        diag = np.full((ny, nx), diag_base, dtype=complex)
+    subs = list(stencils)
+    shape = (len(subs), n_free, 1 + len(stencils["u"]))
+    weights, neighbours = np.empty(shape, complex), np.empty(shape, np.int64)
+    rhs = np.empty(shape[:2], complex)
+    for k, (sub, stencil) in enumerate(stencils.items()):
+        slots = np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
+                                                 for dx, dy, nsub, _ in stencil]))
+        n_broken = np.zeros((ny, nx), np.int64)
         acc = np.zeros((ny, nx), dtype=complex)
-        for dx, dy, nsub, cell in stencil:
+        for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
             broken = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
-            diag += broken  # coordination reduced by the missing bond
-            live = ~broken & ~shifted(pinned, dx, dy)
-            acc += np.where(live, shifted(known[nsub], dx, dy), 0)
-            j = shifted(col[nsub], dx, dy)
-            keep = free & live & (j >= 0)
-            rows.append(i[keep])
-            cols.append(j[keep])
-            vals.append(shifted(weight, dx, dy)[keep])
-        rows.append(i[free])
-        cols.append(i[free])
-        vals.append(diag[free])
-        rhs[i[free]] = -(acc + diag * shifted(known[sub], 0, 0))[free]
+            n_broken += broken  # coordination reduced by the missing bond
+            acc += np.where(~broken & ~shifted(pinned, dx, dy), shifted(known[nsub], dx, dy), 0)
+            neighbours[k, :, j] = shifted(col[nsub], dx, dy)[free]
+            weights[k, :, j] = np.where(broken, 0, shifted(weight, dx, dy))[free]
+        diag = diag_base + n_broken
+        neighbours[k, :, slots[0]] = index[sub][free]
+        weights[k, :, slots[0]] = diag[free]
+        rhs[k] = -(acc + diag * shifted(known[sub], 0, 0))[free]
+    weights, neighbours = weights.reshape(n_unknowns, -1), neighbours.reshape(n_unknowns, -1)
 
+    keep = (neighbours >= 0) & (weights != 0)
+    matrix = sp.csr_matrix((weights[keep], neighbours[keep],
+                            np.concatenate([[0], np.cumsum(keep.sum(1))])),
+                           shape=(n_unknowns, n_unknowns))
+    if bloch is not None:
+        matrix.sum_duplicates()  # sorts wrapped rows; a two-row strip couples twice to one row
     return AssembledSystem(
-        matrix=sp.csc_matrix(sp.coo_matrix(
-            (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_unknowns, n_unknowns))),
-        rhs=rhs,
+        matrix=matrix,
+        weights=weights,
+        neighbours=neighbours,
+        rhs=rhs.ravel(),
         spec=spec,
         half_width=L,
         x_range=(x0, x1),
@@ -355,8 +367,8 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
     """Free solve and Green's function block of A0 on the n x n square window.
 
     With zero Dirichlet data A0 is diagonalized by the 2-D DST-I.  Returns
-    free_solve(b), A0^-1 b for b on the grid, and green(cols, rows), the
-    block G[C, R] of G = A0^-1.
+    free_solve(b), A0^-1 b for b on the grid, and green(sites), the block
+    G[S, S] of G = A0^-1 for sorted grid sites S.
     """
     # orthonormal DST-I matrix (symmetric, its own inverse); A0's symbol on modes [ky, kx]
     k = np.arange(1, n + 1)
@@ -371,23 +383,19 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
             b = _real_matmul(sine, _real_matmul(sine, b).T).T * scale
         return b.ravel()
 
-    def by_row(sites):
-        """Grid rows of the sorted sites, their x indices and one slice per row."""
+    def green(sites):
+        """G[S, S] for sorted grid sites S, by blocks of two grid rows: the
+        x-mode weights of a row pair sum the y-modes of its two rows."""
         y, x = np.divmod(sites, n)
         ys, start = np.unique(y, return_index=True)
-        return ys, x, [slice(a, b) for a, b in zip(start, [*start[1:], sites.size])]
-
-    def green(cols, rows):
-        """G[C, R] by blocks of one grid row of C and one of R: the x-mode
-        weights of a row pair sum the y-modes of its two rows."""
-        (c_rows, cx, c_slices), (r_rows, rx, r_slices) = by_row(cols), by_row(rows)
-        pairs = (sine[c_rows][:, None] * sine[r_rows][None]).reshape(-1, n)
-        weights = _real_matmul(pairs, inverse).reshape(c_rows.size, r_rows.size, n)
-        g = np.empty((rows.size, cols.size), complex)
-        for a, cs in enumerate(c_slices):
-            for b, rs in enumerate(r_slices):
-                g[rs, cs] = _real_matmul(sine[rx[rs]], weights[a, b, :, None] * sine[cx[cs]].T)
-        return g.T
+        rows = [slice(a, b) for a, b in zip(start, [*start[1:], sites.size])]
+        pairs = (sine[ys][:, None] * sine[ys][None]).reshape(-1, n)
+        weights = _real_matmul(pairs, inverse).reshape(ys.size, ys.size, n)
+        g = np.empty((sites.size, sites.size), complex)
+        for a, ra in enumerate(rows):
+            for b, rb in enumerate(rows):
+                g[ra, rb] = _real_matmul(sine[x[ra]], weights[a, b, :, None] * sine[x[rb]].T)
+        return g
 
     return free_solve, green
 
@@ -420,77 +428,104 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
         b = np.fft.fft2(b.reshape(s, period, period))
         return np.fft.ifft2(np.einsum("abyx,byx->ayx", inverse, b)).ravel()
 
-    def green(cols, rows):
-        """G[C, R], read off g tiled to (2 period - 1)^2 per sublattice pair so
-        that every offset c - r indexes it directly, without a modulo."""
+    def green(sites):
+        """G[S, S], read off g tiled to (2 period - 1)^2 per sublattice pair so
+        that every offset between two sites indexes it directly, without a modulo."""
         m = 2 * period - 1
         wrap = np.arange(1 - period, period) % period
         tiled = np.fft.ifft2(inverse)[:, :, wrap[:, None], wrap].ravel()
-        (cb, cy, cx), (rb, ry, rx) = (np.unravel_index(ids, (s, period, period))
-                                      for ids in (cols, rows))
-        at_c = (cb * s * m + cy) * m + cx
-        at_r = (rb * m - ry) * m - rx + (period - 1) * (m + 1)
-        return tiled[at_c[:, None] + at_r]
+        b, y, x = np.unravel_index(sites, (s, period, period))
+        at_r = (b * m - y) * m - x + (period - 1) * (m + 1)
+        return tiled[((b * s * m + y) * m + x)[:, None] + at_r]
 
     return free_solve, green
 
 
-def _perturbation(system: AssembledSystem, free: np.ndarray, diag: complex) -> tuple:
-    """Rows R, columns C and the block D[R, C] of D = A_ext - A0.
+def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
+    """Broken bonds read off the stencil table, as pairs of unknowns.
 
-    free marks the free sites on a grid of s x period x period sites, s
-    sublattices whose first n rows and columns hold the window; sites are
-    numbered in that array's order.  A_ext is system.matrix embedded there,
-    with the row e_p and a zero right-hand side at each pinned site p: the
-    pinned window sites and, when period > n, the ring of sites outside the
-    window.  A0 is the defect-free operator: diag on the diagonal and weight
-    one on the stencil couplings, which stop at the window edge when period
-    == n (zero Dirichlet data) and wrap round the grid otherwise (a torus;
-    the pinned ring then makes A_ext equal to the Dirichlet window).  Both
-    are tabled by (site, slot), slot 0 the site itself and slot j its j-th
-    stencil neighbour.  A0's couplings from free rows into pinned columns are
-    left out of A0: the pinned unknowns are zero, so those entries leave the
-    solution alone, and R keeps only the defect rows and the ring.
+    The second unknown is -1 for a bond to a pinned or outside site.  On
+    the free rows the table then differs from A0 (diag on the diagonal,
+    weight one on every stencil coupling) by exactly B B^T, with one
+    column e_i - e_j or e_i of B per bond.  None is returned when it
+    differs by anything else.
     """
-    stencils = _STENCILS[system.spec.lattice]
-    subs = list(stencils)
-    period, n = free.shape[-1], system.index_u.shape[1]
-    # per sublattice and slot: (dx, dy, neighbour sublattice)
-    slots = np.array([[(0, 0, a)] + [(dx, dy, subs.index(nsub)) for dx, dy, nsub, _ in stencil]
-                      for a, stencil in enumerate(stencils.values())])
-    mode = "wrap" if period > n else "constant"
-    live = np.pad(free, ((0, 0), (1, 1), (1, 1)), mode=mode)
-    inside = np.pad(np.ones((period, period), bool), 1, mode=mode)
-    n_slots = slots.shape[1]
-    table = np.empty((*free.shape, n_slots), complex)  # A0 - A_ext
-    table[..., 0] = diag
-    for a, sub_slots in enumerate(slots):
-        for j, (dx, dy, b) in enumerate(sub_slots[1:], 1):
-            cut = (slice(1 + dy, period + 1 + dy), slice(1 + dx, period + 1 + dx))
-            table[a, :, :, j] = np.where(free[a], live[b][cut], inside[cut])
-    # a matrix entry's slot, looked up by its row's sublattice and the site
-    # offset from its row to its column; matrix entries couple window sites,
-    # so that offset never wraps round the grid
-    size = period * period
-    span = (2 * len(subs) - 1) * size  # offsets between any two sublattices
-    slot = np.zeros(len(subs) * span, int)
-    dx, dy, b = np.moveaxis(slots, -1, 0)
-    a = np.indices(b.shape)[0]
-    slot[a * span + (b - a) * size + dy * period + dx + span // 2] = np.arange(n_slots)
+    weights, n = system.weights, system.weights.shape[0]
+    own = system.neighbours == np.arange(n)[:, None]
+    broken = weights == 0
+    if not (np.all(own | broken | (weights == 1))
+            and np.array_equal(weights[own], diag + broken.sum(1))):
+        return None
+    ends, slot = np.nonzero(broken)
+    other = system.neighbours[ends, slot]
+    # a bond between two unknowns is broken from both of them: keep it once
+    inner = other >= 0
+    a, b = ends[inner], other[inner]
+    if not np.array_equal(*np.sort([a * n + b, b * n + a])):
+        return None
+    once = ~inner | (ends < other)
+    return ends[once], other[once]
+
+
+def _capacitance(system: AssembledSystem) -> tuple | None:
+    """Capacitance matrix M of a window without Bloch rows, and solve(rhs).
+
+    A0 is the free operator of _sine_operator or _torus_operator.  Each
+    pinned site gets a multiplier lambda and each broken bond a multiplier
+    mu for its column of B (_bonds): A0 w + P lambda + B mu = b, P^T w = 0,
+    B^T w = mu.  With G = A0^-1, symmetric like A0, and y = G b, that is the
+    capacitance matrix method (Buzbee, Dorr, George and Golub) in symmetric
+    form, factored by LDL^T (zsytrf):
+
+        M = [[G_PP, G_P. B], [B^T G_.P, I + B^T G B]],
+        M [lambda; mu] = [y_P; B^T y],    w = y - G (P lambda + B mu).
+
+    None is returned when the window is not of that form or M is singular.
+    """
+    spec = system.spec
+    stencils = _STENCILS[spec.lattice]
+    n = system.index_u.shape[1]
+    diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
+    bonds = _bonds(system, diag)
+    if bonds is None:
+        return None
+    square = spec.lattice is Lattice.SQUARE
+    period, operator = (n, _sine_operator) if square else (n + 1, _torus_operator)
+    free_solve, green = operator(stencils, diag, period)
+    free = np.zeros((len(stencils), period, period), bool)
+    free[:, :n, :n] = system.index_u >= 0  # a pinned site pins every sublattice
     sites = np.flatnonzero(free)  # grid sites of the unknowns
-    row_key = sites // size * span + span // 2 - sites
-    m = system.matrix.tocoo()
-    table = table.reshape(-1, n_slots)
-    table.ravel()[sites[m.row] * n_slots + slot[sites[m.col] + row_key[m.row]]] -= m.data
-    table[np.flatnonzero(~free), 0] -= 1.0
-    r, j = np.nonzero(table)
-    sub, y, x = np.unravel_index(r, free.shape)
-    dx, dy, b = slots[sub, j].T
-    c = np.ravel_multi_index((b, (y + dy) % period, (x + dx) % period), free.shape)
-    rows, row_at = np.unique(r, return_inverse=True)
-    cols, col_at = np.unique(c, return_inverse=True)
-    return rows, cols, sp.csr_matrix((-table[r, j], (row_at, col_at)),
-                                     shape=(rows.size, cols.size))
+    # per multiplier the grid site of its +1, and of its -1 if paired
+    ends, other = bonds
+    plus = np.concatenate([np.flatnonzero(~free), sites[ends]])
+    bond = np.arange(plus.size - ends.size, plus.size)
+    paired, minus = bond[other >= 0], sites[other[other >= 0]]
+    near = np.unique(np.concatenate([plus, minus]))
+    at_plus, at_minus = np.searchsorted(near, plus), np.searchsorted(near, minus)
+    g = green(near)  # M - [0, 0; 0, I] = K^T G K with K = [P B] on the sites near
+    capacitance = g[np.ix_(at_plus, at_plus)]
+    capacitance[:, paired] -= g[np.ix_(at_plus, at_minus)]
+    capacitance[paired] -= g[np.ix_(at_minus, at_plus)]
+    capacitance[np.ix_(paired, paired)] += g[np.ix_(at_minus, at_minus)]
+    capacitance[bond, bond] += 1.0
+    # without the workspace query zsytrf runs unblocked, several times slower
+    lwork = int(scipy.linalg.lapack.zsytrf_lwork(max(plus.size, 1))[0].real)
+    ldl, pivots, info = scipy.linalg.lapack.zsytrf(capacitance, lwork=lwork)
+    if info != 0:
+        return None
+
+    def solve(rhs):
+        b = np.zeros(free.size, complex)
+        b[sites] = rhs
+        y = free_solve(b)
+        r = y[plus]
+        r[paired] -= y[minus]
+        x = scipy.linalg.lapack.zsytrs(ldl, pivots, r)[0] if r.size else r  # zsytrs needs n > 0
+        c = np.zeros(free.size, complex)
+        np.add.at(c, np.r_[plus, minus], np.r_[x, -x[paired]])
+        return (y - free_solve(c))[sites]
+
+    return capacitance, solve
 
 
 # bound on the relative residual and on every equation's backward error
@@ -502,61 +537,35 @@ _REFINE_TOL = 1e-13
 _REFINE_STEPS = 8
 
 
-def _capacitance_solve(system: AssembledSystem) -> np.ndarray | None:
-    """Solve system.matrix w = system.rhs on a window without Bloch rows.
+def _refined_solve(system: AssembledSystem, abs_matrix) -> tuple | None:
+    """The capacitance solve, refined: w, its residual and backward errors.
 
-    The defect-free operator A0 has a fast free solve: the 2-D DST-I on the
-    square window with zero Dirichlet data (_sine_operator), and on the
-    triangular and honeycomb lattices the 2-D FFT on a torus of period
-    2L + 2, whose extra row and column are pinned (_torus_operator).  The
-    embedded system differs from A0 by D on a few rows R (see
-    _perturbation).  The Woodbury identity (the capacitance matrix method of
-    Buzbee, Dorr, George and Golub) then gives, with G = A0^-1 and y = G b,
-
-        w = y - G P_R (I + D[R, C] G[C, R])^-1 D[R, C] y[C],
-
-    two fast free solves and one dense |R| x |R| LU.  Iterative refinement
-    reuses the LU; None is returned when it does not bring every equation's
-    backward error below _REFINE_TOL within _REFINE_STEPS steps.
+    A free solve spreads rounding of order eps |b| over the whole grid, and
+    the damped incident can span tens of orders of magnitude across the
+    window, which buries the field near the defects.  Solving again for the
+    residual of the equations whose backward error exceeds _REFINE_TOL, with
+    the same factors, recovers it.  None is returned when _capacitance
+    does, or after _REFINE_STEPS steps.
     """
-    spec = system.spec
-    stencils = _STENCILS[spec.lattice]
-    n = system.index_u.shape[1]
-    diag = lattice_omega_shift(spec.lattice, spec.incidence.omega ** 2)
-    if spec.lattice is Lattice.SQUARE:
-        period, operator = n, _sine_operator
-    else:
-        period, operator = n + 1, _torus_operator
-    free_solve, green = operator(stencils, diag, period)
-    free = np.zeros((len(stencils), period, period), bool)
-    free[:, :n, :n] = system.index_u >= 0  # a pinned site pins every sublattice
-    rows, cols, d = _perturbation(system, free, diag)
-    capacitance = d @ green(cols, rows)
-    capacitance[np.diag_indices(rows.size)] += 1.0
-    lu = scipy.linalg.lu_factor(capacitance)
-    sites = np.flatnonzero(free)
-
-    def solve(rhs):
-        b = np.zeros(free.size, complex)
-        b[sites] = rhs
-        y = free_solve(b)
-        correction = np.zeros(free.size, complex)
-        correction[rows] = scipy.linalg.lu_solve(lu, d @ y[cols])
-        return (y - free_solve(correction))[sites]
-
-    # A free solve spreads rounding of order eps |b| over the whole grid, and
-    # the damped incident can span tens of orders of magnitude across the
-    # window, which buries the field near the defects.  Solving again for the
-    # residual of just the equations that miss the bound recovers it.
+    capacitance = _capacitance(system)
+    if capacitance is None:
+        return None
+    solve = capacitance[1]
     w = solve(system.rhs)
-    abs_matrix = abs(system.matrix)
-    for _ in range(_REFINE_STEPS):
+    for step in range(_REFINE_STEPS + 1):
         residual, errors = _backward_errors(system, w, abs_matrix)
         bad = ~(errors <= _REFINE_TOL)  # NaN counts as missed
         if not bad.any():
-            return w
-        w = w + solve(np.where(bad, residual, 0))
+            return w, residual, errors
+        if step < _REFINE_STEPS:
+            w = w + solve(np.where(bad, residual, 0))
     return None
+
+
+def _capacitance_solve(system: AssembledSystem) -> np.ndarray | None:
+    """The field of _refined_solve alone, or None."""
+    refined = _refined_solve(system, abs(system.matrix))
+    return None if refined is None else refined[0]
 
 
 def _backward_errors(system: AssembledSystem, w: np.ndarray, abs_matrix) -> tuple:
@@ -578,8 +587,8 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     """Solve the assembled system; returns the scattered field.
 
     A window without Bloch rows, on any lattice, is solved by the
-    capacitance matrix method (_capacitance_solve: sine transform on the
-    square lattice, torus FFT on the triangular and honeycomb lattices); a
+    capacitance matrix method (_capacitance, _refined_solve: sine transform
+    on the square lattice, torus FFT on the triangular and honeycomb); a
     Bloch strip, or a window whose capacitance solve does not converge
     under iterative refinement, by a sparse LU.  On either path both the
     relative residual against system.matrix and the largest backward error
@@ -588,10 +597,12 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     -incident so boundary conditions can be checked on the output.
     """
     spec = system.spec
-    w = _capacitance_solve(system) if spec.bloch is None else None
-    if w is None:
-        w = spla.splu(system.matrix).solve(system.rhs)
-    residual, errors = _backward_errors(system, w, abs(system.matrix))
+    abs_matrix = abs(system.matrix)
+    checked = _refined_solve(system, abs_matrix) if spec.bloch is None else None
+    if checked is None:
+        w = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        checked = (w, *_backward_errors(system, w, abs_matrix))
+    w, residual, errors = checked
     norm_rhs = float(np.linalg.norm(system.rhs))
     residual = float(np.linalg.norm(residual))
     residual = residual / norm_rhs if norm_rhs > 0 else residual
@@ -601,21 +612,9 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     if not np.isfinite(backward) or backward > _SOLVE_TOL:
         raise SolveFailure("direct solve missed the backward error contract", backward)
 
-    ny, nx = system.index_u.shape
-    u = np.empty((ny, nx), dtype=complex)
-    free = system.index_u >= 0
-    u[free] = w[system.index_u[free]]
-    u[~free] = 0.0
-    u += system.bg_u
-    u[~free] = -system.incident_u[~free]
-
-    v = None
-    if system.index_v is not None:
-        v = np.empty((ny, nx), dtype=complex)
-        free_v = system.index_v >= 0
-        v[free_v] = w[system.index_v[free_v]]
-        v[~free_v] = -system.incident_v[~free_v]
-
+    u = np.where(system.index_u >= 0, w[system.index_u] + system.bg_u, -system.incident_u)
+    v = None if system.index_v is None else np.where(
+        system.index_v >= 0, w[system.index_v], -system.incident_v)
     inc = spec.incidence
     meta = {
         "lattice": spec.lattice.value,
@@ -647,15 +646,16 @@ def _combine(rows, combine: str, row: int):
     return rows(row + 1, "u") + rows(row - 1, "u")
 
 
-def _half_sums(values: np.ndarray, xs: np.ndarray, offset: int, nodes: np.ndarray):
-    """Truncated sums sum_m values[offset+m] z^-m over each half range."""
+def _half_sums(values: np.ndarray, xs: np.ndarray, offset: int, count: int):
+    """Truncated sums sum_m values[offset+m] z^-m over each half range, at the
+    count roots of unity z = exp(2 pi i k / count): as z^count = 1, each sum
+    folds its terms mod count into one FFT."""
+    def folded(terms):
+        return np.pad(terms, (0, -terms.size % count)).reshape(-1, count).sum(0)
+
     i0 = int(offset - xs[0])
-    plus_terms = values[i0:]
-    minus_terms = values[:i0][::-1]  # m = -1, -2, ... from offset-1 downward
-    mp = np.arange(plus_terms.size)
-    mm = np.arange(1, minus_terms.size + 1)
-    plus = (nodes[:, None] ** (-mp[None, :])) @ plus_terms
-    minus = (nodes[:, None] ** mm[None, :]) @ minus_terms
+    plus = np.fft.fft(folded(values[i0:]))
+    minus = count * np.fft.ifft(folded(np.r_[0, values[:i0][::-1]]))  # m = 0, -1, -2, ...
     return plus, minus
 
 
@@ -697,7 +697,7 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
         gamma = sum((complex(_combine(lambda y, _: bg.profile(y), combine, row))
                      for bg in backgrounds), 0j)
         rem = vals - gamma * mode
-        plus, minus = _half_sums(rem, xs, offset, nodes)
+        plus, minus = _half_sums(rem, xs, offset, grid.count)
         amp = gamma * np.exp(-1j * inc.kappa_x * offset)
         qz = q * nodes
         f_plus[:, i] = plus + amp * qz / (qz - 1.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewh import oracle
 from latticewh.branches import Frequency, dispersion_solve, square_branches
@@ -16,6 +18,7 @@ from latticewh.oracle import (
     solve_direct,
     wh_residual,
 )
+from latticewh.series import CircleGrid
 
 from conftest import OMEGA, THETA
 
@@ -288,6 +291,19 @@ class TestWHResidual:
         res = wh_residual(crack_spec, kern, crack_field)
         assert res < 5e-2
 
+    def test_half_sums_match_the_power_sums(self):
+        # 301 terms on one side and 300 on the other: both sums fold mod 256
+        rng = np.random.default_rng(5)
+        xs = np.arange(-300, 301)
+        values = rng.normal(size=xs.size) + 1j * rng.normal(size=xs.size)
+        nodes = CircleGrid(1.0, 256).nodes
+        for offset in (0, 7, -300, 301):
+            m = xs - offset
+            plus, minus = oracle._half_sums(values, xs, offset, 256)
+            for fast, half in ((plus, m >= 0), (minus, m < 0)):
+                direct = (nodes[:, None] ** -m[half]) @ values[half]
+                assert np.max(np.abs(fast - direct)) <= 1e-13 * np.sum(np.abs(values))
+
     def test_sensitivity_to_wrong_kernel(self, crack_spec, crack_field):
         kern = ScalarKernel("sq_crack", OMEGA)
         res = wh_residual(crack_spec, kern, crack_field)
@@ -470,6 +486,60 @@ class TestCapacitanceSolve:
         fast = oracle._capacitance_solve(system)
         assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["square", "triangular", "honeycomb"]),
+           st.lists(st.tuples(st.sampled_from(["crack", "constraint"]), st.integers(-30, 30),
+                              st.booleans(), st.integers(-9, 9)),
+                    min_size=1, max_size=3, unique_by=lambda d: d[:2]),
+           st.integers(20, 30), st.floats(0.5, 1.6), st.floats(0.05, 0.25), st.floats(-1, 1))
+    def test_random_layouts_match_sparse_lu(self, lattice, defects, half_width, re_w, im_w,
+                                            theta):
+        """Cracks and constraints at random rows and tips, pointing right only
+        on the square lattice, rows up to and past the window edge."""
+        inc = dispersion_solve(lattice, Frequency(complex(re_w, im_w)), theta)
+        spec = LatticeProblemSpec(lattice, tuple(
+            Defect(kind, row, "right" if right and lattice == "square" else "left", tip)
+            for kind, row, right, tip in defects), inc)
+        system = assemble(spec, half_width)
+        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        fast = oracle._capacitance_solve(system)
+        assert fast is not None
+        assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("kernel,lattice,pins,bonds", [
+        (ScalarKernel("hex_crack", OMEGA), "honeycomb", 2 * (42**2 - 41**2), 20),
+        (ScalarKernel("tri_dirichlet", OMEGA), "triangular", 42**2 - 41**2 + 20, 0),
+        (MatrixKernelSpec("tri_crack_2x2", OMEGA), "triangular", 42**2 - 41**2, 2 * 20 + 1),
+        (ScalarKernel("sq_crack", OMEGA), "square", 0, 20),
+        (ScalarKernel("sq_constraint", OMEGA), "square", 20, 0),
+    ], ids=["hex_crack", "tri_dirichlet", "tri_crack_2x2", "sq_crack", "sq_constraint"])
+    def test_capacitance_matrix_is_symmetric_with_a_row_per_pin_and_bond(
+            self, request, kernel, lattice, pins, bonds):
+        """At L = 20 the torus of the slant lattices has period 42, so its
+        pinned ring holds 42^2 - 41^2 sites per sublattice."""
+        system = assemble(problem_for(kernel, request.getfixturevalue(f"inc_{lattice}")), 20)
+        capacitance, _ = oracle._capacitance(system)
+        assert capacitance.shape == (pins + bonds, pins + bonds)
+        assert np.max(np.abs(capacitance - capacitance.T)) <= 1e-14 * np.max(np.abs(capacitance))
+
+    @pytest.mark.parametrize("changes", [
+        [("own", 0.5)],                      # a mass defect
+        [("right", -0.5), ("left", -0.5)],   # a weakened bond, from both ends
+        [("own", 1.0), ("right", -1.0)],     # a bond broken from one end only
+    ], ids=["mass", "weak_bond", "one_sided_break"])
+    def test_other_deviations_fall_back_to_sparse_lu(self, splu_calls, crack_spec, changes):
+        """Equations that differ from A0 by more than pins and bonds are
+        solved by the sparse LU, not by a capacitance solve of other ones."""
+        system = assemble(crack_spec, 20)
+        i, k = system.site_id(5, 3), system.site_id(6, 3)  # an intact bond
+        for which, delta in changes:
+            row, col = {"own": (i, i), "right": (i, k), "left": (k, i)}[which]
+            system.weights[row, system.neighbours[row] == col] += delta
+            system.matrix[row, col] += delta
+        assert oracle._capacitance(system) is None
+        solve_direct(system)  # checked against the changed matrix
+        assert len(splu_calls) == 1
+
     @pytest.fixture
     def splu_calls(self, monkeypatch):
         calls = []
@@ -498,9 +568,18 @@ class TestCapacitanceSolve:
         solve_direct(assemble(problem_for(kernel, inc), 20))
         assert len(splu_calls) == calls
 
+    @staticmethod
+    def _returns(monkeypatch, field):
+        """Make the fast path return field(system), with its own backward errors."""
+        def refined(system, abs_matrix):
+            w = field(system)
+            return (w, *oracle._backward_errors(system, w, abs_matrix))
+        monkeypatch.setattr(oracle, "_refined_solve", refined)
+
     def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec, inc_honeycomb):
-        solve = oracle._capacitance_solve
-        monkeypatch.setattr(oracle, "_capacitance_solve", lambda system: solve(system) * (1 + 1e-6))
+        refined = oracle._refined_solve
+        self._returns(monkeypatch,
+                      lambda system: refined(system, abs(system.matrix))[0] * (1 + 1e-6))
         for spec in (crack_spec, problem_for(ScalarKernel("hex_crack", OMEGA), inc_honeycomb)):
             with pytest.raises(SolveFailure):
                 solve_direct(assemble(spec, 20))
@@ -517,7 +596,7 @@ class TestCapacitanceSolve:
         system, reference = damped_hex
         bumped = reference.copy()
         bumped[system.site_id(0, 1)] += 1e-6
-        monkeypatch.setattr(oracle, "_capacitance_solve", lambda system: bumped)
+        self._returns(monkeypatch, lambda system: bumped)
         with pytest.raises(SolveFailure, match="backward error"):
             solve_direct(system)
 
