@@ -297,48 +297,55 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     count = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
     n_free = int(count[-1, -1])
     index = {sub: np.where(free, k * n_free + count - 1, -1) for k, sub in enumerate(stencils)}
-    n_unknowns = len(stencils) * n_free
 
     # neighbour columns on the padded grid: -1 outside the x range, and
     # outside the y range unless Bloch rows wrap with weight multiplier**shift
     if bloch is None:
         col = {sub: np.pad(idx, 1, constant_values=-1) for sub, idx in index.items()}
-        weight = np.ones(XP.shape)
     else:
         shift, wrapped = np.divmod(np.arange(-1, ny + 1), ny)
         col = {sub: np.pad(idx[wrapped], ((0, 0), (1, 1)), constant_values=-1)
                for sub, idx in index.items()}
         weight = np.broadcast_to((bloch.multiplier**shift)[:, None], XP.shape)
 
-    # the stencil table: slots in column order, which for unknowns numbered
-    # by (sublattice, y, x) is the order of (sublattice, dy, dx) unless
-    # Bloch rows wrap
+    # the stencil table, a row per unknown and its slots in the order of
+    # (sublattice, dy, dx), column order unless Bloch rows wrap: weight one on
+    # an intact bond (Bloch: its wrap weight), zero on a broken one, and the
+    # diagonal on the own slot
     diag_base = lattice_omega_shift(spec.lattice, w * w)
+    shape = (len(stencils), n_free, 1 + len(stencils["u"]))
+    weights, neighbours = np.ones(shape, complex), np.empty(shape, np.int64)
+    broken, rhs = np.zeros(shape, bool), np.empty(shape[:2], complex)
     subs = list(stencils)
-    shape = (len(subs), n_free, 1 + len(stencils["u"]))
-    weights, neighbours = np.empty(shape, complex), np.empty(shape, np.int64)
-    rhs = np.empty(shape[:2], complex)
     for k, (sub, stencil) in enumerate(stencils.items()):
         slots = np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
                                                  for dx, dy, nsub, _ in stencil]))
-        n_broken = np.zeros((ny, nx), np.int64)
         acc = np.zeros((ny, nx), dtype=complex)
+        n_broken = np.zeros((ny, nx), np.int64)  # coordination reduced by the missing bonds
         for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
-            broken = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
-            n_broken += broken  # coordination reduced by the missing bond
-            acc += np.where(~broken & ~shifted(pinned, dx, dy), shifted(known[nsub], dx, dy), 0)
             neighbours[k, :, j] = shifted(col[nsub], dx, dy)[free]
-            weights[k, :, j] = np.where(broken, 0, shifted(weight, dx, dy))[free]
+            if bloch is not None:
+                weights[k, :, j] = shifted(weight, dx, dy)[free]
+            cut = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
+            n_broken += cut
+            broken[k, :, j] = cut[free]
+            np.add(acc, shifted(known[nsub], dx, dy), out=acc,  # intact bonds to unpinned sites
+                   where=~(cut | shifted(pinned, dx, dy)))
         diag = diag_base + n_broken
         neighbours[k, :, slots[0]] = index[sub][free]
         weights[k, :, slots[0]] = diag[free]
         rhs[k] = -(acc + diag * shifted(known[sub], 0, 0))[free]
-    weights, neighbours = weights.reshape(n_unknowns, -1), neighbours.reshape(n_unknowns, -1)
+    weights[broken] = 0
+    weights, neighbours = weights.reshape(-1, shape[2]), neighbours.reshape(-1, shape[2])
 
-    keep = (neighbours >= 0) & (weights != 0)
-    matrix = sp.csr_matrix((weights[keep], neighbours[keep],
-                            np.concatenate([[0], np.cumsum(keep.sum(1))])),
-                           shape=(n_unknowns, n_unknowns))
+    # the matrix: every slot of the table with a column and an intact bond
+    keep = (neighbours >= 0) & ~broken.reshape(neighbours.shape)
+    # a row's length is its slot count less its few dropped slots (keep.sum(1) costs 7x more),
+    # and int32 indices, which SciPy would pick itself, spare its range check and copy
+    length = shape[2] - np.bincount(np.flatnonzero(~keep) // shape[2], minlength=keep.shape[0])
+    matrix = sp.csr_matrix((weights[keep], neighbours[keep].astype(np.int32),
+                            np.concatenate([[0], np.cumsum(length)]).astype(np.int32)),
+                           shape=(keep.shape[0], keep.shape[0]))
     if bloch is not None:
         matrix.sum_duplicates()  # sorts wrapped rows; a two-row strip couples twice to one row
     return AssembledSystem(
@@ -364,17 +371,21 @@ def _real_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
 
 
 def _sine_operator(stencils, diag: complex, n: int) -> tuple:
-    """Free solve and Green's function block of A0 on the n x n square window.
+    """Free solve and Green's function of A0 on the n x n square window.
 
-    With zero Dirichlet data A0 is diagonalized by the 2-D DST-I.  Returns
-    free_solve(b), A0^-1 b for b on the grid, and green(sites), the block
-    G[S, S] of G = A0^-1 for sorted grid sites S.
+    With zero Dirichlet data the 2-D DST-I diagonalizes A0 of an axis-aligned
+    stencil, the square lattice's, into diag plus a cosine in kx and one in
+    ky.  Returns free_solve(b), A0^-1 b for b on the grid, and green(rows,
+    cols), the block G[R, C] of G = A0^-1 for grid sites R and C.
     """
     # orthonormal DST-I matrix (symmetric, its own inverse); A0's symbol on modes [ky, kx]
     k = np.arange(1, n + 1)
-    sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))[
+        np.outer(k, k) % (2 * n + 2)]  # sin(pi jk / (n + 1)) has period 2n + 2 in jk
     t = np.pi * k / (n + 1)
-    inverse = 1.0 / (diag + sum(np.cos(dx * t + dy * t[:, None]) for dx, dy, *_ in stencils["u"]))
+    cos_x = sum(np.cos(dx * t) for dx, dy, *_ in stencils["u"] if dy == 0)
+    cos_y = sum(np.cos(dy * t) for dx, dy, *_ in stencils["u"] if dx == 0)
+    inverse = 1.0 / (diag + cos_x + cos_y[:, None])
 
     def free_solve(b):
         """S ((S b S) / symbol) S."""
@@ -383,25 +394,23 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
             b = _real_matmul(sine, _real_matmul(sine, b).T).T * scale
         return b.ravel()
 
-    def green(sites):
-        """G[S, S] for sorted grid sites S, by blocks of two grid rows: the
-        x-mode weights of a row pair sum the y-modes of its two rows."""
-        y, x = np.divmod(sites, n)
-        ys, start = np.unique(y, return_index=True)
-        rows = [slice(a, b) for a, b in zip(start, [*start[1:], sites.size])]
-        pairs = (sine[ys][:, None] * sine[ys][None]).reshape(-1, n)
-        weights = _real_matmul(pairs, inverse).reshape(ys.size, ys.size, n)
-        g = np.empty((sites.size, sites.size), complex)
-        for a, ra in enumerate(rows):
-            for b, rb in enumerate(rows):
-                g[ra, rb] = _real_matmul(sine[x[ra]], weights[a, b, :, None] * sine[x[rb]].T)
+    def green(rows, cols):
+        """G[R, C] by blocks of one grid row of R and one of C: the x-mode
+        weights of such a pair sum the y-modes of its two rows."""
+        (y_r, x_r), (y_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
+        g = np.empty((rows.size, cols.size), complex)
+        for yr in np.unique(y_r):
+            for yc in np.unique(y_c):
+                ra, cb = np.flatnonzero(y_r == yr), np.flatnonzero(y_c == yc)
+                weights = _real_matmul(sine[yr] * sine[yc], inverse)
+                g[np.ix_(ra, cb)] = _real_matmul(sine[x_r[ra]], weights[:, None] * sine[x_c[cb]].T)
         return g
 
     return free_solve, green
 
 
 def _torus_operator(stencils, diag: complex, period: int) -> tuple:
-    """Free solve and Green's function block of A0 on the period x period torus.
+    """Free solve and Green's function of A0 on the period x period torus.
 
     A0 is a convolution on each sublattice pair, so one 2-D FFT diagonalizes
     it: per mode it is an s x s matrix over the s sublattices (1 x 1 on the
@@ -413,11 +422,15 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
     subs = list(stencils)
     s = len(subs)
     t = 2 * np.pi * np.arange(period) / period
-    symbol = np.zeros((s, s, period, period), complex)  # [a, b, ky, kx]
+    # [a, b, ky, kx]: diag if a = b, plus exp(i (dy ky + dx kx)) summed over the
+    # stencil entries from a to b, as one product over them; e[d + 1] = exp(i d t)
+    symbol = np.empty((s, s, period, period), complex)
+    e = np.exp(1j * np.outer(np.arange(-1, 2), t))
     for a, stencil in enumerate(stencils.values()):
-        symbol[a, a] = diag
-        for dx, dy, nsub, _ in stencil:
-            symbol[a, subs.index(nsub)] += np.outer(np.exp(1j * dy * t), np.exp(1j * dx * t))
+        for b, nsub in enumerate(subs):
+            dx, dy = (np.array([entry[i] for entry in stencil if entry[2] == nsub], int) + 1
+                      for i in (0, 1))
+            symbol[a, b] = e[dy].T @ e[dx] + (diag if a == b else 0)
     if s == 1:
         inverse = 1.0 / symbol
     else:  # the 2 x 2 adjugate over the determinant
@@ -428,15 +441,21 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
         b = np.fft.fft2(b.reshape(s, period, period))
         return np.fft.ifft2(np.einsum("abyx,byx->ayx", inverse, b)).ravel()
 
-    def green(sites):
-        """G[S, S], read off g tiled to (2 period - 1)^2 per sublattice pair so
-        that every offset between two sites indexes it directly, without a modulo."""
-        m = 2 * period - 1
-        wrap = np.arange(1 - period, period) % period
-        tiled = np.fft.ifft2(inverse)[:, :, wrap[:, None], wrap].ravel()
-        b, y, x = np.unravel_index(sites, (s, period, period))
-        at_r = (b * m - y) * m - x + (period - 1) * (m + 1)
-        return tiled[((b * s * m + y) * m + x)[:, None] + at_r]
+    # g tiled to 2 period x 2 period, so that every offset between two sites
+    # indexes it without a modulo.  On the honeycomb the symbol's diagonal
+    # blocks are both diag and the v stencil mirrors the u stencil, so g_vv =
+    # g_uu and g_vu(d) = g_uv(-d): two ifft2 give the tiles g_vu, g_uu and
+    # g_uv, and sublattices (a, b) read tile 1 - a + b
+    g = np.fft.ifft2(inverse[0])
+    g = g if s == 1 else [np.roll(g[1, ::-1, ::-1], 1, axis=(0, 1)), *g]
+    tiled, m = np.tile(g, (1, 2, 2)).ravel(), 2 * period
+
+    def green(rows, cols):
+        """G[R, C] for grid sites R and C."""
+        a, y_r, x_r = np.unravel_index(rows, (s, period, period))
+        b, y_c, x_c = np.unravel_index(cols, (s, period, period))
+        at_r = (((s - 1) * (1 - a) * m + y_r + period) * m + x_r + period)[:, None]
+        return np.take(tiled, at_r + ((b * m - y_c) * m - x_c))
 
     return free_solve, green
 
@@ -451,12 +470,19 @@ def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
     differs by anything else.
     """
     weights, n = system.weights, system.weights.shape[0]
-    own = system.neighbours == np.arange(n)[:, None]
-    broken = weights == 0
-    if not (np.all(own | broken | (weights == 1))
-            and np.array_equal(weights[own], diag + broken.sum(1))):
+    rows = n // len(_STENCILS[system.spec.lattice])
+    off = weights != 1  # one pass over the table, then read a column at a time
+    own, ends, slot = [], [], []  # per sublattice the own slot's weights, found on its first row
+    for start in range(0, n, rows):
+        j_own = np.flatnonzero(system.neighbours[start] == start)[0]
+        own.append(weights[start:start + rows, j_own])
+        for j in np.flatnonzero(np.arange(weights.shape[1]) != j_own):
+            ends.append(start + np.flatnonzero(off[start:start + rows, j]))
+            slot.append(np.full(ends[-1].size, j))
+    ends, slot = np.concatenate(ends), np.concatenate(slot)
+    if np.any(weights[ends, slot]) or not np.array_equal(  # a weight neither one nor zero
+            np.concatenate(own), diag + np.bincount(ends, minlength=n)):
         return None
-    ends, slot = np.nonzero(broken)
     other = system.neighbours[ends, slot]
     # a bond between two unknowns is broken from both of them: keep it once
     inner = other >= 0
@@ -500,13 +526,11 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
     plus = np.concatenate([np.flatnonzero(~free), sites[ends]])
     bond = np.arange(plus.size - ends.size, plus.size)
     paired, minus = bond[other >= 0], sites[other[other >= 0]]
-    near = np.unique(np.concatenate([plus, minus]))
-    at_plus, at_minus = np.searchsorted(near, plus), np.searchsorted(near, minus)
-    g = green(near)  # M - [0, 0; 0, I] = K^T G K with K = [P B] on the sites near
-    capacitance = g[np.ix_(at_plus, at_plus)]
-    capacitance[:, paired] -= g[np.ix_(at_plus, at_minus)]
-    capacitance[paired] -= g[np.ix_(at_minus, at_plus)]
-    capacitance[np.ix_(paired, paired)] += g[np.ix_(at_minus, at_minus)]
+    capacitance = green(plus, plus)  # M - [0, 0; 0, I] = K^T G K with K = [P B]
+    cross = green(plus, minus)  # G is symmetric: G[minus, plus] = cross^T
+    capacitance[:, paired] -= cross
+    capacitance[paired] -= cross.T
+    capacitance[np.ix_(paired, paired)] += green(minus, minus)
     capacitance[bond, bond] += 1.0
     # without the workspace query zsytrf runs unblocked, several times slower
     lwork = int(scipy.linalg.lapack.zsytrf_lwork(max(plus.size, 1))[0].real)

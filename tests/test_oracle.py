@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticewh import oracle
-from latticewh.branches import Frequency, dispersion_solve, square_branches
+from latticewh.branches import Frequency, Lattice, dispersion_solve, square_branches
 from latticewh.errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
-from latticewh.fields import FieldGrid, compare_fields
+from latticewh.fields import FieldGrid, compare_fields, lattice_omega_shift
 from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel, family_record
 from latticewh.oracle import (
     BlochSpec,
@@ -466,6 +466,132 @@ def _spec(request, layout):
     return problem_for(layout, inc)
 
 
+# Neighbours of a site per lattice and sublattice, (dx, dy, sublattice,
+# upper): a crack at (x, y) breaks the bonds from (x, y) to the row below,
+# and upper is the offset of the bond's upper site from the site
+NEIGHBOURS = {
+    "square": {"u": [(1, 0, "u", None), (-1, 0, "u", None), (0, 1, "u", (0, 1)),
+                     (0, -1, "u", (0, 0))]},
+    "triangular": {"u": [(1, 0, "u", None), (-1, 0, "u", None), (0, 1, "u", (0, 1)),
+                         (0, -1, "u", (0, 0)), (-1, 1, "u", (-1, 1)), (1, -1, "u", (0, 0))]},
+    "honeycomb": {"u": [(0, 0, "v", None), (-1, 0, "v", None), (0, -1, "v", (0, 0))],
+                  "v": [(0, 0, "u", None), (1, 0, "u", None), (0, 1, "u", (0, 1))]},
+}
+
+
+def _reference_assembly(spec, L):
+    """The window's equations one site at a time, from the equations of motion.
+
+    Each free site's equation sums the total field of its neighbours across
+    intact bonds plus (omega shift + broken bonds) times its own; a pinned
+    site has total field zero.  The unknown is the scattered field minus the
+    straight backgrounds, so the known part (incident plus backgrounds) of
+    every term moves to the right-hand side.  Returns the matrix entries
+    {(row, column): value}, the right-hand side, the scale of each equation
+    (the sum of the moduli of the incident and background parts of its
+    known terms) and the unknown ids.
+    """
+    inc, bloch, lattice = spec.incidence, spec.bloch, spec.lattice.value
+    ys = range(bloch.period) if bloch else range(-L, L + 1)
+    xs = range(-L, L + 1)
+    backgrounds = oracle._straight_backgrounds(spec)
+
+    def on(kind, x, y):
+        return any(d.kind == kind and spec._norm_row(y) == spec._norm_row(d.row)
+                   and ((x < d.tip) if d.side == "left" else (x >= d.tip)) for d in spec.defects)
+
+    def known(x, y, sub):
+        """The known field at a site and the size of its parts."""
+        parts = [inc.field(x, y, sub)] + [bg.evaluate(x, y) for bg in backgrounds if sub == "u"]
+        return complex(sum(parts)), sum(map(abs, parts))
+
+    sites = [(x, y, sub) for sub in NEIGHBOURS[lattice] for y in ys for x in xs
+             if not on("constraint", x, y)]
+    ids = {site: i for i, site in enumerate(sites)}
+    entries, rhs, scale = {}, [], []
+    for i, (x, y, sub) in enumerate(sites):
+        known_terms = []
+        diag = lattice_omega_shift(spec.lattice, inc.omega * inc.omega)
+        for dx, dy, nsub, upper in NEIGHBOURS[lattice][sub]:
+            if upper and on("crack", x + upper[0], y + upper[1]):
+                diag += 1  # a broken bond raises the diagonal by one
+                continue
+            xn, yn = x + dx, y + dy
+            if on("constraint", xn, yn):
+                continue
+            known_terms.append(known(xn, yn, nsub))
+            shift, yw = divmod(yn, bloch.period) if bloch else (0, yn)  # Bloch rows wrap
+            if xn in xs and yw in ys:
+                col = ids[(xn, yw, nsub)]
+                weight = bloch.multiplier ** shift if bloch else 1.0
+                entries[i, col] = entries.get((i, col), 0) + weight
+        entries[i, i] = diag
+        own, own_size = known(x, y, sub)
+        rhs.append(-(sum(value for value, _ in known_terms) + diag * own))
+        scale.append(sum(size for _, size in known_terms) + abs(diag) * own_size)
+    return entries, np.array(rhs), np.array(scale), ids
+
+
+class TestReferenceAssembly:
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
+                             ids=_layout_id)
+    def test_matches_the_equations_of_motion(self, request, layout):
+        """Every matrix entry exactly, the right-hand side to 1e-14 of the
+        scale of each equation, and the unknown numbering, at L = 20."""
+        spec = _spec(request, layout)
+        system = assemble(spec, 20)
+        entries, rhs, scale, ids = _reference_assembly(spec, 20)
+        coo = system.matrix.tocoo()
+        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
+        assert np.all(np.abs(system.rhs - rhs) <= 1e-14 * scale)
+        assert {site: system.site_id(*site) for site in ids} == ids
+        assert system.matrix.shape[0] == len(ids)
+
+
+def _dense_free_operator(lattice, diag, size, torus):
+    """A0 as a dense matrix from _STENCILS: diag on the diagonal and one per
+    stencil coupling, on the size x size window with zero Dirichlet data or
+    on the torus of period size."""
+    stencils = oracle._STENCILS[lattice]
+    subs = list(stencils)
+    a0 = diag * np.eye(len(subs) * size * size, dtype=complex)
+    for a, stencil in enumerate(stencils.values()):
+        for dx, dy, nsub, _ in stencil:
+            for y in range(size):
+                for x in range(size):
+                    xn, yn = x + dx, y + dy
+                    if torus:
+                        xn, yn = xn % size, yn % size
+                    if 0 <= xn < size and 0 <= yn < size:
+                        b = subs.index(nsub)
+                        a0[(a * size + y) * size + x, (b * size + yn) * size + xn] += 1
+    return a0
+
+
+class TestFreeOperators:
+    @pytest.mark.parametrize("lattice,size", [
+        (Lattice.SQUARE, 7), (Lattice.TRIANGULAR, 8), (Lattice.HONEYCOMB, 8),
+    ], ids=["square_window", "triangular_torus", "honeycomb_torus"])
+    def test_match_the_dense_inverse(self, lattice, size):
+        """green and free_solve against the inverse of the dense A0: the whole
+        of G, which must be symmetric, an unsorted block of it, and one solve."""
+        diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
+        square = lattice is Lattice.SQUARE
+        operator = oracle._sine_operator if square else oracle._torus_operator
+        free_solve, green = operator(oracle._STENCILS[lattice], diag, size)
+        inverse = np.linalg.inv(_dense_free_operator(lattice, diag, size, torus=not square))
+        scale = np.max(np.abs(inverse))
+        sites = np.arange(inverse.shape[0])
+        g = green(sites, sites)
+        assert np.max(np.abs(g - inverse)) <= 1e-12 * scale
+        assert np.max(np.abs(g - g.T)) <= 1e-12 * scale
+        rng = np.random.default_rng(3)
+        rows, cols = rng.permutation(sites)[:10], rng.permutation(sites)[:13]
+        assert np.max(np.abs(green(rows, cols) - inverse[np.ix_(rows, cols)])) <= 1e-12 * scale
+        b = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
+        assert np.max(np.abs(free_solve(b) - inverse @ b)) <= 1e-12 * np.max(np.abs(inverse @ b))
+
+
 @pytest.fixture(scope="module")
 def damped_hex():
     """A strongly damped honeycomb window: the incident spans 15 orders of
@@ -474,7 +600,7 @@ def damped_hex():
     w = 1.22 + 0.23j
     inc = dispersion_solve("honeycomb", Frequency(w), 0.72)
     system = assemble(problem_for(ScalarKernel("hex_crack", w), inc), 60)
-    return system, spla.splu(system.matrix).solve(system.rhs)
+    return system, spla.splu(system.matrix.tocsc()).solve(system.rhs)
 
 
 class TestCapacitanceSolve:
@@ -482,7 +608,7 @@ class TestCapacitanceSolve:
     @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
     def test_matches_sparse_lu(self, request, layout, half_width):
         system = assemble(_spec(request, layout), half_width)
-        reference = spla.splu(system.matrix).solve(system.rhs)
+        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
         fast = oracle._capacitance_solve(system)
         assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
