@@ -16,19 +16,18 @@ raises the diagonal by one; a pinned neighbour (total field zero) drops out.
 The equations come out as a stencil table, a weight and a neighbour per
 unknown and slot, and the sparse matrix is built from it.
 
-Every window without Bloch rows is solved by the capacitance matrix
-method (_capacitance): a defect-free operator A0 with a fast free solve,
+The right-hand side is exactly zero off the defect rows (assemble).
+Every window without Bloch rows is then solved by the capacitance matrix
+method (_capacitance) with one free solve of a defect-free operator A0,
 plus multipliers that hold the pinned sites at zero and rank-one terms for
-the broken bonds, read off the stencil table.  That costs two free solves
-and one complex symmetric system with a row per pinned site and per bond.
-A0 is the square window with zero Dirichlet data (2-D DST-I), or on the
-triangular and honeycomb lattices a torus of period 2L + 2 (2-D FFT, per
-mode a 2 x 2 block on the honeycomb) whose extra row and column are
-pinned.  Refinement recovers the small field near the defects when the
-damped incident spans many orders of magnitude across the window.  Bloch
-strips, and windows whose refinement does not converge, are solved by a
-sparse LU.  Both paths must meet the same checks against the assembled
-matrix: the relative residual, and the backward error of every equation.
+the broken bonds, read off the stencil table.  A0 is the square window
+with zero Dirichlet data (2-D DST-I), or on the triangular and honeycomb
+lattices a torus of period 2L + 2 (2-D FFT, per mode a 2 x 2 block on the
+honeycomb) whose extra row and column are pinned.  Bloch strips go to a
+sparse LU.  Either answer is refined where a defect row runs through an
+incident far larger than the field elsewhere (_refined_solve), and both
+must meet the same checks against the assembled matrix: the relative
+residual, and the backward error of every equation.
 
 Truncation uses zero Dirichlet data on the solved unknown, relying on the
 damping Im(omega) > 0.  A right-pointing defect is illuminated by the
@@ -54,7 +53,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .branches import Incidence, Lattice, square_branches
+from .branches import Incidence, Lattice
 from .errors import InvalidSpec, SolveFailure, WindowTooSmall
 from .fields import (
     ComparisonReport,
@@ -167,37 +166,35 @@ class _StraightBackground:
 
 
 def _straight_backgrounds(spec: LatticeProblemSpec) -> tuple:
-    """Backgrounds for every right-pointing defect (empty tuple if none)."""
-    out = []
+    """Backgrounds for every right-pointing defect (empty tuple if none).
+
+    At the incident's kx the square dispersion leaves two vertical modes,
+    exp(-i ky) and exp(i ky); the background takes the one of modulus below
+    one.  At ky = 0 (grazing incidence) neither decays, so InvalidSpec.
+    """
     right = [d for d in spec.defects if d.side == "right"]
     if not right:
         return ()
     inc = spec.incidence
-    w = inc.omega
     kx, ky, amp = inc.kappa_x, inc.kappa_y, inc.amplitude
-    # vertical mode at the incident horizontal wavenumber: the propagation
-    # root of the square lattice evaluated at z0 = exp(-i kx)
-    mode = square_branches(np.exp(-1j * kx), w).lam
-    sigma = 2.0 * np.cos(kx) + w * w - 3.0  # coordination-3 row symbol
+    if ky.imag == 0:
+        raise InvalidSpec("right-pointing defects need ky != 0: at grazing incidence "
+                          "no vertical mode decays")
+    down = ky.imag < 0  # the incident itself decays upward: mode = exp(-i ky)
+    mode = np.exp(-1j * ky) if down else np.exp(1j * ky)
 
-    def inc_row(y):
-        return amp * np.exp(-1j * ky * y)
-
-    for d in right:
+    def coefficients(d):
         r = d.row
-        if d.kind == "crack":
-            above = -(sigma * inc_row(r) + inc_row(r + 1)) / (sigma + mode)
-            below = -(sigma * inc_row(r - 1) + inc_row(r - 2)) / (sigma + mode)
-        else:
-            # pinned row: scattered = -incident at row r seen from both
-            # sides; the below profile is anchored at row r - 1
-            above = -inc_row(r)
-            below = -inc_row(r) * mode
-        out.append(_StraightBackground(
-            kind=d.kind, row=r, kappa_x=kx, mode=mode,
-            coef_above=complex(above), coef_below=complex(below),
-        ))
-    return tuple(out)
+        if d.kind == "constraint":  # -incident on the pinned row, decaying to both sides
+            above = -amp * np.exp(-1j * ky * r)
+            return above, above * mode
+        # -(sigma inc(r) + inc(r + 1)) / (sigma + mode) above and its mirror
+        # below, sigma = 1 - 2 cos ky, with the 0/0 at ky -> 0 cancelled
+        edge = amp * np.exp(-1j * ky * (r if down else r - 1))
+        return (-edge, edge) if down else (edge, -edge)
+
+    return tuple(_StraightBackground(d.kind, d.row, kx, mode, *map(complex, coefficients(d)))
+                 for d in right)
 
 
 # --- assembly ----------------------------------------------------------------
@@ -244,6 +241,12 @@ class AssembledSystem:
         return int(idx[y - self.y_range[0], x - self.x_range[0]])
 
 
+def _slot_sources(cut, pinned, other, own):
+    """One stencil slot's right-hand side terms where the equations differ
+    from A0: other - own across a broken bond, other from a pinned site."""
+    return np.where(cut, other - own, np.where(pinned, other, 0))
+
+
 def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     """Assemble the truncated scattered-field equations.
 
@@ -251,10 +254,20 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     straight-defect backgrounds (zero when no right-pointing defect is
     present); zero Dirichlet data closes the window.  Every equation is
     the exact lattice equation of motion with all known parts (incident
-    plus backgrounds) moved to the right-hand side, so sites adjacent to
-    the window boundary keep the known contributions of outside sites.
-    The equations are kept as a stencil table: per unknown, one slot for
-    itself and one per stencil neighbour, in column order.
+    plus backgrounds) moved to the right-hand side, kept as a stencil
+    table: per unknown, one slot for itself and one per stencil neighbour,
+    in column order.
+
+    The incident solves the defect-free equations A0, so the right-hand
+    side holds only the terms the defects change (the equivalent sources
+    of the total-field/scattered-field method), never a sum that cancels
+    to zero: known_j - known_i for a bond broken from i to j, known_j for
+    an intact bond to a pinned j.  A background solves the equations of
+    its infinite defect, so it adds the same terms of that defect with the
+    opposite sign: they cancel exactly past a lone defect's tip, leaving
+    (A_def - A_inf)(incident + background).  Every other equation gets
+    exactly 0.  Bloch rows read the unwrapped incident, so this holds for
+    any multiplier.
     """
     L = int(half_width)
     if L < 20:
@@ -274,18 +287,30 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
 
     # masks and known field (incident + backgrounds) on the padded grid
     # [x0-1, x1+1] x [y0-1, y1+1]; window cells are [1:ny+1, 1:nx+1]
-    XP, YP = np.meshgrid(np.arange(x0 - 1, x1 + 2), np.arange(y0 - 1, y1 + 2))
-    masks = {"crack": np.zeros(XP.shape, bool), "constraint": np.zeros(XP.shape, bool)}
+    xs, ys = np.arange(x0 - 1, x1 + 2), np.arange(y0 - 1, y1 + 2)[:, None]
+    padded = (ys.size, xs.size)
+    masks = {"crack": np.zeros(padded, bool), "constraint": np.zeros(padded, bool)}
     for d in spec.defects:
-        masks[d.kind] |= (spec._norm_row(YP) == spec._norm_row(d.row)) & (
-            (XP < d.tip) if d.side == "left" else (XP >= d.tip))
+        masks[d.kind] |= (spec._norm_row(ys) == spec._norm_row(d.row)) & (
+            (xs < d.tip) if d.side == "left" else (xs >= d.tip))
     crack, pinned = masks["crack"], masks["constraint"]
 
-    bg_pad = sum((bg.evaluate(XP, YP) for bg in _straight_backgrounds(spec)),
-                 np.zeros(XP.shape, complex))
     stencils = _STENCILS[spec.lattice]
-    known = {sub: np.asarray(inc.field(XP, YP, sub), dtype=complex) for sub in stencils}
-    known["u"] = known["u"] + bg_pad
+    incident = {sub: np.exp(-1j * inc.kappa_y * ys) * inc.field(xs, 0, sub) for sub in stencils}
+    # a background solves the equations of its infinite defect (its row
+    # unwrapped), so the terms of that defect with incident + bg give A0 bg;
+    # on a pinned row a free vertical mode runs on to both sides, and there
+    # A0 bg = bg (mode - 1 / mode)
+    bg_pad, image = np.zeros(padded, complex), np.zeros(padded, complex)
+    none, infinite = np.zeros(padded, bool), []
+    for bg in _straight_backgrounds(spec):
+        values, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, padded)
+        bg_pad += values
+        cut_pin = (row, none) if bg.kind == "crack" else (none, row)
+        infinite.append((cut_pin, incident["u"] + values))
+        if bg.kind == "constraint":
+            image += np.where(row, values * (bg.mode - 1 / bg.mode), 0)
+    known = dict(incident, u=incident["u"] + bg_pad)
 
     def shifted(arr, dx, dy):
         """Padded-grid values at (x+dx, y+dy) for every window site (x, y)."""
@@ -306,7 +331,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         shift, wrapped = np.divmod(np.arange(-1, ny + 1), ny)
         col = {sub: np.pad(idx[wrapped], ((0, 0), (1, 1)), constant_values=-1)
                for sub, idx in index.items()}
-        weight = np.broadcast_to((bloch.multiplier**shift)[:, None], XP.shape)
+        weight = np.broadcast_to((bloch.multiplier**shift)[:, None], padded)
 
     # the stencil table, a row per unknown and its slots in the order of
     # (sublattice, dy, dx), column order unless Bloch rows wrap: weight one on
@@ -320,7 +345,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     for k, (sub, stencil) in enumerate(stencils.items()):
         slots = np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
                                                  for dx, dy, nsub, _ in stencil]))
-        acc = np.zeros((ny, nx), dtype=complex)
+        own = shifted(known[sub], 0, 0)
+        source = 0 - shifted(image, 0, 0)  # backgrounds live on u only (square lattice)
         n_broken = np.zeros((ny, nx), np.int64)  # coordination reduced by the missing bonds
         for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
             neighbours[k, :, j] = shifted(col[nsub], dx, dy)[free]
@@ -329,12 +355,15 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
             cut = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
             n_broken += cut
             broken[k, :, j] = cut[free]
-            np.add(acc, shifted(known[nsub], dx, dy), out=acc,  # intact bonds to unpinned sites
-                   where=~(cut | shifted(pinned, dx, dy)))
-        diag = diag_base + n_broken
+            terms = _slot_sources(cut, shifted(pinned, dx, dy), shifted(known[nsub], dx, dy), own)
+            for (cuts, pins), total in infinite:  # less A0 bg, as its infinite defect's terms
+                terms = terms - _slot_sources(shifted(cuts, *cell) if cell else False,
+                                              shifted(pins, dx, dy), shifted(total, dx, dy),
+                                              shifted(total, 0, 0))
+            source += terms
         neighbours[k, :, slots[0]] = index[sub][free]
-        weights[k, :, slots[0]] = diag[free]
-        rhs[k] = -(acc + diag * shifted(known[sub], 0, 0))[free]
+        weights[k, :, slots[0]] = (diag_base + n_broken)[free]
+        rhs[k] = source[free]
     weights[broken] = 0
     weights, neighbours = weights.reshape(-1, shape[2]), neighbours.reshape(-1, shape[2])
 
@@ -360,8 +389,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         index_u=index["u"],
         index_v=index.get("v"),
         bg_u=shifted(bg_pad, 0, 0),
-        incident_u=shifted(known["u"] - bg_pad, 0, 0),
-        incident_v=shifted(known["v"], 0, 0) if "v" in known else None,
+        incident_u=shifted(incident["u"], 0, 0),
+        incident_v=shifted(incident["v"], 0, 0) if "v" in incident else None,
     )
 
 
@@ -375,8 +404,9 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
 
     With zero Dirichlet data the 2-D DST-I diagonalizes A0 of an axis-aligned
     stencil, the square lattice's, into diag plus a cosine in kx and one in
-    ky.  Returns free_solve(b), A0^-1 b for b on the grid, and green(rows,
-    cols), the block G[R, C] of G = A0^-1 for grid sites R and C.
+    ky.  Returns free_solve(b), A0^-1 b for b on the grid; green(rows, cols),
+    the block G[R, C] of G = A0^-1 for grid sites R and C; and solve_at(b,
+    sites), (A0^-1 b)[sites] for a b on few grid rows.
     """
     # orthonormal DST-I matrix (symmetric, its own inverse); A0's symbol on modes [ky, kx]
     k = np.arange(1, n + 1)
@@ -387,12 +417,21 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
     cos_y = sum(np.cos(dy * t) for dx, dy, *_ in stencils["u"] if dx == 0)
     inverse = 1.0 / (diag + cos_x + cos_y[:, None])
 
+    def modes(b):
+        """(S b S) / symbol, transformed over the nonzero rows of b only."""
+        b = b.reshape(n, n)
+        rows = np.flatnonzero(b.any(1))
+        return _real_matmul(sine[:, rows], _real_matmul(sine, b[rows].T).T) * inverse
+
     def free_solve(b):
         """S ((S b S) / symbol) S."""
-        b = b.reshape(n, n)
-        for scale in (inverse, 1.0):
-            b = _real_matmul(sine, _real_matmul(sine, b).T).T * scale
-        return b.ravel()
+        return _real_matmul(sine, _real_matmul(sine, modes(b)).T).T.ravel()
+
+    def solve_at(b, sites):
+        """free_solve(b)[sites], transformed back over the rows of sites only."""
+        y, x = np.divmod(sites, n)
+        targets, at = np.unique(y, return_inverse=True)
+        return _real_matmul(sine, _real_matmul(sine[targets], modes(b)).T)[x, at]
 
     def green(rows, cols):
         """G[R, C] by blocks of one grid row of R and one of C: the x-mode
@@ -406,7 +445,7 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
                 g[np.ix_(ra, cb)] = _real_matmul(sine[x_r[ra]], weights[:, None] * sine[x_c[cb]].T)
         return g
 
-    return free_solve, green
+    return free_solve, green, solve_at
 
 
 def _torus_operator(stencils, diag: complex, period: int) -> tuple:
@@ -416,8 +455,8 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
     it: per mode it is an s x s matrix over the s sublattices (1 x 1 on the
     triangular lattice, 2 x 2 on the honeycomb), inverted mode by mode.  G =
     A0^-1 is then the convolution G[(a, c), (b, r)] = g_ab[(c - r) mod period]
-    with g = ifft2 of that inverse.  Returns free_solve and green as
-    _sine_operator does.
+    with g = ifft2 of that inverse.  Returns free_solve, green and solve_at
+    as _sine_operator does; solve_at gathers G over the sources of b.
     """
     subs = list(stencils)
     s = len(subs)
@@ -457,7 +496,11 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
         at_r = (((s - 1) * (1 - a) * m + y_r + period) * m + x_r + period)[:, None]
         return np.take(tiled, at_r + ((b * m - y_c) * m - x_c))
 
-    return free_solve, green
+    def solve_at(b, sites):
+        source = np.flatnonzero(b)
+        return green(sites, source) @ b[source]
+
+    return free_solve, green, solve_at
 
 
 def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
@@ -499,14 +542,15 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
     A0 is the free operator of _sine_operator or _torus_operator.  Each
     pinned site gets a multiplier lambda and each broken bond a multiplier
     mu for its column of B (_bonds): A0 w + P lambda + B mu = b, P^T w = 0,
-    B^T w = mu.  With G = A0^-1, symmetric like A0, and y = G b, that is the
-    capacitance matrix method (Buzbee, Dorr, George and Golub) in symmetric
-    form, factored by LDL^T (zsytrf):
+    B^T w = mu.  With G = A0^-1, symmetric like A0, and K = [P B], that is
+    the capacitance matrix method (Buzbee, Dorr, George and Golub) in
+    symmetric form, factored by LDL^T (zsytrf):
 
-        M = [[G_PP, G_P. B], [B^T G_.P, I + B^T G B]],
-        M [lambda; mu] = [y_P; B^T y],    w = y - G (P lambda + B mu).
+        M = K^T G K + [[0, 0], [0, I]],    M x = K^T G b,    w = G (b - K x).
 
-    None is returned when the window is not of that form or M is singular.
+    b lives on a few rows (assemble), so K^T G b reads G b at the multiplier
+    sites only (solve_at) and a solve takes one full free solve.  None is
+    returned when the window is not of that form or M is singular.
     """
     spec = system.spec
     stencils = _STENCILS[spec.lattice]
@@ -517,7 +561,7 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
         return None
     square = spec.lattice is Lattice.SQUARE
     period, operator = (n, _sine_operator) if square else (n + 1, _torus_operator)
-    free_solve, green = operator(stencils, diag, period)
+    free_solve, green, solve_at = operator(stencils, diag, period)
     free = np.zeros((len(stencils), period, period), bool)
     free[:, :n, :n] = system.index_u >= 0  # a pinned site pins every sublattice
     sites = np.flatnonzero(free)  # grid sites of the unknowns
@@ -541,55 +585,40 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
     def solve(rhs):
         b = np.zeros(free.size, complex)
         b[sites] = rhs
-        y = free_solve(b)
-        r = y[plus]
-        r[paired] -= y[minus]
+        y = solve_at(b, np.r_[plus, minus])  # K^T y needs y only at the multiplier sites
+        r = y[:plus.size]
+        r[paired] -= y[plus.size:]
         x = scipy.linalg.lapack.zsytrs(ldl, pivots, r)[0] if r.size else r  # zsytrs needs n > 0
-        c = np.zeros(free.size, complex)
-        np.add.at(c, np.r_[plus, minus], np.r_[x, -x[paired]])
-        return (y - free_solve(c))[sites]
+        np.subtract.at(b, np.r_[plus, minus], np.r_[x, -x[paired]])
+        return free_solve(b)[sites]
 
     return capacitance, solve
 
 
 # bound on the relative residual and on every equation's backward error
-# (_backward_errors) of a direct solve; the capacitance solve refines its
-# answer at most _REFINE_STEPS times, to the tighter _REFINE_TOL, which keeps
-# the field near the defects at about 1e-12 relative
+# (_backward_errors) of a direct solve; a solve refines its answer at most
+# _REFINE_STEPS times, to the tighter _REFINE_TOL
 _SOLVE_TOL = 1e-10
 _REFINE_TOL = 1e-13
 _REFINE_STEPS = 8
 
 
-def _refined_solve(system: AssembledSystem, abs_matrix) -> tuple | None:
-    """The capacitance solve, refined: w, its residual and backward errors.
+def _refined_solve(system: AssembledSystem, solve, abs_matrix) -> tuple:
+    """solve(system.rhs), refined where needed: w, its residual and backward errors.
 
-    A free solve spreads rounding of order eps |b| over the whole grid, and
-    the damped incident can span tens of orders of magnitude across the
-    window, which buries the field near the defects.  Solving again for the
-    residual of the equations whose backward error exceeds _REFINE_TOL, with
-    the same factors, recovers it.  None is returned when _capacitance
-    does, or after _REFINE_STEPS steps.
+    A free solve spreads rounding of order eps |b| over the whole grid, which
+    buries equations of small scale when a defect row runs through a much
+    larger incident.  Solving again with the same factors for the residual
+    of the equations whose backward error exceeds _REFINE_TOL recovers them;
+    where the defect rows pass near the origin no step is taken.
     """
-    capacitance = _capacitance(system)
-    if capacitance is None:
-        return None
-    solve = capacitance[1]
     w = solve(system.rhs)
     for step in range(_REFINE_STEPS + 1):
         residual, errors = _backward_errors(system, w, abs_matrix)
         bad = ~(errors <= _REFINE_TOL)  # NaN counts as missed
-        if not bad.any():
+        if step == _REFINE_STEPS or not bad.any():
             return w, residual, errors
-        if step < _REFINE_STEPS:
-            w = w + solve(np.where(bad, residual, 0))
-    return None
-
-
-def _capacitance_solve(system: AssembledSystem) -> np.ndarray | None:
-    """The field of _refined_solve alone, or None."""
-    refined = _refined_solve(system, abs(system.matrix))
-    return None if refined is None else refined[0]
+        w = w + solve(np.where(bad, residual, 0))
 
 
 def _backward_errors(system: AssembledSystem, w: np.ndarray, abs_matrix) -> tuple:
@@ -611,22 +640,18 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     """Solve the assembled system; returns the scattered field.
 
     A window without Bloch rows, on any lattice, is solved by the
-    capacitance matrix method (_capacitance, _refined_solve: sine transform
-    on the square lattice, torus FFT on the triangular and honeycomb); a
-    Bloch strip, or a window whose capacitance solve does not converge
-    under iterative refinement, by a sparse LU.  On either path both the
-    relative residual against system.matrix and the largest backward error
-    of one equation (see _backward_errors) must come out below 1e-10, or
-    SolveFailure is raised.  Eliminated (pinned) sites are filled with
-    -incident so boundary conditions can be checked on the output.
+    capacitance matrix method (_capacitance), a Bloch strip or a window
+    that _bonds rejects by a sparse LU, either refined by _refined_solve.
+    Both the relative residual against system.matrix and the largest
+    backward error of one equation (see _backward_errors) must come out
+    below 1e-10, or SolveFailure is raised.  Eliminated (pinned) sites are
+    filled with -incident so boundary conditions can be checked on the
+    output.
     """
     spec = system.spec
-    abs_matrix = abs(system.matrix)
-    checked = _refined_solve(system, abs_matrix) if spec.bloch is None else None
-    if checked is None:
-        w = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-        checked = (w, *_backward_errors(system, w, abs_matrix))
-    w, residual, errors = checked
+    capacitance = _capacitance(system) if spec.bloch is None else None
+    solve = spla.splu(system.matrix.tocsc()).solve if capacitance is None else capacitance[1]
+    w, residual, errors = _refined_solve(system, solve, abs(system.matrix))
     norm_rhs = float(np.linalg.norm(system.rhs))
     residual = float(np.linalg.norm(residual))
     residual = residual / norm_rhs if norm_rhs > 0 else residual
@@ -694,12 +719,6 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     columns.  Unknown constants in the forcing are read directly off the
     field.  kernel_eval overrides the kernel evaluator (used by the
     perturbation sensitivity check).
-
-    The oracle field itself limits the attainable residual: the damped
-    incident spans exp(k2 (|cos t| + |sin t|) L) across the window, and
-    once that range approaches 1/eps the edge columns carry rounding
-    noise.  Keep k2 * L moderate (the slant lattices have larger k2 at
-    equal omega than the square lattice).
     """
     inc = problem.incidence
     if inc.omega.imag < 0.05:

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticewh import oracle
+from latticewh import checks, oracle
 from latticewh.branches import Frequency, Lattice, dispersion_solve, square_branches
 from latticewh.errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
 from latticewh.fields import FieldGrid, compare_fields, lattice_omega_shift
-from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel, family_record
+from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel, family_record, kernel_lattice
 from latticewh.oracle import (
     BlochSpec,
     Defect,
@@ -19,6 +19,7 @@ from latticewh.oracle import (
     wh_residual,
 )
 from latticewh.series import CircleGrid
+from latticewh.whsolver import ScalarWHProblem, reconstruct_field, solve_scalar
 
 from conftest import OMEGA, THETA
 
@@ -325,8 +326,6 @@ class TestWHResidual:
         assert wh_residual(prob, spec, fld) < 5e-2
 
     def test_triangular_crack_two_by_two(self):
-        # slant-lattice incident spans e^(k2*(cos+sin)*L) across the window;
-        # keep that within double precision by a smaller window
         w = 1 + 0.15j
         inc = dispersion_solve("triangular", Frequency(w), THETA)
         spec = MatrixKernelSpec("tri_crack_2x2", w)
@@ -341,6 +340,17 @@ class TestWHResidual:
         prob = problem_for(spec, inc)
         fld = solve_direct(assemble(prob, 60))
         assert wh_residual(prob, spec, fld) < 5e-2
+
+    def test_converges_as_the_window_grows(self):
+        """The damped incident spans about 1e78 across the L = 100 window.
+        Formed by cancellation, the right-hand side's rounding grew with the
+        window and took this residual from 2.6e-4 at L = 40 to 1.3e11 at
+        L = 100; now it falls to rounding."""
+        w = 1 + 0.3j
+        spec = MatrixKernelSpec("hex_constraint_2x2", w)
+        prob = problem_for(spec, dispersion_solve("honeycomb", Frequency(w), THETA))
+        residuals = [wh_residual(prob, spec, solve_direct(assemble(prob, L))) for L in (40, 100)]
+        assert residuals[1] <= 1e-13 < residuals[0]
 
     def test_scalar_hex_crack(self, inc_honeycomb):
         kern = ScalarKernel("hex_crack", OMEGA)
@@ -548,6 +558,88 @@ class TestReferenceAssembly:
         assert system.matrix.shape[0] == len(ids)
 
 
+class TestExactRightHandSide:
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
+                             ids=_layout_id)
+    def test_zero_off_the_defect_rows(self, request, layout):
+        """Only equations on a defect row or next to one carry a source (Bloch
+        rows taken modulo the period); every other equation, the window's
+        edge rows included, is exactly 0."""
+        spec = _spec(request, layout)
+        system = assemble(spec, 20)
+        ys = np.arange(system.y_range[0], system.y_range[1] + 1)
+        near = np.isin(spec._norm_row(ys), [spec._norm_row(d.row + k)
+                                            for d in spec.defects for k in (-1, 0, 1)])
+        for index in (system.index_u, system.index_v):
+            if index is not None:
+                far = index[~near]
+                assert not np.any(system.rhs[far[far >= 0]])
+
+    @pytest.mark.parametrize("kind", ["crack", "constraint"])
+    @pytest.mark.parametrize("theta", [0.5, -0.5, 1e-6, -1e-6])
+    def test_backgrounds_solve_the_infinite_defect(self, kind, theta):
+        """incident + background solves the equations of the infinite straight
+        defect on row 2, also next to grazing incidence."""
+        w = 1.5 + 0.25j
+        inc = dispersion_solve("square", Frequency(w), theta)
+        spec = LatticeProblemSpec("square", (Defect(kind, 2, "right", 0),), inc)
+        bg, = oracle._straight_backgrounds(spec)
+        x, y = np.meshgrid(np.arange(-6, 7), np.arange(-4, 9))
+        total = inc.field(x, y) + bg.evaluate(x, y)
+        neighbours = total[1:-1, 2:] + total[1:-1, :-2] + total[2:, 1:-1] + total[:-2, 1:-1]
+        rows = y[1:-1, 1:-1]
+        if kind == "crack":  # the bond between rows 2 and 1 is broken
+            neighbours -= np.where(rows == 2, total[:-2, 1:-1], 0)
+            neighbours -= np.where(rows == 1, total[2:, 1:-1], 0)
+            equations = neighbours + (w * w - 4 + np.isin(rows, (1, 2))) * total[1:-1, 1:-1]
+        else:  # row 2 is pinned: total field zero there, free equations elsewhere
+            equations = np.where(rows == 2, total[1:-1, 1:-1],
+                                 neighbours + (w * w - 4) * total[1:-1, 1:-1])
+        assert np.max(np.abs(equations)) <= 1e-13 * np.max(np.abs(inc.field(x, y)))
+
+    @pytest.mark.parametrize("kind", ["crack", "constraint"])
+    def test_zero_past_a_right_pointing_tip(self, inc_square, kind):
+        """Past its tip a lone right-pointing defect equals its infinite
+        counterpart, which incident + background solves: the equations on
+        and next to its row carry no source there, not even rounding."""
+        spec = LatticeProblemSpec("square", (Defect(kind, 2, "right", 3),), inc_square)
+        system = assemble(spec, 20)
+        past = system.index_u[21:24, 23:]  # rows 1-3, x >= 3
+        assert not np.any(system.rhs[past[past >= 0]])
+        assert np.all(system.rhs[system.index_u[22, :23]] != 0)  # row 2 before the tip
+
+    @pytest.mark.parametrize("family,omega", [("sq_crack", 2.3 + 0.1j), ("sq_crack", 2.5 + 0.1j),
+                                              ("hex_crack", 2.0 + 0.1j), ("hex_crack", 2.5 + 0.1j)])
+    def test_band_top_fields_match_wh(self, family, omega):
+        """Near the band top the damped incident spans 1e76 to 1e129 across
+        the L = 100 window.  Formed by cancellation, the right-hand side
+        carried rounding of eps times that, and the oracle's field missed
+        these points by rel_l2 1.0 while every check passed; now they agree
+        to about 5e-15."""
+        inc = dispersion_solve(kernel_lattice(family), Frequency(omega), 0.3)
+        problem = ScalarWHProblem.for_family(family, inc)
+        window = ((-20, 20), (-20, 20))
+        wh = reconstruct_field(problem, solve_scalar(problem), window)
+        field = solve_direct(assemble(problem_for(problem.kernel, inc), 100))
+        assert compare_fields(wh, field, window).rel_l2 <= 1e-12
+
+
+# About 100x what the fields suite measures (omega = 1+0.1i, theta = pi/6,
+# L = 100 oracle): 3.9e-9, 2.2e-14 and 1.2e-9.  The suite's own bounds are
+# the acceptance criteria and stay as they are.
+FIELD_GATES = {
+    "sq_crack WH vs oracle rel_l2": 4e-7,
+    "hex_crack WH vs oracle rel_l2": 3e-12,
+    "closed constants vs oracle, max relative error": 1.3e-7,
+}
+
+
+def test_fields_suite_near_measured_accuracy():
+    found = {check.label: check.value for check in checks.fields()}
+    for label, gate in FIELD_GATES.items():
+        assert found[label] <= gate, label
+
+
 def _dense_free_operator(lattice, diag, size, torus):
     """A0 as a dense matrix from _STENCILS: diag on the diagonal and one per
     stencil coupling, on the size x size window with zero Dirichlet data or
@@ -573,12 +665,13 @@ class TestFreeOperators:
         (Lattice.SQUARE, 7), (Lattice.TRIANGULAR, 8), (Lattice.HONEYCOMB, 8),
     ], ids=["square_window", "triangular_torus", "honeycomb_torus"])
     def test_match_the_dense_inverse(self, lattice, size):
-        """green and free_solve against the inverse of the dense A0: the whole
-        of G, which must be symmetric, an unsorted block of it, and one solve."""
+        """green, free_solve and solve_at against the inverse of the dense A0:
+        the whole of G, which must be symmetric, an unsorted block of it, one
+        solve, and one solve read at unsorted sites for a source on two rows."""
         diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
         square = lattice is Lattice.SQUARE
         operator = oracle._sine_operator if square else oracle._torus_operator
-        free_solve, green = operator(oracle._STENCILS[lattice], diag, size)
+        free_solve, green, solve_at = operator(oracle._STENCILS[lattice], diag, size)
         inverse = np.linalg.inv(_dense_free_operator(lattice, diag, size, torus=not square))
         scale = np.max(np.abs(inverse))
         sites = np.arange(inverse.shape[0])
@@ -590,16 +683,35 @@ class TestFreeOperators:
         assert np.max(np.abs(green(rows, cols) - inverse[np.ix_(rows, cols)])) <= 1e-12 * scale
         b = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
         assert np.max(np.abs(free_solve(b) - inverse @ b)) <= 1e-12 * np.max(np.abs(inverse @ b))
+        b[(sites // size) % size > 1] = 0  # rows 0 and 1 of every sublattice
+        assert np.max(np.abs(solve_at(b, rows) - (inverse @ b)[rows])) <= \
+            1e-12 * np.max(np.abs(inverse @ b))
+
+
+def _fast(system):
+    """The capacitance solve with its refinement."""
+    return oracle._refined_solve(system, oracle._capacitance(system)[1], abs(system.matrix))[0]
 
 
 @pytest.fixture(scope="module")
 def damped_hex():
     """A strongly damped honeycomb window: the incident spans 15 orders of
-    magnitude across it, and the first free solve misses the field near the
-    crack by about 1e-8."""
+    magnitude across it.  With the right-hand side formed by cancellation,
+    its rounding made the first free solve miss the field near the crack
+    by about 1e-8."""
     w = 1.22 + 0.23j
     inc = dispersion_solve("honeycomb", Frequency(w), 0.72)
     system = assemble(problem_for(ScalarKernel("hex_crack", w), inc), 60)
+    return system, spla.splu(system.matrix.tocsc()).solve(system.rhs)
+
+
+@pytest.fixture(scope="module")
+def far_crack():
+    """A square crack on row 25 of an L = 30 window at strong damping: its
+    sources reach |b| = 4e7 where the incident is largest."""
+    w = 2.6 + 0.3j
+    inc = dispersion_solve("square", Frequency(w), 1.0)
+    system = assemble(LatticeProblemSpec("square", (Defect("crack", 25, "left", 0),), inc), 30)
     return system, spla.splu(system.matrix.tocsc()).solve(system.rhs)
 
 
@@ -609,28 +721,38 @@ class TestCapacitanceSolve:
     def test_matches_sparse_lu(self, request, layout, half_width):
         system = assemble(_spec(request, layout), half_width)
         reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-        fast = oracle._capacitance_solve(system)
+        fast = _fast(system)
         assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["square", "triangular", "honeycomb"]),
-           st.lists(st.tuples(st.sampled_from(["crack", "constraint"]), st.integers(-30, 30),
-                              st.booleans(), st.integers(-9, 9)),
-                    min_size=1, max_size=3, unique_by=lambda d: d[:2]),
-           st.integers(20, 30), st.floats(0.5, 1.6), st.floats(0.05, 0.25), st.floats(-1, 1))
+    @given(lattice=st.sampled_from(["square", "triangular", "honeycomb"]),
+           defects=st.lists(st.tuples(st.sampled_from(["crack", "constraint"]),
+                                      st.integers(-30, 30), st.booleans(), st.integers(-9, 9)),
+                            min_size=1, max_size=3, unique_by=lambda d: d[:2]),
+           half_width=st.integers(20, 30), re_w=st.floats(0.5, 1.6), im_w=st.floats(0.05, 0.25),
+           theta=st.floats(-1, 1))
+    @example(lattice="square", defects=[("crack", 0, True, 0)], half_width=20, re_w=1.5,
+             im_w=0.25, theta=0.0)
+    @example(lattice="square", defects=[("constraint", 2, False, 3)], half_width=20, re_w=1.5,
+             im_w=0.25, theta=0.0)
     def test_random_layouts_match_sparse_lu(self, lattice, defects, half_width, re_w, im_w,
                                             theta):
         """Cracks and constraints at random rows and tips, pointing right only
-        on the square lattice, rows up to and past the window edge."""
+        on the square lattice, rows up to and past the window edge.  At
+        grazing incidence (ky = 0) a right-pointing defect has no decaying
+        background, and assemble refuses it."""
         inc = dispersion_solve(lattice, Frequency(complex(re_w, im_w)), theta)
         spec = LatticeProblemSpec(lattice, tuple(
             Defect(kind, row, "right" if right and lattice == "square" else "left", tip)
             for kind, row, right, tip in defects), inc)
-        system = assemble(spec, half_width)
-        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-        fast = oracle._capacitance_solve(system)
-        assert fast is not None
-        assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
+        if theta == 0 and any(d.side == "right" for d in spec.defects):
+            with pytest.raises(InvalidSpec, match="grazing incidence"):
+                assemble(spec, half_width)
+        else:
+            system = assemble(spec, half_width)
+            reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            fast = _fast(system)
+            assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("kernel,lattice,pins,bonds", [
         (ScalarKernel("hex_crack", OMEGA), "honeycomb", 2 * (42**2 - 41**2), 20),
@@ -696,41 +818,50 @@ class TestCapacitanceSolve:
 
     @staticmethod
     def _returns(monkeypatch, field):
-        """Make the fast path return field(system), with its own backward errors."""
-        def refined(system, abs_matrix):
+        """Make the solve return field(system), with its own backward errors."""
+        def refined(system, solve, abs_matrix):
             w = field(system)
             return (w, *oracle._backward_errors(system, w, abs_matrix))
         monkeypatch.setattr(oracle, "_refined_solve", refined)
 
     def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec, inc_honeycomb):
-        refined = oracle._refined_solve
         self._returns(monkeypatch,
-                      lambda system: refined(system, abs(system.matrix))[0] * (1 + 1e-6))
+                      lambda system: oracle._capacitance(system)[1](system.rhs) * (1 + 1e-6))
         for spec in (crack_spec, problem_for(ScalarKernel("hex_crack", OMEGA), inc_honeycomb)):
             with pytest.raises(SolveFailure):
                 solve_direct(assemble(spec, 20))
 
-    def test_refinement_recovers_the_field_near_the_defect(self, damped_hex):
+    def test_one_solve_recovers_the_field_near_the_defect(self, damped_hex):
+        """With the exact right-hand side no equation needs refinement, and
+        the field near the crack matches the sparse LU to 1e-12."""
         system, reference = damped_hex
         near = system.index_u[40:81, 40:81].ravel()  # |x|, |y| <= 20
-        fast = oracle._capacitance_solve(system)
+        fast = oracle._capacitance(system)[1](system.rhs)
+        _, errors = oracle._backward_errors(system, fast, abs(system.matrix))
+        assert np.max(errors) <= oracle._REFINE_TOL
         assert np.linalg.norm(fast[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
 
-    def test_backward_error_check_guards_the_field_near_the_defect(self, monkeypatch, damped_hex):
-        # off by 1e-6 next to the crack: invisible to the relative residual,
-        # which the far corners of the window dominate
-        system, reference = damped_hex
+    def test_refinement_recovers_equations_far_below_the_largest_source(self, far_crack):
+        """The crack row's sources reach 4e7, far above the field near the
+        origin: the first solve misses the backward error check there,
+        refinement meets it, and the field matches the sparse LU."""
+        system, reference = far_crack
+        abs_matrix = abs(system.matrix)
+        solve = oracle._capacitance(system)[1]
+        _, first = oracle._backward_errors(system, solve(system.rhs), abs_matrix)
+        assert np.max(first) > oracle._SOLVE_TOL
+        w, _, errors = oracle._refined_solve(system, solve, abs_matrix)
+        assert np.max(errors) <= oracle._REFINE_TOL
+        near = system.index_u[20:41, 20:41].ravel()  # |x|, |y| <= 10
+        assert np.linalg.norm(w[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
+
+    def test_backward_error_check_guards_the_field_near_the_defect(self, monkeypatch, far_crack):
+        # off by 1e-6 on the crack face at its far end, where the field is
+        # 45: invisible to the relative residual, which the sources near the
+        # tip dominate (norm of b about 8e7)
+        system, reference = far_crack
         bumped = reference.copy()
-        bumped[system.site_id(0, 1)] += 1e-6
+        bumped[system.site_id(-29, 25)] += 1e-6
         self._returns(monkeypatch, lambda system: bumped)
         with pytest.raises(SolveFailure, match="backward error"):
             solve_direct(system)
-
-    def test_unconverged_refinement_falls_back_to_sparse_lu(self, monkeypatch, splu_calls,
-                                                           damped_hex):
-        system, reference = damped_hex
-        monkeypatch.setattr(oracle, "_REFINE_STEPS", 0)
-        fld = solve_direct(system)
-        assert len(splu_calls) == 1
-        free = system.index_u >= 0
-        assert np.array_equal(fld.u[free], reference[system.index_u[free]])
