@@ -54,11 +54,13 @@ __all__ = [
     "dispersion_solve",
     "dispersion_residual",
     "annulus_bounds",
+    "branch_points",
 ]
 
 _CUT_TOL = 1e-12
 _POLE_TOL = 1e-13
 _DEGENERATE_TOL = 1e-14
+_POLISH_STEPS = 3  # dispersion Newton steps past convergence, toward rounding
 
 
 class Lattice(str, Enum):
@@ -307,9 +309,11 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
     """Solve the lattice dispersion for kx = k cos(theta), ky = k sin(theta).
 
     Newton iteration on the complex magnitude k from the long-wave initial
-    guess; the returned incidence satisfies the plane-wave form of the
-    governing equation to better than 1e-12.  For honeycomb the companion
-    sublattice amplitude ratio is solved from the two coupled equations.
+    guess.  Convergence is declared at |symbol| < 1e-13; up to three more
+    steps follow while the residual still falls, so the returned incidence
+    satisfies the plane-wave form of the governing equation to rounding.
+    For honeycomb the companion sublattice amplitude ratio is solved from
+    the two coupled equations.
 
     Raises OutsidePassBand when a real frequency admits no propagating
     (real-k) root in this direction, NoConvergence after 100 iterations.
@@ -369,6 +373,17 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
             # axis forever: no propagating wave in this direction
             raise OutsidePassBand(f"no propagating root at omega={w} along theta={theta}")
         raise NoConvergence("dispersion Newton did not converge in 100 iterations")
+    # converged; a few more steps take the residual down to rounding, and
+    # stop as soon as a step no longer lowers it
+    for _ in range(_POLISH_STEPS):
+        deriv = dg(k)
+        if deriv == 0:
+            break
+        trial = k - gval / deriv
+        gtrial = g(trial)
+        if not abs(gtrial) < abs(gval):
+            break
+        k, gval = trial, gtrial
 
     if freq.omega2 == 0.0:
         if abs(k.imag) > 1e-9:
@@ -409,3 +424,30 @@ def annulus_bounds(inc: Incidence) -> tuple[float, float]:
     if lo >= hi:
         raise EmptyAnnulus(f"annulus collapsed: [{lo}, {hi}]")
     return lo, hi
+
+
+def branch_points(lattice, omega) -> np.ndarray:
+    """Branch points in z of the lattice's row multiplier.
+
+    Each set solves z + 1/z = u, so the points come in pairs (z, 1/z):
+    square, u = 2 - w^2 and 6 - w^2 (h = 0 and r = 0); slant lattices, the
+    roots of the discriminant quartic of the multiplier's quadratic,
+    z^4 - (2g + 4) z^3 + (g^2 - 6) z^2 - (2g + 4) z + 1 with g = 6 - (3/2) s,
+    which is palindromic and gives u = g + 2 +- 2 sqrt(g + 3); s is w^2 on
+    the triangular lattice and the reduced wT^2 on the honeycomb.
+    """
+    lattice = Lattice(lattice)
+    w2 = _omega_value(omega) ** 2
+    if lattice is Lattice.SQUARE:
+        sums = (2.0 - w2, 6.0 - w2)
+    else:
+        s = w2 if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(omega)
+        g = 6.0 - 1.5 * s
+        root = 2.0 * cmath.sqrt(g + 3.0)
+        sums = (g + 2.0 + root, g + 2.0 - root)
+    points = []
+    for u in sums:
+        disc = cmath.sqrt(u * u - 4.0)
+        big = (u + disc if abs(u + disc) >= abs(u - disc) else u - disc) / 2.0
+        points += [big, 1.0 / big]
+    return np.array(points)

@@ -35,8 +35,9 @@ growing flank of the damped incident wave, so the plain scattered field
 does not decay toward +x; for those configurations the solver subtracts
 the closed-form response of the corresponding *infinite* straight defect
 (a one-dimensional reflection problem solved exactly) and applies the
-window to the remainder, which decays in every direction.  The returned
-FieldGrid always contains the full scattered field.
+window to the remainder, which decays in every direction.  One such
+background per window: two or more right-pointing defects are refused.
+The returned FieldGrid always contains the full scattered field.
 
 wh_residual checks the paper's functional equation f+ + K f- = c directly
 against oracle data: half-range transforms are truncated sums of the
@@ -171,10 +172,18 @@ def _straight_backgrounds(spec: LatticeProblemSpec) -> tuple:
     At the incident's kx the square dispersion leaves two vertical modes,
     exp(-i ky) and exp(i ky); the background takes the one of modulus below
     one.  At ky = 0 (grazing incidence) neither decays, so InvalidSpec.
+
+    Each background solves its own infinite defect alone.  On another
+    right-pointing defect's row it leaves sources that grow toward +x with
+    the incident, so a window never converges there: two or more
+    right-pointing defects raise InvalidSpec too.
     """
     right = [d for d in spec.defects if d.side == "right"]
     if not right:
         return ()
+    if len(right) > 1:
+        raise InvalidSpec(f"{len(right)} right-pointing defects: the straight-defect "
+                          "backgrounds support one")
     inc = spec.incidence
     kx, ky, amp = inc.kappa_x, inc.kappa_y, inc.amplitude
     if ky.imag == 0:

@@ -20,7 +20,8 @@ system alpha = G(alpha) is solved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -30,11 +31,12 @@ from .branches import (
     Lattice,
     _slant_root,
     annulus_bounds,
+    branch_points,
     hex_coupling,
     hex_reduced_omega_sq,
     square_branches,
 )
-from .errors import IllConditionedClosure, InvalidSpec, WindowTooLarge
+from .errors import IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowTooLarge
 from .fields import FieldGrid, lattice_omega_shift
 from .kernels import AffineForcing, ScalarKernel, family_record, scalar_forcing
 from .series import (
@@ -60,13 +62,27 @@ __all__ = [
 
 _CLOSURE_SPAN = 200  # half-line recurrence truncation (zero tail beyond)
 
+# The grid rule of ScalarWHProblem.for_family and its confirmation tolerance.
+# The floor keeps _CLOSURE_SPAN inside the grid's orders.
+_NQ_FLOOR = 512
+_NQ_CAP = 4096
+_NQ_SPAN = 48.0  # nq * d, d the log-distance of the nearest singularity
+_RESOLVED_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ScalarWHProblem:
+    """A scalar WH problem on one sampling circle.
+
+    With refine_grid set, solve_scalar may move to a finer grid than this
+    one (see for_family); the solution records the grid it was solved on.
+    """
+
     kernel: ScalarKernel
     forcing: AffineForcing
     grid: CircleGrid
     incidence: Incidence
+    refine_grid: bool = False
 
     def __post_init__(self):
         lo, hi = annulus_bounds(self.incidence)
@@ -77,10 +93,36 @@ class ScalarWHProblem:
     @classmethod
     def for_family(cls, family: str, incidence: Incidence,
                    grid: CircleGrid | None = None) -> "ScalarWHProblem":
+        """The problem of a scalar family, on the given grid or on one it picks.
+
+        Without a grid it samples the unit circle at the smallest power of
+        two nq >= 512 with nq * d >= 48, at most 4096.  d is the smallest
+        |log|z|| over the row multiplier's branch points (branch_points)
+        and the two radii of annulus_bounds: the trapezoidal rule converges
+        like exp(-nq d).  solve_scalar confirms the choice with numbers it
+        computes anyway: the factorization's reconstruction residual and
+        leakage, and at the end the equation residual.  If one of them is
+        above 1e-12 while nq < 4096, it solves again at twice the count.
+        At 4096 the solve is exactly that of an explicit CircleGrid(1.0, 4096).
+        An explicit grid is used as given.
+        """
         kernel = ScalarKernel(family, incidence.omega)
         forcing = scalar_forcing(family, incidence)
-        return cls(kernel=kernel, forcing=forcing,
-                   grid=grid or CircleGrid(1.0, 4096), incidence=incidence)
+        if grid is not None:
+            return cls(kernel=kernel, forcing=forcing, grid=grid, incidence=incidence)
+        return cls(kernel=kernel, forcing=forcing, incidence=incidence, refine_grid=True,
+                   grid=CircleGrid(1.0, _initial_count(kernel, incidence)))
+
+
+def _initial_count(kernel: ScalarKernel, incidence: Incidence) -> int:
+    """Grid size for_family starts from; see _NQ_SPAN."""
+    lo, hi = annulus_bounds(incidence)
+    points = branch_points(kernel.lattice, kernel.omega_value)
+    d = min(-math.log(lo), math.log(hi), float(np.min(np.abs(np.log(np.abs(points))))))
+    count = _NQ_FLOOR
+    while count < _NQ_CAP and count * d < _NQ_SPAN:
+        count *= 2
+    return count
 
 
 @dataclass(frozen=True)
@@ -92,6 +134,7 @@ class WHSolution:
     factorization: FactorizationReport
     constants: dict
     residual: float
+    grid: CircleGrid
     closure_condition: float | None = None
 
     def transform_values(self, grid: CircleGrid) -> np.ndarray:
@@ -105,11 +148,31 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
 
     Returns the split transforms as support-enforced Laurent series, the
     kernel factors, the closed constants, and the max relative equation
-    residual |f+ + K f- - c| / max(1, |c|) over the grid.
+    residual |f+ + K f- - c| / max(1, |c|) over the grid.  A problem with
+    refine_grid doubles its grid below 4096 until the solve is resolved
+    (ScalarWHProblem.for_family); the solution's grid is the one used.
     """
+    while True:
+        confirm = problem.refine_grid and problem.grid.count < _NQ_CAP
+        solution = _solve_on_grid(problem, confirm)
+        if solution is not None:
+            return solution
+        problem = replace(problem, grid=CircleGrid(problem.grid.radius, 2 * problem.grid.count))
+
+
+def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None:
+    """solve_scalar on the problem's grid; with confirm, None where it is not resolved."""
     grid = problem.grid
     k_vals = sample(problem.kernel, grid)  # ScalarKernel or any callable of z
-    factor_plus, factor_minus, report = mult_factorize(k_vals, grid)
+    try:
+        factor_plus, factor_minus, report = mult_factorize(k_vals, grid)
+    except PhaseStepTooLarge:
+        if confirm:
+            return None
+        raise
+    if confirm and max(report.reconstruction_residual, report.leakage_plus,
+                       report.leakage_minus) > _RESOLVED_TOL:
+        return None
     kp_vals, km_vals = report.plus_samples, report.minus_samples
 
     # the known part of the forcing and each unknown's unit component,
@@ -141,6 +204,8 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
 
     residual = float(np.max(np.abs(fp_vals + k_vals * fm_vals - c_vals)))
     residual /= max(1.0, float(np.max(np.abs(c_vals))))
+    if confirm and residual > _RESOLVED_TOL:
+        return None
 
     # support-enforced series: f+ keeps orders n <= 0, f- keeps n >= 1
     plus, minus = row_split(row_coefficients(np.stack([fp_vals, fm_vals]), grid))
@@ -152,6 +217,7 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
         factorization=report,
         constants=constants,
         residual=residual,
+        grid=grid,
         closure_condition=condition,
     )
 
@@ -255,6 +321,9 @@ def _row_multiplier(lattice: Lattice, w: complex, z):
 def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) -> FieldGrid:
     """Scattered field on the window from the solved row transform.
 
+    Reads the transform on the solution's grid, which may be finer than
+    the problem's (solve_scalar).
+
     Rows y >= 0 follow u_y = u_0 * multiplier^y (with the honeycomb
     companion factor for the v rows); the lower half plane is filled by
     the family's reflection image (odd across the crack line, even
@@ -264,7 +333,7 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     from it; each row is bit-identical to coefficients() of its level.
     """
     (x0, x1), (y0, y1) = window
-    grid = problem.grid
+    grid = solution.grid
     nodes = grid.nodes
     kernel = problem.kernel
     rec = family_record(kernel.family)
@@ -273,8 +342,10 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
 
     pad = abs(y0) + 1
     ex0, ex1 = x0 - pad, x1 + pad
-    if max(abs(ex0), abs(ex1)) >= grid.count // 2 - 2:
-        raise WindowTooLarge("window exceeds the resolvable coefficient range")
+    reach = max(abs(ex0), abs(ex1))
+    if reach >= grid.count // 2 - 2:
+        raise WindowTooLarge(f"window reads Laurent order {reach}, past the range of an "
+                             f"nq = {grid.count} grid; it needs nq >= {2 * reach + 6}")
     y_top = max(y1, abs(y0) + 1, 1)
 
     f_vals = solution.transform_values(grid)

@@ -608,6 +608,22 @@ class TestExactRightHandSide:
         assert not np.any(system.rhs[past[past >= 0]])
         assert np.all(system.rhs[system.index_u[22, :23]] != 0)  # row 2 before the tip
 
+    @pytest.mark.parametrize("second", [("crack", "right"), ("constraint", "right"),
+                                        ("crack", "left")])
+    def test_two_right_pointing_defects_are_refused(self, second):
+        """Right cracks on rows 3 and -3: each background leaves on the other's
+        row sources that grow toward +x, and the +-10 field moved by 0.15
+        from L = 40 to L = 80.  With one of them pointing left it converges."""
+        inc = dispersion_solve("square", Frequency(1 + 0.1j), 0.5)
+        kind, side = second
+        spec = LatticeProblemSpec("square", (Defect("crack", 3, "right", 0),
+                                             Defect(kind, -3, side, 0)), inc)
+        if side == "left":
+            assemble(spec, 40)
+        else:
+            with pytest.raises(InvalidSpec, match="2 right-pointing defects"):
+                assemble(spec, 40)
+
     @pytest.mark.parametrize("family,omega", [("sq_crack", 2.3 + 0.1j), ("sq_crack", 2.5 + 0.1j),
                                               ("hex_crack", 2.0 + 0.1j), ("hex_crack", 2.5 + 0.1j)])
     def test_band_top_fields_match_wh(self, family, omega):
@@ -738,14 +754,18 @@ class TestCapacitanceSolve:
     def test_random_layouts_match_sparse_lu(self, lattice, defects, half_width, re_w, im_w,
                                             theta):
         """Cracks and constraints at random rows and tips, pointing right only
-        on the square lattice, rows up to and past the window edge.  At
-        grazing incidence (ky = 0) a right-pointing defect has no decaying
-        background, and assemble refuses it."""
+        on the square lattice, rows up to and past the window edge.  assemble
+        refuses two or more right-pointing defects, and at grazing incidence
+        (ky = 0) a right-pointing defect, which has no decaying background."""
         inc = dispersion_solve(lattice, Frequency(complex(re_w, im_w)), theta)
         spec = LatticeProblemSpec(lattice, tuple(
             Defect(kind, row, "right" if right and lattice == "square" else "left", tip)
             for kind, row, right, tip in defects), inc)
-        if theta == 0 and any(d.side == "right" for d in spec.defects):
+        right = sum(d.side == "right" for d in spec.defects)
+        if right > 1:
+            with pytest.raises(InvalidSpec, match="right-pointing defects: "):
+                assemble(spec, half_width)
+        elif theta == 0 and right:
             with pytest.raises(InvalidSpec, match="grazing incidence"):
                 assemble(spec, half_width)
         else:
