@@ -32,11 +32,13 @@ kernels have removable limits (t -> 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .branches import (
+    BranchValue,
     Incidence,
     Lattice,
     _omega_value,
@@ -104,14 +106,12 @@ def _hex_m(z, w):
     return ((1.0 + 1.0 / z) * _slant_root(z, hex_reduced_omega_sq(w)) + 1.0) / hex_coupling(w)
 
 
-def _hex_ns(z, w):
+def _hex_ns(z, w, hh):
     """Ns of the honeycomb crack, (1 + z)/hh rewritten through the quadratic.
 
     The cleared form stays finite as hh -> 0 (at z = -1).
     """
-    s = hex_reduced_omega_sq(w)
-    hh = np.asarray(_slant_root(z, s))
-    return (_tri_G(z, s) - (1.0 + 1.0 / z) * hh + 1.0) / hex_coupling(w)
+    return (_tri_G(z, hex_reduced_omega_sq(w)) - (1.0 + 1.0 / z) * hh + 1.0) / hex_coupling(w)
 
 
 def _matrix(rows):
@@ -242,8 +242,7 @@ def _opposing_mixed_det(spec, z):
 
 # --- the slant-lattice families ----------------------------------------------
 
-def _tri_dirichlet_k(spec, z):
-    t = np.asarray(_slant_root(z, spec.omega_value**2))
+def _tri_dirichlet_k(spec, z, t):
     return (z + t * t) / (z - t * t)
 
 
@@ -253,8 +252,8 @@ def _tri_dirichlet_alt(spec, z):
     return F / (F - 2.0 * np.asarray(_slant_root(z, w2)))
 
 
-def _hex_crack_k(spec, z):
-    ns = _hex_ns(z, spec.omega_value)
+def _hex_crack_k(spec, z, hh):
+    ns = _hex_ns(z, spec.omega_value, hh)
     return (ns - 1.0) / (ns + 1.0)
 
 
@@ -325,16 +324,15 @@ def _i_minus_k(mix=None):
     return project
 
 
-def _sq_scalar_project(kernel, z, halves, points):
-    return 0.5 * (1.0 - eval_scalar_kernel(kernel, z)) * (halves + points)
+def _sq_scalar_project(kernel, nodes, chi):
+    return 0.5 * (1.0 - nodes.kernel) * chi
 
 
-def _tri_dirichlet_project(kernel, z, halves, points):
+def _tri_dirichlet_project(kernel, nodes, chi):
     # c = -t (G u0m + u_in(-1,0) - 2 u(-1,1) + z u(0,0)) / D with
     # D = G - 2 t (1 + 1/z); stable through the removable point z = -1
-    w2 = kernel.omega_value**2
-    t = np.asarray(_slant_root(z, w2))
-    return -t * (halves + points) / (_tri_G(z, w2) - 2.0 * t * (1.0 + 1.0 / z))
+    z, t = nodes.z, nodes.branch
+    return -t * chi / (_tri_G(z, kernel.omega_value**2) - 2.0 * t * (1.0 + 1.0 / z))
 
 
 def _tri_crack_project(spec, z, halves, points):
@@ -389,19 +387,22 @@ class Family:
     count       the descriptor takes nu >= 2 defect rows, one tip offset each
     offsets     otherwise, the number of tip offsets it takes (0 or 1)
     psi         the descriptor takes a Floquet-Bloch multiplier
-    kernel      K(z) on arrays: shape (...) for scalars, (..., d, d) otherwise
+    kernel      K(z) on arrays, shape (..., d, d); a scalar family's reads
+                K off its branch at z, (spec, z, branch) -> shape (...)
     det         closed-form det K
     dk          Daniele-Khrapkov coefficients (a1, a2) of a reducible 2x2 kernel
     limit       K in the separation limit N -> infinity
     alternate   the second printed form of a scalar kernel
     chi         descriptor -> `Chi`: the data of the forcing vector chi(z)
-    project     the map c = P(z) chi(z); (I - K(z)) mix for most matrix families
+    project     the map c = P(z) chi(z); (I - K(z)) mix for most matrix families.
+                Scalar: P from `ScalarNodes`, applied to stacked chi rows
     components  the row combinations making up f, for `oracle.wh_residual`
     defects     the oracle layout: (kind, row, side, tip) tuples and a Bloch
                 period or None
     closure     scalar constraint families: x-shifts of the row-1 neighbours
                 of a defect-row site, which close the unknown constants
     image       scalar families: the reflection `Image` filling rows y < 0
+    zeros       scalar families: w -> the zeros of K off the branch points
     """
 
     lattice: Lattice
@@ -420,6 +421,7 @@ class Family:
     alternate: Callable | None = None
     closure: tuple | None = None
     image: Image | None = None
+    zeros: Callable = lambda w: ()
 
 
 def _single(kind):
@@ -481,19 +483,21 @@ def _square_rows(defects, **fields) -> Family:
 
 FAMILIES = {
     "sq_crack": Family(
-        lattice=Lattice.SQUARE, dim=1, kernel=lambda s, z: _h_over_r(*_sq(s, z), z),
+        lattice=Lattice.SQUARE, dim=1, kernel=lambda s, z, bv: bv.h / bv.r,
         alternate=lambda s, z: _crack(_sq(s, z)[0].lam),
         chi=lambda s: Chi(halves=((0, None, "crack_diff", 0, 0, "minus"),)),
         project=_sq_scalar_project, components=_solved_row(0), defects=_single("crack"),
         image=Image(odd=True, row_shift=1, x_per_row=0, sources=(("u", "u", 0),))),
     "sq_constraint": Family(
-        lattice=Lattice.SQUARE, dim=1, kernel=lambda s, z: _h2p2_over_rh(*_sq(s, z), z),
+        lattice=Lattice.SQUARE, dim=1,
+        kernel=lambda s, z, bv: _h2p2_over_rh(bv, s.omega_value**2, z),
         alternate=lambda s, z: _constraint(_sq(s, z)[0].lam),
         chi=lambda s: Chi(halves=((0, _sq_h2p2, "u_row", 0, 0, "minus"),),
                           known=((("u", -1, 0), 1, 0),), unknown=((("u", 0, 0), 0, 1),)),
         project=_sq_scalar_project, components=_solved_row(1),
         defects=_single("constraint"), closure=(0,),
-        image=Image(odd=False, row_shift=0, x_per_row=0, sources=(("u", "u", 0),))),
+        image=Image(odd=False, row_shift=0, x_per_row=0, sources=(("u", "u", 0),)),
+        zeros=lambda w: np.roots([1.0, w * w - 4.0, 1.0])),  # h^2 + 2 = 0
     "tri_dirichlet": Family(
         lattice=Lattice.TRIANGULAR, dim=1, kernel=_tri_dirichlet_k,
         alternate=_tri_dirichlet_alt,
@@ -508,7 +512,7 @@ FAMILIES = {
         # c = (u0m - v(-1)m)/(Ns + 1)
         chi=lambda s: Chi(halves=((0, None, "u_row", 0, 0, "minus"),
                                   (0, -1.0, "v_row", -1, 0, "minus"))),
-        project=lambda k, z, h, p: (h + p) / (1.0 + _hex_ns(z, k.omega_value)),
+        project=lambda k, n, chi: chi / (1.0 + _hex_ns(n.z, k.omega_value, n.branch)),
         components=_solved_row(0), defects=_single("crack"),
         # odd across the crack line: u(x,y) = -v(x+y, -1-y), v(x,y) = -u(x+y+1, -1-y)
         image=Image(odd=True, row_shift=1, x_per_row=1,
@@ -603,15 +607,47 @@ def _scalar_out(z, out):
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def eval_scalar_kernel(kernel: ScalarKernel, z):
+def _scalar_branch(kernel: ScalarKernel, z):
+    """The lattice branch a scalar kernel is built on, at z: square_branches'
+    (h, r, lam), or the slant root t (triangular) or hh (honeycomb)."""
+    w = kernel.omega_value
+    if kernel.lattice is Lattice.SQUARE:
+        return square_branches(z, w)
+    s = w * w if kernel.lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w)
+    return np.asarray(_slant_root(z, s))
+
+
+class ScalarNodes(NamedTuple):
+    """A scalar kernel's quantities at z, all read off one `_scalar_branch`:
+    the row propagation multiplier u_(y+1) / u_y (lam, t or hh) and K."""
+
+    spec: ScalarKernel
+    z: np.ndarray
+    branch: object
+    multiplier: np.ndarray
+    kernel: np.ndarray
+
+
+def scalar_nodes(kernel: ScalarKernel, z) -> ScalarNodes:
+    """One branch evaluation at z, and the multiplier and K read off it."""
+    za = np.asarray(z, dtype=complex)
+    branch = _scalar_branch(kernel, za)
+    multiplier = branch.lam if isinstance(branch, BranchValue) else branch
+    return ScalarNodes(kernel, za, branch, multiplier, eval_scalar_kernel(kernel, za, branch))
+
+
+def eval_scalar_kernel(kernel: ScalarKernel, z, branch=None):
     """Evaluate the scalar kernel at z (scalar or ndarray).
 
     Uses the form of each kernel that stays finite on power-of-two grids
     (in particular through the removable point z = -1 of the slant
-    families).
+    families).  branch is the kernel's branch at z where the caller has
+    it already (`scalar_nodes`); without it the branch is evaluated here.
     """
     za = np.asarray(z, dtype=complex)
-    return _scalar_out(za, np.asarray(FAMILIES[kernel.family].kernel(kernel, za)))
+    if branch is None:
+        branch = _scalar_branch(kernel, za)
+    return _scalar_out(za, np.asarray(FAMILIES[kernel.family].kernel(kernel, za, branch)))
 
 
 def scalar_kernel_forms(kernel: ScalarKernel, z):
@@ -622,7 +658,7 @@ def scalar_kernel_forms(kernel: ScalarKernel, z):
     """
     za = np.asarray(z, dtype=complex)
     rec = FAMILIES[kernel.family]
-    return rec.kernel(kernel, za), rec.alternate(kernel, za)
+    return rec.kernel(kernel, za, _scalar_branch(kernel, za)), rec.alternate(kernel, za)
 
 
 @dataclass(frozen=True)
@@ -739,12 +775,14 @@ class AffineForcing:
 
     Unknown lattice constants enter linearly; keys are site tuples like
     ("u", x, y).  Scalar problems use dim == 1 with complex-valued
-    callables, matrix problems return length-dim vectors.
+    callables, matrix problems return length-dim vectors.  A scalar
+    family's rows(z, nodes) stacks base and terms through one projector.
     """
 
     dim: int
     base: Callable
     terms: tuple = field(default_factory=tuple)
+    rows: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def constant_ids(self) -> tuple:
@@ -793,31 +831,37 @@ def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
     def point(c, e, z):
         return c + np.multiply.outer(z, e)
 
-    def halves_at(z):
+    def chi_at(za, i):
+        """(halves, points) of chi for the base (i = 0) or the i-th unknown's unit term."""
+        if i:
+            _, c, e = chi.unknown[i - 1]
+            pts = np.asarray(point(c, e, za), dtype=complex)
+            return np.zeros_like(pts), pts
         comps = [0] * kernel.dim
         for p, weight, fn in halves:
-            val = fn(z)
+            val = fn(za)
             if weight is not None:
-                val = (weight(z, w2) if callable(weight) else weight) * val
+                val = (weight(za, w2) if callable(weight) else weight) * val
             comps[p] = comps[p] + val
-        return comps[0] if rec.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
+        h = comps[0] if rec.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
+        return h, sum((value * point(c, e, za) for value, c, e in known), np.zeros_like(h))
 
-    def finish(z, out):
-        return _scalar_out(z, out) if rec.dim == 1 else out
-
-    def base(z):
+    def rows(z, nodes=None):
         za = np.asarray(z, dtype=complex)
-        h = halves_at(za)
-        pts = sum((value * point(c, e, za) for value, c, e in known), np.zeros_like(h))
-        return finish(za, rec.project(kernel, za, h, pts))
+        if nodes is None or nodes.spec != kernel:
+            nodes = scalar_nodes(kernel, za)
+        parts = [chi_at(za, i) for i in range(1 + len(chi.unknown))]
+        return rec.project(kernel, nodes, np.stack([h + p for h, p in parts]))
 
-    def term(c, e, z):
+    def row(i, z):
+        if rec.dim == 1:
+            return _scalar_out(z, rows(z)[i])
         za = np.asarray(z, dtype=complex)
-        pts = np.asarray(point(c, e, za), dtype=complex)
-        return finish(za, rec.project(kernel, za, np.zeros_like(pts), pts))
+        return rec.project(kernel, za, *chi_at(za, i))
 
-    terms = tuple((key, lambda z, c=c, e=e: term(c, e, z)) for key, c, e in chi.unknown)
-    return AffineForcing(dim=kernel.dim, base=base, terms=terms)
+    terms = tuple((key, partial(row, i)) for i, (key, _, _) in enumerate(chi.unknown, start=1))
+    return AffineForcing(dim=kernel.dim, base=partial(row, 0), terms=terms,
+                         rows=rows if rec.dim == 1 else None)
 
 
 def scalar_forcing(family: str, inc: Incidence) -> AffineForcing:

@@ -181,16 +181,19 @@ def row_coefficients(samples, grid: CircleGrid, orders=None) -> np.ndarray:
     result holds every order of grid.orders, as coefficients() does; with
     orders (each in [-count/2, count/2)) it holds just those, read by index
     so the others are never scaled.  Each value is bit-identical to the
-    one coefficients() gives for that row.
+    one coefficients() gives for that row.  On the unit circle the radius
+    scale is 1 and is not applied.
     """
     raw = np.fft.fft(samples, axis=-1)
     if orders is None:
-        return np.fft.fftshift(raw, axes=-1) / grid.count * grid.inverse_radius_powers
-    n = np.asarray(orders)
-    half = grid.count // 2
-    if n.size and not (-half <= n.min() and n.max() < half):
-        raise LengthMismatch(f"orders outside [-{half}, {half}) on this grid")
-    return np.take(raw, n % grid.count, axis=-1) / grid.count * grid.inverse_radius_powers[n + half]
+        coeff, index = np.fft.fftshift(raw, axes=-1) / grid.count, slice(None)
+    else:
+        n = np.asarray(orders)
+        half = grid.count // 2
+        if n.size and not (-half <= n.min() and n.max() < half):
+            raise LengthMismatch(f"orders outside [-{half}, {half}) on this grid")
+        coeff, index = np.take(raw, n % grid.count, axis=-1) / grid.count, n + half
+    return coeff if grid.radius == 1.0 else coeff * grid.inverse_radius_powers[index]
 
 
 def row_values(coeff, grid: CircleGrid) -> np.ndarray:
@@ -199,7 +202,8 @@ def row_values(coeff, grid: CircleGrid) -> np.ndarray:
     The batched form of LaurentSeries.values_on: one inverse FFT along the
     last axis, each row bit-identical to values_on of that row.
     """
-    shifted = np.fft.ifftshift(coeff * grid.radius_powers, axes=-1)
+    scaled = coeff if grid.radius == 1.0 else coeff * grid.radius_powers
+    shifted = np.fft.ifftshift(scaled, axes=-1)
     return grid.count * np.fft.ifft(shifted, axis=-1)
 
 
@@ -219,11 +223,18 @@ def row_split(coeff) -> tuple[np.ndarray, np.ndarray]:
     return np.where(plus_side, coeff, 0j), np.where(plus_side, 0j, coeff)
 
 
-def _phase_steps(samples: np.ndarray) -> np.ndarray:
-    """Cyclic node-to-node phase increments wrapped into (-pi, pi]."""
+def _phase_steps(samples: np.ndarray, modulus: np.ndarray) -> tuple[np.ndarray, int]:
+    """Cyclic node-to-node phase increments wrapped into (-pi, pi], checked
+    (no zero on the contour, no step above pi/2), and their winding number."""
+    if np.any(modulus < 1e-14):
+        raise ZeroOnContour("sample with modulus < 1e-14 on the contour")
     ph = np.angle(samples)
     d = np.diff(np.append(ph, ph[0]))
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
+    steps = (d + np.pi) % (2.0 * np.pi) - np.pi
+    worst = float(np.max(np.abs(steps)))
+    if worst > np.pi / 2:
+        raise PhaseStepTooLarge(f"max phase step {worst:.3f} rad exceeds pi/2")
+    return steps, int(round(float(np.sum(steps)) / (2.0 * np.pi)))
 
 
 def winding_number(samples) -> int:
@@ -233,13 +244,7 @@ def winding_number(samples) -> int:
     function well enough that no step exceeds pi/2.
     """
     vals = np.asarray(samples, dtype=complex)
-    if np.any(np.abs(vals) < 1e-14):
-        raise ZeroOnContour("sample with modulus < 1e-14 on the contour")
-    steps = _phase_steps(vals)
-    worst = float(np.max(np.abs(steps)))
-    if worst > np.pi / 2:
-        raise PhaseStepTooLarge(f"max phase step {worst:.3f} rad exceeds pi/2")
-    return int(round(float(np.sum(steps)) / (2.0 * np.pi)))
+    return _phase_steps(vals, np.abs(vals))[1]
 
 
 @dataclass(frozen=True)
@@ -279,13 +284,13 @@ def mult_factorize(samples, grid: CircleGrid):
     does not exist then) and ZeroOnContour for vanishing samples.
     """
     vals = np.asarray(samples, dtype=complex)
-    wn = winding_number(vals)
+    modulus = np.abs(vals)
+    steps, wn = _phase_steps(vals, modulus)  # one pass for the winding and the phase
     if wn != 0:
         raise NonzeroWinding(wn)
 
-    steps = _phase_steps(vals)
     phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    log_samples = np.log(np.abs(vals)) + 1j * phase
+    log_samples = np.log(modulus) + 1j * phase
 
     split = additive_split(coefficients(log_samples, grid))
     factor_vals = np.exp(row_values(np.stack([split.plus.coeff, split.minus.coeff]), grid))
@@ -306,7 +311,7 @@ def mult_factorize(samples, grid: CircleGrid):
 
     plus_vals, minus_vals = row_values(np.stack([plus_coeff, minus_coeff]), grid)
     recon = plus_vals * minus_vals
-    residual = float(np.max(np.abs(recon - vals) / np.abs(vals)))
+    residual = float(np.max(np.abs(recon - vals) / modulus))
     report = FactorizationReport(
         winding=wn,
         reconstruction_residual=residual,

@@ -21,29 +21,19 @@ system alpha = G(alpha) is solved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
-from .branches import (
-    Incidence,
-    Lattice,
-    _slant_root,
-    annulus_bounds,
-    branch_points,
-    hex_coupling,
-    hex_reduced_omega_sq,
-    square_branches,
-)
+from .branches import Incidence, Lattice, annulus_bounds, branch_points, hex_coupling
 from .errors import IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowTooLarge
 from .fields import FieldGrid, lattice_omega_shift
-from .kernels import AffineForcing, ScalarKernel, family_record, scalar_forcing
+from .kernels import AffineForcing, ScalarKernel, family_record, scalar_forcing, scalar_nodes
 from .series import (
     CircleGrid,
     FactorizationReport,
     LaurentSeries,
-    coefficients,
     mult_factorize,
     row_coefficients,
     row_split,
@@ -68,6 +58,8 @@ _NQ_FLOOR = 512
 _NQ_CAP = 4096
 _NQ_SPAN = 48.0  # nq * d, d the log-distance of the nearest singularity
 _RESOLVED_TOL = 1e-12
+# the unit circles it picks from, shared so that each builds its node tables once
+_UNIT_GRIDS = {grid: grid for grid in (CircleGrid(1.0, n) for n in (512, 1024, 2048, 4096))}
 
 
 @dataclass(frozen=True)
@@ -97,9 +89,10 @@ class ScalarWHProblem:
 
         Without a grid it samples the unit circle at the smallest power of
         two nq >= 512 with nq * d >= 48, at most 4096.  d is the smallest
-        |log|z|| over the row multiplier's branch points (branch_points)
-        and the two radii of annulus_bounds: the trapezoidal rule converges
-        like exp(-nq d).  solve_scalar confirms the choice with numbers it
+        |log|z|| over the row multiplier's branch points (branch_points),
+        the kernel's zeros off them (the family record's zeros) and the two
+        radii of annulus_bounds: the trapezoidal rule converges like
+        exp(-nq d).  solve_scalar confirms the choice with numbers it
         computes anyway: the factorization's reconstruction residual and
         leakage, and at the end the equation residual.  If one of them is
         above 1e-12 while nq < 4096, it solves again at twice the count.
@@ -111,13 +104,14 @@ class ScalarWHProblem:
         if grid is not None:
             return cls(kernel=kernel, forcing=forcing, grid=grid, incidence=incidence)
         return cls(kernel=kernel, forcing=forcing, incidence=incidence, refine_grid=True,
-                   grid=CircleGrid(1.0, _initial_count(kernel, incidence)))
+                   grid=_UNIT_GRIDS[CircleGrid(1.0, _initial_count(kernel, incidence))])
 
 
 def _initial_count(kernel: ScalarKernel, incidence: Incidence) -> int:
     """Grid size for_family starts from; see _NQ_SPAN."""
     lo, hi = annulus_bounds(incidence)
-    points = branch_points(kernel.lattice, kernel.omega_value)
+    w = kernel.omega_value
+    points = np.append(branch_points(kernel.lattice, w), family_record(kernel.family).zeros(w))
     d = min(-math.log(lo), math.log(hi), float(np.min(np.abs(np.log(np.abs(points))))))
     count = _NQ_FLOOR
     while count < _NQ_CAP and count * d < _NQ_SPAN:
@@ -136,6 +130,8 @@ class WHSolution:
     residual: float
     grid: CircleGrid
     closure_condition: float | None = None
+    # the row multiplier at the grid's nodes; None for a plain callable kernel
+    multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def transform_values(self, grid: CircleGrid) -> np.ndarray:
         """Samples of f+ + f- (the solved row transform) on the grid."""
@@ -151,19 +147,38 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
     residual |f+ + K f- - c| / max(1, |c|) over the grid.  A problem with
     refine_grid doubles its grid below 4096 until the solve is resolved
     (ScalarWHProblem.for_family); the solution's grid is the one used.
+    Per grid, the lattice branch is evaluated once at the nodes; K, the
+    forcing rows (through one projector) and the row multiplier, kept on
+    the solution for reconstruct_field, are all read off it.
     """
     while True:
         confirm = problem.refine_grid and problem.grid.count < _NQ_CAP
         solution = _solve_on_grid(problem, confirm)
         if solution is not None:
             return solution
-        problem = replace(problem, grid=CircleGrid(problem.grid.radius, 2 * problem.grid.count))
+        grid = CircleGrid(problem.grid.radius, 2 * problem.grid.count)
+        problem = replace(problem, grid=_UNIT_GRIDS.get(grid, grid))
+
+
+def _node_samples(problem: ScalarWHProblem, grid: CircleGrid):
+    """K, the forcing rows (base, then each unit term) and the row multiplier
+    at the grid's nodes; a plain callable is sampled as given."""
+    kernel, forcing = problem.kernel, problem.forcing
+    nodes = scalar_nodes(kernel, grid.nodes) if isinstance(kernel, ScalarKernel) else None
+    if forcing.rows is not None:
+        c_rows = forcing.rows(grid.nodes, nodes)
+    else:
+        fns = [forcing.base] + [fn for _, fn in forcing.terms]
+        c_rows = np.stack([sample(fn, grid) for fn in fns])
+    if nodes is None:
+        return sample(kernel, grid), c_rows, None
+    return nodes.kernel, c_rows, nodes.multiplier
 
 
 def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None:
     """solve_scalar on the problem's grid; with confirm, None where it is not resolved."""
     grid = problem.grid
-    k_vals = sample(problem.kernel, grid)  # ScalarKernel or any callable of z
+    k_vals, c_rows, multiplier = _node_samples(problem, grid)
     try:
         factor_plus, factor_minus, report = mult_factorize(k_vals, grid)
     except PhaseStepTooLarge:
@@ -177,30 +192,21 @@ def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None
 
     # the known part of the forcing and each unknown's unit component,
     # split in one pass: row 0 is the base, row i the i-th term
-    forcing = problem.forcing
-    c_rows = np.stack([sample(forcing.base, grid)] + [sample(fn, grid) for _, fn in forcing.terms])
     plus, minus = row_split(row_coefficients(c_rows / kp_vals, grid))
     fp_rows = kp_vals * row_values(plus, grid)
     fm_rows = row_values(minus, grid) / km_vals
-    c_base = c_rows[0]
-    base_pair = (fp_rows[0], fm_rows[0])
-    term_data = [(key, c_rows[i], (fp_rows[i], fm_rows[i]))
-                 for i, (key, _) in enumerate(forcing.terms, start=1)]
+    terms = list(enumerate(problem.forcing.constant_ids, start=1))
+    constants, condition = {}, None
+    if terms:
+        term_pairs = [(key, (fp_rows[i], fm_rows[i])) for i, key in terms]
+        constants, condition = close_constants(problem, (fp_rows[0], fm_rows[0]), term_pairs)
 
-    constants: dict = {}
-    condition = None
-    if term_data:
-        constants, condition = close_constants(
-            problem, base_pair, [(key, pair) for key, _, pair in term_data])
-
-    fp_vals = base_pair[0].copy()
-    fm_vals = base_pair[1].copy()
-    c_vals = c_base.copy()
-    for key, c_term, (tp, tm) in term_data:
+    fp_vals, fm_vals, c_vals = fp_rows[0].copy(), fm_rows[0].copy(), c_rows[0].copy()
+    for i, key in terms:
         alpha = constants[key]
-        fp_vals += alpha * tp
-        fm_vals += alpha * tm
-        c_vals += alpha * c_term
+        fp_vals += alpha * fp_rows[i]
+        fm_vals += alpha * fm_rows[i]
+        c_vals += alpha * c_rows[i]
 
     residual = float(np.max(np.abs(fp_vals + k_vals * fm_vals - c_vals)))
     residual /= max(1.0, float(np.max(np.abs(c_vals))))
@@ -219,6 +225,7 @@ def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None
         residual=residual,
         grid=grid,
         closure_condition=condition,
+        multiplier=multiplier,
     )
 
 
@@ -232,32 +239,6 @@ def inverse_transform_row(series: LaurentSeries, x_range) -> np.ndarray:
     i = series.coeff.size // 2 - np.asarray(x_range, dtype=np.int64)
     inside = (i >= 0) & (i < series.coeff.size)
     return np.where(inside, series.coeff[np.where(inside, i, 0)], 0j)
-
-
-def _derive_estimates(problem: ScalarWHProblem, fp_vals, fm_vals,
-                      with_incident_boundary: bool) -> dict:
-    """Re-derive each unknown constant from one affine solution component.
-
-    f = u_1 for both constraint problems; a row-1 unknown is a direct
-    coefficient read-off, a row-0 unknown comes from the half-line
-    defect-row recurrence driven by the reconstructed row 1, truncated at
-    x = _CLOSURE_SPAN with a zero tail (justified by the exponential
-    damping decay).
-    """
-    grid = problem.grid
-    kernel = problem.kernel
-    if family_record(kernel.family).closure is None:
-        raise ValueError(f"no closure rule for family {kernel.family!r}")
-    row1_series = coefficients(fp_vals + fm_vals, grid)
-    span = _CLOSURE_SPAN
-    row1 = inverse_transform_row(row1_series, range(-1, span + 2))  # x = -1 .. span+1
-    left = -complex(problem.incidence.field(-1, 0)) if with_incident_boundary else 0j
-    row0 = _row0_half_line(kernel, row1, left, span)
-    estimates = {}
-    for key in problem.forcing.constant_ids:
-        _, x, y = key
-        estimates[key] = complex(row1[x + 1] if y == 1 else row0[x])
-    return estimates
 
 
 def _row0_half_line(kernel: ScalarKernel, row1: np.ndarray,
@@ -290,16 +271,28 @@ def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
     base_pair is (f+, f-) samples for the known part of the forcing and
     term_pairs a list of (key, (f+, f-)) for each unknown's unit
     component.  Returns (constants, condition number of I - G).
+
+    f = u_1 for both constraint problems; one batched transform gives
+    every component's row 1.  Each unknown is re-derived from it: a row-1
+    unknown is read off, a row-0 unknown comes from the half-line
+    defect-row recurrence driven by row 1, truncated at x = _CLOSURE_SPAN
+    with a zero tail (justified by the exponential damping decay).  Only
+    the known part carries the incident boundary value u_{-1,0}.
     """
+    kernel = problem.kernel
+    if family_record(kernel.family).closure is None:
+        raise ValueError(f"no closure rule for family {kernel.family!r}")
     keys = [key for key, _ in term_pairs]
-    g0_map = _derive_estimates(problem, *base_pair, with_incident_boundary=True)
-    g0 = np.array([g0_map[k] for k in keys])
-    g_cols = []
-    for _, pair in term_pairs:
-        est = _derive_estimates(problem, *pair, with_incident_boundary=False)
-        g_cols.append([est[k] for k in keys])
-    g_matrix = np.array(g_cols).T
-    system = np.eye(len(keys)) - g_matrix
+    pairs = [base_pair] + [pair for _, pair in term_pairs]
+    rows1 = row_coefficients(np.stack([fp + fm for fp, fm in pairs]), problem.grid,
+                             -np.arange(-1, _CLOSURE_SPAN + 2))  # u_1 = a_{-x}, x = -1 .. span+1
+    left = -complex(problem.incidence.field(-1, 0))
+    estimates = []
+    for i, row1 in enumerate(rows1):
+        row0 = _row0_half_line(kernel, row1, left if i == 0 else 0j, _CLOSURE_SPAN)
+        estimates.append([row1[x + 1] if y == 1 else row0[x] for _, x, y in keys])
+    g0, g_rows = estimates[0], estimates[1:]
+    system = np.eye(len(keys)) - np.array(g_rows).T
     det = np.linalg.det(system)
     if abs(det) < 1e-10:
         raise IllConditionedClosure(f"|det(I - G)| = {abs(det):.3e}")
@@ -310,19 +303,12 @@ def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
     return dict(zip(keys, alpha)), condition
 
 
-def _row_multiplier(lattice: Lattice, w: complex, z):
-    """Per-row propagation multiplier of the lattice: lam, t or hh."""
-    if lattice is Lattice.SQUARE:
-        return square_branches(z, w).lam
-    s = w * w if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w)
-    return np.asarray(_slant_root(z, s))
-
-
 def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) -> FieldGrid:
     """Scattered field on the window from the solved row transform.
 
-    Reads the transform on the solution's grid, which may be finer than
-    the problem's (solve_scalar).
+    Reads the transform and the row multiplier solve_scalar kept for the
+    solution's grid, which may be finer than the problem's: no branch is
+    evaluated here.
 
     Rows y >= 0 follow u_y = u_0 * multiplier^y (with the honeycomb
     companion factor for the v rows); the lower half plane is filled by
@@ -330,7 +316,8 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     across the constraint row, slant-shifted for the slant lattices).
     All row levels, the honeycomb v rows included, are transformed by
     one FFT along the last axis and only the window's columns are read
-    from it; each row is bit-identical to coefficients() of its level.
+    from it; each row is bit-identical to coefficients() of its level.  The
+    constraint families' closure row comes from the same transform.
     """
     (x0, x1), (y0, y1) = window
     grid = solution.grid
@@ -349,7 +336,7 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     y_top = max(y1, abs(y0) + 1, 1)
 
     f_vals = solution.transform_values(grid)
-    prop = _row_multiplier(kernel.lattice, w, nodes)
+    prop = solution.multiplier
     honeycomb = kernel.lattice is Lattice.HONEYCOMB
 
     # crack problems solve for row 0 directly; constraint problems solve
@@ -367,15 +354,20 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
         np.multiply(levels[i - 1], prop, out=levels[i])
     if honeycomb:  # v rows: the companion factor times each u level
         np.multiply(levels[:n_levels], (1.0 + nodes + prop) / hex_coupling(w), out=levels[n_levels:])
-    # u_x = a_{-x}: every row of every sublattice from one batched FFT
+    # u_x = a_{-x}: every row of every sublattice from one batched FFT;
+    # constraint families also read row 1 at x = -1 .. span + 1 from it for
+    # the closure recurrence (orders past the grid read 0)
     xs = np.arange(ex0, ex1 + 1)
+    span = max(_CLOSURE_SPAN, ex1 + 50)
+    reads = np.arange(min(ex0, -1), min(span + 1, grid.count // 2) + 1) if constraint_like else xs
+    coeff = row_coefficients(levels, grid, -reads)
     upper = np.zeros((len(subs), y_top + 1, xs.size), dtype=complex)
-    upper[:, first:] = row_coefficients(levels, grid, -xs).reshape(len(subs), -1, xs.size)
+    upper[:, first:] = coeff[:, xs - reads[0]].reshape(len(subs), -1, xs.size)
     upper = dict(zip(subs, upper))
 
     if constraint_like:
-        span = max(_CLOSURE_SPAN, ex1 + 50)
-        row1 = inverse_transform_row(coefficients(f_vals, grid), range(-1, span + 2))
+        row1 = np.zeros(span + 3, dtype=complex)
+        row1[:reads[-1] + 2] = coeff[0, -1 - reads[0]:]
         row0_pos = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
         pinned = xs < 0
         # u = -u_in on the constraint, one site at a time: the array form

@@ -656,6 +656,16 @@ def test_fields_suite_near_measured_accuracy():
         assert found[label] <= gate, label
 
 
+def test_residuals_suite_near_measured_accuracy():
+    """Every matrix wh_residual of the residuals suite (criterion 10, bound
+    5e-2) measures 3.05e-7 (opposing_mixed) to 2.13e-6 (opposing_cracks);
+    the gate sits about 100x above the largest."""
+    found = [check for check in checks.residuals() if check.label.startswith("wh_residual ")]
+    assert len(found) == 9
+    for check in found:
+        assert check.value <= 2e-4, check.label
+
+
 def _dense_free_operator(lattice, diag, size, torus):
     """A0 as a dense matrix from _STENCILS: diag on the diagonal and one per
     stencil coupling, on the size x size window with zero Dirichlet data or

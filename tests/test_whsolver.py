@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,18 +7,32 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from latticewh import whsolver
-from latticewh.branches import Frequency, annulus_bounds, dispersion_solve, hex_coupling
+from latticewh import branches, kernels, whsolver
+from latticewh.branches import (
+    Frequency,
+    Lattice,
+    _slant_root,
+    annulus_bounds,
+    dispersion_solve,
+    hex_coupling,
+    hex_reduced_omega_sq,
+    square_branches,
+)
 from latticewh.errors import InvalidSpec, LatticeWHError, PhaseStepTooLarge, WindowTooLarge
 from latticewh.fields import compare_fields
-from latticewh.kernels import SCALAR_FAMILIES, AffineForcing, family_record, kernel_lattice
+from latticewh.kernels import (
+    SCALAR_FAMILIES,
+    AffineForcing,
+    ScalarKernel,
+    family_record,
+    kernel_lattice,
+)
 from latticewh.oracle import Defect, LatticeProblemSpec, assemble, solve_direct
-from latticewh.series import CircleGrid, LaurentSeries, coefficients
+from latticewh.series import CircleGrid, LaurentSeries, coefficients, sample
 from latticewh.whsolver import (
     _CLOSURE_SPAN,
     ScalarWHProblem,
     _row0_half_line,
-    _row_multiplier,
     inverse_transform_row,
     reconstruct_field,
     solve_scalar,
@@ -93,13 +108,16 @@ class TestChosenGrid:
            im_w=st.floats(0.002, 0.3), theta=st.floats(-1.2, 1.2))
     @example(family="sq_constraint", re_w=2.04, im_w=0.045, theta=0.07)
     @example(family="sq_constraint", re_w=1.94, im_w=0.031, theta=-0.11)
+    @example(family="sq_constraint", re_w=1.9646, im_w=0.02589, theta=-0.03865)
     @example(family="hex_crack", re_w=1.2166, im_w=0.0506, theta=-1.154)
     def test_matches_the_fixed_grid(self, family, re_w, im_w, theta):
-        """The two sq_constraint examples start at nq = 512 and are only
-        resolved at 1024: the confirmation, not the rule, catches them.  At
-        the hex_crack example the annulus bound is nearest; there the
-        confirmation sees nothing, and with nq * d >= 12 in place of 48 the
-        field missed the fixed grid's by 2e-7."""
+        """The three sq_constraint examples are resolved at nq = 1024.  They
+        started at 512 and were caught by the confirmation until the
+        kernel's zeros joined the grid rule; now the rule starts them at
+        1024 (test_kernel_zeros_size_the_start).  At the hex_crack example
+        the annulus bound is nearest; there the confirmation sees nothing,
+        and with nq * d >= 12 in place of 48 the field missed the fixed
+        grid's by 2e-7."""
         lattice = kernel_lattice(family)
         if re_w >= 0.99 * BAND_TOP[lattice]:
             reject()
@@ -131,6 +149,24 @@ class TestChosenGrid:
         rep = sol.factorization
         assert max(sol.residual, rep.reconstruction_residual,
                    rep.leakage_plus, rep.leakage_minus) <= whsolver._RESOLVED_TOL
+
+    @pytest.mark.parametrize("re_w,im_w,theta", [
+        (1.9646, 0.02589, -0.03865), (2.04, 0.045, 0.07), (1.94, 0.031, -0.11)])
+    def test_kernel_zeros_size_the_start(self, re_w, im_w, theta):
+        """sq_constraint's K = (h^2 + 2)/(r h) vanishes where z + 1/z = 4 - w^2.
+        With those zeros beside the branch points, these draws start at the
+        nq they are resolved at; without them they started at 512."""
+        inc = dispersion_solve("square", Frequency(complex(re_w, im_w)), theta)
+        problem = ScalarWHProblem.for_family("sq_constraint", inc)
+        assert problem.grid.count == 1024
+        assert solve_scalar(problem).grid.count == 1024
+
+    def test_confirmation_still_catches_a_low_start(self):
+        """A draw the rule still sizes at 512 is resolved only at 1024."""
+        inc = dispersion_solve("square", Frequency(2.0247 + 0.04723j), -0.28704)
+        problem = ScalarWHProblem.for_family("sq_constraint", inc)
+        assert problem.grid.count == 512
+        assert solve_scalar(problem).grid.count == 1024
 
     def test_strong_damping_starts_at_the_floor(self, inc_square):
         problem = ScalarWHProblem.for_family("sq_crack", inc_square)
@@ -170,6 +206,108 @@ class TestChosenGrid:
         reconstruct_field(problem, sol, ((-251, 251), (-1, 1)))  # orders up to 253
         with pytest.raises(WindowTooLarge, match="nq = 512 grid; it needs nq >= 530"):
             reconstruct_field(problem, sol, ((-260, 260), (-1, 1)))
+
+
+def _counting(module, name, counts, key, size_at, z_arg=0):
+    """Wrap module.name so that calls whose z (positional argument z_arg)
+    holds at least size_at values are counted under key."""
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        if np.size(args[z_arg]) >= size_at:
+            counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class TestOncePerGrid:
+    """A scalar solve evaluates the branch, K and the forcing's projector once per grid."""
+
+    CASES = [("sq_crack", OMEGA, THETA), ("sq_constraint", OMEGA, THETA),
+             ("tri_dirichlet", OMEGA, THETA), ("hex_crack", OMEGA, THETA),
+             # starts at 512 and is resolved at 1024: two grids
+             ("sq_constraint", 2.0247 + 0.04723j, -0.28704)]
+
+    @pytest.mark.parametrize("family,omega,theta", CASES)
+    def test_branch_and_kernel_once_per_grid(self, family, omega, theta, monkeypatch):
+        inc = dispersion_solve(kernel_lattice(family), Frequency(omega), theta)
+        problem = ScalarWHProblem.for_family(family, inc)
+        counts = Counter()
+        floor = problem.grid.count
+        for module in (branches, kernels, whsolver):
+            for name in ("square_branches", "_slant_root"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name,
+                                        _counting(module, name, counts, "branch", floor))
+        monkeypatch.setattr(kernels, "eval_scalar_kernel",
+                            _counting(kernels, "eval_scalar_kernel", counts, "kernel", floor, 1))
+        sol = solve_scalar(problem)
+        reconstruct_field(problem, sol, ((-20, 20), (-20, 20)))
+        grids = round(math.log2(sol.grid.count // problem.grid.count)) + 1
+        assert counts == {"branch": grids, "kernel": grids}
+
+    @pytest.mark.parametrize("family", SCALAR_FAMILIES)
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "inner_radius"])
+    def test_shared_samples_equal_the_public_evaluators(self, family, unit):
+        """The solve's K, forcing rows and row multiplier are bit-equal to
+        sample() of the kernel, of the forcing's base and of each term, and
+        to the multiplier straight from the branch functions."""
+        inc = dispersion_solve(kernel_lattice(family), Frequency(OMEGA), THETA)
+        radius = 1.0 if unit else 1.0 - 0.5 * (1.0 - annulus_bounds(inc)[0])
+        problem = ScalarWHProblem.for_family(family, inc, CircleGrid(radius, 1024))
+        grid, forcing = problem.grid, problem.forcing
+        k_vals, c_rows, prop = whsolver._node_samples(problem, grid)
+        assert np.array_equal(k_vals, sample(problem.kernel, grid))
+        expected = [sample(forcing.base, grid)] + [sample(fn, grid) for _, fn in forcing.terms]
+        assert len(c_rows) == len(expected)
+        for got, want in zip(c_rows, expected):
+            assert np.array_equal(got, want)
+        multiplier = _row_multiplier(problem.kernel.lattice, problem.kernel.omega_value, grid.nodes)
+        assert np.array_equal(prop, multiplier)
+        assert np.array_equal(solve_scalar(problem).multiplier, multiplier)
+
+    def test_plain_callables_sample_as_given(self, inc_square):
+        problem = _synthetic_problem(inc_square, lambda z: 2.0 + 0.0 * z, lambda z: z)
+        k_vals, c_rows, prop = whsolver._node_samples(problem, problem.grid)
+        assert np.all(k_vals == 2.0) and np.array_equal(c_rows, [problem.grid.nodes])
+        assert prop is None and solve_scalar(problem).multiplier is None
+
+    def test_a_family_forcing_with_another_kernel_projects_through_its_own(self, inc_square):
+        """The forcing's projector reads the nodes it is given only when they are
+        its own kernel's: a problem pairing it with another kernel keeps the
+        forcing it would have alone."""
+        grid = CircleGrid(1.0, 512)
+        own = ScalarWHProblem.for_family("sq_crack", inc_square, grid)
+        other = replace(own, kernel=ScalarKernel("sq_constraint", inc_square.omega))
+        k_vals, c_rows, _ = whsolver._node_samples(other, grid)
+        assert np.array_equal(k_vals, sample(other.kernel, grid))
+        assert np.array_equal(c_rows[0], sample(own.forcing.base, grid))
+
+
+# About 100x the factorization (reconstruction) and equation residuals that
+# explicit CircleGrid(1.0, 4096) solves measure at theta = pi/6: at
+# omega = 1+0.1i they are at rounding (4.9e-15-7.8e-15 and 6.9e-16-3.1e-15),
+# at 1+0.01i the grid begins to show (recon 1.5e-14 hex_crack to 1.4e-11
+# tri_dirichlet).  The acceptance bounds (1e-8) stay as they are.
+EXPLICIT_GRID_GATES = {  # (omega, family): (reconstruction, equation)
+    (1 + 0.1j, "sq_crack"): (5e-13, 2e-13),
+    (1 + 0.1j, "sq_constraint"): (6e-13, 2.3e-13),
+    (1 + 0.1j, "tri_dirichlet"): (6.4e-13, 3e-13),
+    (1 + 0.1j, "hex_crack"): (8e-13, 7e-14),
+    (1 + 0.01j, "sq_crack"): (1e-10, 8e-12),
+    (1 + 0.01j, "sq_constraint"): (5e-10, 1.5e-10),
+    (1 + 0.01j, "tri_dirichlet"): (1.4e-9, 1.2e-9),
+    (1 + 0.01j, "hex_crack"): (1.5e-12, 1e-12),
+}
+
+
+@pytest.mark.parametrize("omega,family", list(EXPLICIT_GRID_GATES))
+def test_explicit_grid_residuals_near_measured_accuracy(omega, family):
+    inc = dispersion_solve(kernel_lattice(family), Frequency(omega), THETA)
+    sol = solve_scalar(ScalarWHProblem.for_family(family, inc, CircleGrid(1.0, 4096)))
+    recon_gate, equation_gate = EXPLICIT_GRID_GATES[omega, family]
+    assert sol.factorization.reconstruction_residual <= recon_gate
+    assert sol.residual <= equation_gate
 
 
 class TestInverseTransformRow:
@@ -215,6 +353,13 @@ class TestInverseTransformRow:
         mids = np.abs(row[170:231])
         edges = max(abs(row[0]), abs(row[-1]))
         assert edges < np.max(mids) * 1e-5  # damping decay along the row
+
+
+def _row_multiplier(lattice, w, z):
+    """The row multiplier straight from the branch functions: lam, t or hh."""
+    if lattice is Lattice.SQUARE:
+        return square_branches(z, w).lam
+    return _slant_root(z, w * w if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w))
 
 
 def _per_row_field(problem, sol, window):
