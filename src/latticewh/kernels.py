@@ -24,6 +24,11 @@ Daniele-Khrapkov type), finite arrays of parallel cracks/constraints
 three opposing-tip configurations.  Closed-form determinants and the
 N -> infinity structural limits are provided for validation.
 
+Every kernel is built on one lattice branch: lam on the square lattice,
+the slant root t or hh on the others.  `nodes_at` evaluates it once at z
+and reads K off it; the forcing's projector reads the same `Nodes`, and
+det, dk and limit take the branch as K does.
+
 Evaluation near z = -1 (a node of power-of-two sampling grids) goes
 through the cleared quadratic for the slant-lattice root, where the
 kernels have removable limits (t -> 0).
@@ -47,7 +52,7 @@ from .branches import (
     hex_reduced_omega_sq,
     square_branches,
 )
-from .errors import SingularN, UnsupportedFamily
+from .errors import LengthMismatch, SingularN, UnsupportedFamily
 from .series import half_transform_exp
 
 __all__ = [
@@ -92,18 +97,17 @@ def _constraint(lam):
     return (1.0 + lam**2) / (1.0 - lam**2)
 
 
-def _tri_n(z, w2):
+def _tri_n(z, w2, t):
     """N(z) = 4 - z - 1/z - (1 + 1/z) t - (3/2) w^2 of the triangular crack."""
-    t = _slant_root(z, w2)
     nz = 4.0 - z - 1.0 / z - (1.0 + 1.0 / z) * t - 1.5 * w2
     if np.any(np.abs(nz) < 1e-14):
         raise SingularN("N(z) vanished; printed inverse kernel undefined")
     return nz
 
 
-def _hex_m(z, w):
+def _hex_m(z, w, hh):
     """M(z) = ((1 + 1/z) hh + 1)/beta of the honeycomb zigzag constraint."""
-    return ((1.0 + 1.0 / z) * _slant_root(z, hex_reduced_omega_sq(w)) + 1.0) / hex_coupling(w)
+    return ((1.0 + 1.0 / z) * hh + 1.0) / hex_coupling(w)
 
 
 def _hex_ns(z, w, hh):
@@ -131,20 +135,31 @@ def _apply(mat, vec):
     return np.einsum("...ij,...j->...i", mat, vec)
 
 
-def _sq(spec, z):
-    """Square-lattice branch triple at z and w^2 of a kernel descriptor."""
+def _branch(spec, z):
+    """The lattice branch every kernel of the family is built on, at z:
+    square_branches' (h, r, lam), or the slant root t (triangular) or hh
+    (honeycomb)."""
     w = spec.omega_value
-    return square_branches(z, w), w * w
+    if spec.lattice is Lattice.SQUARE:
+        return square_branches(z, w)
+    s = w * w if spec.lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w)
+    return np.asarray(_slant_root(z, s))
+
+
+def _evaluate(fn, spec, z):
+    """A record field fn(spec, z, branch) at z, on one branch evaluation."""
+    za = np.asarray(z, dtype=complex)
+    return fn(spec, za, _branch(spec, za))
 
 
 # --- kernels, determinants, limits of the square-lattice families ------------
 
-def _h_over_r(bv, w2, z):
+def _h_over_r(spec, z, bv):
     return bv.h / bv.r
 
 
-def _h2p2_over_rh(bv, w2, z):
-    return _sq_h2p2(z, w2) / (bv.r * bv.h)
+def _h2p2_over_rh(spec, z, bv):
+    return _sq_h2p2(z, spec.omega_value**2) / (bv.r * bv.h)
 
 
 def _array_kernel(scalar):
@@ -152,27 +167,24 @@ def _array_kernel(scalar):
 
     Paper row p holds defect nu - 1 - p, so the offsets run reversed.
     """
-    def kernel(spec, z):
-        bv, w2 = _sq(spec, z)
+    def kernel(spec, z, bv):
         p = np.arange(spec.count)
         m = np.array(spec.offsets[::-1])
         power = spec.sep * np.abs(p[:, None] - p[None, :])
         shift = m[:, None] - m[None, :]
-        return _scale(scalar(bv, w2, z)) * _scale(bv.lam) ** power * _scale(z) ** shift
+        return _scale(scalar(spec, z, bv)) * _scale(bv.lam) ** power * _scale(z) ** shift
     return kernel
 
 
 def _array_det(scalar):
-    def det(spec, z):
-        bv, w2 = _sq(spec, z)
-        return (scalar(bv, w2, z) ** spec.count
+    def det(spec, z, bv):
+        return (scalar(spec, z, bv) ** spec.count
                 * (1.0 - bv.lam ** (2 * spec.sep)) ** (spec.count - 1))
     return det
 
 
-def _mixed_k(spec, z):
-    lam = _sq(spec, z)[0].lam
-    n, psi = spec.sep, complex(spec.psi)
+def _mixed_k(spec, z, bv):
+    lam, n, psi = bv.lam, spec.sep, complex(spec.psi)
     pn = lam**n - psi
     qn = lam**n - 1.0 / psi
     pn1 = lam ** (n - 1) - psi
@@ -184,37 +196,36 @@ def _mixed_k(spec, z):
     return _matrix([[top_left, top_right], [bot_left, bot_right]]) / _scale(pn * qn)
 
 
-def _mixed_det(spec, z):
-    lam = _sq(spec, z)[0].lam
-    n, psi = spec.sep, complex(spec.psi)
+def _mixed_det(spec, z, bv):
+    lam, n, psi = bv.lam, spec.sep, complex(spec.psi)
     return ((1.0 + lam**3) * (lam**-n + lam ** (n - 1))
             / ((1.0 + lam) ** 2 * (lam**-n + lam**n - psi - 1.0 / psi)))
 
 
-def _mixed_limit(spec, z):
+def _mixed_limit(spec, z, bv):
     # one combined crack+constraint defect: the limit is not diagonal
-    lam = _sq(spec, z)[0].lam
+    lam = bv.lam
     return _matrix([[1.0 / (1.0 - lam**2), -(lam**2) / (1.0 + lam)],
                     [lam / (1.0 + lam), _crack(lam)]])
 
 
-def _pair_k(spec, z):
-    lam, n = _sq(spec, z)[0].lam, spec.sep
+def _pair_k(spec, z, bv):
+    lam, n = bv.lam, spec.sep
     return _matrix([
         [_constraint(lam), -(lam**n) * (1.0 + lam**2) / (1.0 + lam)],
         [lam ** (n + 1) / (1.0 + lam), _crack(lam)],
     ])
 
 
-def _pair_det(spec, z):
-    lam, n = _sq(spec, z)[0].lam, spec.sep
+def _pair_det(spec, z, bv):
+    lam, n = bv.lam, spec.sep
     return (1.0 + lam**2) * (1.0 + lam ** (2 * n + 1)) / (1.0 + lam) ** 2
 
 
 def _opposing_k(upper, lower):
     """Opposing tips: inverse upper scalar, lower scalar, off-diagonal lam^N z^(+-M)."""
-    def kernel(spec, z):
-        lam, n, m = _sq(spec, z)[0].lam, spec.sep, spec.offsets[0]
+    def kernel(spec, z, bv):
+        lam, n, m = bv.lam, spec.sep, spec.offsets[0]
         return _matrix([
             [1.0 / upper(lam), lam**n * z**m],
             [-(lam**n) * z**-m, lower(lam) * (1.0 - lam ** (2 * n))],
@@ -222,8 +233,8 @@ def _opposing_k(upper, lower):
     return kernel
 
 
-def _opposing_mixed_k(spec, z):
-    lam, n, m = _sq(spec, z)[0].lam, spec.sep, spec.offsets[0]
+def _opposing_mixed_k(spec, z, bv):
+    lam, n, m = bv.lam, spec.sep, spec.offsets[0]
     return _matrix([
         [1.0 / _constraint(lam), -(1.0 - lam) * lam**n * z**m],
         [-(1.0 - lam) * lam * lam**n * z**-m / (1.0 + lam**2),
@@ -231,12 +242,12 @@ def _opposing_mixed_k(spec, z):
     ])
 
 
-def _unit_det(spec, z):
-    return np.ones_like(np.asarray(z, dtype=complex))
+def _unit_det(spec, z, bv):
+    return np.ones_like(z)
 
 
-def _opposing_mixed_det(spec, z):
-    lam = _sq(spec, z)[0].lam
+def _opposing_mixed_det(spec, z, bv):
+    lam = bv.lam
     return (1.0 - lam) ** 2 / (1.0 + lam**2)
 
 
@@ -247,9 +258,8 @@ def _tri_dirichlet_k(spec, z, t):
 
 
 def _tri_dirichlet_alt(spec, z):
-    w2 = spec.omega_value**2
-    F = _tri_G(z, w2) / (1.0 + 1.0 / z)
-    return F / (F - 2.0 * np.asarray(_slant_root(z, w2)))
+    F = _tri_G(z, spec.omega_value**2) / (1.0 + 1.0 / z)
+    return F / (F - 2.0 * _branch(spec, z))
 
 
 def _hex_crack_k(spec, z, hh):
@@ -258,35 +268,33 @@ def _hex_crack_k(spec, z, hh):
 
 
 def _hex_crack_alt(spec, z):
-    w = spec.omega_value
-    hh = np.asarray(_slant_root(z, hex_reduced_omega_sq(w)))
-    ns = ((1.0 + z) / hh + 1.0) / hex_coupling(w)
+    ns = ((1.0 + z) / _branch(spec, z) + 1.0) / hex_coupling(spec.omega_value)
     return (ns - 1.0) / (ns + 1.0)
 
 
-def _tri_crack_k(spec, z):
-    nz = _tri_n(z, spec.omega_value**2)
+def _tri_crack_k(spec, z, t):
+    nz = _tri_n(z, spec.omega_value**2, t)
     den = (nz + 2.0) ** 2 - (1.0 + z) * (1.0 + 1.0 / z)
     return _scale(nz / den) * _matrix([[nz + 2.0, 1.0 + z], [1.0 + 1.0 / z, nz + 2.0]])
 
 
-def _tri_crack_dk(spec, z):
-    nz = _tri_n(z, spec.omega_value**2)
+def _tri_crack_dk(spec, z, t):
+    nz = _tri_n(z, spec.omega_value**2, t)
     return 1.0 + 2.0 / nz, (1.0 + 1.0 / z) / nz
 
 
-def _hex_constraint_k(spec, z):
+def _hex_constraint_k(spec, z, hh):
     w = spec.omega_value
     beta = hex_coupling(w)
     inner = _matrix([[-beta, 1.0 + z], [1.0 + 1.0 / z, -beta]])
-    k_inv = np.eye(2) + _scale(_hex_m(z, w)) * np.linalg.inv(inner)
+    k_inv = np.eye(2) + _scale(_hex_m(z, w, hh)) * np.linalg.inv(inner)
     return np.linalg.inv(k_inv)
 
 
-def _hex_constraint_dk(spec, z):
+def _hex_constraint_dk(spec, z, hh):
     w = spec.omega_value
     beta = hex_coupling(w)
-    m_fn = _hex_m(z, w)
+    m_fn = _hex_m(z, w, hh)
     den = beta**2 - (1.0 + z) * (1.0 + 1.0 / z)
     return 1.0 - beta * m_fn / den, (1.0 + 1.0 / z) * m_fn / den
 
@@ -316,29 +324,29 @@ class Chi(NamedTuple):
 
 def _i_minus_k(mix=None):
     """Projector c = (I - K) mix chi of the matrix forcings; mix(spec) defaults to I."""
-    def project(spec, z, halves, points):
+    def project(spec, nodes, halves, points):
         chi = halves + points
         if mix is not None:
             chi = chi @ np.transpose(mix(spec))
-        return _apply(np.eye(spec.dim) - eval_matrix_kernel(spec, z), chi)
+        return _apply(np.eye(spec.dim) - nodes.kernel, chi)
     return project
 
 
-def _sq_scalar_project(kernel, nodes, chi):
-    return 0.5 * (1.0 - nodes.kernel) * chi
+def _sq_scalar_project(spec, nodes, halves, points):
+    return 0.5 * (1.0 - nodes.kernel) * (halves + points)
 
 
-def _tri_dirichlet_project(kernel, nodes, chi):
+def _tri_dirichlet_project(spec, nodes, halves, points):
     # c = -t (G u0m + u_in(-1,0) - 2 u(-1,1) + z u(0,0)) / D with
     # D = G - 2 t (1 + 1/z); stable through the removable point z = -1
     z, t = nodes.z, nodes.branch
-    return -t * chi / (_tri_G(z, kernel.omega_value**2) - 2.0 * t * (1.0 + 1.0 / z))
+    return -t * (halves + points) / (_tri_G(z, spec.omega_value**2) - 2.0 * t * (1.0 + 1.0 / z))
 
 
-def _tri_crack_project(spec, z, halves, points):
+def _tri_crack_project(spec, nodes, halves, points):
     # the tip value u(0,-1) enters through K/N, not through I - K
-    k = eval_matrix_kernel(spec, z)
-    nz = _tri_n(z, spec.omega_value**2)
+    k = nodes.kernel
+    nz = _tri_n(nodes.z, spec.omega_value**2, nodes.branch)
     return _apply(np.eye(2) - k, halves) + _apply(k / _scale(nz), points)
 
 
@@ -387,15 +395,17 @@ class Family:
     count       the descriptor takes nu >= 2 defect rows, one tip offset each
     offsets     otherwise, the number of tip offsets it takes (0 or 1)
     psi         the descriptor takes a Floquet-Bloch multiplier
-    kernel      K(z) on arrays, shape (..., d, d); a scalar family's reads
-                K off its branch at z, (spec, z, branch) -> shape (...)
-    det         closed-form det K
-    dk          Daniele-Khrapkov coefficients (a1, a2) of a reducible 2x2 kernel
-    limit       K in the separation limit N -> infinity
-    alternate   the second printed form of a scalar kernel
+    kernel      (spec, z, branch) -> K(z) on arrays, shape (...) for a scalar
+                family, else (..., d, d); branch is `_branch` at z
+    det         (spec, z, branch) -> closed-form det K
+    dk          (spec, z, branch) -> Daniele-Khrapkov (a1, a2) of a 2x2 kernel
+    limit       (spec, z, branch) -> K in the separation limit N -> infinity
+    alternate   (spec, z) -> the second printed form of a scalar kernel,
+                evaluating its own branch: an independent reference
     chi         descriptor -> `Chi`: the data of the forcing vector chi(z)
-    project     the map c = P(z) chi(z); (I - K(z)) mix for most matrix families.
-                Scalar: P from `ScalarNodes`, applied to stacked chi rows
+    project     (spec, nodes, halves, points) -> c = P(z) chi(z) on rows
+                stacked base first, then each unknown's unit term, reading
+                `Nodes`; (I - K(z)) mix for most matrix families
     components  the row combinations making up f, for `oracle.wh_residual`
     defects     the oracle layout: (kind, row, side, tip) tuples and a Bloch
                 period or None
@@ -464,8 +474,8 @@ def _square_rows(defects, **fields) -> Family:
             unknown += [(("u", tip - 1, row), -e, zero), (("u", tip, row), zero, e)]
         return Chi(halves=tuple(halves), unknown=tuple(unknown))
 
-    def limit(spec, z):
-        lam = _sq(spec, z)[0].lam
+    def limit(spec, z, bv):
+        lam = bv.lam
         entries = []
         for kind, _, _, side in rows(spec):
             single = _crack(lam) if kind == "crack" else _constraint(lam)
@@ -483,15 +493,14 @@ def _square_rows(defects, **fields) -> Family:
 
 FAMILIES = {
     "sq_crack": Family(
-        lattice=Lattice.SQUARE, dim=1, kernel=lambda s, z, bv: bv.h / bv.r,
-        alternate=lambda s, z: _crack(_sq(s, z)[0].lam),
+        lattice=Lattice.SQUARE, dim=1, kernel=_h_over_r,
+        alternate=lambda s, z: _crack(_branch(s, z).lam),
         chi=lambda s: Chi(halves=((0, None, "crack_diff", 0, 0, "minus"),)),
         project=_sq_scalar_project, components=_solved_row(0), defects=_single("crack"),
         image=Image(odd=True, row_shift=1, x_per_row=0, sources=(("u", "u", 0),))),
     "sq_constraint": Family(
-        lattice=Lattice.SQUARE, dim=1,
-        kernel=lambda s, z, bv: _h2p2_over_rh(bv, s.omega_value**2, z),
-        alternate=lambda s, z: _constraint(_sq(s, z)[0].lam),
+        lattice=Lattice.SQUARE, dim=1, kernel=_h2p2_over_rh,
+        alternate=lambda s, z: _constraint(_branch(s, z).lam),
         chi=lambda s: Chi(halves=((0, _sq_h2p2, "u_row", 0, 0, "minus"),),
                           known=((("u", -1, 0), 1, 0),), unknown=((("u", 0, 0), 0, 1),)),
         project=_sq_scalar_project, components=_solved_row(1),
@@ -512,7 +521,8 @@ FAMILIES = {
         # c = (u0m - v(-1)m)/(Ns + 1)
         chi=lambda s: Chi(halves=((0, None, "u_row", 0, 0, "minus"),
                                   (0, -1.0, "v_row", -1, 0, "minus"))),
-        project=lambda k, n, chi: chi / (1.0 + _hex_ns(n.z, k.omega_value, n.branch)),
+        project=lambda s, n, halves, points: (
+            (halves + points) / (1.0 + _hex_ns(n.z, s.omega_value, n.branch))),
         components=_solved_row(0), defects=_single("crack"),
         # odd across the crack line: u(x,y) = -v(x+y, -1-y), v(x,y) = -u(x+y+1, -1-y)
         image=Image(odd=True, row_shift=1, x_per_row=1,
@@ -603,51 +613,39 @@ class ScalarKernel(_Descriptor):
         return eval_scalar_kernel(self, z)
 
 
-def _scalar_out(z, out):
-    return complex(out) if np.ndim(z) == 0 else out
+def _scalar_out(out):
+    return complex(out) if np.ndim(out) == 0 else out
 
 
-def _scalar_branch(kernel: ScalarKernel, z):
-    """The lattice branch a scalar kernel is built on, at z: square_branches'
-    (h, r, lam), or the slant root t (triangular) or hh (honeycomb)."""
-    w = kernel.omega_value
-    if kernel.lattice is Lattice.SQUARE:
-        return square_branches(z, w)
-    s = w * w if kernel.lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w)
-    return np.asarray(_slant_root(z, s))
+class Nodes(NamedTuple):
+    """A kernel's branch at z (one `_branch` evaluation) and K read off it."""
 
-
-class ScalarNodes(NamedTuple):
-    """A scalar kernel's quantities at z, all read off one `_scalar_branch`:
-    the row propagation multiplier u_(y+1) / u_y (lam, t or hh) and K."""
-
-    spec: ScalarKernel
+    spec: object
     z: np.ndarray
     branch: object
-    multiplier: np.ndarray
     kernel: np.ndarray
 
+    @property
+    def multiplier(self) -> np.ndarray:
+        """The row propagation multiplier u_(y+1) / u_y: lam, t or hh."""
+        return self.branch.lam if isinstance(self.branch, BranchValue) else self.branch
 
-def scalar_nodes(kernel: ScalarKernel, z) -> ScalarNodes:
-    """One branch evaluation at z, and the multiplier and K read off it."""
+
+def nodes_at(spec, z) -> Nodes:
+    """One branch evaluation at z, and K read off it."""
     za = np.asarray(z, dtype=complex)
-    branch = _scalar_branch(kernel, za)
-    multiplier = branch.lam if isinstance(branch, BranchValue) else branch
-    return ScalarNodes(kernel, za, branch, multiplier, eval_scalar_kernel(kernel, za, branch))
+    branch = _branch(spec, za)
+    return Nodes(spec, za, branch, np.asarray(FAMILIES[spec.family].kernel(spec, za, branch)))
 
 
-def eval_scalar_kernel(kernel: ScalarKernel, z, branch=None):
+def eval_scalar_kernel(kernel: ScalarKernel, z):
     """Evaluate the scalar kernel at z (scalar or ndarray).
 
     Uses the form of each kernel that stays finite on power-of-two grids
     (in particular through the removable point z = -1 of the slant
-    families).  branch is the kernel's branch at z where the caller has
-    it already (`scalar_nodes`); without it the branch is evaluated here.
+    families).
     """
-    za = np.asarray(z, dtype=complex)
-    if branch is None:
-        branch = _scalar_branch(kernel, za)
-    return _scalar_out(za, np.asarray(FAMILIES[kernel.family].kernel(kernel, za, branch)))
+    return _scalar_out(nodes_at(kernel, z).kernel)
 
 
 def scalar_kernel_forms(kernel: ScalarKernel, z):
@@ -657,8 +655,7 @@ def scalar_kernel_forms(kernel: ScalarKernel, z):
     Not defined at the removable point z = -1 for the slant families.
     """
     za = np.asarray(z, dtype=complex)
-    rec = FAMILIES[kernel.family]
-    return rec.kernel(kernel, za, _scalar_branch(kernel, za)), rec.alternate(kernel, za)
+    return nodes_at(kernel, za).kernel, FAMILIES[kernel.family].alternate(kernel, za)
 
 
 @dataclass(frozen=True)
@@ -707,7 +704,7 @@ class MatrixKernelSpec(_Descriptor):
 
 def eval_matrix_kernel(spec: MatrixKernelSpec, z) -> np.ndarray:
     """Evaluate the matrix kernel: z of shape (...) gives shape (..., d, d)."""
-    return FAMILIES[spec.family].kernel(spec, np.asarray(z, dtype=complex))
+    return nodes_at(spec, z).kernel
 
 
 def det_closed_form(spec: MatrixKernelSpec, z):
@@ -719,16 +716,14 @@ def det_closed_form(spec: MatrixKernelSpec, z):
     if det is None:
         raise UnsupportedFamily(
             f"{spec.family} determinant comes from the Daniele-Khrapkov form; use dk_form")
-    za = np.asarray(z, dtype=complex)
-    return _scalar_out(za, np.asarray(det(spec, za)))
+    return _scalar_out(np.asarray(_evaluate(det, spec, z)))
 
 
 @dataclass(frozen=True)
 class DKForm:
-    """Daniele-Khrapkov data: K = (a1^2 - z a2^2)^(-1) (a1 I + a2 R)."""
+    """Daniele-Khrapkov data: K = (a1^2 - z a2^2)^(-1) (a1 I + a2 R), (a1, a2) = pair(z)."""
 
-    a1: Callable
-    a2: Callable
+    pair: Callable
 
     @staticmethod
     def R(z) -> np.ndarray:
@@ -736,13 +731,13 @@ class DKForm:
 
     def reconstruct(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        a1, a2 = self.a1(z), self.a2(z)
+        a1, a2 = self.pair(z)
         return (_scale(a1) * np.eye(2) + _scale(a2) * self.R(z)) / _scale(a1 * a1 - z * a2 * a2)
 
     def det(self, z):
         z = np.asarray(z, dtype=complex)
-        a1, a2 = self.a1(z), self.a2(z)
-        return _scalar_out(z, 1.0 / (a1 * a1 - z * a2 * a2))
+        a1, a2 = self.pair(z)
+        return _scalar_out(1.0 / (a1 * a1 - z * a2 * a2))
 
 
 def dk_form(spec: MatrixKernelSpec) -> DKForm:
@@ -750,8 +745,7 @@ def dk_form(spec: MatrixKernelSpec) -> DKForm:
     dk = FAMILIES[spec.family].dk
     if dk is None:
         raise UnsupportedFamily(f"{spec.family} has no Daniele-Khrapkov form here")
-    return DKForm(a1=lambda z: dk(spec, np.asarray(z, dtype=complex))[0],
-                  a2=lambda z: dk(spec, np.asarray(z, dtype=complex))[1])
+    return DKForm(pair=partial(_evaluate, dk, spec))
 
 
 def diag_limit_defect(spec: MatrixKernelSpec) -> Callable:
@@ -766,7 +760,7 @@ def diag_limit_defect(spec: MatrixKernelSpec) -> Callable:
     if limit is None:
         raise UnsupportedFamily(
             f"{spec.family} has no separation parameter to send to infinity")
-    return lambda z: limit(spec, np.asarray(z, dtype=complex))
+    return partial(_evaluate, limit, spec)
 
 
 @dataclass(frozen=True)
@@ -775,18 +769,29 @@ class AffineForcing:
 
     Unknown lattice constants enter linearly; keys are site tuples like
     ("u", x, y).  Scalar problems use dim == 1 with complex-valued
-    callables, matrix problems return length-dim vectors.  A scalar
-    family's rows(z, nodes) stacks base and terms through one projector.
+    callables, matrix problems return length-dim vectors.  rows(z, nodes)
+    stacks base and each term at z.  A family's forcing computes the stack
+    (stacked) through one projector, reading nodes when they are its own
+    kernel's, and its base and terms are rows of it.
     """
 
     dim: int
     base: Callable
     terms: tuple = field(default_factory=tuple)
-    rows: Callable | None = field(default=None, repr=False, compare=False)
+    stacked: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def constant_ids(self) -> tuple:
         return tuple(key for key, _ in self.terms)
+
+    def rows(self, z, nodes=None) -> np.ndarray:
+        if self.stacked is not None:
+            return self.stacked(z, nodes)
+        fns = [self.base] + [fn for _, fn in self.terms]
+        rows = np.stack([np.asarray(fn(z), dtype=complex) for fn in fns])
+        if rows.shape[1:1 + np.ndim(z)] != np.shape(z):
+            raise LengthMismatch(f"forcing rows of shape {rows.shape} at z of shape {np.shape(z)}")
+        return rows
 
     def __call__(self, z, constants=None):
         val = self.base(z)
@@ -849,19 +854,15 @@ def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
     def rows(z, nodes=None):
         za = np.asarray(z, dtype=complex)
         if nodes is None or nodes.spec != kernel:
-            nodes = scalar_nodes(kernel, za)
+            nodes = nodes_at(kernel, za)
         parts = [chi_at(za, i) for i in range(1 + len(chi.unknown))]
-        return rec.project(kernel, nodes, np.stack([h + p for h, p in parts]))
+        return rec.project(kernel, nodes, *map(np.stack, zip(*parts)))  # halves, points
 
     def row(i, z):
-        if rec.dim == 1:
-            return _scalar_out(z, rows(z)[i])
-        za = np.asarray(z, dtype=complex)
-        return rec.project(kernel, za, *chi_at(za, i))
+        return _scalar_out(rows(z)[i])
 
     terms = tuple((key, partial(row, i)) for i, (key, _, _) in enumerate(chi.unknown, start=1))
-    return AffineForcing(dim=kernel.dim, base=partial(row, 0), terms=terms,
-                         rows=rows if rec.dim == 1 else None)
+    return AffineForcing(dim=kernel.dim, base=partial(row, 0), terms=terms, stacked=rows)
 
 
 def scalar_forcing(family: str, inc: Incidence) -> AffineForcing:

@@ -62,7 +62,7 @@ from .fields import (
     compare_fields,
     lattice_omega_shift,
 )
-from .kernels import ScalarKernel, family_record, scalar_forcing, vector_forcing
+from .kernels import ScalarKernel, family_record, nodes_at, scalar_forcing, vector_forcing
 from .series import CircleGrid, sample
 
 __all__ = [
@@ -759,12 +759,13 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
         forcing = scalar_forcing(kernel.family, inc)
     else:
         forcing = vector_forcing(kernel, inc)
-    constants = {}
-    for key in forcing.constant_ids:
-        sub, x, y = key
-        constants[key] = field.value(x, y, sub)
-    c = sample(lambda z: forcing(z, constants), grid).reshape(nodes.size, dim)
-    k = sample(kernel_eval or kernel, grid).reshape(nodes.size, dim, dim)
+    at = nodes_at(kernel, nodes)
+    rows = forcing.rows(nodes, at).reshape(-1, nodes.size, dim)
+    c = rows[0]
+    for i, (sub, x, y) in enumerate(forcing.constant_ids, start=1):
+        c = c + field.value(x, y, sub) * rows[i]
+    k = at.kernel if kernel_eval is None else sample(kernel_eval, grid)
+    k = k.reshape(nodes.size, dim, dim)
     res = f_plus + np.einsum("nij,nj->ni", k, f_minus) - c
     return float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(c))))
 

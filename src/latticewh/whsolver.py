@@ -29,7 +29,7 @@ import scipy.linalg
 from .branches import Incidence, Lattice, annulus_bounds, branch_points, hex_coupling
 from .errors import IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowTooLarge
 from .fields import FieldGrid, lattice_omega_shift
-from .kernels import AffineForcing, ScalarKernel, family_record, scalar_forcing, scalar_nodes
+from .kernels import AffineForcing, ScalarKernel, family_record, nodes_at, scalar_forcing
 from .series import (
     CircleGrid,
     FactorizationReport,
@@ -162,17 +162,12 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
 
 def _node_samples(problem: ScalarWHProblem, grid: CircleGrid):
     """K, the forcing rows (base, then each unit term) and the row multiplier
-    at the grid's nodes; a plain callable is sampled as given."""
-    kernel, forcing = problem.kernel, problem.forcing
-    nodes = scalar_nodes(kernel, grid.nodes) if isinstance(kernel, ScalarKernel) else None
-    if forcing.rows is not None:
-        c_rows = forcing.rows(grid.nodes, nodes)
-    else:
-        fns = [forcing.base] + [fn for _, fn in forcing.terms]
-        c_rows = np.stack([sample(fn, grid) for fn in fns])
-    if nodes is None:
-        return sample(kernel, grid), c_rows, None
-    return nodes.kernel, c_rows, nodes.multiplier
+    at the grid's nodes; a plain callable kernel is sampled as given."""
+    kernel = problem.kernel
+    if not isinstance(kernel, ScalarKernel):
+        return sample(kernel, grid), problem.forcing.rows(grid.nodes), None
+    nodes = nodes_at(kernel, grid.nodes)
+    return nodes.kernel, problem.forcing.rows(grid.nodes, nodes), nodes.multiplier
 
 
 def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None:

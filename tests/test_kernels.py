@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticewh import kernels
 from latticewh.branches import square_branches, tri_branch
 from latticewh.errors import UnsupportedFamily
 from latticewh.branches import Lattice
@@ -21,6 +22,7 @@ from latticewh.kernels import (
     vector_forcing,
 )
 from latticewh.oracle import problem_for
+from latticewh.series import CircleGrid
 
 from conftest import unit_samples
 
@@ -189,6 +191,20 @@ class TestDanieleKhrapkov:
             r = form.R(z)
             assert np.max(np.abs(r @ r - z * np.eye(2))) < 1e-12
             assert abs(np.linalg.det(k) - form.det(z)) < 1e-11 * abs(form.det(z))
+
+    @pytest.mark.parametrize("family", ["tri_crack_2x2", "hex_constraint_2x2"])
+    def test_one_branch_evaluation_per_call(self, family, monkeypatch):
+        """det and reconstruct read a1 and a2 off one slant root at the nodes."""
+        zs = CircleGrid(1.0, 4096).nodes
+        sizes = []
+        root = kernels._slant_root
+        monkeypatch.setattr(kernels, "_slant_root",
+                            lambda z, s: sizes.append(np.size(z)) or root(z, s))
+        form = dk_form(MatrixKernelSpec(family, OMEGA))
+        for fn in (form.det, form.reconstruct):
+            sizes.clear()
+            fn(zs)
+            assert sizes == [zs.size]
 
     def test_r_matrix_point(self):
         z = 0.7 + 0.2j
@@ -400,8 +416,18 @@ def test_array_and_point_evaluation_agree(name, request):
     if rec.limit is not None:
         _assert_matches_points(diag_limit_defect(kern), zs, matrix_shape)
     forcing = scalar_forcing(name, inc) if scalar else vector_forcing(kern, inc)
-    for fn in (forcing.base, *(term for _, term in forcing.terms)):
+    fns = (forcing.base, *(term for _, term in forcing.terms))
+    for fn in fns:
         _assert_matches_points(fn, zs, vector_shape)
+    # the stacked rows: base first, then each term, bit-equal to them at the same z
+    rows = forcing.rows(zs)
+    assert rows.shape == (len(fns),) + zs.shape + vector_shape
+    point_rows = [forcing.rows(z) for z in zs.ravel()]
+    points = np.stack(point_rows, axis=1).reshape(rows.shape)
+    assert np.max(np.abs(rows - points)) <= 1e-13 * np.max(np.abs(points))
+    for i, fn in enumerate(fns):
+        assert np.array_equal(rows[i], fn(zs))
+        assert all(np.array_equal(r[i], fn(z)) for r, z in zip(point_rows, zs.ravel()))
 
     assert forcing.dim == d
     assert len(rec.components(kern)) == d

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticewh import checks, oracle
+from latticewh import checks, kernels, oracle
 from latticewh.branches import Frequency, Lattice, dispersion_solve, square_branches
 from latticewh.errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
 from latticewh.fields import FieldGrid, compare_fields, lattice_omega_shift
@@ -340,6 +340,21 @@ class TestWHResidual:
         prob = problem_for(spec, inc)
         fld = solve_direct(assemble(prob, 60))
         assert wh_residual(prob, spec, fld) < 5e-2
+
+    @pytest.mark.parametrize("spec", [
+        MatrixKernelSpec("array_constraints", OMEGA, count=2, sep=3, offsets=(0, 2)),
+        MatrixKernelSpec("array_cracks", OMEGA, count=2, sep=3, offsets=(0, 2))],
+        ids=["unknowns", "no_unknowns"])
+    def test_one_branch_evaluation_per_call(self, inc_square, spec, monkeypatch):
+        """The forcing's rows and K come from one branch evaluation at the nodes."""
+        prob = problem_for(spec, inc_square)
+        fld = solve_direct(assemble(prob, 40))
+        sizes = []
+        branch = kernels.square_branches
+        monkeypatch.setattr(kernels, "square_branches",
+                            lambda z, w: sizes.append(np.size(z)) or branch(z, w))
+        wh_residual(prob, spec, fld)
+        assert sizes == [256]
 
     def test_converges_as_the_window_grows(self):
         """The damped incident spans about 1e78 across the L = 100 window.

@@ -18,7 +18,13 @@ from latticewh.branches import (
     hex_reduced_omega_sq,
     square_branches,
 )
-from latticewh.errors import InvalidSpec, LatticeWHError, PhaseStepTooLarge, WindowTooLarge
+from latticewh.errors import (
+    InvalidSpec,
+    LatticeWHError,
+    LengthMismatch,
+    PhaseStepTooLarge,
+    WindowTooLarge,
+)
 from latticewh.fields import compare_fields
 from latticewh.kernels import (
     SCALAR_FAMILIES,
@@ -239,8 +245,9 @@ class TestOncePerGrid:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         _counting(module, name, counts, "branch", floor))
-        monkeypatch.setattr(kernels, "eval_scalar_kernel",
-                            _counting(kernels, "eval_scalar_kernel", counts, "kernel", floor, 1))
+        for module in (kernels, whsolver):  # nodes_at is the one entry point to K
+            monkeypatch.setattr(module, "nodes_at",
+                                _counting(module, "nodes_at", counts, "kernel", floor, 1))
         sol = solve_scalar(problem)
         reconstruct_field(problem, sol, ((-20, 20), (-20, 20)))
         grids = round(math.log2(sol.grid.count // problem.grid.count)) + 1
@@ -271,6 +278,11 @@ class TestOncePerGrid:
         k_vals, c_rows, prop = whsolver._node_samples(problem, problem.grid)
         assert np.all(k_vals == 2.0) and np.array_equal(c_rows, [problem.grid.nodes])
         assert prop is None and solve_scalar(problem).multiplier is None
+
+    def test_plain_forcing_without_a_value_per_node_raises(self, inc_square):
+        problem = _synthetic_problem(inc_square, lambda z: 2.0 + 0.0 * z, lambda z: 1.0)
+        with pytest.raises(LengthMismatch):
+            solve_scalar(problem)
 
     def test_a_family_forcing_with_another_kernel_projects_through_its_own(self, inc_square):
         """The forcing's projector reads the nodes it is given only when they are
