@@ -164,7 +164,7 @@ def _maybe_scalar(arr, scalar_input):
     return arr
 
 
-def square_branches(z, omega, on_cut_check: bool = True):
+def square_branches(z, omega):
     """Evaluate (h, r, lam) for the square lattice at z.
 
     h = sqrt(2 - z - 1/z - w^2), r = sqrt(h^2 + 4), lam = (r - h)/(r + h).
@@ -190,7 +190,7 @@ def square_branches(z, omega, on_cut_check: bool = True):
     outside = np.abs(lam) > 1.0
     lam = np.where(outside, 1.0 / lam, lam)
     h = np.where(outside, -h, h)
-    if on_cut_check and np.any(np.abs(np.abs(lam) - 1.0) < _CUT_TOL):
+    if np.any(np.abs(np.abs(lam) - 1.0) < _CUT_TOL):
         raise OnBranchCut("both propagation roots have unit modulus at this z")
     return BranchValue(
         h=_maybe_scalar(h if not scalar else h[0], scalar),
@@ -199,7 +199,7 @@ def square_branches(z, omega, on_cut_check: bool = True):
     )
 
 
-def _slant_root(z, omega_sq_eff, ambiguity_check: bool = True):
+def _slant_root(z, omega_sq_eff):
     """Modulus-selected root of (1 + 1/z) t^2 - G t + (1 + z) = 0.
 
     G = 6 - z - 1/z - (3/2) * omega_sq_eff.  This is the quadratic for the
@@ -234,7 +234,7 @@ def _slant_root(z, omega_sq_eff, ambiguity_check: bool = True):
     swap = m_small > m_big
     inside = np.where(swap, root_big, root_small)
     outside_mod = np.where(swap, m_small, m_big)
-    if ambiguity_check and np.any(np.abs(np.abs(inside) - outside_mod) < 1e-12):
+    if np.any(np.abs(np.abs(inside) - outside_mod) < 1e-12):
         raise RootSelectionAmbiguous("both quadratic roots have the same modulus")
     return _maybe_scalar(inside if not scalar else inside[0], scalar)
 

@@ -100,8 +100,15 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse complex number from {text!r}")
 
 
+def _half_window(text: str) -> int:
+    """argparse type of --window: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"half window must be >= 0, got {text}")
+    return int(text)
+
+
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
+    return RunConfig(
         family=getattr(args, "family", None),
         omega=_parse_complex(args.omega),
         theta=getattr(args, "theta", 0.0),
@@ -113,7 +120,6 @@ def _config_from_args(args) -> RunConfig:
         sep=getattr(args, "sep", 1),
         offsets=tuple(int(t) for t in getattr(args, "offsets", "").split(",") if t != ""),
     )
-    return cfg
 
 
 def _kernel_descriptor(cfg: RunConfig):
@@ -339,7 +345,7 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="solve a scalar WH problem end to end")
     ps.add_argument("--family", required=True)
     add_common(ps)
-    ps.add_argument("--window", type=int, default=20, help="field half window")
+    ps.add_argument("--window", type=_half_window, default=20, help="field half window")
     ps.add_argument("-o", "--output", required=True, help="field CSV path")
     ps.add_argument("--report", default=None)
     ps.set_defaults(func=_cmd_solve)
@@ -361,7 +367,7 @@ def _build_parser() -> _Parser:
     pc = sub.add_parser("compare", help="compare two field CSV files")
     pc.add_argument("field_a")
     pc.add_argument("field_b")
-    pc.add_argument("--window", type=int, default=20)
+    pc.add_argument("--window", type=_half_window, default=20)
     pc.add_argument("--report", default=None)
     pc.set_defaults(func=_cmd_compare)
 

@@ -793,15 +793,6 @@ class AffineForcing:
             raise LengthMismatch(f"forcing rows of shape {rows.shape} at z of shape {np.shape(z)}")
         return rows
 
-    def __call__(self, z, constants=None):
-        val = self.base(z)
-        if self.terms:
-            if constants is None:
-                raise ValueError(f"forcing requires constants {self.constant_ids}")
-            for key, fn in self.terms:
-                val = val + constants[key] * fn(z)
-        return val
-
 
 def _incident_half(inc: Incidence, combine: str, row: int, offset: int, side: str,
                    strict: bool):

@@ -14,7 +14,7 @@ cracked bonds; crack[y, x] is the bond between (x, y) and the row below
 when crack[y+by, x+bx] is set for the bond cell (bx, by).  A broken bond
 raises the diagonal by one; a pinned neighbour (total field zero) drops out.
 The equations come out as a stencil table, a weight and a neighbour per
-unknown and slot, and the sparse matrix is built from it.
+unknown and slot; it is the only stored form of them.
 
 The right-hand side is exactly zero off the defect rows (assemble).
 Every window without Bloch rows is then solved by the capacitance matrix
@@ -24,10 +24,10 @@ the broken bonds, read off the stencil table.  A0 is the square window
 with zero Dirichlet data (2-D DST-I), or on the triangular and honeycomb
 lattices a torus of period 2L + 2 (2-D FFT, per mode a 2 x 2 block on the
 honeycomb) whose extra row and column are pinned.  Bloch strips go to a
-sparse LU.  Either answer is refined where a defect row runs through an
-incident far larger than the field elsewhere (_refined_solve), and both
-must meet the same checks against the assembled matrix: the relative
-residual, and the backward error of every equation.
+sparse LU, which alone builds a sparse matrix.  Either answer is refined
+where a defect row runs through an incident far larger than the field
+elsewhere (_refined_solve), and both must meet the same checks, read off
+the table: the relative residual, and every equation's backward error.
 
 Truncation uses zero Dirichlet data on the solved unknown, relying on the
 damping Im(omega) > 0.  A right-pointing defect is illuminated by the
@@ -134,9 +134,7 @@ class LatticeProblemSpec:
             raise InvalidSpec("right-pointing defects are supported on the square lattice")
 
     def _norm_row(self, row: int) -> int:
-        if self.bloch is not None:
-            return row % self.bloch.period
-        return row
+        return row if self.bloch is None else row % self.bloch.period
 
 
 # --- closed-form straight-defect backgrounds --------------------------------
@@ -222,7 +220,10 @@ _STENCILS = {
 
 @dataclass
 class AssembledSystem:
-    matrix: sp.csr_matrix
+    """The window's equations: sum_j weights[i, j] w[neighbours[i, j]] = rhs[i]
+    over the slots j of row i with a neighbour, each neighbour once a row.
+    matrix builds them as a CSR matrix on each read; nothing stores it."""
+
     weights: np.ndarray       # stencil table [unknown, slot]: coupling, 0 for a broken bond
     neighbours: np.ndarray    # [unknown, slot]: unknown coupled, -1 if pinned or outside
     rhs: np.ndarray
@@ -236,14 +237,22 @@ class AssembledSystem:
     incident_u: np.ndarray    # incident values on the window
     incident_v: np.ndarray | None
 
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """Every slot of the table with a neighbour and a nonzero weight, as CSR."""
+        keep = (self.neighbours >= 0) & (self.weights != 0)
+        matrix = sp.csr_matrix((self.weights[keep], self.neighbours[keep],
+                                np.r_[0, np.cumsum(keep.sum(1))]), shape=(self.rhs.size,) * 2)
+        matrix.sort_indices()  # the wrapped rows of a Bloch strip
+        return matrix
+
     def row_entries(self, x: int, y: int, sublattice: str = "u") -> dict:
         """Matrix row of the equation at a free site, keyed by column id."""
-        idx = self.index_u if sublattice == "u" else self.index_v
-        i = idx[y - self.y_range[0], x - self.x_range[0]]
+        i = self.site_id(x, y, sublattice)
         if i < 0:
             raise InvalidSpec(f"site ({x},{y},{sublattice}) is not a free unknown")
-        row = self.matrix.getrow(i).tocoo()
-        return {int(c): complex(val) for c, val in zip(row.col, row.data)}
+        return {int(c): complex(val) for c, val in zip(self.neighbours[i], self.weights[i])
+                if c >= 0 and val != 0}
 
     def site_id(self, x: int, y: int, sublattice: str = "u") -> int:
         idx = self.index_u if sublattice == "u" else self.index_v
@@ -349,7 +358,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     diag_base = lattice_omega_shift(spec.lattice, w * w)
     shape = (len(stencils), n_free, 1 + len(stencils["u"]))
     weights, neighbours = np.ones(shape, complex), np.empty(shape, np.int64)
-    broken, rhs = np.zeros(shape, bool), np.empty(shape[:2], complex)
+    rhs = np.empty(shape[:2], complex)
     subs = list(stencils)
     for k, (sub, stencil) in enumerate(stencils.items()):
         slots = np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
@@ -363,7 +372,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
                 weights[k, :, j] = shifted(weight, dx, dy)[free]
             cut = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
             n_broken += cut
-            broken[k, :, j] = cut[free]
+            weights[k, cut[free], j] = 0
             terms = _slot_sources(cut, shifted(pinned, dx, dy), shifted(known[nsub], dx, dy), own)
             for (cuts, pins), total in infinite:  # less A0 bg, as its infinite defect's terms
                 terms = terms - _slot_sources(shifted(cuts, *cell) if cell else False,
@@ -373,21 +382,13 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         neighbours[k, :, slots[0]] = index[sub][free]
         weights[k, :, slots[0]] = (diag_base + n_broken)[free]
         rhs[k] = source[free]
-    weights[broken] = 0
     weights, neighbours = weights.reshape(-1, shape[2]), neighbours.reshape(-1, shape[2])
-
-    # the matrix: every slot of the table with a column and an intact bond
-    keep = (neighbours >= 0) & ~broken.reshape(neighbours.shape)
-    # a row's length is its slot count less its few dropped slots (keep.sum(1) costs 7x more),
-    # and int32 indices, which SciPy would pick itself, spare its range check and copy
-    length = shape[2] - np.bincount(np.flatnonzero(~keep) // shape[2], minlength=keep.shape[0])
-    matrix = sp.csr_matrix((weights[keep], neighbours[keep].astype(np.int32),
-                            np.concatenate([[0], np.cumsum(length)]).astype(np.int32)),
-                           shape=(keep.shape[0], keep.shape[0]))
-    if bloch is not None:
-        matrix.sum_duplicates()  # sorts wrapped rows; a two-row strip couples twice to one row
+    if bloch is not None:  # a two-row strip couples a row twice to one site: one slot sums both
+        for i, j in zip(*np.triu_indices(shape[2], 1)):
+            twice = (neighbours[:, i] == neighbours[:, j]) & (neighbours[:, j] >= 0)
+            weights[twice, i] += weights[twice, j]
+            weights[twice, j], neighbours[twice, j] = 0, -1
     return AssembledSystem(
-        matrix=matrix,
         weights=weights,
         neighbours=neighbours,
         rhs=rhs.ravel(),
@@ -612,7 +613,7 @@ _REFINE_TOL = 1e-13
 _REFINE_STEPS = 8
 
 
-def _refined_solve(system: AssembledSystem, solve, abs_matrix) -> tuple:
+def _refined_solve(system: AssembledSystem, solve) -> tuple:
     """solve(system.rhs), refined where needed: w, its residual and backward errors.
 
     A free solve spreads rounding of order eps |b| over the whole grid, which
@@ -623,24 +624,28 @@ def _refined_solve(system: AssembledSystem, solve, abs_matrix) -> tuple:
     """
     w = solve(system.rhs)
     for step in range(_REFINE_STEPS + 1):
-        residual, errors = _backward_errors(system, w, abs_matrix)
+        residual, errors = _backward_errors(system, w)
         bad = ~(errors <= _REFINE_TOL)  # NaN counts as missed
         if step == _REFINE_STEPS or not bad.any():
             return w, residual, errors
         w = w + solve(np.where(bad, residual, 0))
 
 
-def _backward_errors(system: AssembledSystem, w: np.ndarray, abs_matrix) -> tuple:
+def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     """Residual r = b - A w and each equation's backward error.
 
     That is the componentwise backward error |r_i| / (|A| |w| + |b|)_i of
     Oettli and Prager, except that the scale of an equation never drops
     below the incident amplitude: the field is compared at that scale, and
-    no fast solve resolves equations 30 orders of magnitude below it.
+    no fast solve resolves equations 30 orders of magnitude below it.  A w
+    and |A| |w| are read off the stencil table.
     """
-    residual = system.rhs - system.matrix @ w
-    scale = np.maximum(abs_matrix @ np.abs(w) + np.abs(system.rhs),
-                       abs(system.spec.incidence.amplitude))
+    # w at each slot's neighbour, 0 at none; both sums add the slots in turn, in
+    # the order of a CSR product off the Bloch rows
+    weights, neighbours = system.weights, system.neighbours
+    residual = system.rhs - np.einsum("ij,ij->i", weights, np.append(w, 0)[neighbours])
+    scale = np.maximum(sum((np.abs(weights) * np.append(np.abs(w), 0)[neighbours]).T)
+                       + np.abs(system.rhs), abs(system.spec.incidence.amplitude))
     errors = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale > 0)
     return residual, errors
 
@@ -650,25 +655,22 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
 
     A window without Bloch rows, on any lattice, is solved by the
     capacitance matrix method (_capacitance), a Bloch strip or a window
-    that _bonds rejects by a sparse LU, either refined by _refined_solve.
-    Both the relative residual against system.matrix and the largest
-    backward error of one equation (see _backward_errors) must come out
-    below 1e-10, or SolveFailure is raised.  Eliminated (pinned) sites are
-    filled with -incident so boundary conditions can be checked on the
-    output.
+    that _bonds rejects by a sparse LU of system.matrix (its one CSR
+    build), either refined by _refined_solve.  The relative residual and
+    the largest backward error of one equation (see _backward_errors) must
+    come out below 1e-10, or SolveFailure is raised.  Eliminated (pinned)
+    sites are filled with -incident so boundary conditions can be checked
+    on the output.
     """
     spec = system.spec
     capacitance = _capacitance(system) if spec.bloch is None else None
     solve = spla.splu(system.matrix.tocsc()).solve if capacitance is None else capacitance[1]
-    w, residual, errors = _refined_solve(system, solve, abs(system.matrix))
-    norm_rhs = float(np.linalg.norm(system.rhs))
-    residual = float(np.linalg.norm(residual))
-    residual = residual / norm_rhs if norm_rhs > 0 else residual
-    if not np.isfinite(residual) or residual > _SOLVE_TOL:
-        raise SolveFailure("direct solve missed the residual contract", residual)
+    w, residual, errors = _refined_solve(system, solve)
+    residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(system.rhs)) or 1.0)
     backward = float(np.max(errors, initial=0.0))
-    if not np.isfinite(backward) or backward > _SOLVE_TOL:
-        raise SolveFailure("direct solve missed the backward error contract", backward)
+    for name, value in (("residual", residual), ("backward error", backward)):
+        if not value <= _SOLVE_TOL:  # NaN counts as missed
+            raise SolveFailure(f"direct solve missed the {name} contract", value)
 
     u = np.where(system.index_u >= 0, w[system.index_u] + system.bg_u, -system.incident_u)
     v = None if system.index_v is None else np.where(

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from latticewh import checks
 from latticewh.checks import Check
@@ -105,6 +106,24 @@ class TestSolveCommand:
         code = run(["solve", "--family", "sq_crack", "--omega", "1,0",
                     "-o", str(tmp_path / "f.csv")])
         assert code == 1
+
+
+class TestWindowFlag:
+    @pytest.mark.parametrize("args", [["solve", "--family", "sq_crack", "--window", "-3"],
+                                      ["compare", "a.csv", "b.csv", "--window", "-2"]],
+                             ids=["solve", "compare"])
+    def test_negative_window_rejected_at_parse_time(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run([*args, "-o" if args[0] == "solve" else "--report", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert "argument --window: half window must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_window_accepted(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert run(["solve", "--family", "sq_crack", "--omega", "1,0.1", "--theta", "0.5",
+                    "--nq", "1024", "--window", "0", "-o", str(out)]) == 0
+        assert FieldGrid.from_csv(out).u.shape == (1, 1)
 
 
 class TestOracleCompare:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -485,6 +486,8 @@ SQUARE_LAYOUTS = [layout for layout in CAPACITANCE_LAYOUTS if _lattice(layout) =
 
 
 def _spec(request, layout):
+    if layout not in DEFECT_SETS and isinstance(layout, str):  # a fixture of its own
+        return request.getfixturevalue(layout)
     inc = request.getfixturevalue(f"inc_{_lattice(layout)}")
     if isinstance(layout, str):
         return LatticeProblemSpec(*DEFECT_SETS[layout], inc)
@@ -557,12 +560,32 @@ def _reference_assembly(spec, L):
     return entries, np.array(rhs), np.array(scale), ids
 
 
+@pytest.fixture(scope="module")
+def period_two_strip():
+    """A period-2 Bloch strip: each row's up and down neighbours are one
+    site of the other row, so the table folds two couplings into one slot."""
+    w = 1.2 + 0.1j
+    inc = dispersion_solve("square", Frequency(w), 0.7)
+    psi = complex(np.exp(-2j * inc.kappa_y))
+    return problem_for(MatrixKernelSpec("mixed_array", w, sep=2, psi=psi), inc)
+
+
+def _csr_residual(system, w):
+    """The residual b - A w and each equation's backward error scale,
+    max(|A| |w| + |b|, |amplitude|), as defined on the CSR matrix."""
+    matrix = system.matrix
+    scale = np.maximum(abs(matrix) @ np.abs(w) + np.abs(system.rhs),
+                       abs(system.spec.incidence.amplitude))
+    return system.rhs - matrix @ w, scale
+
+
 class TestReferenceAssembly:
-    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
-                             ids=_layout_id)
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS)
+                             + ["period_two_strip"], ids=_layout_id)
     def test_matches_the_equations_of_motion(self, request, layout):
         """Every matrix entry exactly, the right-hand side to 1e-14 of the
-        scale of each equation, and the unknown numbering, at L = 20."""
+        scale of each equation, and the unknown numbering, at L = 20; no
+        two slots of a row of the table share a neighbour."""
         spec = _spec(request, layout)
         system = assemble(spec, 20)
         entries, rhs, scale, ids = _reference_assembly(spec, 20)
@@ -571,6 +594,44 @@ class TestReferenceAssembly:
         assert np.all(np.abs(system.rhs - rhs) <= 1e-14 * scale)
         assert {site: system.site_id(*site) for site in ids} == ids
         assert system.matrix.shape[0] == len(ids)
+        slots = np.sort(system.neighbours, axis=1)
+        assert not np.any((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] >= 0))
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS)
+                             + ["period_two_strip"], ids=_layout_id)
+    def test_backward_errors_match_the_csr_definition(self, request, layout):
+        """The residual and backward errors read off the table equal those of
+        the CSR matrix to rounding, for a random w at L = 20."""
+        system = assemble(_spec(request, layout), 20)
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=system.rhs.size) + 1j * rng.normal(size=system.rhs.size)
+        residual, errors = oracle._backward_errors(system, w)
+        reference, scale = _csr_residual(system, w)
+        assert np.all(np.abs(residual - reference) <= 1e-15 * scale)
+        assert np.allclose(errors, np.abs(residual) / scale, rtol=1e-14, atol=0)
+
+    def test_period_two_strip_solve_meets_the_csr_definition(self, monkeypatch,
+                                                              period_two_strip):
+        """On the strip of the acceptance sweep (L = 40, 82 of its 122 rows
+        couple twice to one site), the backward errors solve_direct checks
+        are |r| / (|A| |w| + |b|) of the CSR matrix, whose |A| takes the
+        modulus of the summed entry, not the sum of the moduli."""
+        system = assemble(period_two_strip, 40)
+        seen = []
+        backward_errors = oracle._backward_errors
+
+        def spy(system, w):
+            seen.append((w, *backward_errors(system, w)))
+            return seen[-1][1:]
+
+        monkeypatch.setattr(oracle, "_backward_errors", spy)
+        solve_direct(system)
+        w, residual, errors = seen[-1]
+        reference, scale = _csr_residual(system, w)
+        assert np.all(np.abs(residual - reference) <= 1e-15 * scale)
+        assert np.allclose(errors, np.abs(residual) / scale, rtol=1e-14, atol=0)
 
 
 class TestExactRightHandSide:
@@ -731,7 +792,7 @@ class TestFreeOperators:
 
 def _fast(system):
     """The capacitance solve with its refinement."""
-    return oracle._refined_solve(system, oracle._capacitance(system)[1], abs(system.matrix))[0]
+    return oracle._refined_solve(system, oracle._capacitance(system)[1])[0]
 
 
 @pytest.fixture(scope="module")
@@ -828,7 +889,6 @@ class TestCapacitanceSolve:
         for which, delta in changes:
             row, col = {"own": (i, i), "right": (i, k), "left": (k, i)}[which]
             system.weights[row, system.neighbours[row] == col] += delta
-            system.matrix[row, col] += delta
         assert oracle._capacitance(system) is None
         solve_direct(system)  # checked against the changed matrix
         assert len(splu_calls) == 1
@@ -861,12 +921,38 @@ class TestCapacitanceSolve:
         solve_direct(assemble(problem_for(kernel, inc), 20))
         assert len(splu_calls) == calls
 
+    @pytest.mark.parametrize("kernel,lattice,builds", [
+        (ScalarKernel("sq_crack", OMEGA), "square", 0),
+        (ScalarKernel("tri_dirichlet", OMEGA), "triangular", 0),
+        (ScalarKernel("hex_crack", OMEGA), "honeycomb", 0),
+        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square", 1),
+    ], ids=["sq_crack", "tri_dirichlet", "hex_crack", "mixed_array"])
+    def test_only_the_sparse_lu_builds_a_csr_matrix(self, request, monkeypatch, kernel,
+                                                   lattice, builds):
+        """The stencil table is the only stored form of the equations:
+        assembling and solving a window builds a CSR matrix only to hand it
+        to the sparse LU."""
+        class CountingSparse:
+            builds = 0
+
+            def csr_matrix(self, *args, **kwargs):
+                self.builds += 1
+                return sp.csr_matrix(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(sp, name)
+
+        counting = CountingSparse()
+        monkeypatch.setattr(oracle, "sp", counting)
+        solve_direct(assemble(problem_for(kernel, request.getfixturevalue(f"inc_{lattice}")), 20))
+        assert counting.builds == builds
+
     @staticmethod
     def _returns(monkeypatch, field):
         """Make the solve return field(system), with its own backward errors."""
-        def refined(system, solve, abs_matrix):
+        def refined(system, solve):
             w = field(system)
-            return (w, *oracle._backward_errors(system, w, abs_matrix))
+            return (w, *oracle._backward_errors(system, w))
         monkeypatch.setattr(oracle, "_refined_solve", refined)
 
     def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec, inc_honeycomb):
@@ -882,7 +968,7 @@ class TestCapacitanceSolve:
         system, reference = damped_hex
         near = system.index_u[40:81, 40:81].ravel()  # |x|, |y| <= 20
         fast = oracle._capacitance(system)[1](system.rhs)
-        _, errors = oracle._backward_errors(system, fast, abs(system.matrix))
+        _, errors = oracle._backward_errors(system, fast)
         assert np.max(errors) <= oracle._REFINE_TOL
         assert np.linalg.norm(fast[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
 
@@ -891,11 +977,10 @@ class TestCapacitanceSolve:
         origin: the first solve misses the backward error check there,
         refinement meets it, and the field matches the sparse LU."""
         system, reference = far_crack
-        abs_matrix = abs(system.matrix)
         solve = oracle._capacitance(system)[1]
-        _, first = oracle._backward_errors(system, solve(system.rhs), abs_matrix)
+        _, first = oracle._backward_errors(system, solve(system.rhs))
         assert np.max(first) > oracle._SOLVE_TOL
-        w, _, errors = oracle._refined_solve(system, solve, abs_matrix)
+        w, _, errors = oracle._refined_solve(system, solve)
         assert np.max(errors) <= oracle._REFINE_TOL
         near = system.index_u[20:41, 20:41].ravel()  # |x|, |y| <= 10
         assert np.linalg.norm(w[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
