@@ -87,6 +87,8 @@ class FieldGrid:
         """Copy restricted to the given inclusive index window."""
         x0, x1 = x_range
         y0, y1 = y_range
+        if x0 > x1 or y0 > y1:
+            raise WindowMismatch(f"reversed window {(x0, x1)} x {(y0, y1)}")
         if (x0 < self.x_range[0] or x1 > self.x_range[1]
                 or y0 < self.y_range[0] or y1 > self.y_range[1]):
             raise WindowMismatch("requested window exceeds the stored grid")

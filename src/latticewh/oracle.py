@@ -1,20 +1,22 @@
 """Independent finite-lattice direct solver and WH-equation verification.
 
 The solver assembles the scattered-field equations on a truncated window
-[-L, L]^2 (one vertical period with twisted coupling for Bloch problems)
-and solves them.  Defects are semi-infinite rows of broken bonds (cracks)
-or pinned sites (rigid constraints), pointing left (x < tip) or right
-(x >= tip).
+[-L, L]^2 (one vertical period with twisted coupling for Bloch problems;
+otherwise, on the triangular and honeycomb lattices, a torus: the window
+wrapped both ways) and solves them.  Defects are semi-infinite rows of
+broken bonds (cracks) or pinned sites (rigid constraints), pointing left
+(x < tip) or right (x >= tip).
 
 Assembly is array code driven by one table, _STENCILS: per lattice, one
 neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
-bond cell).  Masks on the window padded by one site mark pinned sites and
-cracked bonds; crack[y, x] is the bond between (x, y) and the row below
-(honeycomb: u(x, y) -- v(x, y-1)), and the bond to the neighbour is broken
-when crack[y+by, x+bx] is set for the bond cell (bx, by).  A broken bond
-raises the diagonal by one; a pinned neighbour (total field zero) drops out.
-The equations come out as a stencil table, a weight and a neighbour per
-unknown and slot; it is the only stored form of them.
+bond cell).  Masks on the window padded by one site (periodically on a
+torus) mark pinned sites and cracked bonds; crack[y, x] is the bond
+between (x, y) and the row below (honeycomb: u(x, y) -- v(x, y-1)), and
+the bond to the neighbour is broken when crack[y+by, x+bx] is set for the
+bond cell (bx, by).  A broken bond raises the diagonal by one; a pinned
+neighbour (total field zero) drops out.  The equations come out as a
+stencil table, a weight and a neighbour per unknown and slot; it is the
+only stored form of them.
 
 The right-hand side is exactly zero off the defect rows (assemble).
 Every window without Bloch rows is then solved by the capacitance matrix
@@ -22,15 +24,20 @@ method (_capacitance) with one free solve of a defect-free operator A0,
 plus multipliers that hold the pinned sites at zero and rank-one terms for
 the broken bonds, read off the stencil table.  A0 is the square window
 with zero Dirichlet data (2-D DST-I), or on the triangular and honeycomb
-lattices a torus of period 2L + 2 (2-D FFT, per mode a 2 x 2 block on the
-honeycomb) whose extra row and column are pinned.  Bloch strips go to a
-sparse LU, which alone builds a sparse matrix.  Either answer is refined
-where a defect row runs through an incident far larger than the field
-elsewhere (_refined_solve), and both must meet the same checks, read off
-the table: the relative residual, and every equation's backward error.
+lattices the torus of period 2L + 1 that the window wraps into (2-D FFT,
+per mode a 2 x 2 block on the honeycomb), so the multipliers are the
+defects' alone.  Bloch strips go to a sparse LU, which alone builds a
+sparse matrix.  Either answer is refined where a defect row runs through
+an incident far larger than the field elsewhere (_refined_solve), and
+both must meet the same checks, read off the table: the relative
+residual, and every equation's backward error.
 
-Truncation uses zero Dirichlet data on the solved unknown, relying on the
-damping Im(omega) > 0.  A right-pointing defect is illuminated by the
+Truncation relies on the damping Im(omega) > 0.  The square window puts
+zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
+at one edge re-enters at the other after about the path a reflection
+takes; a defect row ends at the seam, so a crack there is finite.  The
+known field wraps with the window, so a source across the seam reads the
+site the seam leads to.  A right-pointing defect is illuminated by the
 growing flank of the damped incident wave, so the plain scattered field
 does not decay toward +x; for those configurations the solver subtracts
 the closed-form response of the corresponding *infinite* straight defect
@@ -270,11 +277,13 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
 
     The solved unknown is the scattered field minus the closed-form
     straight-defect backgrounds (zero when no right-pointing defect is
-    present); zero Dirichlet data closes the window.  Every equation is
-    the exact lattice equation of motion with all known parts (incident
-    plus backgrounds) moved to the right-hand side, kept as a stencil
-    table: per unknown, one slot for itself and one per stencil neighbour,
-    in column order.
+    present).  Zero Dirichlet data closes a square window or a Bloch
+    strip's columns; a triangular or honeycomb window without Bloch rows
+    wraps into a torus, neighbours across an edge coupled with weight one.
+    Every equation is the exact lattice equation of motion with all known
+    parts (incident plus backgrounds) moved to the right-hand side, kept as
+    a stencil table: per unknown, one slot for itself and one per stencil
+    neighbour, in column order unless rows wrap.
 
     The incident solves the defect-free equations A0, so the right-hand
     side holds only the terms the defects change (the equivalent sources
@@ -285,7 +294,11 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     opposite sign: they cancel exactly past a lone defect's tip, leaving
     (A_def - A_inf)(incident + background).  Every other equation gets
     exactly 0.  Bloch rows read the unwrapped incident, so this holds for
-    any multiplier.
+    any multiplier.  A torus reads the wrapped one: the incident then
+    solves A0 everywhere but on the seam, and the right-hand side leaves
+    that seam residual out, so the field solved is what the defects
+    scatter.  Read unwrapped, a pinned row crossing the seam would get a
+    false source |inc(L + 1) - inc(-L)|.
     """
     L = int(half_width)
     if L < 20:
@@ -299,13 +312,18 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         raise InvalidSpec("oracle solves require Im(omega) > 0")
 
     bloch = spec.bloch
+    torus = bloch is None and spec.lattice is not Lattice.SQUARE
     x0, x1 = -L, L
     y0, y1 = (0, bloch.period - 1) if bloch is not None else (-L, L)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
     # masks and known field (incident + backgrounds) on the padded grid
-    # [x0-1, x1+1] x [y0-1, y1+1]; window cells are [1:ny+1, 1:nx+1]
+    # [x0-1, x1+1] x [y0-1, y1+1]; window cells are [1:ny+1, 1:nx+1].  On a
+    # torus the padded coordinates wrap, so every padded array is the
+    # periodic pad of its window
     xs, ys = np.arange(x0 - 1, x1 + 2), np.arange(y0 - 1, y1 + 2)[:, None]
+    if torus:
+        xs, ys = x0 + (xs - x0) % nx, y0 + (ys - y0) % ny
     padded = (ys.size, xs.size)
     masks = {"crack": np.zeros(padded, bool), "constraint": np.zeros(padded, bool)}
     for d in spec.defects:
@@ -341,9 +359,12 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     n_free = int(count[-1, -1])
     index = {sub: np.where(free, k * n_free + count - 1, -1) for k, sub in enumerate(stencils)}
 
-    # neighbour columns on the padded grid: -1 outside the x range, and
-    # outside the y range unless Bloch rows wrap with weight multiplier**shift
-    if bloch is None:
+    # neighbour columns on the padded grid: a torus wraps both ways with
+    # weight one; otherwise -1 outside the x range, and outside the y range
+    # unless Bloch rows wrap with weight multiplier**shift
+    if torus:
+        col = {sub: np.pad(idx, 1, "wrap") for sub, idx in index.items()}
+    elif bloch is None:
         col = {sub: np.pad(idx, 1, constant_values=-1) for sub, idx in index.items()}
     else:
         shift, wrapped = np.divmod(np.arange(-1, ny + 1), ny)
@@ -352,7 +373,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         weight = np.broadcast_to((bloch.multiplier**shift)[:, None], padded)
 
     # the stencil table, a row per unknown and its slots in the order of
-    # (sublattice, dy, dx), column order unless Bloch rows wrap: weight one on
+    # (sublattice, dy, dx), column order unless rows wrap: weight one on
     # an intact bond (Bloch: its wrap weight), zero on a broken one, and the
     # diagonal on the own slot
     diag_base = lattice_omega_shift(spec.lattice, w * w)
@@ -461,6 +482,8 @@ def _sine_operator(stencils, diag: complex, n: int) -> tuple:
 def _torus_operator(stencils, diag: complex, period: int) -> tuple:
     """Free solve and Green's function of A0 on the period x period torus.
 
+    A triangular or honeycomb window of n = 2L + 1 sites a side wraps into
+    the torus of period n (assemble), so A0 is its table's own free part.
     A0 is a convolution on each sublattice pair, so one 2-D FFT diagonalizes
     it: per mode it is an s x s matrix over the s sublattices (1 x 1 on the
     triangular lattice, 2 x 2 on the honeycomb), inverted mode by mode.  G =
@@ -516,11 +539,11 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
 def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
     """Broken bonds read off the stencil table, as pairs of unknowns.
 
-    The second unknown is -1 for a bond to a pinned or outside site.  On
-    the free rows the table then differs from A0 (diag on the diagonal,
-    weight one on every stencil coupling) by exactly B B^T, with one
-    column e_i - e_j or e_i of B per bond.  None is returned when it
-    differs by anything else.
+    The second unknown is -1 for a bond to a pinned site, or on the square
+    window to a site outside it.  On the free rows the table then differs
+    from A0 (diag on the diagonal, weight one on every stencil coupling) by
+    exactly B B^T, with one column e_i - e_j or e_i of B per bond.  None is
+    returned when it differs by anything else.
     """
     weights, n = system.weights, system.weights.shape[0]
     rows = n // len(_STENCILS[system.spec.lattice])
@@ -549,7 +572,10 @@ def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
 def _capacitance(system: AssembledSystem) -> tuple | None:
     """Capacitance matrix M of a window without Bloch rows, and solve(rhs).
 
-    A0 is the free operator of _sine_operator or _torus_operator.  Each
+    A0 is the free operator of the window itself: _sine_operator on the
+    square, _torus_operator on the torus a triangular or honeycomb window
+    wraps into.  So M has a row per pinned site and per broken bond of the
+    defects and no others, 100 for a left half-row at L = 100.  Each
     pinned site gets a multiplier lambda and each broken bond a multiplier
     mu for its column of B (_bonds): A0 w + P lambda + B mu = b, P^T w = 0,
     B^T w = mu.  With G = A0^-1, symmetric like A0, and K = [P B], that is
@@ -569,11 +595,10 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
     bonds = _bonds(system, diag)
     if bonds is None:
         return None
-    square = spec.lattice is Lattice.SQUARE
-    period, operator = (n, _sine_operator) if square else (n + 1, _torus_operator)
-    free_solve, green, solve_at = operator(stencils, diag, period)
-    free = np.zeros((len(stencils), period, period), bool)
-    free[:, :n, :n] = system.index_u >= 0  # a pinned site pins every sublattice
+    operator = _sine_operator if spec.lattice is Lattice.SQUARE else _torus_operator
+    free_solve, green, solve_at = operator(stencils, diag, n)
+    # a pinned site pins every sublattice
+    free = np.broadcast_to(system.index_u >= 0, (len(stencils), n, n))
     sites = np.flatnonzero(free)  # grid sites of the unknowns
     # per multiplier the grid site of its +1, and of its -1 if paired
     ends, other = bonds
