@@ -169,8 +169,12 @@ def compare_fields(a: FieldGrid, b: FieldGrid, window) -> ComparisonReport:
     """Relative l2 and max-abs difference of two grids on a common window.
 
     window = ((xmin, xmax), (ymin, ymax)), inclusive.  Honeycomb grids
-    compare both sublattices stacked.
+    compare both sublattices stacked.  Grids of different lattices are a
+    WindowMismatch, even where they hold the same numbers.
     """
+    if a.lattice is not b.lattice:
+        raise WindowMismatch(f"cannot compare a {a.lattice.value} grid with a "
+                             f"{b.lattice.value} grid")
     x_range, y_range = window
     aw = a.window(x_range, y_range)
     bw = b.window(x_range, y_range)

@@ -18,16 +18,20 @@ neighbour (total field zero) drops out.  The equations come out as a
 stencil table, a weight and a neighbour per unknown and slot; it is the
 only stored form of them.
 
-The right-hand side is exactly zero off the defect rows (assemble).
-Every window without Bloch rows is then solved by the capacitance matrix
-method (_capacitance) with one free solve of a defect-free operator A0,
-plus multipliers that hold the pinned sites at zero and rank-one terms for
-the broken bonds, read off the stencil table.  A0 is the square window
-with zero Dirichlet data (2-D DST-I), or on the triangular and honeycomb
-lattices the torus of period 2L + 1 that the window wraps into (2-D FFT,
-per mode a 2 x 2 block on the honeycomb), so the multipliers are the
-defects' alone.  Bloch strips go to a sparse LU, which alone builds a
-sparse matrix.  Either answer is refined where a defect row runs through
+The right-hand side is exactly zero off the defect rows, and assemble
+forms it, the broken bonds' zero weights and the raised diagonals on the
+rows next to a defect only.  Every window without Bloch rows is then
+solved by the capacitance matrix method (_capacitance) with one free solve
+of a defect-free operator A0, plus multipliers that hold the pinned sites
+at zero and rank-one terms for the broken bonds, read off the stencil
+table.  A0 is the square window with zero Dirichlet data (2-D DST-I), or
+on the triangular and honeycomb lattices the torus of period 2L + 1 that
+the window wraps into (2-D DFT, per mode a 2 x 2 block on the honeycomb),
+so the multipliers are the defects' alone.  Both operators transform a
+source along y over its few rows only, form the Green's function on the
+rows its blocks read, and transform the whole grid once per solve, for
+the field.  Bloch strips go to a sparse LU, which alone builds a sparse
+matrix.  Either answer is refined where a defect row runs through
 an incident far larger than the field elsewhere (_refined_solve), and
 both must meet the same checks, read off the table: the relative
 residual, and every equation's backward error.
@@ -293,12 +297,15 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     its infinite defect, so it adds the same terms of that defect with the
     opposite sign: they cancel exactly past a lone defect's tip, leaving
     (A_def - A_inf)(incident + background).  Every other equation gets
-    exactly 0.  Bloch rows read the unwrapped incident, so this holds for
-    any multiplier.  A torus reads the wrapped one: the incident then
-    solves A0 everywhere but on the seam, and the right-hand side leaves
-    that seam residual out, so the field solved is what the defects
-    scatter.  Read unwrapped, a pinned row crossing the seam would get a
-    false source |inc(L + 1) - inc(-L)|.
+    exactly 0: an equation differs from A0 only if its stencil reaches a
+    crack row, a pinned row or a background's row, so the sources, the
+    zeroed weights of broken bonds and the raised diagonals are formed on
+    those window rows alone.  Bloch rows read the unwrapped incident, so
+    this holds for any multiplier.  A torus reads the wrapped one: the
+    incident then solves A0 everywhere but on the seam, and the right-hand
+    side leaves that seam residual out, so the field solved is what the
+    defects scatter.  Read unwrapped, a pinned row crossing the seam would
+    get a false source |inc(L + 1) - inc(-L)|.
     """
     L = int(half_width)
     if L < 20:
@@ -339,9 +346,11 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     # A0 bg = bg (mode - 1 / mode)
     bg_pad, image = np.zeros(padded, complex), np.zeros(padded, complex)
     none, infinite = np.zeros(padded, bool), []
+    reach = crack.any(1) | pinned.any(1)  # padded rows holding a defect or a background's row
     for bg in _straight_backgrounds(spec):
         values, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, padded)
         bg_pad += values
+        reach |= row[:, 0]
         cut_pin = (row, none) if bg.kind == "crack" else (none, row)
         infinite.append((cut_pin, incident["u"] + values))
         if bg.kind == "constraint":
@@ -352,12 +361,23 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         """Padded-grid values at (x+dx, y+dy) for every window site (x, y)."""
         return arr[1 + dy:ny + 1 + dy, 1 + dx:nx + 1 + dx]
 
+    # the window rows whose stencil reaches a row of reach (padded rows y..y+2):
+    # only their equations differ from A0, so every other equation keeps the
+    # free diagonal and weights and gets exactly 0
+    near = np.flatnonzero(np.convolve(reach, np.ones(3, int), "valid"))
+
+    def local(arr, dx, dy):
+        """shifted(arr, dx, dy) on the rows near only."""
+        return arr[near + 1 + dy, 1 + dx:nx + 1 + dx]
+
     # unknowns: free u sites row by row, then free v sites; pinned sites
     # (total field zero) are eliminated
     free = ~shifted(pinned, 0, 0)
     count = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
     n_free = int(count[-1, -1])
     index = {sub: np.where(free, k * n_free + count - 1, -1) for k, sub in enumerate(stencils)}
+    free_near = free[near]
+    at = count[near][free_near] - 1  # row of the table per free site of near
 
     # neighbour columns on the padded grid: a torus wraps both ways with
     # weight one; otherwise -1 outside the x range, and outside the y range
@@ -379,30 +399,31 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     diag_base = lattice_omega_shift(spec.lattice, w * w)
     shape = (len(stencils), n_free, 1 + len(stencils["u"]))
     weights, neighbours = np.ones(shape, complex), np.empty(shape, np.int64)
-    rhs = np.empty(shape[:2], complex)
+    rhs = np.zeros(shape[:2], complex)
     subs = list(stencils)
     for k, (sub, stencil) in enumerate(stencils.items()):
         slots = np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
                                                  for dx, dy, nsub, _ in stencil]))
-        own = shifted(known[sub], 0, 0)
-        source = 0 - shifted(image, 0, 0)  # backgrounds live on u only (square lattice)
-        n_broken = np.zeros((ny, nx), np.int64)  # coordination reduced by the missing bonds
+        own = local(known[sub], 0, 0)
+        source = 0 - local(image, 0, 0)  # backgrounds live on u only (square lattice)
+        n_broken = np.zeros(own.shape, np.int64)  # coordination reduced by the missing bonds
         for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
             neighbours[k, :, j] = shifted(col[nsub], dx, dy)[free]
             if bloch is not None:
                 weights[k, :, j] = shifted(weight, dx, dy)[free]
-            cut = shifted(crack, *cell) if cell else np.zeros((ny, nx), bool)
+            cut = local(crack, *cell) if cell else np.zeros(own.shape, bool)
             n_broken += cut
-            weights[k, cut[free], j] = 0
-            terms = _slot_sources(cut, shifted(pinned, dx, dy), shifted(known[nsub], dx, dy), own)
+            weights[k, at[cut[free_near]], j] = 0
+            terms = _slot_sources(cut, local(pinned, dx, dy), local(known[nsub], dx, dy), own)
             for (cuts, pins), total in infinite:  # less A0 bg, as its infinite defect's terms
-                terms = terms - _slot_sources(shifted(cuts, *cell) if cell else False,
-                                              shifted(pins, dx, dy), shifted(total, dx, dy),
-                                              shifted(total, 0, 0))
+                terms = terms - _slot_sources(local(cuts, *cell) if cell else False,
+                                              local(pins, dx, dy), local(total, dx, dy),
+                                              local(total, 0, 0))
             source += terms
         neighbours[k, :, slots[0]] = index[sub][free]
-        weights[k, :, slots[0]] = (diag_base + n_broken)[free]
-        rhs[k] = source[free]
+        weights[k, :, slots[0]] = diag_base
+        weights[k, at, slots[0]] = (diag_base + n_broken)[free_near]
+        rhs[k, at] = source[free_near]
     weights, neighbours = weights.reshape(-1, shape[2]), neighbours.reshape(-1, shape[2])
     if bloch is not None:  # a two-row strip couples a row twice to one site: one slot sums both
         for i, j in zip(*np.triu_indices(shape[2], 1)):
@@ -484,54 +505,70 @@ def _torus_operator(stencils, diag: complex, period: int) -> tuple:
 
     A triangular or honeycomb window of n = 2L + 1 sites a side wraps into
     the torus of period n (assemble), so A0 is its table's own free part.
-    A0 is a convolution on each sublattice pair, so one 2-D FFT diagonalizes
+    A0 is a convolution on each sublattice pair, so the 2-D DFT diagonalizes
     it: per mode it is an s x s matrix over the s sublattices (1 x 1 on the
     triangular lattice, 2 x 2 on the honeycomb), inverted mode by mode.  G =
     A0^-1 is then the convolution G[(a, c), (b, r)] = g_ab[(c - r) mod period]
-    with g = ifft2 of that inverse.  Returns free_solve, green and solve_at
-    as _sine_operator does; solve_at gathers G over the sources of b.
+    with g_ab the inverse DFT of that inverse's block (a, b).  Every stage
+    but the field's transform back works on the rows it needs: green forms
+    g on the row offsets its block reads, and a source b on few rows is
+    transformed along y over those rows only, so a solve takes one full
+    2-D transform.  Returns free_solve, green and solve_at as
+    _sine_operator does.
     """
     subs = list(stencils)
     s = len(subs)
-    t = 2 * np.pi * np.arange(period) / period
+    k = np.arange(period)
+    root = np.exp(2j * np.pi * k / period)
+
+    def waves(ys):
+        """[y, k]: exp(2 pi i k y / period), the inverse DFT's rows ys times period."""
+        return root[np.outer(ys, k) % period]
+
     # [a, b, ky, kx]: diag if a = b, plus exp(i (dy ky + dx kx)) summed over the
-    # stencil entries from a to b, as one product over them; e[d + 1] = exp(i d t)
+    # stencil entries from a to b, as one product over them
     symbol = np.empty((s, s, period, period), complex)
-    e = np.exp(1j * np.outer(np.arange(-1, 2), t))
+    e = waves(np.arange(-1, 2))
     for a, stencil in enumerate(stencils.values()):
         for b, nsub in enumerate(subs):
             dx, dy = (np.array([entry[i] for entry in stencil if entry[2] == nsub], int) + 1
                       for i in (0, 1))
             symbol[a, b] = e[dy].T @ e[dx] + (diag if a == b else 0)
+    # inverted in place: 1 / symbol, or the 2 x 2 adjugate (diagonal blocks
+    # swapped, the others negated) times 1 / det, det being the adjugate's too
+    inverse = symbol
     if s == 1:
-        inverse = 1.0 / symbol
-    else:  # the 2 x 2 adjugate over the determinant
-        (p, q), (r, u) = symbol
-        inverse = np.array([[u, -q], [-r, p]]) / (p * u - q * r)
+        np.reciprocal(inverse, out=inverse)
+    else:
+        inverse[[0, 1], [0, 1]] = inverse[[1, 0], [1, 0]]
+        inverse[[0, 1], [1, 0]] *= -1
+        (p, q), (r, u) = inverse
+        inverse *= 1.0 / (p * u - q * r)
+
+    def modes(b):
+        """inverse times the 2-D DFT of b, transformed along y over the nonzero rows of b."""
+        b = b.reshape(s, period, period)
+        rows = np.flatnonzero(b.any((0, 2)))
+        spectrum = waves(-rows).T @ np.fft.fft(b[:, rows], axis=-1)
+        return np.einsum("abyx,byx->ayx", inverse, spectrum)
 
     def free_solve(b):
-        b = np.fft.fft2(b.reshape(s, period, period))
-        return np.fft.ifft2(np.einsum("abyx,byx->ayx", inverse, b)).ravel()
-
-    # g tiled to 2 period x 2 period, so that every offset between two sites
-    # indexes it without a modulo.  On the honeycomb the symbol's diagonal
-    # blocks are both diag and the v stencil mirrors the u stencil, so g_vv =
-    # g_uu and g_vu(d) = g_uv(-d): two ifft2 give the tiles g_vu, g_uu and
-    # g_uv, and sublattices (a, b) read tile 1 - a + b
-    g = np.fft.ifft2(inverse[0])
-    g = g if s == 1 else [np.roll(g[1, ::-1, ::-1], 1, axis=(0, 1)), *g]
-    tiled, m = np.tile(g, (1, 2, 2)).ravel(), 2 * period
-
-    def green(rows, cols):
-        """G[R, C] for grid sites R and C."""
-        a, y_r, x_r = np.unravel_index(rows, (s, period, period))
-        b, y_c, x_c = np.unravel_index(cols, (s, period, period))
-        at_r = (((s - 1) * (1 - a) * m + y_r + period) * m + x_r + period)[:, None]
-        return np.take(tiled, at_r + ((b * m - y_c) * m - x_c))
+        return np.fft.ifft2(modes(b)).ravel()
 
     def solve_at(b, sites):
-        source = np.flatnonzero(b)
-        return green(sites, source) @ b[source]
+        """free_solve(b)[sites], transformed back over the rows of sites only."""
+        a, y, x = np.unravel_index(sites, (s, period, period))
+        targets, at = np.unique(y, return_inverse=True)
+        field = np.fft.ifft(waves(targets) @ modes(b), axis=-1) / period
+        return field[a, at, x]
+
+    def green(rows, cols):
+        """G[R, C] for grid sites R and C, g formed on the row offsets read only."""
+        a, y_r, x_r = np.unravel_index(rows, (s, period, period))
+        b, y_c, x_c = np.unravel_index(cols, (s, period, period))
+        offsets, at = np.unique((y_r[:, None] - y_c) % period, return_inverse=True)
+        g = np.fft.ifft(waves(offsets) @ inverse, axis=-1) / period
+        return g[a[:, None], b, at.reshape(rows.size, cols.size), (x_r[:, None] - x_c) % period]
 
     return free_solve, green, solve_at
 

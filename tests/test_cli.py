@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticewh
 from latticewh import checks
 from latticewh.checks import Check
 from latticewh.cli import _build_parser, main
@@ -138,6 +143,19 @@ class TestOracleCompare:
         payload = json.loads(rep.read_text())
         assert payload["rel_l2"] == 0.0
 
+    def test_lattice_mismatch_exits_one(self, tmp_path, capsys):
+        """Two grids of different lattices do not compare, even holding the
+        same numbers."""
+        values = np.arange(49, dtype=complex).reshape(7, 7)
+        for lattice in ("square", "triangular"):
+            FieldGrid(lattice, (-3, 3), (-3, 3), values, meta={"lattice": lattice}).to_csv(
+                tmp_path / f"{lattice}.csv")
+        rep = tmp_path / "cmp.json"
+        assert run(["compare", str(tmp_path / "square.csv"), str(tmp_path / "triangular.csv"),
+                    "--window", "2", "--report", str(rep)]) == 1
+        assert "square grid with a triangular grid" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_family_default_half_width(self, tmp_path):
         out = tmp_path / "field.csv"
         assert run(["oracle", "--family", "sq_crack", "-o", str(out)]) == 0
@@ -205,3 +223,24 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  forced: 2.000e+00 (bound 1.0e+00)" in out
         assert "1 check(s) failed" in out
+
+
+class TestModuleEntry:
+    def test_python_m_latticewh(self, tmp_path):
+        """python -m latticewh runs the CLI from a source checkout, with its
+        exit codes: 0 for a comparison, 1 for grids of different lattices."""
+        values = np.ones((7, 7), complex)
+        for lattice in ("square", "triangular"):
+            FieldGrid(lattice, (-3, 3), (-3, 3), values, meta={"lattice": lattice}).to_csv(
+                tmp_path / f"{lattice}.csv")
+        env = dict(os.environ, PYTHONPATH=str(Path(latticewh.__file__).parents[1]))
+
+        def module(*args):
+            return subprocess.run([sys.executable, "-m", "latticewh", "compare", *args,
+                                   "--window", "2", "--report", "cmp.json"],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True)
+
+        done = module("square.csv", "square.csv")
+        assert done.returncode == 0, done.stderr
+        assert json.loads((tmp_path / "cmp.json").read_text())["rel_l2"] == 0.0
+        assert module("square.csv", "triangular.csv").returncode == 1

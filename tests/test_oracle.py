@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -261,6 +263,15 @@ class TestCompareFields:
     def test_window_mismatch(self, crack_field):
         with pytest.raises(WindowMismatch):
             compare_fields(crack_field, crack_field, ((-100, 100), (0, 0)))
+
+    def test_lattice_mismatch(self):
+        """A square grid and a triangular grid holding the same numbers are
+        not the same field."""
+        values = np.arange(121, dtype=complex).reshape(11, 11)
+        square, triangular = (FieldGrid(lattice, (-5, 5), (-5, 5), values)
+                              for lattice in ("square", "triangular"))
+        with pytest.raises(WindowMismatch, match="square grid with a triangular grid"):
+            compare_fields(square, triangular, ((-2, 2), (-2, 2)))
 
     @pytest.mark.parametrize("window", [((2, -2), (2, -2)), ((-2, 2), (2, -2)),
                                         ((2, -2), (-2, 2))])
@@ -832,11 +843,16 @@ def _dense_free_operator(lattice, diag, size, torus):
 class TestFreeOperators:
     @pytest.mark.parametrize("lattice,size", [
         (Lattice.SQUARE, 7), (Lattice.TRIANGULAR, 8), (Lattice.HONEYCOMB, 8),
-    ], ids=["square_window", "triangular_torus", "honeycomb_torus"])
+        (Lattice.TRIANGULAR, 9), (Lattice.HONEYCOMB, 9),
+    ], ids=["square_window", "triangular_torus", "honeycomb_torus", "triangular_torus_odd",
+            "honeycomb_torus_odd"])
     def test_match_the_dense_inverse(self, lattice, size):
         """green, free_solve and solve_at against the inverse of the dense A0:
         the whole of G, which must be symmetric, an unsorted block of it, one
-        solve, and one solve read at unsorted sites for a source on two rows."""
+        solve, and one solve read at unsorted sites for a source on two rows;
+        then a source on three rows apart, the first and the last among them,
+        and blocks of G between the first two and the last two rows, whose
+        row offsets wrap past the period on a torus."""
         diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
         square = lattice is Lattice.SQUARE
         operator = oracle._sine_operator if square else oracle._torus_operator
@@ -852,9 +868,82 @@ class TestFreeOperators:
         assert np.max(np.abs(green(rows, cols) - inverse[np.ix_(rows, cols)])) <= 1e-12 * scale
         b = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
         assert np.max(np.abs(free_solve(b) - inverse @ b)) <= 1e-12 * np.max(np.abs(inverse @ b))
-        b[(sites // size) % size > 1] = 0  # rows 0 and 1 of every sublattice
-        assert np.max(np.abs(solve_at(b, rows) - (inverse @ b)[rows])) <= \
-            1e-12 * np.max(np.abs(inverse @ b))
+        y = (sites // size) % size
+        for on in ((0, 1), (0, size // 2, size - 1)):
+            source = np.where(np.isin(y, on), b, 0)
+            exact = inverse @ source
+            assert np.max(np.abs(free_solve(source) - exact)) <= 1e-12 * np.max(np.abs(exact))
+            assert np.max(np.abs(solve_at(source, rows) - exact[rows])) <= \
+                1e-12 * np.max(np.abs(exact))
+        first, last = rng.permutation(sites[y < 2]), rng.permutation(sites[y >= size - 2])
+        for r, c in ((first, last), (last, first)):
+            assert np.max(np.abs(green(r, c) - inverse[np.ix_(r, c)])) <= 1e-12 * scale
+
+
+def _torus_spec(family):
+    """The oracle layout of a scalar torus family at 1+0.1i, theta = 0.5."""
+    inc = dispersion_solve(kernel_lattice(family), Frequency(1 + 0.1j), 0.5)
+    return problem_for(ScalarKernel(family, 1 + 0.1j), inc)
+
+
+class TestTorusSolveCost:
+    @pytest.mark.parametrize("family", ["tri_dirichlet", "hex_crack"])
+    def test_one_full_grid_transform_and_no_tile(self, monkeypatch, family):
+        """An L = 100 torus solve that takes no refinement step transforms the
+        whole grid once, for the field; every other transform runs over the
+        few rows of the defects.  No stage of the free operator (its set-up,
+        green, solve_at and free_solve) holds 4 period^2 complex values per
+        sublattice at once (tracemalloc peak): a g tiled to 2 period x 2
+        period alone did, on each sublattice pair."""
+        system = assemble(_torus_spec(family), 100)
+        period, subs = system.index_u.shape[0], len(oracle._STENCILS[system.spec.lattice])
+        transforms, peaks, checks_run = [], [], []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            def spy(a, *args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+                transforms.append((_name, np.size(a)))
+                return _transform(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+
+        def measured(stage):
+            def run(*args):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = stage(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                return out
+            return run
+
+        torus_operator, backward_errors = oracle._torus_operator, oracle._backward_errors
+        monkeypatch.setattr(oracle, "_torus_operator",
+                            lambda *args: tuple(map(measured, measured(torus_operator)(*args))))
+        monkeypatch.setattr(oracle, "_backward_errors",
+                            lambda *args: checks_run.append(1) or backward_errors(*args))
+        tracemalloc.start()
+        try:
+            solve_direct(system)
+        finally:
+            tracemalloc.stop()
+        assert len(checks_run) == 1  # no refinement step
+        full = [name for name, size in transforms if size >= period * period]
+        assert full == ["ifft2"]
+        assert len(peaks) == 1 + 3 + 2  # set-up, three blocks of G, one solve_at and free_solve
+        assert max(peaks) < 4 * subs * period * period * np.dtype(complex).itemsize
+
+    # tracemalloc peak of one assemble + solve_direct at L = 100, 1+0.1i,
+    # theta = 0.5, about 15% above the measured 23.7 MB (hex_crack) and
+    # 16.5 MB (tri_dirichlet); with g tiled and the sources formed on the
+    # whole grid they read 31.4 and 19.1 MB
+    @pytest.mark.parametrize("family,gate_mb", [("hex_crack", 27.0), ("tri_dirichlet", 19.0)])
+    def test_traced_peak(self, family, gate_mb):
+        spec = _torus_spec(family)
+        solve_direct(assemble(spec, 100))  # numpy's one-off allocations out of the count
+        tracemalloc.start()
+        try:
+            solve_direct(assemble(spec, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gate_mb * 1e6
 
 
 def _fast(system):
