@@ -110,10 +110,9 @@ class FieldGrid:
         return np.concatenate([self.u.ravel(), self.v.ravel()])
 
     def to_csv(self, path, extra_meta: dict | None = None):
-        """Columns x, y, re_u, im_u (plus re_v, im_v for honeycomb)."""
-        meta = dict(self.meta or {})
-        if extra_meta:
-            meta.update(extra_meta)
+        """Columns x, y, re_u, im_u (plus re_v, im_v for honeycomb), under a
+        header that always names the grid's own lattice, whatever meta holds."""
+        meta = {**(self.meta or {}), **(extra_meta or {}), "lattice": self.lattice.value}
         with open(path, "w") as fh:
             for key in sorted(meta):
                 fh.write(f"# {key} = {meta[key]}\n")

@@ -39,8 +39,8 @@ __all__ = [
     "coefficients",
     "row_coefficients",
     "row_values",
+    "plus_values",
     "additive_split",
-    "row_split",
     "winding_number",
     "mult_factorize",
     "FactorizationReport",
@@ -174,53 +174,54 @@ def coefficients(samples, grid: CircleGrid) -> LaurentSeries:
     return LaurentSeries(row_coefficients(vals, grid), grid.radius)
 
 
-def row_coefficients(samples, grid: CircleGrid, orders=None) -> np.ndarray:
+def row_coefficients(samples, grid: CircleGrid, orders=None, out=None) -> np.ndarray:
     """Laurent coefficients of every row of samples, shape (..., count).
 
-    One FFT along the last axis transforms all rows.  Without orders the
-    result holds every order of grid.orders, as coefficients() does; with
-    orders (each in [-count/2, count/2)) it holds just those, read by index
-    so the others are never scaled.  Each value is bit-identical to the
-    one coefficients() gives for that row.  On the unit circle the radius
+    One FFT along the last axis, scaled by 1/count inside it (exact on
+    power-of-two grids), transforms all rows, into out if given (samples
+    itself too).  Without orders the result holds every order of
+    grid.orders, as coefficients() does; with orders (each in
+    [-count/2, count/2)) just those, read by index so that the radius
+    scale reaches no others.  Each value is bit-identical to the one
+    coefficients() gives for that row; on the unit circle the radius
     scale is 1 and is not applied.
     """
-    raw = np.fft.fft(samples, axis=-1)
+    raw = np.fft.fft(samples, axis=-1, norm="forward", out=out)
     if orders is None:
-        coeff, index = np.fft.fftshift(raw, axes=-1) / grid.count, slice(None)
+        coeff, index = np.fft.fftshift(raw, axes=-1), slice(None)
     else:
         n = np.asarray(orders)
         half = grid.count // 2
         if n.size and not (-half <= n.min() and n.max() < half):
             raise LengthMismatch(f"orders outside [-{half}, {half}) on this grid")
-        coeff, index = np.take(raw, n % grid.count, axis=-1) / grid.count, n + half
+        coeff, index = np.take(raw, n % grid.count, axis=-1), n + half
     return coeff if grid.radius == 1.0 else coeff * grid.inverse_radius_powers[index]
 
 
 def row_values(coeff, grid: CircleGrid) -> np.ndarray:
     """Samples on the grid of every row of coefficients, shape (..., count).
 
-    The batched form of LaurentSeries.values_on: one inverse FFT along the
-    last axis, each row bit-identical to values_on of that row.
+    The batched form of LaurentSeries.values_on: one unscaled inverse FFT
+    along the last axis, each row bit-identical to values_on of that row.
     """
     scaled = coeff if grid.radius == 1.0 else coeff * grid.radius_powers
-    shifted = np.fft.ifftshift(scaled, axes=-1)
-    return grid.count * np.fft.ifft(shifted, axis=-1)
+    return np.fft.ifft(np.fft.ifftshift(scaled, axes=-1), axis=-1, norm="forward")
+
+
+def plus_values(samples, grid: CircleGrid) -> np.ndarray:
+    """Samples of the plus part (orders n <= 0) of every row of samples, split
+    in FFT order, where the two transforms' radius scales cancel unapplied."""
+    raw = np.fft.fft(samples, axis=-1, norm="forward")
+    raw[..., 1:grid.count // 2] = 0.0
+    return np.fft.ifft(raw, axis=-1, norm="forward", out=raw)
 
 
 def additive_split(series: LaurentSeries) -> SplitPair:
     """Lossless partition: plus gets n <= 0 (including a_0), minus gets n >= 1."""
-    plus, minus = row_split(series.coeff)
-    return SplitPair(
-        plus=LaurentSeries(plus, series.radius),
-        minus=LaurentSeries(minus, series.radius),
-    )
-
-
-def row_split(coeff) -> tuple[np.ndarray, np.ndarray]:
-    """additive_split of every row of coefficients, shape (..., count): (plus, minus)."""
-    half = np.shape(coeff)[-1] // 2
-    plus_side = np.arange(2 * half) <= half  # index half holds order 0
-    return np.where(plus_side, coeff, 0j), np.where(plus_side, 0j, coeff)
+    plus, minus = series.coeff.copy(), series.coeff.copy()
+    plus[series.coeff.size // 2 + 1:] = minus[:series.coeff.size // 2 + 1] = 0.0
+    return SplitPair(plus=LaurentSeries(plus, series.radius),
+                     minus=LaurentSeries(minus, series.radius))
 
 
 def _phase_steps(samples: np.ndarray, modulus: np.ndarray) -> tuple[np.ndarray, int]:
@@ -280,6 +281,10 @@ def mult_factorize(samples, grid: CircleGrid):
     reconstruction error of the truncated factor series against the input
     samples and the wrong-side coefficient leakage that was discarded.
 
+    log K is split and the factors truncated in FFT order (order n at
+    index n % count); on power-of-two unit-circle grids the factors and
+    report are bit-identical to those from additive_split of coefficients().
+
     Raises NonzeroWinding if the index is not 0 (this factorization form
     does not exist then) and ZeroOnContour for vanishing samples.
     """
@@ -292,9 +297,14 @@ def mult_factorize(samples, grid: CircleGrid):
     phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
     log_samples = np.log(modulus) + 1j * phase
 
-    split = additive_split(coefficients(log_samples, grid))
-    factor_vals = np.exp(row_values(np.stack([split.plus.coeff, split.minus.coeff]), grid))
-    plus_coeff, minus_coeff = row_coefficients(factor_vals, grid)
+    # log K's plus part (n <= 0) sits at index 0 and half.., its minus part at 1 .. half - 1
+    half = grid.count // 2
+    factors = np.array(2 * [np.fft.fft(log_samples, norm="forward")])
+    factors[0, 1:half] = factors[1, :1] = factors[1, half:] = 0.0
+    np.exp(np.fft.ifft(factors, norm="forward", out=factors), out=factors)
+    np.fft.fft(factors, norm="forward", out=factors)  # the factors' coefficients
+    if grid.radius != 1.0:  # true coefficients; the split above needed no scale
+        factors *= np.fft.ifftshift(grid.inverse_radius_powers)
 
     def _leak(coeff, wrong):
         # wrong-side share of the exponentiated factor, then discard it
@@ -304,12 +314,12 @@ def mult_factorize(samples, grid: CircleGrid):
         return leak
 
     # plus factor keeps orders n <= 0; minus keeps n >= 0, which survive exponentiation
-    leak_plus = _leak(plus_coeff, grid.orders > 0)
-    leak_minus = _leak(minus_coeff, grid.orders < 0)
-    plus_factor = LaurentSeries(plus_coeff, grid.radius)
-    minus_factor = LaurentSeries(minus_coeff, grid.radius)
-
-    plus_vals, minus_vals = row_values(np.stack([plus_coeff, minus_coeff]), grid)
+    leak_plus = _leak(factors[0], slice(1, half))
+    leak_minus = _leak(factors[1], slice(half, None))
+    plus_coeff, minus_coeff = np.fft.fftshift(factors, axes=-1)  # the two series returned
+    if grid.radius != 1.0:
+        factors *= np.fft.ifftshift(grid.radius_powers)
+    plus_vals, minus_vals = np.fft.ifft(factors, norm="forward", out=factors)
     recon = plus_vals * minus_vals
     residual = float(np.max(np.abs(recon - vals) / modulus))
     report = FactorizationReport(
@@ -322,7 +332,7 @@ def mult_factorize(samples, grid: CircleGrid):
         plus_samples=plus_vals,
         minus_samples=minus_vals,
     )
-    return plus_factor, minus_factor, report
+    return LaurentSeries(plus_coeff, grid.radius), LaurentSeries(minus_coeff, grid.radius), report
 
 
 def half_transform_exp(amplitude: complex, phase: complex, side: str, strict: bool = True):

@@ -35,8 +35,8 @@ from .series import (
     FactorizationReport,
     LaurentSeries,
     mult_factorize,
+    plus_values,
     row_coefficients,
-    row_split,
     row_values,
     sample,
 )
@@ -186,22 +186,20 @@ def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None
     kp_vals, km_vals = report.plus_samples, report.minus_samples
 
     # the known part of the forcing and each unknown's unit component,
-    # split in one pass: row 0 is the base, row i the i-th term
-    plus, minus = row_split(row_coefficients(c_rows / kp_vals, grid))
-    fp_rows = kp_vals * row_values(plus, grid)
-    fm_rows = row_values(minus, grid) / km_vals
-    terms = list(enumerate(problem.forcing.constant_ids, start=1))
+    # split in one pass: row 0 is the base, row i the i-th term; c/K+ less
+    # its plus part C+ is its minus part C-
+    fm_rows = c_rows / kp_vals
+    fp_rows = plus_values(fm_rows, grid)
+    fm_rows -= fp_rows
+    fm_rows /= km_vals
+    fp_rows *= kp_vals
+    keys = problem.forcing.constant_ids
     constants, condition = {}, None
-    if terms:
-        term_pairs = [(key, (fp_rows[i], fm_rows[i])) for i, key in terms]
-        constants, condition = close_constants(problem, (fp_rows[0], fm_rows[0]), term_pairs)
-
-    fp_vals, fm_vals, c_vals = fp_rows[0].copy(), fm_rows[0].copy(), c_rows[0].copy()
-    for i, key in terms:
-        alpha = constants[key]
-        fp_vals += alpha * fp_rows[i]
-        fm_vals += alpha * fm_rows[i]
-        c_vals += alpha * c_rows[i]
+    if keys:
+        constants, condition = close_constants(problem, (fp_rows[0], fm_rows[0]),
+                                               list(zip(keys, zip(fp_rows[1:], fm_rows[1:]))))
+    weights = np.array([1.0] + [constants[key] for key in keys])
+    fp_vals, fm_vals, c_vals = weights @ fp_rows, weights @ fm_rows, weights @ c_rows
 
     residual = float(np.max(np.abs(fp_vals + k_vals * fm_vals - c_vals)))
     residual /= max(1.0, float(np.max(np.abs(c_vals))))
@@ -209,10 +207,11 @@ def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None
         return None
 
     # support-enforced series: f+ keeps orders n <= 0, f- keeps n >= 1
-    plus, minus = row_split(row_coefficients(np.stack([fp_vals, fm_vals]), grid))
+    plus, minus = row_coefficients(np.stack([fp_vals, fm_vals]), grid)
+    plus[grid.count // 2 + 1:] = minus[:grid.count // 2 + 1] = 0.0
     return WHSolution(
-        f_plus=LaurentSeries(plus[0], grid.radius),
-        f_minus=LaurentSeries(minus[1], grid.radius),
+        f_plus=LaurentSeries(plus, grid.radius),
+        f_minus=LaurentSeries(minus, grid.radius),
         factor_plus=factor_plus,
         factor_minus=factor_minus,
         factorization=report,
@@ -237,27 +236,25 @@ def inverse_transform_row(series: LaurentSeries, x_range) -> np.ndarray:
 
 
 def _row0_half_line(kernel: ScalarKernel, row1: np.ndarray,
-                    left_boundary: complex, span: int) -> np.ndarray:
+                    left_boundary: complex | np.ndarray, span: int) -> np.ndarray:
     """Defect-row values u_{x,0}, x = 0..span, from the adjacent row.
 
     Solves the one-dimensional row equation of the constraint problems
     (square: u[x+1] + u[x-1] + 2 u1[x] + (w^2-4) u[x] = 0; triangular:
     the slant-symmetric analogue, whose row-1 neighbours are x and x-1)
     as a tridiagonal system with the given left boundary value u_{-1,0}
-    and a zero tail at x = span + 1.  row1 holds u_{x,1} for x = -1 .. span+1.
+    and a zero tail at x = span + 1.  Each row of row1 (u_{x,1}, x = -1 ..
+    span+1) with its left boundary is a right-hand side of one solve.
     """
     w = kernel.omega_value
     diag = lattice_omega_shift(kernel.lattice, w * w)
-    neighbours = [row1[1 + s: span + 2 + s] for s in family_record(kernel.family).closure]
+    neighbours = [row1[..., 1 + s: span + 2 + s] for s in family_record(kernel.family).closure]
     rhs = -2.0 * sum(neighbours[1:], neighbours[0])
-    n = span + 1
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = 1.0
-    ab[1, :] = diag
-    ab[2, :-1] = 1.0
-    b = rhs.astype(complex).copy()
-    b[0] -= left_boundary
-    return scipy.linalg.solve_banded((1, 1), ab, b)
+    ab = np.ones((3, span + 1), dtype=complex)  # ab[0, 0] and ab[2, -1] lie outside the band
+    ab[1] = diag
+    b = rhs.astype(complex)
+    b[..., 0] -= left_boundary
+    return scipy.linalg.solve_banded((1, 1), ab, b.T).T
 
 
 def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
@@ -281,17 +278,15 @@ def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
     pairs = [base_pair] + [pair for _, pair in term_pairs]
     rows1 = row_coefficients(np.stack([fp + fm for fp, fm in pairs]), problem.grid,
                              -np.arange(-1, _CLOSURE_SPAN + 2))  # u_1 = a_{-x}, x = -1 .. span+1
-    left = -complex(problem.incidence.field(-1, 0))
-    estimates = []
-    for i, row1 in enumerate(rows1):
-        row0 = _row0_half_line(kernel, row1, left if i == 0 else 0j, _CLOSURE_SPAN)
-        estimates.append([row1[x + 1] if y == 1 else row0[x] for _, x, y in keys])
-    g0, g_rows = estimates[0], estimates[1:]
-    system = np.eye(len(keys)) - np.array(g_rows).T
+    left = np.array([-complex(problem.incidence.field(-1, 0))] + [0j] * len(keys))
+    rows0 = _row0_half_line(kernel, rows1, left, _CLOSURE_SPAN)
+    estimates = np.array([[row1[x + 1] if y == 1 else row0[x] for _, x, y in keys]
+                          for row1, row0 in zip(rows1, rows0)])
+    system = np.eye(len(keys)) - estimates[1:].T
     det = np.linalg.det(system)
     if abs(det) < 1e-10:
         raise IllConditionedClosure(f"|det(I - G)| = {abs(det):.3e}")
-    alpha = np.linalg.solve(system, g0)
+    alpha = np.linalg.solve(system, estimates[0])
     condition = float(np.linalg.cond(system))
     if condition >= 1e6:
         raise IllConditionedClosure(f"closure condition number {condition:.3e}")
@@ -305,18 +300,17 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     solution's grid, which may be finer than the problem's: no branch is
     evaluated here.
 
-    Rows y >= 0 follow u_y = u_0 * multiplier^y (with the honeycomb
-    companion factor for the v rows); the lower half plane is filled by
-    the family's reflection image (odd across the crack line, even
-    across the constraint row, slant-shifted for the slant lattices).
-    All row levels, the honeycomb v rows included, are transformed by
-    one FFT along the last axis and only the window's columns are read
-    from it; each row is bit-identical to coefficients() of its level.  The
-    constraint families' closure row comes from the same transform.
+    Rows y >= 0 follow u_y = u_0 * multiplier^y, the honeycomb v rows the
+    v-site equation on them.  The lower half plane is filled by the
+    family's reflection image (odd across the crack line, even across the
+    constraint row, slant-shifted for the slant lattices).  All u levels
+    are transformed by one FFT along the last axis, written over them, and
+    only the window's orders are read from it; each row is bit-identical
+    to coefficients() of its level.  The constraint families' closure row
+    comes from the same transform.
     """
     (x0, x1), (y0, y1) = window
     grid = solution.grid
-    nodes = grid.nodes
     kernel = problem.kernel
     rec = family_record(kernel.family)
     w = kernel.omega_value
@@ -330,45 +324,42 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
                              f"nq = {grid.count} grid; it needs nq >= {2 * reach + 6}")
     y_top = max(y1, abs(y0) + 1, 1)
 
-    f_vals = solution.transform_values(grid)
-    prop = solution.multiplier
-    honeycomb = kernel.lattice is Lattice.HONEYCOMB
+    # the honeycomb v rows read u one column right and one row up
+    extra = 1 if kernel.lattice is Lattice.HONEYCOMB else 0
 
     # crack problems solve for row 0 directly; constraint problems solve
     # for row 1 and never divide by the propagator (it vanishes at the
     # z = -1 node for the slant lattices)
     constraint_like = rec.closure is not None
     first = 1 if constraint_like else 0
-    # level y is f * prop^(y - first), one multiply at a time: a cumulative
-    # product rounds differently
-    subs = ("u", "v") if honeycomb else ("u",)
-    n_levels = y_top + 1 - first
-    levels = np.empty((len(subs) * n_levels, grid.count), dtype=complex)
+    # level y is f * multiplier^(y - first), one multiply at a time: a
+    # cumulative product rounds differently
+    f_vals = solution.transform_values(grid)
+    levels = np.empty((y_top + 1 + extra - first, grid.count), dtype=complex)
     levels[0] = f_vals
-    for i in range(1, n_levels):
-        np.multiply(levels[i - 1], prop, out=levels[i])
-    if honeycomb:  # v rows: the companion factor times each u level
-        np.multiply(levels[:n_levels], (1.0 + nodes + prop) / hex_coupling(w), out=levels[n_levels:])
-    # u_x = a_{-x}: every row of every sublattice from one batched FFT;
-    # constraint families also read row 1 at x = -1 .. span + 1 from it for
-    # the closure recurrence (orders past the grid read 0)
-    xs = np.arange(ex0, ex1 + 1)
+    for i in range(1, len(levels)):
+        np.multiply(levels[i - 1], solution.multiplier, out=levels[i])
+    # u_x = a_{-x}: every level from one FFT, written over them; constraint
+    # families also read row 1 at x = -1 .. span + 1 from it for the
+    # closure recurrence (orders past the grid read 0)
+    xs = np.arange(ex0, ex1 + 1 + extra)
     span = max(_CLOSURE_SPAN, ex1 + 50)
     reads = np.arange(min(ex0, -1), min(span + 1, grid.count // 2) + 1) if constraint_like else xs
-    coeff = row_coefficients(levels, grid, -reads)
-    upper = np.zeros((len(subs), y_top + 1, xs.size), dtype=complex)
-    upper[:, first:] = coeff[:, xs - reads[0]].reshape(len(subs), -1, xs.size)
-    upper = dict(zip(subs, upper))
+    coeff = row_coefficients(levels, grid, -reads, out=levels)
+    del f_vals, levels  # only the orders read are kept
+    u = np.zeros((y_top + 1 + extra, xs.size), dtype=complex)
+    u[first:] = coeff[:, xs - reads[0]]
 
     if constraint_like:
         row1 = np.zeros(span + 3, dtype=complex)
         row1[:reads[-1] + 2] = coeff[0, -1 - reads[0]:]
         row0_pos = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
         pinned = xs < 0
-        # u = -u_in on the constraint, one site at a time: the array form
-        # of inc.field rounds differently in the last bit
-        upper["u"][0, pinned] = [-complex(inc.field(x, 0)) for x in xs[pinned]]
-        upper["u"][0, ~pinned] = row0_pos[xs[~pinned]]
+        u[0, pinned] = -inc.field(xs[pinned], 0)  # u = -u_in on the constraint
+        u[0, ~pinned] = row0_pos[xs[~pinned]]
+    upper = {"u": u}
+    if extra:  # the v-site equation of motion
+        upper = {"u": u[:-1, :-1], "v": (u[:-1, :-1] + u[:-1, 1:] + u[1:, :-1]) / hex_coupling(w)}
 
     image = rec.image
     cols = np.arange(x0, x1 + 1) - ex0

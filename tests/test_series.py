@@ -17,12 +17,13 @@ from latticewh.kernels import ScalarKernel, eval_scalar_kernel
 from latticewh.series import (
     CircleGrid,
     LaurentSeries,
+    _phase_steps,
     additive_split,
     coefficients,
     half_transform_exp,
     mult_factorize,
+    plus_values,
     row_coefficients,
-    row_split,
     row_values,
     sample,
     series_to_csv,
@@ -138,13 +139,13 @@ class TestRows:
     def test_values_and_split_rows(self):
         rows = self._rows()
         values = row_values(rows, self.GRID)
-        plus, minus = row_split(rows)
+        plus = plus_values(values, self.GRID)
         for r in range(3):
             series = LaurentSeries(rows[r], 0.97)
             assert np.array_equal(values[r], series.values_on(self.GRID))
-            pair = additive_split(series)
-            assert np.array_equal(plus[r], pair.plus.coeff)
-            assert np.array_equal(minus[r], pair.minus.coeff)
+            # to rounding: plus_values leaves the radius scales, which cancel, unapplied
+            expected = additive_split(series).plus.values_on(self.GRID)
+            assert np.max(np.abs(plus[r] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("orders", [[-33, 0], [0, 32]])
     def test_orders_outside_grid_rejected(self, orders):
@@ -264,6 +265,33 @@ class TestFactorization:
         bare = dataclasses.replace(rep, plus_samples=None, minus_samples=None)
         assert bare == rep and repr(bare) == repr(rep)  # diagnostics only
         assert "plus_samples" not in rep.as_dict()
+
+    @pytest.mark.parametrize("family", ["sq_crack", "sq_constraint", "tri_dirichlet", "hex_crack"])
+    def test_fft_order_split_bit_identical_to_the_centred_split(self, family):
+        """On power-of-two unit-circle grids the factors and every report field
+        equal, bit for bit, a factorization through additive_split of
+        coefficients() and the batched transforms in centred order."""
+        kern = ScalarKernel(family, 1 + 0.05j)
+        for count in (512, 1024, 2048, 4096, 8192):
+            grid = CircleGrid(1.0, count)
+            vals = sample(lambda z: eval_scalar_kernel(kern, z), grid)
+            plus, minus, rep = mult_factorize(vals, grid)
+            steps, _ = _phase_steps(vals, np.abs(vals))
+            phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+            split = additive_split(coefficients(np.log(np.abs(vals)) + 1j * phase, grid))
+            factor_vals = np.exp(row_values(np.stack([split.plus.coeff, split.minus.coeff]), grid))
+            coeff = row_coefficients(factor_vals, grid)
+            leaks = []
+            for row, wrong in zip(coeff, (grid.orders > 0, grid.orders < 0)):
+                leaks.append(float(np.max(np.abs(row[wrong]))) / float(np.max(np.abs(row))))
+                row[wrong] = 0.0
+            samples = row_values(coeff, grid)
+            residual = float(np.max(np.abs(samples[0] * samples[1] - vals) / np.abs(vals)))
+            assert np.array_equal(plus.coeff, coeff[0]) and np.array_equal(minus.coeff, coeff[1])
+            assert np.array_equal(rep.plus_samples, samples[0])
+            assert np.array_equal(rep.minus_samples, samples[1])
+            assert (rep.leakage_plus, rep.leakage_minus) == tuple(leaks)
+            assert rep.reconstruction_residual == residual and rep.winding == 0
 
     def test_nonzero_winding_rejected(self):
         with pytest.raises(NonzeroWinding) as err:

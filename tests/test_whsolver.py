@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from latticewh.errors import (
     PhaseStepTooLarge,
     WindowTooLarge,
 )
-from latticewh.fields import compare_fields
+from latticewh.fields import FieldGrid, compare_fields
 from latticewh.kernels import (
     SCALAR_FAMILIES,
     AffineForcing,
@@ -296,6 +297,56 @@ class TestOncePerGrid:
         assert np.array_equal(c_rows[0], sample(own.forcing.base, grid))
 
 
+class TestWHPassCost:
+    """The full-grid transforms of a scalar solve and reconstruction at nq = 4096,
+    counted in rows of nq, and the memory a honeycomb reconstruction holds."""
+
+    NQ = 4096
+    WINDOW = ((-20, 20), (-20, 20))  # y_top = 21
+    # mult_factorize: log K, its two parts, the two factors' coefficients and
+    # samples; then c/K+ forward, its plus part back, and the support of f+, f-
+    SOLVE = [("fft", 1), ("ifft", 2), ("fft", 2), ("ifft", 2), ("fft", 1), ("ifft", 1), ("fft", 2)]
+
+    def _problem(self, family):
+        inc = dispersion_solve(kernel_lattice(family), Frequency(OMEGA), THETA)
+        return ScalarWHProblem.for_family(family, inc, CircleGrid(1.0, self.NQ))
+
+    @pytest.mark.parametrize("family,levels", [("sq_crack", 22), ("hex_crack", 23)])
+    def test_rows_transformed(self, family, levels, monkeypatch):
+        """Reconstruction transforms f (its two parts) and then the u levels
+        0 .. y_top, one more on the honeycomb, whose v rows come from the u
+        rows: y_top + 2 rows there, not a second set of y_top + 1."""
+        problem = self._problem(family)
+        rows = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            def spy(a, *args, _transform=getattr(np.fft, name), _name=name, **kwargs):
+                rows.append((_name, np.size(a) // self.NQ))
+                return _transform(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        sol = solve_scalar(problem)
+        assert rows == self.SOLVE
+        rows.clear()
+        reconstruct_field(problem, sol, self.WINDOW)
+        assert rows == [("ifft", 2), ("fft", levels)]
+
+    def test_hex_reconstruction_holds_one_level_block(self):
+        """tracemalloc peak: the block of y_top + 2 levels, which the FFT
+        overwrites, plus the row of f and the orders read from it.  A second
+        set of v levels and a separate FFT output hold about four blocks."""
+        problem = self._problem("hex_crack")
+        sol = solve_scalar(problem)
+        reconstruct_field(problem, sol, self.WINDOW)  # numpy's one-off allocations out of the count
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reconstruct_field(problem, sol, self.WINDOW)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        row = self.NQ * np.dtype(complex).itemsize
+        assert peak <= (23 + 2) * row
+
+
 # About 100x the factorization (reconstruction) and equation residuals that
 # explicit CircleGrid(1.0, 4096) solves measure at theta = pi/6: at
 # omega = 1+0.1i they are at rounding (4.9e-15-7.8e-15 and 6.9e-16-3.1e-15),
@@ -375,30 +426,33 @@ def _row_multiplier(lattice, w, z):
 
 
 def _per_row_field(problem, sol, window):
-    """reconstruct_field one row at a time: one coefficients() call per row and sublattice."""
+    """reconstruct_field one row at a time: one coefficients() call per u row,
+    and each honeycomb v row from the u rows by the v-site equation of motion,
+    v(x, y) = (u(x, y) + u(x+1, y) + u(x, y+1)) / hex_coupling(w)."""
     (x0, x1), (y0, y1) = window
     grid, kernel, inc = problem.grid, problem.kernel, problem.incidence
     rec = family_record(kernel.family)
     w = kernel.omega_value
     pad = abs(y0) + 1
     ex0, ex1 = x0 - pad, x1 + pad
-    xs = range(ex0, ex1 + 1)
+    xs = range(ex0, ex1 + 2)  # v reads u one column right
     y_top = max(y1, abs(y0) + 1, 1)
     f_vals = sol.f_plus.values_on(grid) + sol.f_minus.values_on(grid)
     prop = _row_multiplier(kernel.lattice, w, grid.nodes)
-    v_factor = (1.0 + grid.nodes + prop) / hex_coupling(w)
     first = 0 if rec.closure is None else 1
     upper = {"u": {}, "v": {}}
     level = f_vals.copy()
-    for y in range(first, y_top + 1):
+    for y in range(first, y_top + 2):  # and one row up
         upper["u"][y] = inverse_transform_row(coefficients(level, grid), xs)
-        upper["v"][y] = inverse_transform_row(coefficients(level * v_factor, grid), xs)
         level = level * prop
     if first:  # the constraint row: pinned for x < 0, the closure recurrence for x >= 0
         span = max(_CLOSURE_SPAN, ex1 + 50)
         row1 = inverse_transform_row(coefficients(f_vals, grid), range(-1, span + 2))
         row0 = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
         upper["u"][0] = np.array([-complex(inc.field(x, 0)) if x < 0 else row0[x] for x in xs])
+    for y in range(y_top + 1):
+        u, up = upper["u"][y], upper["u"][y + 1]
+        upper["v"][y] = (u[:-1] + u[1:] + up[:-1]) / hex_coupling(w)
     image = rec.image
     expected = {}
     for sub, src, x_shift in image.sources:
@@ -435,6 +489,27 @@ class TestReconstruction:
         assert (fld.v is None) == ("v" not in expected)
         if fld.v is not None:
             assert np.array_equal(fld.v, expected["v"])
+
+    @pytest.mark.parametrize("omega,count,inner", [(OMEGA, 1024, True), (1 + 0.01j, 4096, False)],
+                             ids=["inner_radius", "weak_damping"])
+    def test_hex_v_rows_match_the_companion_factor(self, omega, count, inner):
+        """The v rows, from the u rows by the v-site equation of motion, agree
+        with the transform of each level times the companion factor
+        (1 + z + multiplier) / hex_coupling: the same rows by the transform."""
+        inc = dispersion_solve("honeycomb", Frequency(omega), THETA)
+        radius = 1.0 - 0.5 * (1.0 - annulus_bounds(inc)[0]) if inner else 1.0
+        problem = ScalarWHProblem.for_family("hex_crack", inc, CircleGrid(radius, count))
+        grid, sol = problem.grid, solve_scalar(problem)
+        fld = reconstruct_field(problem, sol, ((-7, 11), (0, 9)))
+        factor = (1.0 + grid.nodes + sol.multiplier) / hex_coupling(omega)
+        level = sol.transform_values(grid)
+        companion = []
+        for _ in range(10):
+            row = coefficients(level * factor, grid)
+            companion.append(inverse_transform_row(row, range(-7, 12)))
+            level = level * sol.multiplier
+        companion = np.array(companion)
+        assert np.max(np.abs(fld.v - companion)) <= 1e-13 * np.max(np.abs(companion))
 
     def test_crack_odd_symmetry_exact(self, inc_square):
         problem = ScalarWHProblem.for_family("sq_crack", inc_square)
@@ -586,6 +661,18 @@ class TestParameterCorners:
 
 
 class TestFieldCsv:
+    @pytest.mark.parametrize("lattice", list(Lattice))
+    def test_lattice_roundtrip_without_meta(self, lattice, tmp_path):
+        """The header names the grid's own lattice when meta does not, so a
+        triangular grid does not read back as square."""
+        rng = np.random.default_rng(4)
+        u, v = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        fld = FieldGrid(lattice, (-1, 2), (0, 2), u, v if lattice is Lattice.HONEYCOMB else None)
+        fld.to_csv(tmp_path / "field.csv")
+        back = FieldGrid.from_csv(tmp_path / "field.csv")
+        assert back.lattice is lattice
+        assert compare_fields(back, fld, ((-1, 2), (0, 2))).rel_l2 == 0.0
+
     def test_roundtrip(self, inc_square, tmp_path):
         problem = ScalarWHProblem.for_family("sq_crack", inc_square)
         sol = solve_scalar(problem)
@@ -595,7 +682,6 @@ class TestFieldCsv:
         text = path.read_text()
         assert "# lattice = square" in text
         assert "x,y,re_u,im_u" in text
-        from latticewh.fields import FieldGrid
         back = FieldGrid.from_csv(path)
         assert np.max(np.abs(back.u - fld.u)) < 1e-15
         rep = compare_fields(back, fld, ((-5, 5), (-5, 5)))
