@@ -24,17 +24,16 @@ rows next to a defect only.  Every window without Bloch rows is then
 solved by the capacitance matrix method (_capacitance) with one free solve
 of a defect-free operator A0, plus multipliers that hold the pinned sites
 at zero and rank-one terms for the broken bonds, read off the stencil
-table.  A0 is the square window with zero Dirichlet data (2-D DST-I), or
-on the triangular and honeycomb lattices the torus of period 2L + 1 that
-the window wraps into (2-D DFT, per mode a 2 x 2 block on the honeycomb),
-so the multipliers are the defects' alone.  Both operators transform a
-source along y over its few rows only, form the Green's function on the
-rows its blocks read, and transform the whole grid once per solve, for
-the field.  Bloch strips go to a sparse LU, which alone builds a sparse
-matrix.  Either answer is refined where a defect row runs through
-an incident far larger than the field elsewhere (_refined_solve), and
-both must meet the same checks, read off the table: the relative
-residual, and every equation's backward error.
+table.  A0 is the square window with zero Dirichlet data, or on the
+triangular and honeycomb lattices the torus of period 2L + 1 that the
+window wraps into, so the multipliers are the defects' alone.  One free
+operator serves both, by dense per-axis tables (2-D DST-I or DFT).  It
+transforms a source along y over its few rows only, and the whole grid
+once per solve, for the field.  Bloch strips go to a sparse LU, which
+alone builds a sparse matrix.  Either answer is refined where a defect
+row runs through an incident far larger than the field elsewhere
+(_refined_solve), and both must meet the same checks, read off the
+table: the relative residual, and every equation's backward error.
 
 Truncation relies on the damping Im(omega) > 0.  The square window puts
 zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
@@ -58,6 +57,7 @@ incident parts, and unknown lattice constants are read off the field.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +143,11 @@ class LatticeProblemSpec:
                 raise InvalidSpec("Bloch period must be >= 2")
         if any(d.side == "right" for d in self.defects) and self.lattice is not Lattice.SQUARE:
             raise InvalidSpec("right-pointing defects are supported on the square lattice")
+
+    @property
+    def torus(self) -> bool:
+        """Whether the window wraps into a torus (see assemble)."""
+        return self.bloch is None and self.lattice is not Lattice.SQUARE
 
     def _norm_row(self, row: int) -> int:
         return row if self.bloch is None else row % self.bloch.period
@@ -318,8 +323,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     if w.imag <= 0:
         raise InvalidSpec("oracle solves require Im(omega) > 0")
 
-    bloch = spec.bloch
-    torus = bloch is None and spec.lattice is not Lattice.SQUARE
+    bloch, torus = spec.bloch, spec.torus
     x0, x1 = -L, L
     y0, y1 = (0, bloch.period - 1) if bloch is not None else (-L, L)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
@@ -446,129 +450,99 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     )
 
 
-def _real_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
-    """real @ cplx as one real product over the interleaved real/imaginary parts."""
-    return (real @ np.ascontiguousarray(cplx).view(float)).view(complex)
+def _product(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """table @ values, for a real table as one real product over the
+    interleaved real and imaginary parts of values."""
+    if np.isrealobj(table):
+        return (table @ np.ascontiguousarray(values).view(float)).view(complex)
+    return table @ values
 
 
-def _sine_operator(stencils, diag: complex, n: int) -> tuple:
-    """Free solve and Green's function of A0 on the n x n square window.
+@functools.lru_cache(maxsize=8)
+def _axis_transform(n: int, torus: bool) -> tuple:
+    """A0's transform along one axis of n sites, kept read-only per (n, torus):
+    the forward table [mode, site], the inverse table [site, mode] and per
+    mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]).  That is the
+    orthonormal DST-I (its own inverse) with factors cos(d pi k / (n + 1)),
+    or on the torus of period n the DFT with factors exp(2 pi i d k / n)."""
+    d, k = np.arange(-1, 2), np.arange(n) if torus else np.arange(1, n + 1)
+    jk = np.outer(k, k)
+    if torus:
+        root = np.exp(2j * np.pi * k / n)
+        inverse = root[np.remainder(jk, n, out=jk)]
+        tables = (inverse.conj(), inverse, root[np.outer(d, k) % n])
+        inverse /= n
+    else:  # sin(pi jk / (n + 1)) has period 2n + 2 in jk
+        sine = np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))[np.remainder(jk, 2 * n + 2, out=jk)]
+        sine *= np.sqrt(2.0 / (n + 1))
+        tables = (sine, sine, np.cos(np.outer(d, np.pi * k / (n + 1))))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    With zero Dirichlet data the 2-D DST-I diagonalizes A0 of an axis-aligned
-    stencil, the square lattice's, into diag plus a cosine in kx and one in
-    ky.  Returns free_solve(b), A0^-1 b for b on the grid; green(rows, cols),
-    the block G[R, C] of G = A0^-1 for grid sites R and C; and solve_at(b,
-    sites), (A0^-1 b)[sites] for a b on few grid rows.
+
+def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
+    """Free solve and Green's function of A0 on the n x n window, with zero
+    Dirichlet data or, with torus set, wrapped into the torus of period n.
+
+    The 2-D transform of _axis_transform diagonalizes A0 into an s x s matrix
+    per mode over the s sublattices (2 x 2 on the honeycomb), inverted mode
+    by mode; the DST-I does so for the square lattice's axis-aligned stencil
+    only.  Returns free_solve(b), A0^-1 b for b on the grid; green(rows,
+    cols), the block G[R, C] of G = A0^-1 for grid sites R and C; and
+    solve_at(b, sites), (A0^-1 b)[sites] for a b on few grid rows.
     """
-    # orthonormal DST-I matrix (symmetric, its own inverse); A0's symbol on modes [ky, kx]
-    k = np.arange(1, n + 1)
-    sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))[
-        np.outer(k, k) % (2 * n + 2)]  # sin(pi jk / (n + 1)) has period 2n + 2 in jk
-    t = np.pi * k / (n + 1)
-    cos_x = sum(np.cos(dx * t) for dx, dy, *_ in stencils["u"] if dy == 0)
-    cos_y = sum(np.cos(dy * t) for dx, dy, *_ in stencils["u"] if dx == 0)
-    inverse = 1.0 / (diag + cos_x + cos_y[:, None])
-
-    def modes(b):
-        """(S b S) / symbol, transformed over the nonzero rows of b only."""
-        b = b.reshape(n, n)
-        rows = np.flatnonzero(b.any(1))
-        return _real_matmul(sine[:, rows], _real_matmul(sine, b[rows].T).T) * inverse
-
-    def free_solve(b):
-        """S ((S b S) / symbol) S."""
-        return _real_matmul(sine, _real_matmul(sine, modes(b)).T).T.ravel()
-
-    def solve_at(b, sites):
-        """free_solve(b)[sites], transformed back over the rows of sites only."""
-        y, x = np.divmod(sites, n)
-        targets, at = np.unique(y, return_inverse=True)
-        return _real_matmul(sine, _real_matmul(sine[targets], modes(b)).T)[x, at]
-
-    def green(rows, cols):
-        """G[R, C] by blocks of one grid row of R and one of C: the x-mode
-        weights of such a pair sum the y-modes of its two rows."""
-        (y_r, x_r), (y_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
-        g = np.empty((rows.size, cols.size), complex)
-        for yr in np.unique(y_r):
-            for yc in np.unique(y_c):
-                ra, cb = np.flatnonzero(y_r == yr), np.flatnonzero(y_c == yc)
-                weights = _real_matmul(sine[yr] * sine[yc], inverse)
-                g[np.ix_(ra, cb)] = _real_matmul(sine[x_r[ra]], weights[:, None] * sine[x_c[cb]].T)
-        return g
-
-    return free_solve, green, solve_at
-
-
-def _torus_operator(stencils, diag: complex, period: int) -> tuple:
-    """Free solve and Green's function of A0 on the period x period torus.
-
-    A triangular or honeycomb window of n = 2L + 1 sites a side wraps into
-    the torus of period n (assemble), so A0 is its table's own free part.
-    A0 is a convolution on each sublattice pair, so the 2-D DFT diagonalizes
-    it: per mode it is an s x s matrix over the s sublattices (1 x 1 on the
-    triangular lattice, 2 x 2 on the honeycomb), inverted mode by mode.  G =
-    A0^-1 is then the convolution G[(a, c), (b, r)] = g_ab[(c - r) mod period]
-    with g_ab the inverse DFT of that inverse's block (a, b).  Every stage
-    but the field's transform back works on the rows it needs: green forms
-    g on the row offsets its block reads, and a source b on few rows is
-    transformed along y over those rows only, so a solve takes one full
-    2-D transform.  Returns free_solve, green and solve_at as
-    _sine_operator does.
-    """
+    forward, inverse, shift = _axis_transform(n, torus)
     subs = list(stencils)
     s = len(subs)
-    k = np.arange(period)
-    root = np.exp(2j * np.pi * k / period)
-
-    def waves(ys):
-        """[y, k]: exp(2 pi i k y / period), the inverse DFT's rows ys times period."""
-        return root[np.outer(ys, k) % period]
-
-    # [a, b, ky, kx]: diag if a = b, plus exp(i (dy ky + dx kx)) summed over the
-    # stencil entries from a to b, as one product over them
-    symbol = np.empty((s, s, period, period), complex)
-    e = waves(np.arange(-1, 2))
+    # [a, b, ky, kx]: diag if a = b, plus the y times the x shift factors
+    # summed over the stencil entries from a to b, as one product over them
+    symbol = np.empty((s, s, n, n), complex)
     for a, stencil in enumerate(stencils.values()):
         for b, nsub in enumerate(subs):
             dx, dy = (np.array([entry[i] for entry in stencil if entry[2] == nsub], int) + 1
                       for i in (0, 1))
-            symbol[a, b] = e[dy].T @ e[dx] + (diag if a == b else 0)
+            np.matmul(shift[dy].T, shift[dx], out=symbol[a, b])
+        symbol[a, a] += diag
     # inverted in place: 1 / symbol, or the 2 x 2 adjugate (diagonal blocks
     # swapped, the others negated) times 1 / det, det being the adjugate's too
-    inverse = symbol
     if s == 1:
-        np.reciprocal(inverse, out=inverse)
+        np.reciprocal(symbol, out=symbol)
     else:
-        inverse[[0, 1], [0, 1]] = inverse[[1, 0], [1, 0]]
-        inverse[[0, 1], [1, 0]] *= -1
-        (p, q), (r, u) = inverse
-        inverse *= 1.0 / (p * u - q * r)
+        symbol[[0, 1], [0, 1]] = symbol[[1, 0], [1, 0]]
+        symbol[[0, 1], [1, 0]] *= -1
+        (p, q), (r, u) = symbol
+        symbol *= 1.0 / (p * u - q * r)
 
     def modes(b):
-        """inverse times the 2-D DFT of b, transformed along y over the nonzero rows of b."""
-        b = b.reshape(s, period, period)
+        """symbol^-1 times the 2-D transform of b, along y over its nonzero rows only."""
+        b = b.reshape(s, n, n)
         rows = np.flatnonzero(b.any((0, 2)))
-        spectrum = waves(-rows).T @ np.fft.fft(b[:, rows], axis=-1)
-        return np.einsum("abyx,byx->ayx", inverse, spectrum)
+        along_x = _product(forward, b[:, rows].transpose(0, 2, 1)).transpose(0, 2, 1)
+        return np.einsum("abyx,byx->ayx", symbol, _product(forward[:, rows], along_x))
 
     def free_solve(b):
-        return np.fft.ifft2(modes(b)).ravel()
+        along_y = _product(inverse, modes(b)).transpose(0, 2, 1)
+        return _product(inverse, along_y).transpose(0, 2, 1).ravel()
 
     def solve_at(b, sites):
         """free_solve(b)[sites], transformed back over the rows of sites only."""
-        a, y, x = np.unravel_index(sites, (s, period, period))
+        a, y, x = np.unravel_index(sites, (s, n, n))
         targets, at = np.unique(y, return_inverse=True)
-        field = np.fft.ifft(waves(targets) @ modes(b), axis=-1) / period
-        return field[a, at, x]
+        return np.sum(inverse[x] * _product(inverse[targets], modes(b))[a, at], axis=-1)
 
     def green(rows, cols):
-        """G[R, C] for grid sites R and C, g formed on the row offsets read only."""
-        a, y_r, x_r = np.unravel_index(rows, (s, period, period))
-        b, y_c, x_c = np.unravel_index(cols, (s, period, period))
-        offsets, at = np.unique((y_r[:, None] - y_c) % period, return_inverse=True)
-        g = np.fft.ifft(waves(offsets) @ inverse, axis=-1) / period
-        return g[a[:, None], b, at.reshape(rows.size, cols.size), (x_r[:, None] - x_c) % period]
+        """G[R, C] by blocks of one (sublattice, row) of R and one of C: the
+        x-mode weights of such a pair sum the y-modes of its two rows."""
+        (line_r, x_r), (line_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
+        g = np.empty((rows.size, cols.size), complex)
+        for lr in np.unique(line_r):
+            for lc in np.unique(line_c):
+                ra, cb = np.flatnonzero(line_r == lr), np.flatnonzero(line_c == lc)
+                (a, yr), (b, yc) = divmod(lr, n), divmod(lc, n)
+                mix = _product(inverse[yr] * forward[:, yc], symbol[a, b])
+                g[np.ix_(ra, cb)] = _product(inverse[x_r[ra]], mix[:, None] * forward[:, x_c[cb]])
+        return g
 
     return free_solve, green, solve_at
 
@@ -609,15 +583,16 @@ def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
 def _capacitance(system: AssembledSystem) -> tuple | None:
     """Capacitance matrix M of a window without Bloch rows, and solve(rhs).
 
-    A0 is the free operator of the window itself: _sine_operator on the
-    square, _torus_operator on the torus a triangular or honeycomb window
-    wraps into.  So M has a row per pinned site and per broken bond of the
-    defects and no others, 100 for a left half-row at L = 100.  Each
-    pinned site gets a multiplier lambda and each broken bond a multiplier
-    mu for its column of B (_bonds): A0 w + P lambda + B mu = b, P^T w = 0,
-    B^T w = mu.  With G = A0^-1, symmetric like A0, and K = [P B], that is
-    the capacitance matrix method (Buzbee, Dorr, George and Golub) in
-    symmetric form, factored by LDL^T (zsytrf):
+    A0 is the free operator of the window itself (_free_operator): with
+    zero Dirichlet data on the square, or on the torus a triangular or
+    honeycomb window wraps into (LatticeProblemSpec.torus).  So M has a row
+    per pinned site and per broken bond of the defects and no others, 100
+    for a left half-row at L = 100.  Each pinned site gets a multiplier
+    lambda and each broken bond a multiplier mu for its column of B
+    (_bonds): A0 w + P lambda + B mu = b, P^T w = 0, B^T w = mu.  With
+    G = A0^-1, symmetric like A0, and K = [P B], that is the capacitance
+    matrix method (Buzbee, Dorr, George and Golub) in symmetric form,
+    factored by LDL^T (zsytrf):
 
         M = K^T G K + [[0, 0], [0, I]],    M x = K^T G b,    w = G (b - K x).
 
@@ -632,8 +607,7 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
     bonds = _bonds(system, diag)
     if bonds is None:
         return None
-    operator = _sine_operator if spec.lattice is Lattice.SQUARE else _torus_operator
-    free_solve, green, solve_at = operator(stencils, diag, n)
+    free_solve, green, solve_at = _free_operator(stencils, diag, n, spec.torus)
     # a pinned site pins every sublattice
     free = np.broadcast_to(system.index_u >= 0, (len(stencils), n, n))
     sites = np.flatnonzero(free)  # grid sites of the unknowns

@@ -134,9 +134,9 @@ class WHSolution:
     multiplier: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def transform_values(self, grid: CircleGrid) -> np.ndarray:
-        """Samples of f+ + f- (the solved row transform) on the grid."""
-        plus, minus = row_values(np.stack([self.f_plus.coeff, self.f_minus.coeff]), grid)
-        return plus + minus
+        """Samples of f+ + f- (the solved row transform) on the grid, as one
+        row: the two supports are disjoint, so the coefficient sum is exact."""
+        return row_values(self.f_plus.coeff + self.f_minus.coeff, grid)
 
 
 def solve_scalar(problem: ScalarWHProblem) -> WHSolution:

@@ -854,10 +854,10 @@ class TestFreeOperators:
         and blocks of G between the first two and the last two rows, whose
         row offsets wrap past the period on a torus."""
         diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
-        square = lattice is Lattice.SQUARE
-        operator = oracle._sine_operator if square else oracle._torus_operator
-        free_solve, green, solve_at = operator(oracle._STENCILS[lattice], diag, size)
-        inverse = np.linalg.inv(_dense_free_operator(lattice, diag, size, torus=not square))
+        torus = lattice is not Lattice.SQUARE
+        free_solve, green, solve_at = oracle._free_operator(oracle._STENCILS[lattice], diag,
+                                                            size, torus)
+        inverse = np.linalg.inv(_dense_free_operator(lattice, diag, size, torus))
         scale = np.max(np.abs(inverse))
         sites = np.arange(inverse.shape[0])
         g = green(sites, sites)
@@ -879,30 +879,43 @@ class TestFreeOperators:
         for r, c in ((first, last), (last, first)):
             assert np.max(np.abs(green(r, c) - inverse[np.ix_(r, c)])) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("torus", [False, True], ids=["sine", "dft"])
+    def test_tables_are_built_once_and_read_only(self, torus):
+        tables = oracle._axis_transform(9, torus)
+        assert all(a is b for a, b in zip(oracle._axis_transform(9, torus), tables))
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
 
-def _torus_spec(family):
-    """The oracle layout of a scalar torus family at 1+0.1i, theta = 0.5."""
+
+def _family_spec(family):
+    """The oracle layout of a scalar family at 1+0.1i, theta = 0.5."""
     inc = dispersion_solve(kernel_lattice(family), Frequency(1 + 0.1j), 0.5)
     return problem_for(ScalarKernel(family, 1 + 0.1j), inc)
 
 
 class TestTorusSolveCost:
-    @pytest.mark.parametrize("family", ["tri_dirichlet", "hex_crack"])
+    @pytest.mark.parametrize("family", ["sq_crack", "sq_constraint", "tri_dirichlet",
+                                        "hex_crack"])
     def test_one_full_grid_transform_and_no_tile(self, monkeypatch, family):
-        """An L = 100 torus solve that takes no refinement step transforms the
-        whole grid once, for the field; every other transform runs over the
-        few rows of the defects.  No stage of the free operator (its set-up,
-        green, solve_at and free_solve) holds 4 period^2 complex values per
-        sublattice at once (tracemalloc peak): a g tiled to 2 period x 2
-        period alone did, on each sublattice pair."""
-        system = assemble(_torus_spec(family), 100)
-        period, subs = system.index_u.shape[0], len(oracle._STENCILS[system.spec.lattice])
-        transforms, peaks, checks_run = [], [], []
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
-            def spy(a, *args, _transform=getattr(np.fft, name), _name=name, **kwargs):
-                transforms.append((_name, np.size(a)))
-                return _transform(a, *args, **kwargs)
-            monkeypatch.setattr(np.fft, name, spy)
+        """An L = 100 solve, on the square window or the torus, that takes no
+        refinement step transforms the whole grid once, for the field: two
+        products of an n x n table with s n^2 outputs each, one per axis.
+        Every other product runs over the few rows of the defects.  No stage
+        of the free operator (its set-up, green, solve_at and free_solve)
+        holds 4 n^2 complex values per sublattice at once (tracemalloc peak):
+        a g tiled to 2n x 2n alone did, on each sublattice pair."""
+        system = assemble(_family_spec(family), 100)
+        n, subs = system.index_u.shape[0], len(oracle._STENCILS[system.spec.lattice])
+        full, peaks, checks_run = [], [], []
+        product = oracle._product
+
+        def spy(table, values):
+            out = product(table, values)
+            full.append(table.shape == (n, n) and out.size >= subs * n * n)
+            return out
+        monkeypatch.setattr(oracle, "_product", spy)
 
         def measured(stage):
             def run(*args):
@@ -913,9 +926,9 @@ class TestTorusSolveCost:
                 return out
             return run
 
-        torus_operator, backward_errors = oracle._torus_operator, oracle._backward_errors
-        monkeypatch.setattr(oracle, "_torus_operator",
-                            lambda *args: tuple(map(measured, measured(torus_operator)(*args))))
+        free_operator, backward_errors = oracle._free_operator, oracle._backward_errors
+        monkeypatch.setattr(oracle, "_free_operator",
+                            lambda *args: tuple(map(measured, measured(free_operator)(*args))))
         monkeypatch.setattr(oracle, "_backward_errors",
                             lambda *args: checks_run.append(1) or backward_errors(*args))
         tracemalloc.start()
@@ -924,10 +937,9 @@ class TestTorusSolveCost:
         finally:
             tracemalloc.stop()
         assert len(checks_run) == 1  # no refinement step
-        full = [name for name, size in transforms if size >= period * period]
-        assert full == ["ifft2"]
+        assert sum(full) == 2
         assert len(peaks) == 1 + 3 + 2  # set-up, three blocks of G, one solve_at and free_solve
-        assert max(peaks) < 4 * subs * period * period * np.dtype(complex).itemsize
+        assert max(peaks) < 4 * subs * n * n * np.dtype(complex).itemsize
 
     # tracemalloc peak of one assemble + solve_direct at L = 100, 1+0.1i,
     # theta = 0.5, about 15% above the measured 23.7 MB (hex_crack) and
@@ -935,7 +947,7 @@ class TestTorusSolveCost:
     # whole grid they read 31.4 and 19.1 MB
     @pytest.mark.parametrize("family,gate_mb", [("hex_crack", 27.0), ("tri_dirichlet", 19.0)])
     def test_traced_peak(self, family, gate_mb):
-        spec = _torus_spec(family)
+        spec = _family_spec(family)
         solve_direct(assemble(spec, 100))  # numpy's one-off allocations out of the count
         tracemalloc.start()
         try:

@@ -313,9 +313,10 @@ class TestWHPassCost:
 
     @pytest.mark.parametrize("family,levels", [("sq_crack", 22), ("hex_crack", 23)])
     def test_rows_transformed(self, family, levels, monkeypatch):
-        """Reconstruction transforms f (its two parts) and then the u levels
-        0 .. y_top, one more on the honeycomb, whose v rows come from the u
-        rows: y_top + 2 rows there, not a second set of y_top + 1."""
+        """Reconstruction transforms f, one row of the disjoint f+ + f-, and
+        then the u levels 0 .. y_top, one more on the honeycomb, whose v rows
+        come from the u rows: y_top + 2 rows there, not a second set of
+        y_top + 1."""
         problem = self._problem(family)
         rows = []
         for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
@@ -327,7 +328,7 @@ class TestWHPassCost:
         assert rows == self.SOLVE
         rows.clear()
         reconstruct_field(problem, sol, self.WINDOW)
-        assert rows == [("ifft", 2), ("fft", levels)]
+        assert rows == [("ifft", 1), ("fft", levels)]
 
     def test_hex_reconstruction_holds_one_level_block(self):
         """tracemalloc peak: the block of y_top + 2 levels, which the FFT
@@ -437,7 +438,7 @@ def _per_row_field(problem, sol, window):
     ex0, ex1 = x0 - pad, x1 + pad
     xs = range(ex0, ex1 + 2)  # v reads u one column right
     y_top = max(y1, abs(y0) + 1, 1)
-    f_vals = sol.f_plus.values_on(grid) + sol.f_minus.values_on(grid)
+    f_vals = LaurentSeries(sol.f_plus.coeff + sol.f_minus.coeff, grid.radius).values_on(grid)
     prop = _row_multiplier(kernel.lattice, w, grid.nodes)
     first = 0 if rec.closure is None else 1
     upper = {"u": {}, "v": {}}
