@@ -14,26 +14,31 @@ torus) mark pinned sites and cracked bonds; crack[y, x] is the bond
 between (x, y) and the row below (honeycomb: u(x, y) -- v(x, y-1)), and
 the bond to the neighbour is broken when crack[y+by, x+bx] is set for the
 bond cell (bx, by).  A broken bond raises the diagonal by one; a pinned
-neighbour (total field zero) drops out.  The equations come out as a
-stencil table, a weight and a neighbour per unknown and slot; it is the
-only stored form of them.
+neighbour (total field zero) drops out.
 
-The right-hand side is exactly zero off the defect rows, and assemble
-forms it, the broken bonds' zero weights and the raised diagonals on the
-rows next to a defect only.  Every window without Bloch rows is then
-solved by the capacitance matrix method (_capacitance) with one free solve
-of a defect-free operator A0, plus multipliers that hold the pinned sites
-at zero and rank-one terms for the broken bonds, read off the stencil
-table.  A0 is the square window with zero Dirichlet data, or on the
-triangular and honeycomb lattices the torus of period 2L + 1 that the
-window wraps into, so the multipliers are the defects' alone.  One free
-operator serves both, by dense per-axis tables (2-D DST-I or DFT).  It
-transforms a source along y over its few rows only, and the whole grid
-once per solve, for the field.  Bloch strips go to a sparse LU, which
-alone builds a sparse matrix.  Either answer is refined where a defect
-row runs through an incident far larger than the field elsewhere
-(_refined_solve), and both must meet the same checks, read off the
-table: the relative residual, and every equation's backward error.
+Only the rows next to a defect differ from the defect-free operator A0
+of the window, and the right-hand side is exactly zero off them.  So
+assemble stores the equations as a stencil table of those rows alone, a
+weight and a neighbour per stored unknown and slot; every other equation
+is A0's, read off _STENCILS.  A Bloch strip stores every row, for their
+wrap weights.  AssembledSystem.full_table expands the table for the
+readers that need every row: the matrix of the sparse LU, and the tests.
+
+Every window without Bloch rows is solved by the capacitance matrix
+method (_capacitance) with one free solve of A0, plus multipliers that
+hold the pinned sites at zero and rank-one terms for the broken bonds,
+read off the stored rows.  A0 is the square window with zero Dirichlet
+data, or on the triangular and honeycomb lattices the torus of period
+2L + 1 that the window wraps into, so the multipliers are the defects'
+alone.  One free operator serves both, by dense per-axis tables (2-D
+DST-I or DFT).  It transforms a source along y over its few rows only,
+and the whole grid once per solve, for the field.  Bloch strips go to a
+sparse LU, which alone builds a sparse matrix.  Either answer is refined
+where a defect row runs through an incident far larger than the field
+elsewhere (_refined_solve), and both must meet the same checks: the
+relative residual, and every equation's backward error, read off the
+stored rows and, for A0's rows, off shifted slices of the field on the
+grid.
 
 Truncation relies on the damping Im(omega) > 0.  The square window puts
 zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
@@ -66,7 +71,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .branches import Incidence, Lattice
-from .errors import InvalidSpec, SolveFailure, WindowTooSmall
+from .errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
 from .fields import (
     ComparisonReport,
     FieldGrid,
@@ -236,12 +241,18 @@ _STENCILS = {
 
 @dataclass
 class AssembledSystem:
-    """The window's equations: sum_j weights[i, j] w[neighbours[i, j]] = rhs[i]
-    over the slots j of row i with a neighbour, each neighbour once a row.
-    matrix builds them as a CSR matrix on each read; nothing stores it."""
+    """The window's equations: sum_j weights[r, j] w[neighbours[r, j]] = rhs[i]
+    for the unknown i = stored[r], over the slots j with a neighbour, each
+    neighbour once a row.  The table holds the stored rows only, the
+    unknowns whose equation differs from A0 (all of them on a Bloch
+    strip); every other equation is A0's: lattice_omega_shift(omega^2) on
+    the diagonal, weight one to each _STENCILS neighbour and right-hand
+    side 0.  full_table expands the table to every unknown, and matrix
+    builds it as a CSR matrix, on each read; nothing stores either."""
 
-    weights: np.ndarray       # stencil table [unknown, slot]: coupling, 0 for a broken bond
-    neighbours: np.ndarray    # [unknown, slot]: unknown coupled, -1 if pinned or outside
+    weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
+    neighbours: np.ndarray    # [stored row, slot]: unknown coupled, -1 if pinned or outside
+    stored: np.ndarray        # the unknowns of the table's rows, ascending
     rhs: np.ndarray
     spec: LatticeProblemSpec
     half_width: int
@@ -253,11 +264,28 @@ class AssembledSystem:
     incident_u: np.ndarray    # incident values on the window
     incident_v: np.ndarray | None
 
+    def full_table(self) -> tuple:
+        """The stencil table of every unknown, (weights, neighbours): the
+        stored rows, and A0's rows elsewhere."""
+        n = self.rhs.size
+        if self.stored.size == n:
+            return self.weights, self.neighbours
+        stencils, omega = _STENCILS[self.spec.lattice], self.spec.incidence.omega
+        index = dict(zip(stencils, (self.index_u, self.index_v)))
+        neighbours = _neighbour_table(self.spec, index, np.arange(self.index_u.shape[0]))
+        weights = np.ones((len(stencils), n // len(stencils), neighbours.shape[1]), complex)
+        for k, slots in enumerate(_slot_order(stencils)):  # A0's diagonal on the own slot
+            weights[k, :, slots[0]] = lattice_omega_shift(self.spec.lattice, omega * omega)
+        weights = weights.reshape(neighbours.shape)
+        weights[self.stored], neighbours[self.stored] = self.weights, self.neighbours
+        return weights, neighbours
+
     @property
     def matrix(self) -> sp.csr_matrix:
-        """Every slot of the table with a neighbour and a nonzero weight, as CSR."""
-        keep = (self.neighbours >= 0) & (self.weights != 0)
-        matrix = sp.csr_matrix((self.weights[keep], self.neighbours[keep],
+        """Every slot of the full table with a neighbour and a nonzero weight, as CSR."""
+        weights, neighbours = self.full_table()
+        keep = (neighbours >= 0) & (weights != 0)
+        matrix = sp.csr_matrix((weights[keep], neighbours[keep],
                                 np.r_[0, np.cumsum(keep.sum(1))]), shape=(self.rhs.size,) * 2)
         matrix.sort_indices()  # the wrapped rows of a Bloch strip
         return matrix
@@ -267,12 +295,53 @@ class AssembledSystem:
         i = self.site_id(x, y, sublattice)
         if i < 0:
             raise InvalidSpec(f"site ({x},{y},{sublattice}) is not a free unknown")
-        return {int(c): complex(val) for c, val in zip(self.neighbours[i], self.weights[i])
+        weights, neighbours = self.full_table()
+        return {int(c): complex(val) for c, val in zip(neighbours[i], weights[i])
                 if c >= 0 and val != 0}
 
     def site_id(self, x: int, y: int, sublattice: str = "u") -> int:
+        """Unknown id of a window site, -1 if it is pinned."""
+        (x0, x1), (y0, y1) = self.x_range, self.y_range
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            raise WindowMismatch(f"site ({x},{y}) outside the window [{x0}, {x1}] x [{y0}, {y1}]")
         idx = self.index_u if sublattice == "u" else self.index_v
-        return int(idx[y - self.y_range[0], x - self.x_range[0]])
+        return int(idx[y - y0, x - x0])
+
+
+def _slot_order(stencils) -> list:
+    """Per sublattice, the table slots of its own site and of each stencil
+    entry in turn: the order of (sublattice, dy, dx), which is column order
+    unless rows wrap."""
+    subs = list(stencils)
+    return [np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
+                                             for dx, dy, nsub, _ in stencil]))
+            for k, stencil in enumerate(stencils.values())]
+
+
+def _neighbour_table(spec: LatticeProblemSpec, index: dict, rows: np.ndarray) -> np.ndarray:
+    """Neighbours [unknown, slot] of the free sites on the window rows `rows`,
+    sublattice by sublattice, from the unknown ids `index` of the window.
+    A torus wraps both ways; otherwise a neighbour is -1 outside the x
+    range, and outside the y range unless Bloch rows wrap, and -1 pinned."""
+    if spec.torus:
+        col = {sub: np.pad(idx, 1, "wrap") for sub, idx in index.items()}
+    elif spec.bloch is None:
+        col = {sub: np.pad(idx, 1, constant_values=-1) for sub, idx in index.items()}
+    else:
+        wrapped = np.arange(-1, spec.bloch.period + 1) % spec.bloch.period
+        col = {sub: np.pad(idx[wrapped], ((0, 0), (1, 1)), constant_values=-1)
+               for sub, idx in index.items()}
+    stencils, nx = _STENCILS[spec.lattice], index["u"].shape[1]
+    tables = []
+    for slots, (sub, stencil) in zip(_slot_order(stencils), stencils.items()):
+        own = index[sub][rows]
+        free = own >= 0
+        table = np.empty((np.count_nonzero(free), slots.size), np.int64)
+        table[:, slots[0]] = own[free]
+        for j, (dx, dy, nsub, _) in zip(slots[1:], stencil):
+            table[:, j] = col[nsub][rows + 1 + dy, 1 + dx:nx + 1 + dx][free]
+        tables.append(table)
+    return np.concatenate(tables)
 
 
 def _slot_sources(cut, pinned, other, own):
@@ -290,9 +359,10 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     strip's columns; a triangular or honeycomb window without Bloch rows
     wraps into a torus, neighbours across an edge coupled with weight one.
     Every equation is the exact lattice equation of motion with all known
-    parts (incident plus backgrounds) moved to the right-hand side, kept as
-    a stencil table: per unknown, one slot for itself and one per stencil
-    neighbour, in column order unless rows wrap.
+    parts (incident plus backgrounds) moved to the right-hand side.  The
+    stencil table keeps the equations that differ from A0: per stored
+    unknown, one slot for itself and one per stencil neighbour, in column
+    order unless rows wrap.
 
     The incident solves the defect-free equations A0, so the right-hand
     side holds only the terms the defects change (the equivalent sources
@@ -303,9 +373,10 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     opposite sign: they cancel exactly past a lone defect's tip, leaving
     (A_def - A_inf)(incident + background).  Every other equation gets
     exactly 0: an equation differs from A0 only if its stencil reaches a
-    crack row, a pinned row or a background's row, so the sources, the
-    zeroed weights of broken bonds and the raised diagonals are formed on
-    those window rows alone.  Bloch rows read the unwrapped incident, so
+    crack row, a pinned row or a background's row, so the table, the
+    sources, the zeroed weights of broken bonds and the raised diagonals
+    are formed on those window rows alone (every row of a Bloch strip, for
+    its wrap weights).  Bloch rows read the unwrapped incident, so
     this holds for any multiplier.  A torus reads the wrapped one: the
     incident then solves A0 everywhere but on the seam, and the right-hand
     side leaves that seam residual out, so the field solved is what the
@@ -366,9 +437,15 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         return arr[1 + dy:ny + 1 + dy, 1 + dx:nx + 1 + dx]
 
     # the window rows whose stencil reaches a row of reach (padded rows y..y+2):
-    # only their equations differ from A0, so every other equation keeps the
-    # free diagonal and weights and gets exactly 0
-    near = np.flatnonzero(np.convolve(reach, np.ones(3, int), "valid"))
+    # only their equations differ from A0, so the table stores their rows
+    # alone and every other equation gets exactly 0.  A Bloch strip stores
+    # every row: a row wrapped by shift periods couples with multiplier**shift
+    if bloch is None:
+        near = np.flatnonzero(np.convolve(reach, np.ones(3, int), "valid"))
+    else:
+        near = np.arange(ny)
+        weight = np.broadcast_to((bloch.multiplier ** (np.arange(-1, ny + 1) // ny))[:, None],
+                                 padded)
 
     def local(arr, dx, dy):
         """shifted(arr, dx, dy) on the rows near only."""
@@ -381,62 +458,43 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     n_free = int(count[-1, -1])
     index = {sub: np.where(free, k * n_free + count - 1, -1) for k, sub in enumerate(stencils)}
     free_near = free[near]
-    at = count[near][free_near] - 1  # row of the table per free site of near
+    at = count[near][free_near] - 1  # unknown per free site of near, less k * n_free
 
-    # neighbour columns on the padded grid: a torus wraps both ways with
-    # weight one; otherwise -1 outside the x range, and outside the y range
-    # unless Bloch rows wrap with weight multiplier**shift
-    if torus:
-        col = {sub: np.pad(idx, 1, "wrap") for sub, idx in index.items()}
-    elif bloch is None:
-        col = {sub: np.pad(idx, 1, constant_values=-1) for sub, idx in index.items()}
-    else:
-        shift, wrapped = np.divmod(np.arange(-1, ny + 1), ny)
-        col = {sub: np.pad(idx[wrapped], ((0, 0), (1, 1)), constant_values=-1)
-               for sub, idx in index.items()}
-        weight = np.broadcast_to((bloch.multiplier**shift)[:, None], padded)
-
-    # the stencil table, a row per unknown and its slots in the order of
-    # (sublattice, dy, dx), column order unless rows wrap: weight one on
-    # an intact bond (Bloch: its wrap weight), zero on a broken one, and the
-    # diagonal on the own slot
+    # the stencil table, a row per free site of near and sublattice: weight
+    # one on an intact bond (Bloch: its wrap weight), zero on a broken one,
+    # and the diagonal on the own slot
+    neighbours = _neighbour_table(spec, index, near)
     diag_base = lattice_omega_shift(spec.lattice, w * w)
-    shape = (len(stencils), n_free, 1 + len(stencils["u"]))
-    weights, neighbours = np.ones(shape, complex), np.empty(shape, np.int64)
-    rhs = np.zeros(shape[:2], complex)
-    subs = list(stencils)
-    for k, (sub, stencil) in enumerate(stencils.items()):
-        slots = np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
-                                                 for dx, dy, nsub, _ in stencil]))
+    weights = np.ones((len(stencils), at.size, neighbours.shape[1]), complex)
+    rhs = np.zeros((len(stencils), n_free), complex)
+    for k, (slots, (sub, stencil)) in enumerate(zip(_slot_order(stencils), stencils.items())):
         own = local(known[sub], 0, 0)
         source = 0 - local(image, 0, 0)  # backgrounds live on u only (square lattice)
         n_broken = np.zeros(own.shape, np.int64)  # coordination reduced by the missing bonds
         for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
-            neighbours[k, :, j] = shifted(col[nsub], dx, dy)[free]
             if bloch is not None:
-                weights[k, :, j] = shifted(weight, dx, dy)[free]
+                weights[k, :, j] = local(weight, dx, dy)[free_near]
             cut = local(crack, *cell) if cell else np.zeros(own.shape, bool)
             n_broken += cut
-            weights[k, at[cut[free_near]], j] = 0
+            weights[k, cut[free_near], j] = 0
             terms = _slot_sources(cut, local(pinned, dx, dy), local(known[nsub], dx, dy), own)
             for (cuts, pins), total in infinite:  # less A0 bg, as its infinite defect's terms
                 terms = terms - _slot_sources(local(cuts, *cell) if cell else False,
                                               local(pins, dx, dy), local(total, dx, dy),
                                               local(total, 0, 0))
             source += terms
-        neighbours[k, :, slots[0]] = index[sub][free]
-        weights[k, :, slots[0]] = diag_base
-        weights[k, at, slots[0]] = (diag_base + n_broken)[free_near]
+        weights[k, :, slots[0]] = (diag_base + n_broken)[free_near]
         rhs[k, at] = source[free_near]
-    weights, neighbours = weights.reshape(-1, shape[2]), neighbours.reshape(-1, shape[2])
+    weights = weights.reshape(neighbours.shape)
     if bloch is not None:  # a two-row strip couples a row twice to one site: one slot sums both
-        for i, j in zip(*np.triu_indices(shape[2], 1)):
+        for i, j in zip(*np.triu_indices(weights.shape[1], 1)):
             twice = (neighbours[:, i] == neighbours[:, j]) & (neighbours[:, j] >= 0)
             weights[twice, i] += weights[twice, j]
             weights[twice, j], neighbours[twice, j] = 0, -1
     return AssembledSystem(
         weights=weights,
         neighbours=neighbours,
+        stored=(at + n_free * np.arange(len(stencils))[:, None]).ravel(),
         rhs=rhs.ravel(),
         spec=spec,
         half_width=L,
@@ -548,29 +606,25 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
 
 
 def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
-    """Broken bonds read off the stencil table, as pairs of unknowns.
+    """Broken bonds read off the stored rows, as pairs of unknowns.
 
     The second unknown is -1 for a bond to a pinned site, or on the square
     window to a site outside it.  On the free rows the table then differs
     from A0 (diag on the diagonal, weight one on every stencil coupling) by
-    exactly B B^T, with one column e_i - e_j or e_i of B per bond.  None is
-    returned when it differs by anything else.
+    exactly B B^T, with one column e_i - e_j or e_i of B per bond; the rows
+    it does not store are A0's.  None is returned when it differs by
+    anything else.  The bonds come by sublattice, then slot, then unknown.
     """
-    weights, n = system.weights, system.weights.shape[0]
-    rows = n // len(_STENCILS[system.spec.lattice])
-    off = weights != 1  # one pass over the table, then read a column at a time
-    own, ends, slot = [], [], []  # per sublattice the own slot's weights, found on its first row
-    for start in range(0, n, rows):
-        j_own = np.flatnonzero(system.neighbours[start] == start)[0]
-        own.append(weights[start:start + rows, j_own])
-        for j in np.flatnonzero(np.arange(weights.shape[1]) != j_own):
-            ends.append(start + np.flatnonzero(off[start:start + rows, j]))
-            slot.append(np.full(ends[-1].size, j))
-    ends, slot = np.concatenate(ends), np.concatenate(slot)
-    if np.any(weights[ends, slot]) or not np.array_equal(  # a weight neither one nor zero
-            np.concatenate(own), diag + np.bincount(ends, minlength=n)):
+    weights, neighbours, stored = system.weights, system.neighbours, system.stored
+    own = neighbours == stored[:, None]
+    slot, at = np.nonzero(((weights != 1) & ~own).T)
+    at_sub = stored[at] // (system.rhs.size // len(_STENCILS[system.spec.lattice]))
+    order = np.argsort(at_sub, kind="stable")
+    slot, at = slot[order], at[order]
+    if np.any(weights[at, slot]) or not np.array_equal(  # a weight neither one nor zero
+            weights[own], diag + np.bincount(at, minlength=stored.size)):
         return None
-    other = system.neighbours[ends, slot]
+    n, ends, other = system.rhs.size, stored[at], neighbours[at, slot]
     # a bond between two unknowns is broken from both of them: keep it once
     inner = other >= 0
     a, b = ends[inner], other[inner]
@@ -674,16 +728,57 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     Oettli and Prager, except that the scale of an equation never drops
     below the incident amplitude: the field is compared at that scale, and
     no fast solve resolves equations 30 orders of magnitude below it.  A w
-    and |A| |w| are read off the stencil table.
+    and |A| |w| are A0's on the grid (_free_products), then read off the
+    table on the stored rows.
     """
+    product, scale = _free_products(system, w)
     # w at each slot's neighbour, 0 at none; both sums add the slots in turn, in
     # the order of a CSR product off the Bloch rows
-    weights, neighbours = system.weights, system.neighbours
-    residual = system.rhs - np.einsum("ij,ij->i", weights, np.append(w, 0)[neighbours])
-    scale = np.maximum(sum((np.abs(weights) * np.append(np.abs(w), 0)[neighbours]).T)
-                       + np.abs(system.rhs), abs(system.spec.incidence.amplitude))
+    weights, neighbours, stored = system.weights, system.neighbours, system.stored
+    at = w[neighbours]
+    at[neighbours < 0] = 0
+    product[stored] = np.einsum("ij,ij->i", weights, at)
+    scale[stored] = sum((np.abs(weights) * np.abs(at)).T)
+    residual = np.subtract(system.rhs, product, out=product)
+    scale += np.abs(system.rhs)
+    np.maximum(scale, abs(system.spec.incidence.amplitude), out=scale)
     errors = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale > 0)
     return residual, errors
+
+
+def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
+    """A0 w and |A0| |w| at every unknown: the diagonal times w plus shifted
+    slices of w on the window padded by one site (zero outside the square
+    window, wrapped on the torus), added in place.  |w| replaces w on the
+    grid once A0 w is formed.  Left empty on a Bloch strip, whose rows are
+    all stored."""
+    n, spec = w.size, system.spec
+    product, size = np.empty(n, complex), np.empty(n)
+    if system.stored.size == n:
+        return product, size
+    stencils = _STENCILS[spec.lattice]
+    subs = list(stencils)
+    free = system.index_u >= 0
+    (ny, nx), s = free.shape, len(subs)
+    grid = np.zeros((s, ny + 2, nx + 2), complex)
+    grid[:, 1:ny + 1, 1:nx + 1][:, free] = w.reshape(s, -1)
+    if spec.torus:
+        grid[:, 0], grid[:, -1] = grid[:, ny], grid[:, 1]
+        grid[:, :, 0], grid[:, :, -1] = grid[:, :, nx], grid[:, :, 1]
+
+    def accumulate(out, diag):
+        total = np.empty((ny, nx), grid.dtype)
+        for k, stencil in enumerate(stencils.values()):
+            np.multiply(grid[k, 1:ny + 1, 1:nx + 1], diag, out=total)
+            for dx, dy, nsub, _ in stencil:
+                total += grid[subs.index(nsub), 1 + dy:ny + 1 + dy, 1 + dx:nx + 1 + dx]
+            out.reshape(s, -1)[k] = total[free]
+
+    diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
+    accumulate(product, diag)
+    grid = np.abs(grid)
+    accumulate(size, abs(diag))
+    return product, size
 
 
 def solve_direct(system: AssembledSystem) -> FieldGrid:

@@ -190,6 +190,22 @@ class TestAssembly:
             assert set(row) == {own} | {system.site_id(*site) for site in kept}
             assert abs(row[own] - base) < 1e-14
 
+    @pytest.mark.parametrize("family", ["sq_crack", "hex_crack"])
+    def test_sites_outside_the_window_are_refused(self, request, family):
+        """Past either edge of the L = 20 window, on either axis and either
+        honeycomb sublattice, a site has no id and no equation; a negative
+        offset used to wrap to the opposite edge."""
+        lattice = kernel_lattice(family).value
+        spec = problem_for(ScalarKernel(family, OMEGA), request.getfixturevalue(f"inc_{lattice}"))
+        system = assemble(spec, 20)
+        for sub in NEIGHBOURS[lattice]:
+            for x, y in ((-21, 0), (21, 0), (0, -21), (0, 21)):
+                with pytest.raises(WindowMismatch):
+                    system.site_id(x, y, sub)
+                with pytest.raises(WindowMismatch):
+                    system.row_entries(x, y, sub)
+            assert min(system.site_id(x, y, sub) for x in (-20, 20) for y in (-20, 20)) >= 0
+
     def test_bloch_wrap_entries(self, inc_square):
         psi = 0.8 + 0.3j
         spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", 0),), inc_square,
@@ -630,8 +646,29 @@ class TestReferenceAssembly:
         assert np.all(np.abs(system.rhs - rhs) <= 1e-14 * scale)
         assert {site: system.site_id(*site) for site in ids} == ids
         assert system.matrix.shape[0] == len(ids)
-        slots = np.sort(system.neighbours, axis=1)
+        slots = np.sort(system.full_table()[1], axis=1)
         assert not np.any((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] >= 0))
+
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
+                             ids=_layout_id)
+    def test_rows_off_the_table_are_the_defect_free_equations(self, request, layout):
+        """Every equation outside the stored rows equals the same site's
+        equation in the defect-free window, matched through site_id, and has
+        a zero right-hand side (L = 20)."""
+        spec = _spec(request, layout)
+        system = assemble(spec, 20)
+        free = assemble(LatticeProblemSpec(spec.lattice, (), spec.incidence, spec.bloch), 20)
+        (x0, x1), (y0, y1) = system.x_range, system.y_range
+        sites = [(x, y, sub) for sub in NEIGHBOURS[spec.lattice.value]
+                 for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
+                 if system.site_id(x, y, sub) >= 0]
+        assert [system.site_id(*site) for site in sites] == list(range(system.rhs.size))
+        to_free = np.array([free.site_id(*site) for site in sites])
+        off = np.setdiff1d(np.arange(system.rhs.size), system.stored)
+        assert not np.any(system.rhs[off])
+        ours, theirs = system.matrix[off].tocoo(), free.matrix[to_free[off]].tocoo()
+        assert set(zip(ours.row.tolist(), to_free[ours.col].tolist(), ours.data.tolist())) == \
+            set(zip(theirs.row.tolist(), theirs.col.tolist(), theirs.data.tolist()))
 
 
 class TestTableChecks:
@@ -790,17 +827,20 @@ class TestTorusWindows:
                                         "right_crack", "defect_free"])
     def test_only_square_tables_have_an_outside(self, request, layout):
         """A triangular or honeycomb window without Bloch rows wraps both
-        ways, so a slot's neighbour is -1 only where it is pinned; a square
-        window keeps its zero Dirichlet edge."""
+        ways, so a slot's neighbour in the full table is -1 only where it is
+        pinned; a square window keeps its zero Dirichlet edge.  A defect-free
+        window stores no rows."""
         spec = _spec(request, layout)
-        outside = np.any(assemble(spec, 20).neighbours < 0)
+        system = assemble(spec, 20)
+        outside = np.any(system.full_table()[1] < 0)
+        assert (system.stored.size == 0) == (not spec.defects)
         if spec.lattice is Lattice.SQUARE:
             assert outside
         else:
             assert outside == any(d.kind == "constraint" for d in spec.defects)
             cracks = [d for d in spec.defects if d.kind == "crack"]
             cracked = assemble(LatticeProblemSpec(spec.lattice, cracks, spec.incidence), 20)
-            assert not np.any(cracked.neighbours < 0)
+            assert not np.any(cracked.full_table()[1] < 0)
 
     @pytest.mark.parametrize("family,gate", [("tri_dirichlet", 1e-7), ("hex_crack", 3e-12)])
     def test_seam(self, family, gate):
@@ -889,10 +929,10 @@ class TestFreeOperators:
                 table[0, 0] = 0
 
 
-def _family_spec(family):
-    """The oracle layout of a scalar family at 1+0.1i, theta = 0.5."""
-    inc = dispersion_solve(kernel_lattice(family), Frequency(1 + 0.1j), 0.5)
-    return problem_for(ScalarKernel(family, 1 + 0.1j), inc)
+def _family_spec(family, omega=1 + 0.1j):
+    """The oracle layout of a scalar family at omega, theta = 0.5."""
+    inc = dispersion_solve(kernel_lattice(family), Frequency(omega), 0.5)
+    return problem_for(ScalarKernel(family, omega), inc)
 
 
 class TestTorusSolveCost:
@@ -941,17 +981,22 @@ class TestTorusSolveCost:
         assert len(peaks) == 1 + 3 + 2  # set-up, three blocks of G, one solve_at and free_solve
         assert max(peaks) < 4 * subs * n * n * np.dtype(complex).itemsize
 
-    # tracemalloc peak of one assemble + solve_direct at L = 100, 1+0.1i,
-    # theta = 0.5, about 15% above the measured 23.7 MB (hex_crack) and
-    # 16.5 MB (tri_dirichlet); with g tiled and the sources formed on the
-    # whole grid they read 31.4 and 19.1 MB
-    @pytest.mark.parametrize("family,gate_mb", [("hex_crack", 27.0), ("tri_dirichlet", 19.0)])
-    def test_traced_peak(self, family, gate_mb):
-        spec = _family_spec(family)
-        solve_direct(assemble(spec, 100))  # numpy's one-off allocations out of the count
+    # tracemalloc peak of one assemble + solve_direct at theta = 0.5, about
+    # 15% above the measured value: at L = 100, 1+0.1i, 13.5 MB (hex_crack)
+    # and 7.3 MB (tri_dirichlet, sq_crack); at L = 400, 1+0.01i, 114.7 MB
+    # (sq_crack).  With the stencil table of every unknown they read 23.7,
+    # 16.5, 13.3 and 211.2 MB; with g tiled and the sources formed on the
+    # whole grid, hex_crack and tri_dirichlet read 31.4 and 19.1 MB
+    @pytest.mark.parametrize("family,omega,half_width,gate_mb", [
+        ("hex_crack", 1 + 0.1j, 100, 15.6), ("tri_dirichlet", 1 + 0.1j, 100, 8.4),
+        ("sq_crack", 1 + 0.1j, 100, 8.4), ("sq_crack", 1 + 0.01j, 400, 132.0),
+    ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400"])
+    def test_traced_peak(self, family, omega, half_width, gate_mb):
+        spec = _family_spec(family, omega)
+        solve_direct(assemble(spec, half_width))  # numpy's one-off allocations out of the count
         tracemalloc.start()
         try:
-            solve_direct(assemble(spec, 100))
+            solve_direct(assemble(spec, half_width))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1056,9 +1101,11 @@ class TestCapacitanceSolve:
         """Equations that differ from A0 by more than pins and bonds are
         solved by the sparse LU, not by a capacitance solve of other ones."""
         system = assemble(crack_spec, 20)
-        i, k = system.site_id(5, 3), system.site_id(6, 3)  # an intact bond
+        i, k = system.site_id(5, 0), system.site_id(6, 0)  # an intact bond on stored rows
         for which, delta in changes:
-            row, col = {"own": (i, i), "right": (i, k), "left": (k, i)}[which]
+            unknown, col = {"own": (i, i), "right": (i, k), "left": (k, i)}[which]
+            row = np.searchsorted(system.stored, unknown)
+            assert system.stored[row] == unknown
             system.weights[row, system.neighbours[row] == col] += delta
         assert oracle._capacitance(system) is None
         solve_direct(system)  # checked against the changed matrix
