@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import Lattice
-from .errors import WindowMismatch
+from .errors import InvalidSpec, WindowMismatch
 
 __all__ = [
     "FieldGrid",
@@ -73,7 +73,9 @@ class FieldGrid:
 
     def row(self, y: int, sublattice: str = "u") -> np.ndarray:
         """Values along row y for all stored x (Bloch rows wrap with psi^j)."""
-        data = self.u if sublattice == "u" else self.v
+        data = {"u": self.u, "v": self.v}.get(sublattice)
+        if data is None:
+            raise InvalidSpec(f"no sublattice {sublattice!r} on the {self.lattice.value} lattice")
         i, factor = self._wrap_row(y)
         return factor * data[i, :]
 

@@ -32,13 +32,19 @@ data, or on the triangular and honeycomb lattices the torus of period
 2L + 1 that the window wraps into, so the multipliers are the defects'
 alone.  One free operator serves both, by dense per-axis tables (2-D
 DST-I or DFT).  It transforms a source along y over its few rows only,
-and the whole grid once per solve, for the field.  Bloch strips go to a
-sparse LU, which alone builds a sparse matrix.  Either answer is refined
-where a defect row runs through an incident far larger than the field
-elsewhere (_refined_solve), and both must meet the same checks: the
-relative residual, and every equation's backward error, read off the
-stored rows and, for A0's rows, off shifted slices of the field on the
-grid.
+and the whole grid once per solve, for the field; the capacitance matrix
+is filled from Toeplitz blocks of its Green's function (less Hankel ones
+on the square).  A solve holds two full-grid arrays besides the
+operator's symbol, the modes of its source and the field, and copies
+none it does not read: without pinned sites the unknowns are the grid
+sites in order, so the field is the solution vector and the returned
+FieldGrid's arrays are views of it.  Bloch strips go to a sparse LU,
+which alone builds a sparse matrix.  Either answer is refined where a
+defect row runs through an incident far larger than the field elsewhere
+(_refined_solve), and both must meet the same checks: the relative
+residual, and every equation's backward error, read off the stored rows
+and, for A0's rows, off shifted slices of the field on the grid, summed
+in place.
 
 Truncation relies on the damping Im(omega) > 0.  The square window puts
 zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
@@ -248,7 +254,11 @@ class AssembledSystem:
     strip); every other equation is A0's: lattice_omega_shift(omega^2) on
     the diagonal, weight one to each _STENCILS neighbour and right-hand
     side 0.  full_table expands the table to every unknown, and matrix
-    builds it as a CSR matrix, on each read; nothing stores either."""
+    builds it as a CSR matrix, on each read; nothing stores either, and
+    row_entries reads one stored row or builds A0's row alone.  The
+    unknowns are the free sites row by row, sublattice by sublattice, so
+    without pinned sites unknown i is grid site i.  bg_u is None without
+    a background, and then no grid of its zeros is formed."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
     neighbours: np.ndarray    # [stored row, slot]: unknown coupled, -1 if pinned or outside
@@ -260,25 +270,33 @@ class AssembledSystem:
     y_range: tuple[int, int]
     index_u: np.ndarray
     index_v: np.ndarray | None
-    bg_u: np.ndarray          # background-only values on the window (adds back)
+    bg_u: np.ndarray | None   # background-only values on the window (adds back), None if none
     incident_u: np.ndarray    # incident values on the window
     incident_v: np.ndarray | None
 
     def full_table(self) -> tuple:
         """The stencil table of every unknown, (weights, neighbours): the
         stored rows, and A0's rows elsewhere."""
-        n = self.rhs.size
-        if self.stored.size == n:
+        if self.stored.size == self.rhs.size:
             return self.weights, self.neighbours
-        stencils, omega = _STENCILS[self.spec.lattice], self.spec.incidence.omega
-        index = dict(zip(stencils, (self.index_u, self.index_v)))
-        neighbours = _neighbour_table(self.spec, index, np.arange(self.index_u.shape[0]))
-        weights = np.ones((len(stencils), n // len(stencils), neighbours.shape[1]), complex)
-        for k, slots in enumerate(_slot_order(stencils)):  # A0's diagonal on the own slot
-            weights[k, :, slots[0]] = lattice_omega_shift(self.spec.lattice, omega * omega)
-        weights = weights.reshape(neighbours.shape)
+        weights, neighbours = self._free_rows(np.arange(self.index_u.shape[0]))
         weights[self.stored], neighbours[self.stored] = self.weights, self.neighbours
         return weights, neighbours
+
+    def _free_rows(self, rows: np.ndarray) -> tuple:
+        """A0's stencil table (weights, neighbours) of the free sites on the
+        window rows `rows`, sublattice by sublattice (see _neighbour_table)."""
+        stencils, omega = _STENCILS[self.spec.lattice], self.spec.incidence.omega
+        neighbours = _neighbour_table(self.spec, self._index(), rows)
+        weights = np.ones((len(stencils), len(neighbours) // len(stencils), neighbours.shape[1]),
+                          complex)
+        for k, slots in enumerate(_slot_order(stencils)):  # A0's diagonal on the own slot
+            weights[k, :, slots[0]] = lattice_omega_shift(self.spec.lattice, omega * omega)
+        return weights.reshape(neighbours.shape), neighbours
+
+    def _index(self) -> dict:
+        """The unknown ids of the window per sublattice of the lattice."""
+        return dict(zip(_STENCILS[self.spec.lattice], (self.index_u, self.index_v)))
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -291,20 +309,30 @@ class AssembledSystem:
         return matrix
 
     def row_entries(self, x: int, y: int, sublattice: str = "u") -> dict:
-        """Matrix row of the equation at a free site, keyed by column id."""
+        """Matrix row of the equation at a free site, keyed by column id: the
+        stored row, or A0's, built for the site's window row alone."""
         i = self.site_id(x, y, sublattice)
         if i < 0:
             raise InvalidSpec(f"site ({x},{y},{sublattice}) is not a free unknown")
-        weights, neighbours = self.full_table()
-        return {int(c): complex(val) for c, val in zip(neighbours[i], weights[i])
+        r = np.searchsorted(self.stored, i)
+        if r < self.stored.size and self.stored[r] == i:
+            weights, neighbours = self.weights[r], self.neighbours[r]
+        else:  # the table's rows are the row's free sites, sublattice by sublattice
+            row = y - self.y_range[0]
+            own = np.concatenate([idx[row][idx[row] >= 0] for idx in self._index().values()])
+            weights, neighbours = (part[own == i][0] for part in self._free_rows(np.array([row])))
+        return {int(c): complex(val) for c, val in zip(neighbours, weights)
                 if c >= 0 and val != 0}
 
     def site_id(self, x: int, y: int, sublattice: str = "u") -> int:
         """Unknown id of a window site, -1 if it is pinned."""
+        idx = self._index().get(sublattice)
+        if idx is None:
+            raise InvalidSpec(f"no sublattice {sublattice!r} on the {self.spec.lattice.value} "
+                              "lattice")
         (x0, x1), (y0, y1) = self.x_range, self.y_range
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             raise WindowMismatch(f"site ({x},{y}) outside the window [{x0}, {x1}] x [{y0}, {y1}]")
-        idx = self.index_u if sublattice == "u" else self.index_v
         return int(idx[y - y0, x - x0])
 
 
@@ -321,25 +349,27 @@ def _slot_order(stencils) -> list:
 def _neighbour_table(spec: LatticeProblemSpec, index: dict, rows: np.ndarray) -> np.ndarray:
     """Neighbours [unknown, slot] of the free sites on the window rows `rows`,
     sublattice by sublattice, from the unknown ids `index` of the window.
-    A torus wraps both ways; otherwise a neighbour is -1 outside the x
-    range, and outside the y range unless Bloch rows wrap, and -1 pinned."""
-    if spec.torus:
-        col = {sub: np.pad(idx, 1, "wrap") for sub, idx in index.items()}
-    elif spec.bloch is None:
-        col = {sub: np.pad(idx, 1, constant_values=-1) for sub, idx in index.items()}
-    else:
-        wrapped = np.arange(-1, spec.bloch.period + 1) % spec.bloch.period
-        col = {sub: np.pad(idx[wrapped], ((0, 0), (1, 1)), constant_values=-1)
-               for sub, idx in index.items()}
-    stencils, nx = _STENCILS[spec.lattice], index["u"].shape[1]
+    A torus wraps both ways and Bloch rows wrap along y; otherwise a
+    neighbour is -1 outside the window, and -1 pinned.  Only the rows next
+    to `rows` are read, padded by one column."""
+    ny, nx = index["u"].shape
+    near = rows[:, None] + np.arange(-1, 2)  # window rows y - 1, y, y + 1 of each row y
+    outside = None if spec.bloch is not None or spec.torus else (near < 0) | (near >= ny)
+    near %= ny
+    pad = {"mode": "wrap"} if spec.torus else {"constant_values": -1}
+    band = {sub: np.pad(idx[near], ((0, 0), (0, 0), (1, 1)), **pad) for sub, idx in index.items()}
+    if outside is not None:
+        for rows_read in band.values():
+            rows_read[outside] = -1
     tables = []
-    for slots, (sub, stencil) in zip(_slot_order(stencils), stencils.items()):
+    for slots, (sub, stencil) in zip(_slot_order(_STENCILS[spec.lattice]),
+                                     _STENCILS[spec.lattice].items()):
         own = index[sub][rows]
         free = own >= 0
         table = np.empty((np.count_nonzero(free), slots.size), np.int64)
         table[:, slots[0]] = own[free]
         for j, (dx, dy, nsub, _) in zip(slots[1:], stencil):
-            table[:, j] = col[nsub][rows + 1 + dy, 1 + dx:nx + 1 + dx][free]
+            table[:, j] = band[nsub][:, 1 + dy, 1 + dx:nx + 1 + dx][free]
         tables.append(table)
     return np.concatenate(tables)
 
@@ -418,19 +448,19 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     # a background solves the equations of its infinite defect (its row
     # unwrapped), so the terms of that defect with incident + bg give A0 bg;
     # on a pinned row a free vertical mode runs on to both sides, and there
-    # A0 bg = bg (mode - 1 / mode)
-    bg_pad, image = np.zeros(padded, complex), np.zeros(padded, complex)
-    none, infinite = np.zeros(padded, bool), []
+    # A0 bg = bg (mode - 1 / mode).  Without a background no grid is formed
+    bg_pad = image = None
+    infinite = []
     reach = crack.any(1) | pinned.any(1)  # padded rows holding a defect or a background's row
-    for bg in _straight_backgrounds(spec):
-        values, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, padded)
-        bg_pad += values
+    for bg in _straight_backgrounds(spec):  # at most one
+        bg_pad, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, padded)
         reach |= row[:, 0]
+        none = np.zeros(padded, bool)
         cut_pin = (row, none) if bg.kind == "crack" else (none, row)
-        infinite.append((cut_pin, incident["u"] + values))
+        infinite.append((cut_pin, incident["u"] + bg_pad))
         if bg.kind == "constraint":
-            image += np.where(row, values * (bg.mode - 1 / bg.mode), 0)
-    known = dict(incident, u=incident["u"] + bg_pad)
+            image = np.where(row, bg_pad * (bg.mode - 1 / bg.mode), 0)
+    known = incident if bg_pad is None else dict(incident, u=incident["u"] + bg_pad)
 
     def shifted(arr, dx, dy):
         """Padded-grid values at (x+dx, y+dy) for every window site (x, y)."""
@@ -454,11 +484,14 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     # unknowns: free u sites row by row, then free v sites; pinned sites
     # (total field zero) are eliminated
     free = ~shifted(pinned, 0, 0)
-    count = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
-    n_free = int(count[-1, -1])
-    index = {sub: np.where(free, k * n_free + count - 1, -1) for k, sub in enumerate(stencils)}
+    first = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
+    first -= 1
+    n_free = int(first[-1, -1]) + 1
+    first[~free] = -1
+    index = {sub: first if k == 0 else np.where(free, first + k * n_free, -1)
+             for k, sub in enumerate(stencils)}
     free_near = free[near]
-    at = count[near][free_near] - 1  # unknown per free site of near, less k * n_free
+    at = first[near][free_near]  # unknown per free site of near, less k * n_free
 
     # the stencil table, a row per free site of near and sublattice: weight
     # one on an intact bond (Bloch: its wrap weight), zero on a broken one,
@@ -469,7 +502,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     rhs = np.zeros((len(stencils), n_free), complex)
     for k, (slots, (sub, stencil)) in enumerate(zip(_slot_order(stencils), stencils.items())):
         own = local(known[sub], 0, 0)
-        source = 0 - local(image, 0, 0)  # backgrounds live on u only (square lattice)
+        # backgrounds live on u only (square lattice)
+        source = np.zeros(own.shape, complex) if image is None else 0 - local(image, 0, 0)
         n_broken = np.zeros(own.shape, np.int64)  # coordination reduced by the missing bonds
         for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
             if bloch is not None:
@@ -502,41 +536,54 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         y_range=(y0, y1),
         index_u=index["u"],
         index_v=index.get("v"),
-        bg_u=shifted(bg_pad, 0, 0),
+        bg_u=None if bg_pad is None else shifted(bg_pad, 0, 0),
         incident_u=shifted(incident["u"], 0, 0),
         incident_v=shifted(incident["v"], 0, 0) if "v" in incident else None,
     )
 
 
-def _product(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """table @ values, for a real table as one real product over the
-    interleaved real and imaginary parts of values."""
+def _product(table: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """table @ values (into out if given), for a real table as one real
+    product over the interleaved real and imaginary parts of values."""
     if np.isrealobj(table):
-        return (table @ np.ascontiguousarray(values).view(float)).view(complex)
-    return table @ values
+        return np.matmul(table, np.ascontiguousarray(values).view(float),
+                         out=None if out is None else out.view(float)).view(complex)
+    return np.matmul(table, values, out=out)
 
 
 @functools.lru_cache(maxsize=8)
 def _axis_transform(n: int, torus: bool) -> tuple:
     """A0's transform along one axis of n sites, kept read-only per (n, torus):
-    the forward table [mode, site], the inverse table [site, mode] and per
-    mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]).  That is the
-    orthonormal DST-I (its own inverse) with factors cos(d pi k / (n + 1)),
-    or on the torus of period n the DFT with factors exp(2 pi i d k / n)."""
+    the forward table [mode, site], the inverse table [site, mode], per
+    mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]), and the
+    pair table [d, mode] of _free_operator's green.  That is the
+    orthonormal DST-I (its own inverse) with factors cos(d pi k / (n + 1))
+    and pair table cos(d pi k / (n + 1)) / (n + 1), d = 0 .. 2n; or on the
+    torus of period n the DFT with factors exp(2 pi i d k / n), whose pair
+    table is its inverse."""
     d, k = np.arange(-1, 2), np.arange(n) if torus else np.arange(1, n + 1)
     jk = np.outer(k, k)
     if torus:
         root = np.exp(2j * np.pi * k / n)
         inverse = root[np.remainder(jk, n, out=jk)]
-        tables = (inverse.conj(), inverse, root[np.outer(d, k) % n])
+        tables = (inverse.conj(), inverse, root[np.outer(d, k) % n], inverse)
         inverse /= n
-    else:  # sin(pi jk / (n + 1)) has period 2n + 2 in jk
-        sine = np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))[np.remainder(jk, 2 * n + 2, out=jk)]
+    else:  # sin and cos of pi m / (n + 1) have period 2n + 2 in m
+        m = np.pi * np.arange(2 * n + 2) / (n + 1)
+        sine = np.sin(m)[np.remainder(jk, 2 * n + 2, out=jk)]
         sine *= np.sqrt(2.0 / (n + 1))
-        tables = (sine, sine, np.cos(np.outer(d, np.pi * k / (n + 1))))
+        pair = np.cos(m)[np.outer(np.arange(2 * n + 1), k) % (2 * n + 2)] / (n + 1)
+        tables = (sine, sine, np.cos(np.outer(d, np.pi * k / (n + 1))), pair)
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def _runs(sites: np.ndarray, n: int) -> list:
+    """Slices of the maximal runs of consecutive grid sites on one line of n."""
+    bounds = np.r_[0, np.flatnonzero((np.diff(sites) != 1) | (np.diff(sites // n) != 0)) + 1,
+                   sites.size]
+    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]) if stop > start]
 
 
 def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
@@ -546,63 +593,105 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
     The 2-D transform of _axis_transform diagonalizes A0 into an s x s matrix
     per mode over the s sublattices (2 x 2 on the honeycomb), inverted mode
     by mode; the DST-I does so for the square lattice's axis-aligned stencil
-    only.  Returns free_solve(b), A0^-1 b for b on the grid; green(rows,
-    cols), the block G[R, C] of G = A0^-1 for grid sites R and C; and
-    solve_at(b, sites), (A0^-1 b)[sites] for a b on few grid rows.
+    only.  Returns (modes, read, field, green), which solve A0 w = b, for b
+    given by its values at a few grid sites, on two full-grid arrays of
+    s n^2 complex values that the caller owns: modes(sites, values, out,
+    scratch) writes symbol^-1 times the 2-D transform of b into out,
+    [sublattice, kx, ky], transformed along y over the rows of b only;
+    read(modes, sites) is (A0^-1 b)[sites]; field(modes, out) writes
+    A0^-1 b on the grid into out by two products of an n x n table, one
+    per axis, spending modes for its one transpose.  green(rows, cols) is
+    the block G[R, C] of G = A0^-1 for grid sites R and C.
     """
-    forward, inverse, shift = _axis_transform(n, torus)
+    forward, inverse, shift, pair = _axis_transform(n, torus)
     subs = list(stencils)
     s = len(subs)
-    # [a, b, ky, kx]: diag if a = b, plus the y times the x shift factors
+    # [a, b, kx, ky]: diag if a = b, plus the x times the y shift factors
     # summed over the stencil entries from a to b, as one product over them
     symbol = np.empty((s, s, n, n), complex)
     for a, stencil in enumerate(stencils.values()):
         for b, nsub in enumerate(subs):
             dx, dy = (np.array([entry[i] for entry in stencil if entry[2] == nsub], int) + 1
                       for i in (0, 1))
-            np.matmul(shift[dy].T, shift[dx], out=symbol[a, b])
+            np.matmul(shift[dx].T, shift[dy].astype(complex), out=symbol[a, b])
         symbol[a, a] += diag
     # inverted in place: 1 / symbol, or the 2 x 2 adjugate (diagonal blocks
     # swapped, the others negated) times 1 / det, det being the adjugate's too
     if s == 1:
         np.reciprocal(symbol, out=symbol)
     else:
-        symbol[[0, 1], [0, 1]] = symbol[[1, 0], [1, 0]]
-        symbol[[0, 1], [1, 0]] *= -1
         (p, q), (r, u) = symbol
-        symbol *= 1.0 / (p * u - q * r)
+        swap = p.copy()
+        p[...], u[...] = u, swap
+        q *= -1
+        r *= -1
+        det = np.multiply(p, u, out=swap)
+        det -= q * r
+        symbol *= np.divide(1.0, det, out=det)
 
-    def modes(b):
-        """symbol^-1 times the 2-D transform of b, along y over its nonzero rows only."""
-        b = b.reshape(s, n, n)
-        rows = np.flatnonzero(b.any((0, 2)))
-        along_x = _product(forward, b[:, rows].transpose(0, 2, 1)).transpose(0, 2, 1)
-        return np.einsum("abyx,byx->ayx", symbol, _product(forward[:, rows], along_x))
+    def modes(sites, values, out, scratch):
+        """out = symbol^-1 times the 2-D transform of the b with the given
+        values at the grid sites (added where a site repeats), [a, kx, ky];
+        scratch is spent."""
+        a, y, x = np.unravel_index(sites, (s, n, n))
+        rows, at = np.unique(y, return_inverse=True)
+        source = np.zeros((s, rows.size, n), complex)
+        np.add.at(source, (a, at, x), values)
+        along_x = _product(forward, source.transpose(0, 2, 1))  # [a, kx, row]
+        np.matmul(along_x, forward[:, rows].T, out=scratch)
+        for k in range(s):
+            np.multiply(symbol[k, k], scratch[k], out=out[k])
+        if s == 2:  # the blocks off the diagonal, in place on scratch
+            scratch[0] *= symbol[1, 0]
+            scratch[1] *= symbol[0, 1]
+            out += scratch[::-1]
 
-    def free_solve(b):
-        along_y = _product(inverse, modes(b)).transpose(0, 2, 1)
-        return _product(inverse, along_y).transpose(0, 2, 1).ravel()
-
-    def solve_at(b, sites):
-        """free_solve(b)[sites], transformed back over the rows of sites only."""
+    def read(modes, sites):
+        """The field of modes at the grid sites, transformed back over their rows only."""
         a, y, x = np.unravel_index(sites, (s, n, n))
         targets, at = np.unique(y, return_inverse=True)
-        return np.sum(inverse[x] * _product(inverse[targets], modes(b))[a, at], axis=-1)
+        along_y = np.matmul(modes, inverse[targets].T)  # [a, kx, target]
+        return _product(inverse, along_y)[a, x, at]
+
+    def field(modes, out):
+        _product(inverse, modes, out=out)  # [a, x, ky]
+        np.copyto(modes, out.transpose(0, 2, 1))
+        _product(inverse, modes, out=out)
+
+    window = np.lib.stride_tricks.sliding_window_view
+    k = np.arange(n - 1, -n, -1)  # x_r - x_c from n - 1 down: the Toeplitz windows run forward
+    fold = k % n if torus else abs(k)
 
     def green(rows, cols):
-        """G[R, C] by blocks of one (sublattice, row) of R and one of C: the
-        x-mode weights of such a pair sum the y-modes of its two rows."""
+        """G[R, C] by blocks of runs of R and of C at consecutive sites of one
+        line (sublattice, row) each.  Per pair of lines the x-mode weights
+        sum the y-modes of its two rows, and the pair table sums those for a
+        function c of the columns x_r, x_c: c(x_r - x_c) on the torus,
+        c(|x_r - x_c|) - c(x_r + x_c + 2) on the square (2 sin a sin b =
+        cos(a - b) - cos(a + b)).  So a block is a Toeplitz matrix, less a
+        Hankel one on the square: strided windows of c, copied into G."""
         (line_r, x_r), (line_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
+        (lines_r, at_r), (lines_c, at_c) = (np.unique(line, return_inverse=True)
+                                            for line in (line_r, line_c))
+        (a, y_r), (b, y_c) = np.divmod(lines_r, n), np.divmod(lines_c, n)
+        both = inverse[y_r][:, None] * forward[:, y_c].T  # [line of R, line of C, ky]
+        weights = np.empty(both.shape, complex)
+        for i in range(s):
+            for j in range(s):
+                pairs = (a[:, None] == i) & (b == j)
+                weights[pairs] = both[pairs] @ symbol[i, j].T
+        c = _product(pair, weights.reshape(-1, n).T).T.reshape(*both.shape[:2], len(pair))
         g = np.empty((rows.size, cols.size), complex)
-        for lr in np.unique(line_r):
-            for lc in np.unique(line_c):
-                ra, cb = np.flatnonzero(line_r == lr), np.flatnonzero(line_c == lc)
-                (a, yr), (b, yc) = divmod(lr, n), divmod(lc, n)
-                mix = _product(inverse[yr] * forward[:, yc], symbol[a, b])
-                g[np.ix_(ra, cb)] = _product(inverse[x_r[ra]], mix[:, None] * forward[:, x_c[cb]])
+        for r in _runs(rows, n):
+            for q in _runs(cols, n):
+                line, xr, xc = c[at_r[r.start], at_c[q.start]], x_r[r.start], x_c[q.start]
+                size, width = r.stop - r.start, q.stop - q.start
+                g[r, q] = window(line[fold], width)[n - 1 - xr + xc::-1][:size]
+                if not torus:
+                    g[r, q] -= window(line, width)[xr + xc + 2:][:size]
         return g
 
-    return free_solve, green, solve_at
+    return modes, read, field, green
 
 
 def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
@@ -650,47 +739,71 @@ def _capacitance(system: AssembledSystem) -> tuple | None:
 
         M = K^T G K + [[0, 0], [0, I]],    M x = K^T G b,    w = G (b - K x).
 
-    b lives on a few rows (assemble), so K^T G b reads G b at the multiplier
-    sites only (solve_at) and a solve takes one full free solve.  None is
-    returned when the window is not of that form or M is singular.
+    The paired bonds come first, so their block of M is one slice, and
+    cross and G[minus, minus] are added into M in place.  b lives on a few
+    rows (assemble), so a solve forms the modes of b from those rows, reads
+    G b at the multiplier sites off them, and then forms the modes of
+    b - K x, on the same rows and the multipliers', into the same array
+    for the one full transform.  It holds two full-grid arrays besides the
+    operator's symbol, the modes and w; without pinned sites w is returned
+    as it is, with no scatter or gather, and with them one gather of the
+    free sites reuses the modes' memory.  None is returned when the window
+    is not of that form or M is singular.
     """
     spec = system.spec
-    stencils = _STENCILS[spec.lattice]
+    s = len(_STENCILS[spec.lattice])
     n = system.index_u.shape[1]
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
     bonds = _bonds(system, diag)
     if bonds is None:
         return None
-    free_solve, green, solve_at = _free_operator(stencils, diag, n, spec.torus)
-    # a pinned site pins every sublattice
-    free = np.broadcast_to(system.index_u >= 0, (len(stencils), n, n))
-    sites = np.flatnonzero(free)  # grid sites of the unknowns
-    # per multiplier the grid site of its +1, and of its -1 if paired
+    modes, read, field, green = _free_operator(_STENCILS[spec.lattice], diag, n, spec.torus)
+    # a pinned site pins every sublattice.  The i-th unknown of a sublattice
+    # lies past each pinned site with at most i free sites before it
+    free = np.broadcast_to(system.index_u >= 0, (s, n, n))
+    holes = np.flatnonzero(~free[0])
+    before = holes - np.arange(holes.size)
+
+    def grid(unknowns):
+        sub, i = np.divmod(unknowns, n * n - holes.size)
+        return sub * n * n + i + np.searchsorted(before, i, side="right")
+
+    # per multiplier the grid site of its +1, and of its -1 if paired: the
+    # paired bonds first, so that their block of M is one slice
     ends, other = bonds
-    plus = np.concatenate([np.flatnonzero(~free), sites[ends]])
-    bond = np.arange(plus.size - ends.size, plus.size)
-    paired, minus = bond[other >= 0], sites[other[other >= 0]]
+    order = np.argsort(other < 0, kind="stable")
+    ends, other = ends[order], other[order]
+    plus = np.concatenate([np.flatnonzero(~free), grid(ends)])
+    minus = grid(other[other >= 0])
+    pins = plus.size - ends.size
+    paired = slice(pins, pins + minus.size)
     capacitance = green(plus, plus)  # M - [0, 0; 0, I] = K^T G K with K = [P B]
     cross = green(plus, minus)  # G is symmetric: G[minus, plus] = cross^T
     capacitance[:, paired] -= cross
     capacitance[paired] -= cross.T
-    capacitance[np.ix_(paired, paired)] += green(minus, minus)
+    capacitance[paired, paired] += green(minus, minus)
+    bond = np.arange(pins, plus.size)
     capacitance[bond, bond] += 1.0
     # without the workspace query zsytrf runs unblocked, several times slower
     lwork = int(scipy.linalg.lapack.zsytrf_lwork(max(plus.size, 1))[0].real)
     ldl, pivots, info = scipy.linalg.lapack.zsytrf(capacitance, lwork=lwork)
     if info != 0:
         return None
+    multipliers = np.r_[plus, minus]
 
     def solve(rhs):
-        b = np.zeros(free.size, complex)
-        b[sites] = rhs
-        y = solve_at(b, np.r_[plus, minus])  # K^T y needs y only at the multiplier sites
+        at = np.flatnonzero(rhs)
+        source, values = grid(at), rhs[at]
+        spectrum, w = np.empty((s, n, n), complex), np.empty((s, n, n), complex)
+        modes(source, values, out=spectrum, scratch=w)
+        y = read(spectrum, multipliers)  # K^T G b needs G b only at the multiplier sites
         r = y[:plus.size]
         r[paired] -= y[plus.size:]
         x = scipy.linalg.lapack.zsytrs(ldl, pivots, r)[0] if r.size else r  # zsytrs needs n > 0
-        np.subtract.at(b, np.r_[plus, minus], np.r_[x, -x[paired]])
-        return free_solve(b)[sites]
+        modes(np.r_[source, multipliers], np.r_[values, -x, x[paired]], out=spectrum, scratch=w)
+        field(spectrum, out=w)
+        del spectrum  # the gather of the free sites reuses its memory
+        return w[free] if holes.size else w.reshape(-1)
 
     return capacitance, solve
 
@@ -715,10 +828,11 @@ def _refined_solve(system: AssembledSystem, solve) -> tuple:
     w = solve(system.rhs)
     for step in range(_REFINE_STEPS + 1):
         residual, errors = _backward_errors(system, w)
-        bad = ~(errors <= _REFINE_TOL)  # NaN counts as missed
-        if step == _REFINE_STEPS or not bad.any():
+        good = errors <= _REFINE_TOL  # NaN counts as missed
+        if step == _REFINE_STEPS or good.all():
             return w, residual, errors
-        w = w + solve(np.where(bad, residual, 0))
+        residual[good] = 0
+        w += solve(residual)
 
 
 def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
@@ -729,7 +843,7 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     below the incident amplitude: the field is compared at that scale, and
     no fast solve resolves equations 30 orders of magnitude below it.  A w
     and |A| |w| are A0's on the grid (_free_products), then read off the
-    table on the stored rows.
+    table on the stored rows, where alone b is nonzero.
     """
     product, scale = _free_products(system, w)
     # w at each slot's neighbour, 0 at none; both sums add the slots in turn, in
@@ -739,46 +853,60 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     at[neighbours < 0] = 0
     product[stored] = np.einsum("ij,ij->i", weights, at)
     scale[stored] = sum((np.abs(weights) * np.abs(at)).T)
-    residual = np.subtract(system.rhs, product, out=product)
-    scale += np.abs(system.rhs)
+    residual = np.negative(product, out=product)
+    residual[stored] += system.rhs[stored]
+    scale[stored] += np.abs(system.rhs[stored])
     np.maximum(scale, abs(system.spec.incidence.amplitude), out=scale)
-    errors = np.divide(np.abs(residual), scale, out=np.zeros(scale.shape), where=scale > 0)
+    errors = np.abs(residual)  # stays 0 where the scale is: |A w| <= |A| |w|
+    np.divide(errors, scale, out=errors, where=scale > 0)
     return residual, errors
+
+
+def _add_shifted(out: np.ndarray, grid: np.ndarray, dx: int, dy: int, wrap: bool):
+    """out[y, x] += grid[y + dy, x + dx] over the window, by slices: past an
+    edge a neighbour adds nothing, or with wrap set the opposite edge's."""
+    def spans(d, size):  # (target, source) slices, source = target + d, |d| <= 1
+        inner = [(slice(max(-d, 0), size - max(d, 0)), slice(max(d, 0), size + min(d, 0)))]
+        first, last = slice(0, 1), slice(size - 1, size)
+        return inner + [(last, first) if d > 0 else (first, last)] if wrap and d else inner
+
+    for to_y, from_y in spans(dy, out.shape[0]):
+        for to_x, from_x in spans(dx, out.shape[1]):
+            out[to_y, to_x] += grid[from_y, from_x]
 
 
 def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
     """A0 w and |A0| |w| at every unknown: the diagonal times w plus shifted
-    slices of w on the window padded by one site (zero outside the square
-    window, wrapped on the torus), added in place.  |w| replaces w on the
-    grid once A0 w is formed.  Left empty on a Bloch strip, whose rows are
-    all stored."""
+    slices of w on the window (zero past the square window's edge, wrapped
+    on the torus), added in place on the grid.  Without pinned sites w is
+    the grid itself and the sums are the outputs; with them w is scattered
+    onto a grid with zeros at the pinned sites, and the sums are gathered
+    at the free ones.  Left empty on a Bloch strip, whose rows are all
+    stored."""
     n, spec = w.size, system.spec
-    product, size = np.empty(n, complex), np.empty(n)
     if system.stored.size == n:
-        return product, size
+        return np.empty(n, complex), np.empty(n)
     stencils = _STENCILS[spec.lattice]
     subs = list(stencils)
-    free = system.index_u >= 0
-    (ny, nx), s = free.shape, len(subs)
-    grid = np.zeros((s, ny + 2, nx + 2), complex)
-    grid[:, 1:ny + 1, 1:nx + 1][:, free] = w.reshape(s, -1)
-    if spec.torus:
-        grid[:, 0], grid[:, -1] = grid[:, ny], grid[:, 1]
-        grid[:, :, 0], grid[:, :, -1] = grid[:, :, nx], grid[:, :, 1]
+    free = np.broadcast_to(system.index_u >= 0, (len(subs), *system.index_u.shape))
+    pinned = n < free.size
+    if pinned:
+        grid = np.zeros(free.shape, complex)
+        grid[free] = w
+    else:
+        grid = w.reshape(free.shape)
 
-    def accumulate(out, diag):
-        total = np.empty((ny, nx), grid.dtype)
+    def accumulate(grid, diag):
+        sums = np.empty(grid.shape, grid.dtype)
         for k, stencil in enumerate(stencils.values()):
-            np.multiply(grid[k, 1:ny + 1, 1:nx + 1], diag, out=total)
+            np.multiply(grid[k], diag, out=sums[k])
             for dx, dy, nsub, _ in stencil:
-                total += grid[subs.index(nsub), 1 + dy:ny + 1 + dy, 1 + dx:nx + 1 + dx]
-            out.reshape(s, -1)[k] = total[free]
+                _add_shifted(sums[k], grid[subs.index(nsub)], dx, dy, spec.torus)
+        return sums[free] if pinned else sums.reshape(-1)
 
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
-    accumulate(product, diag)
-    grid = np.abs(grid)
-    accumulate(size, abs(diag))
-    return product, size
+    size = accumulate(np.abs(grid), abs(diag))  # first, so |w| is gone before A0 w is formed
+    return accumulate(grid, diag), size
 
 
 def solve_direct(system: AssembledSystem) -> FieldGrid:
@@ -791,11 +919,12 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     the largest backward error of one equation (see _backward_errors) must
     come out below 1e-10, or SolveFailure is raised.  Eliminated (pinned)
     sites are filled with -incident so boundary conditions can be checked
-    on the output.
+    on the output; without them the field's grids are views of the solution.
     """
     spec = system.spec
     capacitance = _capacitance(system) if spec.bloch is None else None
     solve = spla.splu(system.matrix.tocsc()).solve if capacitance is None else capacitance[1]
+    del capacitance  # M itself, past its factors
     w, residual, errors = _refined_solve(system, solve)
     residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(system.rhs)) or 1.0)
     backward = float(np.max(errors, initial=0.0))
@@ -803,9 +932,17 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
         if not value <= _SOLVE_TOL:  # NaN counts as missed
             raise SolveFailure(f"direct solve missed the {name} contract", value)
 
-    u = np.where(system.index_u >= 0, w[system.index_u] + system.bg_u, -system.incident_u)
-    v = None if system.index_v is None else np.where(
-        system.index_v >= 0, w[system.index_v], -system.incident_v)
+    free = system.index_u >= 0
+    grids = w.reshape(len(_STENCILS[spec.lattice]), -1)
+    if grids.shape[1] == free.size:  # nothing pinned: the field's grids are views of w
+        u, *v = grids.reshape(-1, *free.shape)
+    else:
+        u, *v = (-known for known in (system.incident_u, system.incident_v) if known is not None)
+        for values, grid in zip(grids, (u, *v)):
+            grid[free] = values
+    if system.bg_u is not None:
+        u[free] += system.bg_u[free]
+    v = v[0] if v else None
     inc = spec.incidence
     meta = {
         "lattice": spec.lattice.value,

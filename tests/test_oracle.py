@@ -206,6 +206,26 @@ class TestAssembly:
                     system.row_entries(x, y, sub)
             assert min(system.site_id(x, y, sub) for x in (-20, 20) for y in (-20, 20)) >= 0
 
+    @pytest.mark.parametrize("family", ["sq_crack", "tri_dirichlet", "hex_crack"])
+    def test_unknown_sublattices_are_refused(self, request, family):
+        """A sublattice the lattice lacks ("v" off the honeycomb) or that no
+        lattice has raises InvalidSpec from the system and from its field:
+        "v" raised a bare TypeError on the square and triangular lattices,
+        and on the honeycomb any name but "u" read v."""
+        lattice = kernel_lattice(family).value
+        spec = problem_for(ScalarKernel(family, OMEGA), request.getfixturevalue(f"inc_{lattice}"))
+        system = assemble(spec, 20)
+        field = solve_direct(system)
+        for name in ["w", "U", ""] + ([] if lattice == "honeycomb" else ["v"]):
+            for read in (lambda: system.site_id(5, 3, name),
+                         lambda: system.row_entries(5, 3, name),
+                         lambda: field.row(3, name), lambda: field.value(5, 3, name)):
+                with pytest.raises(InvalidSpec, match="sublattice"):
+                    read()
+        for name in NEIGHBOURS[lattice]:
+            assert system.site_id(5, 3, name) >= 0
+            assert field.value(5, 3, name) == field.row(3, name)[25]
+
     def test_bloch_wrap_entries(self, inc_square):
         psi = 0.8 + 0.3j
         spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", 0),), inc_square,
@@ -670,6 +690,32 @@ class TestReferenceAssembly:
         assert set(zip(ours.row.tolist(), to_free[ours.col].tolist(), ours.data.tolist())) == \
             set(zip(theirs.row.tolist(), theirs.col.tolist(), theirs.data.tolist()))
 
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + ["period_two_strip"],
+                             ids=_layout_id)
+    def test_row_entries_read_one_row(self, request, monkeypatch, layout):
+        """row_entries is the full table's row at every free site of four
+        columns, both edges among them, on every row of the L = 20 window:
+        the stored rows, A0's rows, both honeycomb sublattices and the rows
+        of Bloch strips.  It reads the row alone, never the full table."""
+        spec = _spec(request, layout)
+        system = assemble(spec, 20)
+        weights, neighbours = system.full_table()
+        monkeypatch.setattr(oracle.AssembledSystem, "full_table",
+                            lambda self: pytest.fail("row_entries expanded the full table"))
+        (x0, x1), (y0, y1) = system.x_range, system.y_range
+        read = set()
+        for sub in NEIGHBOURS[spec.lattice.value]:
+            for y in range(y0, y1 + 1):
+                for x in (x0, -1, 0, x1):
+                    i = system.site_id(x, y, sub)
+                    if i >= 0:
+                        assert system.row_entries(x, y, sub) == {
+                            int(c): complex(v) for c, v in zip(neighbours[i], weights[i])
+                            if c >= 0 and v != 0}
+                        read.add(i)
+        stored = read & set(system.stored.tolist())
+        assert stored and (stored == read) == (spec.bloch is not None)
+
 
 class TestTableChecks:
     @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS)
@@ -887,16 +933,27 @@ class TestFreeOperators:
     ], ids=["square_window", "triangular_torus", "honeycomb_torus", "triangular_torus_odd",
             "honeycomb_torus_odd"])
     def test_match_the_dense_inverse(self, lattice, size):
-        """green, free_solve and solve_at against the inverse of the dense A0:
-        the whole of G, which must be symmetric, an unsorted block of it, one
-        solve, and one solve read at unsorted sites for a source on two rows;
-        then a source on three rows apart, the first and the last among them,
-        and blocks of G between the first two and the last two rows, whose
-        row offsets wrap past the period on a torus."""
+        """green, and solves through modes, read and field, against the
+        inverse of the dense A0: the whole of G, which must be symmetric, an
+        unsorted block of it, one solve, and one solve read at unsorted
+        sites for a source on two rows; then a source on three rows apart,
+        the first and the last among them, and blocks of G between the
+        first two and the last two rows, whose row offsets wrap past the
+        period on a torus; and a source given with repeated sites, which add."""
         diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
         torus = lattice is not Lattice.SQUARE
-        free_solve, green, solve_at = oracle._free_operator(oracle._STENCILS[lattice], diag,
-                                                            size, torus)
+        stencils = oracle._STENCILS[lattice]
+        modes, read, field, green = oracle._free_operator(stencils, diag, size, torus)
+        shape = (len(stencils), size, size)
+
+        def solve(sites, values, at=None):
+            spectrum, w = np.empty(shape, complex), np.empty(shape, complex)
+            modes(sites, values, out=spectrum, scratch=w)
+            if at is not None:
+                return read(spectrum, at)
+            field(spectrum, out=w)
+            return w.ravel()
+
         inverse = np.linalg.inv(_dense_free_operator(lattice, diag, size, torus))
         scale = np.max(np.abs(inverse))
         sites = np.arange(inverse.shape[0])
@@ -907,17 +964,24 @@ class TestFreeOperators:
         rows, cols = rng.permutation(sites)[:10], rng.permutation(sites)[:13]
         assert np.max(np.abs(green(rows, cols) - inverse[np.ix_(rows, cols)])) <= 1e-12 * scale
         b = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
-        assert np.max(np.abs(free_solve(b) - inverse @ b)) <= 1e-12 * np.max(np.abs(inverse @ b))
+        assert np.max(np.abs(solve(sites, b) - inverse @ b)) <= 1e-12 * np.max(np.abs(inverse @ b))
         y = (sites // size) % size
         for on in ((0, 1), (0, size // 2, size - 1)):
             source = np.where(np.isin(y, on), b, 0)
             exact = inverse @ source
-            assert np.max(np.abs(free_solve(source) - exact)) <= 1e-12 * np.max(np.abs(exact))
-            assert np.max(np.abs(solve_at(source, rows) - exact[rows])) <= \
+            at = np.flatnonzero(source)
+            assert np.max(np.abs(solve(at, source[at]) - exact)) <= 1e-12 * np.max(np.abs(exact))
+            assert np.max(np.abs(solve(at, source[at], rows) - exact[rows])) <= \
                 1e-12 * np.max(np.abs(exact))
         first, last = rng.permutation(sites[y < 2]), rng.permutation(sites[y >= size - 2])
         for r, c in ((first, last), (last, first)):
             assert np.max(np.abs(green(r, c) - inverse[np.ix_(r, c)])) <= 1e-12 * scale
+        twice = np.r_[rows, rows[:4]]
+        values = rng.normal(size=twice.size) + 1j * rng.normal(size=twice.size)
+        source = np.zeros(sites.size, complex)
+        np.add.at(source, twice, values)
+        exact = inverse @ source
+        assert np.max(np.abs(solve(twice, values) - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("torus", [False, True], ids=["sine", "dft"])
     def test_tables_are_built_once_and_read_only(self, torus):
@@ -942,33 +1006,42 @@ class TestTorusSolveCost:
         """An L = 100 solve, on the square window or the torus, that takes no
         refinement step transforms the whole grid once, for the field: two
         products of an n x n table with s n^2 outputs each, one per axis.
-        Every other product runs over the few rows of the defects.  No stage
-        of the free operator (its set-up, green, solve_at and free_solve)
-        holds 4 n^2 complex values per sublattice at once (tracemalloc peak):
-        a g tiled to 2n x 2n alone did, on each sublattice pair."""
+        Every other product runs over the few rows of the defects.  Memory
+        (tracemalloc peaks): the set-up holds the symbol, s^2 n^2 complex
+        values, and at most s n^2 more while it inverts the 2 x 2 blocks;
+        the three blocks of G, the two modes, the read and the field each
+        hold less than n^2 (a g tiled to 2n x 2n once held 4 n^2 per
+        sublattice); and a solve holds its two arrays of s n^2, the modes
+        and w, and less than n^2 besides."""
         system = assemble(_family_spec(family), 100)
         n, subs = system.index_u.shape[0], len(oracle._STENCILS[system.spec.lattice])
+        grid = n * n * np.dtype(complex).itemsize
+        oracle._axis_transform(n, system.spec.torus)  # cached per size: built outside the count
         full, peaks, checks_run = [], [], []
         product = oracle._product
 
-        def spy(table, values):
-            out = product(table, values)
-            full.append(table.shape == (n, n) and out.size >= subs * n * n)
-            return out
+        def spy(table, values, out=None):
+            result = product(table, values, out)
+            full.append(table.shape == (n, n) and result.size >= subs * n * n)
+            return result
         monkeypatch.setattr(oracle, "_product", spy)
 
         def measured(stage):
-            def run(*args):
+            def run(*args, **kwargs):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                out = stage(*args)
+                out = stage(*args, **kwargs)
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
                 return out
             return run
 
-        free_operator, backward_errors = oracle._free_operator, oracle._backward_errors
+        free_operator, capacitance = oracle._free_operator, oracle._capacitance
+        backward_errors = oracle._backward_errors
         monkeypatch.setattr(oracle, "_free_operator",
                             lambda *args: tuple(map(measured, measured(free_operator)(*args))))
+        monkeypatch.setattr(oracle, "_capacitance",
+                            lambda system: (lambda m, solve: (m, measured(solve)))(
+                                *capacitance(system)))
         monkeypatch.setattr(oracle, "_backward_errors",
                             lambda *args: checks_run.append(1) or backward_errors(*args))
         tracemalloc.start()
@@ -978,19 +1051,26 @@ class TestTorusSolveCost:
             tracemalloc.stop()
         assert len(checks_run) == 1  # no refinement step
         assert sum(full) == 2
-        assert len(peaks) == 1 + 3 + 2  # set-up, three blocks of G, one solve_at and free_solve
-        assert max(peaks) < 4 * subs * n * n * np.dtype(complex).itemsize
+        # set-up, three blocks of G, then in the solve two modes, a read and
+        # the field, and the solve itself, which returns last
+        setup, *stages, solve = peaks
+        assert len(stages) == 3 + 4
+        assert setup <= (subs * subs + subs) * grid + 64 * n  # and O(n) for index arrays
+        assert max(stages) < grid
+        assert solve < (2 * subs + 1) * grid
 
     # tracemalloc peak of one assemble + solve_direct at theta = 0.5, about
-    # 15% above the measured value: at L = 100, 1+0.1i, 13.5 MB (hex_crack)
-    # and 7.3 MB (tri_dirichlet, sq_crack); at L = 400, 1+0.01i, 114.7 MB
-    # (sq_crack).  With the stencil table of every unknown they read 23.7,
-    # 16.5, 13.3 and 211.2 MB; with g tiled and the sources formed on the
-    # whole grid, hex_crack and tri_dirichlet read 31.4 and 19.1 MB
+    # 15% above the measured value: at L = 100, 1+0.1i, 10.3 MB (hex_crack),
+    # 5.6 MB (tri_dirichlet) and 4.7 MB (sq_crack); at L = 400, 1+0.01i,
+    # 71.8 MB (sq_crack) and 160.0 MB (hex_crack).  With a fresh grid per
+    # step of the free solve and the backward errors they read 13.5, 7.3,
+    # 7.3, 114.7 and 212.5 MB; with the stencil table of every unknown,
+    # 23.7, 16.5, 13.3 and 211.2 MB (hex_crack at L = 400 not measured)
     @pytest.mark.parametrize("family,omega,half_width,gate_mb", [
-        ("hex_crack", 1 + 0.1j, 100, 15.6), ("tri_dirichlet", 1 + 0.1j, 100, 8.4),
-        ("sq_crack", 1 + 0.1j, 100, 8.4), ("sq_crack", 1 + 0.01j, 400, 132.0),
-    ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400"])
+        ("hex_crack", 1 + 0.1j, 100, 11.9), ("tri_dirichlet", 1 + 0.1j, 100, 6.4),
+        ("sq_crack", 1 + 0.1j, 100, 5.4), ("sq_crack", 1 + 0.01j, 400, 82.6),
+        ("hex_crack", 1 + 0.01j, 400, 184.0),
+    ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400", "hex_crack_400"])
     def test_traced_peak(self, family, omega, half_width, gate_mb):
         spec = _family_spec(family, omega)
         solve_direct(assemble(spec, half_width))  # numpy's one-off allocations out of the count
