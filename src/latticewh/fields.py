@@ -113,8 +113,10 @@ class FieldGrid:
 
     def to_csv(self, path, extra_meta: dict | None = None):
         """Columns x, y, re_u, im_u (plus re_v, im_v for honeycomb), under a
-        header that always names the grid's own lattice, whatever meta holds."""
+        header naming the grid's own lattice, whatever meta holds, and its Bloch multiplier."""
         meta = {**(self.meta or {}), **(extra_meta or {}), "lattice": self.lattice.value}
+        if self.bloch_multiplier is not None:
+            meta["bloch_multiplier"] = complex(self.bloch_multiplier)
         with open(path, "w") as fh:
             for key in sorted(meta):
                 fh.write(f"# {key} = {meta[key]}\n")
@@ -151,8 +153,9 @@ class FieldGrid:
         if v is not None:
             v[site] = data[:, 4] + 1j * data[:, 5]
         lattice = Lattice(meta.get("lattice", "square" if v is None else "honeycomb"))
-        return FieldGrid(lattice=lattice, x_range=x_range, y_range=y_range,
-                         u=u, v=v, meta=meta)
+        bloch = meta.pop("bloch_multiplier", None)
+        return FieldGrid(lattice=lattice, x_range=x_range, y_range=y_range, u=u, v=v,
+                         bloch_multiplier=bloch and complex(bloch), meta=meta)
 
 
 @dataclass(frozen=True)

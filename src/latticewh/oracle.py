@@ -21,30 +21,30 @@ of the window, and the right-hand side is exactly zero off them.  So
 assemble stores the equations as a stencil table of those rows alone, a
 weight and a neighbour per stored unknown and slot; every other equation
 is A0's, read off _STENCILS.  A Bloch strip stores every row, for their
-wrap weights.  AssembledSystem.full_table expands the table for the
-readers that need every row: the matrix of the sparse LU, and the tests.
+wrap weights.  assemble also records each bond it breaks, with A0's
+coupling across it.  AssembledSystem.full_table expands the table to
+every row, for AssembledSystem.matrix, which the solver never reads, and
+for the tests.
 
-Every window without Bloch rows is solved by the capacitance matrix
-method (_capacitance) with one free solve of A0, plus multipliers that
-hold the pinned sites at zero and rank-one terms for the broken bonds,
-read off the stored rows.  A0 is the square window with zero Dirichlet
-data, or on the triangular and honeycomb lattices the torus of period
-2L + 1 that the window wraps into, so the multipliers are the defects'
-alone.  One free operator serves both, by dense per-axis tables (2-D
-DST-I or DFT).  It transforms a source along y over its few rows only,
-and the whole grid once per solve, for the field; the capacitance matrix
-is filled from Toeplitz blocks of its Green's function (less Hankel ones
-on the square).  A solve holds two full-grid arrays besides the
-operator's symbol, the modes of its source and the field, and copies
-none it does not read: without pinned sites the unknowns are the grid
-sites in order, so the field is the solution vector and the returned
-FieldGrid's arrays are views of it.  Bloch strips go to a sparse LU,
-which alone builds a sparse matrix.  Either answer is refined where a
-defect row runs through an incident far larger than the field elsewhere
-(_refined_solve), and both must meet the same checks: the relative
-residual, and every equation's backward error, read off the stored rows
-and, for A0's rows, off shifted slices of the field on the grid, summed
-in place.
+Every window is solved by the capacitance matrix method (_capacitance):
+one free solve of A0, plus multipliers that hold the pinned sites at
+zero and rank-one terms for the recorded broken bonds.  A0 is the square
+window with zero Dirichlet data, the torus of period 2L + 1 that a
+triangular or honeycomb window wraps into, or the Bloch strip, so the
+multipliers are the defects' alone.  One free operator serves all three,
+by dense per-axis tables: the DST-I, the DFT, or along a strip's rows
+the DFT twisted by the multiplier.  It transforms a source along y over
+its few rows only, and the whole grid once per solve, for the field; the
+capacitance matrix is filled from Toeplitz blocks of its Green's
+function (less Hankel ones off the torus).  A solve holds two full-grid
+arrays besides the operator's symbol, and copies none it does not read:
+without pinned sites the unknowns are the grid sites in order, so the
+field is the solution vector and the returned FieldGrid's arrays are
+views of it.  The answer is refined where a defect row runs through an
+incident far larger than the field elsewhere (_refined_solve), and must
+meet the relative residual and every equation's backward error, read off
+the stored rows and, for A0's rows, off shifted slices of the field on
+the grid, summed in place.
 
 Truncation relies on the damping Im(omega) > 0.  The square window puts
 zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
@@ -74,7 +74,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .branches import Incidence, Lattice
 from .errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
@@ -254,15 +253,19 @@ class AssembledSystem:
     strip); every other equation is A0's: lattice_omega_shift(omega^2) on
     the diagonal, weight one to each _STENCILS neighbour and right-hand
     side 0.  full_table expands the table to every unknown, and matrix
-    builds it as a CSR matrix, on each read; nothing stores either, and
-    row_entries reads one stored row or builds A0's row alone.  The
-    unknowns are the free sites row by row, sublattice by sublattice, so
-    without pinned sites unknown i is grid site i.  bg_u is None without
-    a background, and then no grid of its zeros is formed."""
+    builds it as a CSR matrix, on each read; nothing stores either, the
+    solver reads neither, and row_entries reads one stored row or builds
+    A0's row alone.  bonds holds each broken slot from before a two-row
+    strip folds two couplings into one.  The unknowns are the free sites
+    row by row, sublattice by sublattice, so without pinned sites unknown
+    i is grid site i.  bg_u is None without a background, and then no grid
+    of its zeros is formed."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
     neighbours: np.ndarray    # [stored row, slot]: unknown coupled, -1 if pinned or outside
     stored: np.ndarray        # the unknowns of the table's rows, ascending
+    bonds: tuple              # per broken slot: unknown, neighbour or -1, A0's coupling (1, or
+                              # psi^+-1 across a strip's wrap)
     rhs: np.ndarray
     spec: LatticeProblemSpec
     half_width: int
@@ -497,9 +500,11 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     # one on an intact bond (Bloch: its wrap weight), zero on a broken one,
     # and the diagonal on the own slot
     neighbours = _neighbour_table(spec, index, near)
+    table = neighbours.reshape(len(stencils), at.size, neighbours.shape[1])  # a view
     diag_base = lattice_omega_shift(spec.lattice, w * w)
-    weights = np.ones((len(stencils), at.size, neighbours.shape[1]), complex)
+    weights = np.ones(table.shape, complex)
     rhs = np.zeros((len(stencils), n_free), complex)
+    bonds = []  # per broken slot: the unknown, its neighbour, A0's coupling between them
     for k, (slots, (sub, stencil)) in enumerate(zip(_slot_order(stencils), stencils.items())):
         own = local(known[sub], 0, 0)
         # backgrounds live on u only (square lattice)
@@ -510,7 +515,9 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
                 weights[k, :, j] = local(weight, dx, dy)[free_near]
             cut = local(crack, *cell) if cell else np.zeros(own.shape, bool)
             n_broken += cut
-            weights[k, cut[free_near], j] = 0
+            broken = cut[free_near]
+            bonds.append((at[broken] + k * n_free, table[k, broken, j], weights[k, broken, j]))
+            weights[k, broken, j] = 0
             terms = _slot_sources(cut, local(pinned, dx, dy), local(known[nsub], dx, dy), own)
             for (cuts, pins), total in infinite:  # less A0 bg, as its infinite defect's terms
                 terms = terms - _slot_sources(local(cuts, *cell) if cell else False,
@@ -529,6 +536,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         weights=weights,
         neighbours=neighbours,
         stored=(at + n_free * np.arange(len(stencils))[:, None]).ravel(),
+        bonds=tuple(map(np.concatenate, zip(*bonds))),
         rhs=rhs.ravel(),
         spec=spec,
         half_width=L,
@@ -552,21 +560,26 @@ def _product(table: np.ndarray, values: np.ndarray, out: np.ndarray | None = Non
 
 
 @functools.lru_cache(maxsize=8)
-def _axis_transform(n: int, torus: bool) -> tuple:
-    """A0's transform along one axis of n sites, kept read-only per (n, torus):
-    the forward table [mode, site], the inverse table [site, mode], per
-    mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]), and the
+def _axis_transform(n: int, torus: bool, twist: complex = 1.0) -> tuple:
+    """A0's transform along one axis of n sites, kept read-only per (n, torus,
+    twist): the forward table [mode, site], the inverse table [site, mode],
+    per mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]), and the
     pair table [d, mode] of _free_operator's green.  That is the
     orthonormal DST-I (its own inverse) with factors cos(d pi k / (n + 1))
     and pair table cos(d pi k / (n + 1)) / (n + 1), d = 0 .. 2n; or on the
     torus of period n the DFT with factors exp(2 pi i d k / n), whose pair
-    table is its inverse."""
+    table is its inverse.  A twist wraps the torus with a Bloch multiplier:
+    mode k is mu_k^y, mu_k = twist^(1/n) exp(2 pi i k / n), so mu_k^n = twist,
+    and the tables gain the factors twist^(-y/n), twist^(y/n) and twist^(d/n)
+    (spread, all 1.0 untwisted)."""
     d, k = np.arange(-1, 2), np.arange(n) if torus else np.arange(1, n + 1)
     jk = np.outer(k, k)
     if torus:
-        root = np.exp(2j * np.pi * k / n)
+        root, spread = np.exp(2j * np.pi * k / n), twist ** (np.arange(-1, n) / n)
         inverse = root[np.remainder(jk, n, out=jk)]
-        tables = (inverse.conj(), inverse, root[np.outer(d, k) % n], inverse)
+        shift = root[np.outer(d, k) % n] * spread[:3, None]
+        tables = (inverse.conj() / spread[1:], inverse, shift, inverse)
+        inverse *= spread[1:, None]
         inverse /= n
     else:  # sin and cos of pi m / (n + 1) have period 2n + 2 in m
         m = np.pi * np.arange(2 * n + 2) / (n + 1)
@@ -586,34 +599,40 @@ def _runs(sites: np.ndarray, n: int) -> list:
     return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]) if stop > start]
 
 
-def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
-    """Free solve and Green's function of A0 on the n x n window, with zero
-    Dirichlet data or, with torus set, wrapped into the torus of period n.
+def _free_operator(stencils, diag: complex, n: int, torus: bool,
+                   bloch: BlochSpec | None = None) -> tuple:
+    """Free solve and Green's function of A0 on ny rows of n sites: the n x n
+    window with zero Dirichlet data or, with torus set, the torus of period
+    n; or the Bloch strip of bloch, ny = period rows of the zero Dirichlet n.
 
     The 2-D transform of _axis_transform diagonalizes A0 into an s x s matrix
     per mode over the s sublattices (2 x 2 on the honeycomb), inverted mode
     by mode; the DST-I does so for the square lattice's axis-aligned stencil
-    only.  Returns (modes, read, field, green), which solve A0 w = b, for b
-    given by its values at a few grid sites, on two full-grid arrays of
-    s n^2 complex values that the caller owns: modes(sites, values, out,
-    scratch) writes symbol^-1 times the 2-D transform of b into out,
-    [sublattice, kx, ky], transformed along y over the rows of b only;
-    read(modes, sites) is (A0^-1 b)[sites]; field(modes, out) writes
-    A0^-1 b on the grid into out by two products of an n x n table, one
-    per axis, spending modes for its one transpose.  green(rows, cols) is
-    the block G[R, C] of G = A0^-1 for grid sites R and C.
+    only.  Along y a strip takes the twisted DFT of its period.  Returns
+    (modes, read, field, green), which solve A0 w = b, for b given by its
+    values at a few grid sites, on two full-grid arrays of s ny n complex
+    values that the caller owns: modes(sites, values, out, scratch) writes
+    symbol^-1 times the 2-D transform of b into out, [sublattice, kx, ky],
+    transformed along y over the rows of b only; read(modes, sites) is
+    (A0^-1 b)[sites]; field(modes, out) writes A0^-1 b on the grid into out,
+    [sublattice, y, x], by two products of a per-axis table, spending modes
+    for its one transpose.  green(rows, cols) is the block G[R, C] of
+    G = A0^-1 for grid sites R and C.
     """
     forward, inverse, shift, pair = _axis_transform(n, torus)
+    forward_y, inverse_y, shift_y = ((forward, inverse, shift) if bloch is None else
+                                     _axis_transform(bloch.period, True, bloch.multiplier)[:3])
+    ny = inverse_y.shape[0]
     subs = list(stencils)
     s = len(subs)
     # [a, b, kx, ky]: diag if a = b, plus the x times the y shift factors
     # summed over the stencil entries from a to b, as one product over them
-    symbol = np.empty((s, s, n, n), complex)
+    symbol = np.empty((s, s, n, ny), complex)
     for a, stencil in enumerate(stencils.values()):
         for b, nsub in enumerate(subs):
             dx, dy = (np.array([entry[i] for entry in stencil if entry[2] == nsub], int) + 1
                       for i in (0, 1))
-            np.matmul(shift[dx].T, shift[dy].astype(complex), out=symbol[a, b])
+            np.matmul(shift[dx].T, shift_y[dy].astype(complex), out=symbol[a, b])
         symbol[a, a] += diag
     # inverted in place: 1 / symbol, or the 2 x 2 adjugate (diagonal blocks
     # swapped, the others negated) times 1 / det, det being the adjugate's too
@@ -632,13 +651,14 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
     def modes(sites, values, out, scratch):
         """out = symbol^-1 times the 2-D transform of the b with the given
         values at the grid sites (added where a site repeats), [a, kx, ky];
-        scratch is spent."""
-        a, y, x = np.unravel_index(sites, (s, n, n))
+        scratch, of out's size, is spent."""
+        a, y, x = np.unravel_index(sites, (s, ny, n))
         rows, at = np.unique(y, return_inverse=True)
         source = np.zeros((s, rows.size, n), complex)
         np.add.at(source, (a, at, x), values)
         along_x = _product(forward, source.transpose(0, 2, 1))  # [a, kx, row]
-        np.matmul(along_x, forward[:, rows].T, out=scratch)
+        scratch = scratch.reshape(out.shape)
+        np.matmul(along_x, forward_y[:, rows].T, out=scratch)
         for k in range(s):
             np.multiply(symbol[k, k], scratch[k], out=out[k])
         if s == 2:  # the blocks off the diagonal, in place on scratch
@@ -648,15 +668,15 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
 
     def read(modes, sites):
         """The field of modes at the grid sites, transformed back over their rows only."""
-        a, y, x = np.unravel_index(sites, (s, n, n))
+        a, y, x = np.unravel_index(sites, (s, ny, n))
         targets, at = np.unique(y, return_inverse=True)
-        along_y = np.matmul(modes, inverse[targets].T)  # [a, kx, target]
+        along_y = np.matmul(modes, inverse_y[targets].T)  # [a, kx, target]
         return _product(inverse, along_y)[a, x, at]
 
     def field(modes, out):
-        _product(inverse, modes, out=out)  # [a, x, ky]
-        np.copyto(modes, out.transpose(0, 2, 1))
-        _product(inverse, modes, out=out)
+        _product(inverse, modes, out=out.reshape(modes.shape))  # [a, x, ky]
+        np.copyto(modes.reshape(out.shape), out.reshape(modes.shape).transpose(0, 2, 1))
+        _product(inverse_y, modes.reshape(out.shape), out=out)
 
     window = np.lib.stride_tricks.sliding_window_view
     k = np.arange(n - 1, -n, -1)  # x_r - x_c from n - 1 down: the Toeplitz windows run forward
@@ -667,15 +687,15 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
         line (sublattice, row) each.  Per pair of lines the x-mode weights
         sum the y-modes of its two rows, and the pair table sums those for a
         function c of the columns x_r, x_c: c(x_r - x_c) on the torus,
-        c(|x_r - x_c|) - c(x_r + x_c + 2) on the square (2 sin a sin b =
-        cos(a - b) - cos(a + b)).  So a block is a Toeplitz matrix, less a
-        Hankel one on the square: strided windows of c, copied into G."""
+        c(|x_r - x_c|) - c(x_r + x_c + 2) off it (2 sin a sin b = cos(a - b)
+        - cos(a + b)).  So a block is a Toeplitz matrix, less a Hankel one
+        off the torus: strided windows of c, copied into G."""
         (line_r, x_r), (line_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
         (lines_r, at_r), (lines_c, at_c) = (np.unique(line, return_inverse=True)
                                             for line in (line_r, line_c))
-        (a, y_r), (b, y_c) = np.divmod(lines_r, n), np.divmod(lines_c, n)
-        both = inverse[y_r][:, None] * forward[:, y_c].T  # [line of R, line of C, ky]
-        weights = np.empty(both.shape, complex)
+        (a, y_r), (b, y_c) = np.divmod(lines_r, ny), np.divmod(lines_c, ny)
+        both = inverse_y[y_r][:, None] * forward_y[:, y_c].T  # [line of R, line of C, ky]
+        weights = np.empty((*both.shape[:2], n), complex)
         for i in range(s):
             for j in range(s):
                 pairs = (a[:, None] == i) & (b == j)
@@ -694,113 +714,92 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool) -> tuple:
     return modes, read, field, green
 
 
-def _bonds(system: AssembledSystem, diag: complex) -> tuple | None:
-    """Broken bonds read off the stored rows, as pairs of unknowns.
-
-    The second unknown is -1 for a bond to a pinned site, or on the square
-    window to a site outside it.  On the free rows the table then differs
-    from A0 (diag on the diagonal, weight one on every stencil coupling) by
-    exactly B B^T, with one column e_i - e_j or e_i of B per bond; the rows
-    it does not store are A0's.  None is returned when it differs by
-    anything else.  The bonds come by sublattice, then slot, then unknown.
-    """
-    weights, neighbours, stored = system.weights, system.neighbours, system.stored
-    own = neighbours == stored[:, None]
-    slot, at = np.nonzero(((weights != 1) & ~own).T)
-    at_sub = stored[at] // (system.rhs.size // len(_STENCILS[system.spec.lattice]))
-    order = np.argsort(at_sub, kind="stable")
-    slot, at = slot[order], at[order]
-    if np.any(weights[at, slot]) or not np.array_equal(  # a weight neither one nor zero
-            weights[own], diag + np.bincount(at, minlength=stored.size)):
-        return None
-    n, ends, other = system.rhs.size, stored[at], neighbours[at, slot]
-    # a bond between two unknowns is broken from both of them: keep it once
-    inner = other >= 0
-    a, b = ends[inner], other[inner]
-    if not np.array_equal(*np.sort([a * n + b, b * n + a])):
-        return None
-    once = ~inner | (ends < other)
-    return ends[once], other[once]
+def _bonds(system: AssembledSystem) -> tuple:
+    """The broken bonds of AssembledSystem.bonds, each once: a bond between
+    two unknowns is recorded from both, and kept from the lower one; one to
+    a pinned site, or outside the square window, has -1 for the other.
+    The bonds between two unknowns come first."""
+    ends, other, coupling = system.bonds
+    once = np.flatnonzero((other < 0) | (ends < other))
+    once = once[np.argsort(other[once] < 0, kind="stable")]
+    return ends[once], other[once], coupling[once]
 
 
-def _capacitance(system: AssembledSystem) -> tuple | None:
-    """Capacitance matrix M of a window without Bloch rows, and solve(rhs).
+def _capacitance(system: AssembledSystem) -> tuple:
+    """Capacitance matrix M of the window, and solve(rhs).
 
     A0 is the free operator of the window itself (_free_operator): with
-    zero Dirichlet data on the square, or on the torus a triangular or
-    honeycomb window wraps into (LatticeProblemSpec.torus).  So M has a row
-    per pinned site and per broken bond of the defects and no others, 100
-    for a left half-row at L = 100.  Each pinned site gets a multiplier
-    lambda and each broken bond a multiplier mu for its column of B
-    (_bonds): A0 w + P lambda + B mu = b, P^T w = 0, B^T w = mu.  With
-    G = A0^-1, symmetric like A0, and K = [P B], that is the capacitance
-    matrix method (Buzbee, Dorr, George and Golub) in symmetric form,
-    factored by LDL^T (zsytrf):
+    zero Dirichlet data on the square, on the torus a triangular or
+    honeycomb window wraps into (LatticeProblemSpec.torus), or on the Bloch
+    strip.  So M has a row per pinned site and per broken bond of the
+    defects and no others, 100 for a left half-row at L = 100.  A pinned
+    site p gets a multiplier lambda for a column e_p of P, and a bond from
+    i to j (_bonds) a multiplier mu for the rank-one term u v^T that breaks
+    it, u = e_i - a_ji e_j and v = e_i - a_ij e_j with A0's couplings,
+    a_ji = 1 / a_ij (u = v = e_i without a j).  With K_L = [P U],
+    K_R = [P V] and G = A0^-1: A0 w + P lambda + U mu = b, P^T w = 0 and
+    V^T w = mu, the capacitance matrix method (Buzbee, Dorr, George and
+    Golub), factored by LU (zgetrf; a singular M raises SolveFailure):
 
-        M = K^T G K + [[0, 0], [0, I]],    M x = K^T G b,    w = G (b - K x).
+        M = K_R^T G K_L + [[0, 0], [0, I]],   M x = K_R^T G b,   w = G (b - K_L x).
 
     The paired bonds come first, so their block of M is one slice, and
-    cross and G[minus, minus] are added into M in place.  b lives on a few
+    the blocks of G are added into M in place; off the strips A0 is
+    symmetric, and G[minus, plus] is G[plus, minus]^T.  b lives on a few
     rows (assemble), so a solve forms the modes of b from those rows, reads
     G b at the multiplier sites off them, and then forms the modes of
-    b - K x, on the same rows and the multipliers', into the same array
+    b - K_L x, on the same rows and the multipliers', into the same array
     for the one full transform.  It holds two full-grid arrays besides the
     operator's symbol, the modes and w; without pinned sites w is returned
     as it is, with no scatter or gather, and with them one gather of the
-    free sites reuses the modes' memory.  None is returned when the window
-    is not of that form or M is singular.
+    free sites reuses the modes' memory.
     """
     spec = system.spec
     s = len(_STENCILS[spec.lattice])
-    n = system.index_u.shape[1]
+    ny, n = system.index_u.shape
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
-    bonds = _bonds(system, diag)
-    if bonds is None:
-        return None
-    modes, read, field, green = _free_operator(_STENCILS[spec.lattice], diag, n, spec.torus)
+    modes, read, field, green = _free_operator(_STENCILS[spec.lattice], diag, n, spec.torus,
+                                               spec.bloch)
     # a pinned site pins every sublattice.  The i-th unknown of a sublattice
     # lies past each pinned site with at most i free sites before it
-    free = np.broadcast_to(system.index_u >= 0, (s, n, n))
+    free = np.broadcast_to(system.index_u >= 0, (s, ny, n))
     holes = np.flatnonzero(~free[0])
     before = holes - np.arange(holes.size)
 
     def grid(unknowns):
-        sub, i = np.divmod(unknowns, n * n - holes.size)
-        return sub * n * n + i + np.searchsorted(before, i, side="right")
+        sub, i = np.divmod(unknowns, ny * n - holes.size)
+        return sub * ny * n + i + np.searchsorted(before, i, side="right")
 
-    # per multiplier the grid site of its +1, and of its -1 if paired: the
-    # paired bonds first, so that their block of M is one slice
-    ends, other = bonds
-    order = np.argsort(other < 0, kind="stable")
-    ends, other = ends[order], other[order]
+    # per multiplier the grid site of its +1, and of its -a if paired
+    ends, other, coupling = _bonds(system)
     plus = np.concatenate([np.flatnonzero(~free), grid(ends)])
     minus = grid(other[other >= 0])
+    right, left = coupling[:minus.size], 1 / coupling[:minus.size]  # a_ij of V, a_ji of U
     pins = plus.size - ends.size
     paired = slice(pins, pins + minus.size)
-    capacitance = green(plus, plus)  # M - [0, 0; 0, I] = K^T G K with K = [P B]
-    cross = green(plus, minus)  # G is symmetric: G[minus, plus] = cross^T
-    capacitance[:, paired] -= cross
-    capacitance[paired] -= cross.T
-    capacitance[paired, paired] += green(minus, minus)
+    capacitance = green(plus, plus)  # M - [0, 0; 0, I] = K_R^T G K_L
+    cross = green(plus, minus)
+    capacitance[:, paired] -= cross * left
+    capacitance[paired] -= right[:, None] * (cross.T if spec.bloch is None
+                                             else green(minus, plus))
+    capacitance[paired, paired] += right[:, None] * green(minus, minus) * left
     bond = np.arange(pins, plus.size)
     capacitance[bond, bond] += 1.0
-    # without the workspace query zsytrf runs unblocked, several times slower
-    lwork = int(scipy.linalg.lapack.zsytrf_lwork(max(plus.size, 1))[0].real)
-    ldl, pivots, info = scipy.linalg.lapack.zsytrf(capacitance, lwork=lwork)
+    lu, pivots, info = scipy.linalg.lapack.zgetrf(capacitance) if plus.size else (0, 0, 0)
     if info != 0:
-        return None
+        raise SolveFailure("singular capacitance matrix")
     multipliers = np.r_[plus, minus]
 
     def solve(rhs):
         at = np.flatnonzero(rhs)
         source, values = grid(at), rhs[at]
-        spectrum, w = np.empty((s, n, n), complex), np.empty((s, n, n), complex)
-        modes(source, values, out=spectrum, scratch=w)
-        y = read(spectrum, multipliers)  # K^T G b needs G b only at the multiplier sites
+        spectrum, w = np.empty((s, n, ny), complex), np.empty((s, ny, n), complex)
+        modes(source, values, spectrum, w)  # out, scratch
+        y = read(spectrum, multipliers)  # K_R^T G b needs G b only at the multiplier sites
         r = y[:plus.size]
-        r[paired] -= y[plus.size:]
-        x = scipy.linalg.lapack.zsytrs(ldl, pivots, r)[0] if r.size else r  # zsytrs needs n > 0
-        modes(np.r_[source, multipliers], np.r_[values, -x, x[paired]], out=spectrum, scratch=w)
+        r[paired] -= right * y[plus.size:]
+        x = scipy.linalg.lapack.zgetrs(lu, pivots, r)[0] if r.size else r
+        modes(np.r_[source, multipliers], np.r_[values, -x, left * x[paired]], spectrum, w)
         field(spectrum, out=w)
         del spectrum  # the gather of the free sites reuses its memory
         return w[free] if holes.size else w.reshape(-1)
@@ -912,20 +911,17 @@ def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
 def solve_direct(system: AssembledSystem) -> FieldGrid:
     """Solve the assembled system; returns the scattered field.
 
-    A window without Bloch rows, on any lattice, is solved by the
-    capacitance matrix method (_capacitance), a Bloch strip or a window
-    that _bonds rejects by a sparse LU of system.matrix (its one CSR
-    build), either refined by _refined_solve.  The relative residual and
-    the largest backward error of one equation (see _backward_errors) must
-    come out below 1e-10, or SolveFailure is raised.  Eliminated (pinned)
-    sites are filled with -incident so boundary conditions can be checked
-    on the output; without them the field's grids are views of the solution.
+    Every window is solved by the capacitance matrix method (_capacitance),
+    refined by _refined_solve.  The relative residual and the largest
+    backward error of one equation (see _backward_errors), read off the
+    table, must come out below 1e-10, or SolveFailure is raised, as for a
+    table edited to differ from A0 by more than its pins and bonds.
+    Eliminated (pinned) sites are filled with -incident so boundary
+    conditions can be checked on the output; without them the field's
+    grids are views of the solution.
     """
     spec = system.spec
-    capacitance = _capacitance(system) if spec.bloch is None else None
-    solve = spla.splu(system.matrix.tocsc()).solve if capacitance is None else capacitance[1]
-    del capacitance  # M itself, past its factors
-    w, residual, errors = _refined_solve(system, solve)
+    w, residual, errors = _refined_solve(system, _capacitance(system)[1])  # M itself goes
     residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(system.rhs)) or 1.0)
     backward = float(np.max(errors, initial=0.0))
     for name, value in (("residual", residual), ("backward error", backward)):

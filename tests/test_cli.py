@@ -10,6 +10,7 @@ import pytest
 import latticewh
 from latticewh import checks
 from latticewh.checks import Check
+from latticewh.errors import WindowMismatch
 from latticewh.cli import _build_parser, main
 from latticewh.fields import FieldGrid
 from latticewh.kernels import MatrixKernelSpec, ScalarKernel
@@ -191,6 +192,52 @@ class TestOracleCompare:
             config = tmp_path / "bad.json"
             config.write_text(json.dumps({**problem, "amplitude": bad}))
             assert run(["oracle", "--config", str(config), "-o", str(tmp_path / "x.csv")]) == 1
+
+
+    def test_json_bloch_config_matches_the_family(self, tmp_path):
+        """A JSON strip of period 3, a constraint and a crack on row 0, is
+        mixed_array --sep 3, byte for byte; its CSV keeps the multiplier, so
+        the loaded grid reads wrapped rows as the solved one does."""
+        config = tmp_path / "strip.json"
+        config.write_text(json.dumps({
+            "lattice": "square", "omega": [1.0, 0.1], "theta": 0.5, "half_width": 60,
+            "defects": [{"kind": "constraint", "row": 0}, {"kind": "crack", "row": 0}],
+            "bloch": {"period": 3},
+        }))
+        ours, family = tmp_path / "config.csv", tmp_path / "family.csv"
+        assert run(["oracle", "--config", str(config), "-o", str(ours)]) == 0
+        assert run(["oracle", "--family", "mixed_array", "--sep", "3", "--omega", "1,0.1",
+                    "--theta", "0.5", "-L", "60", "-o", str(family)]) == 0
+        assert ours.read_bytes() == family.read_bytes()
+        grid = FieldGrid.from_csv(ours)
+        psi = grid.bloch_multiplier
+        assert psi is not None and "bloch_multiplier" not in grid.meta
+        assert np.array_equal(grid.row(3), psi * grid.row(0))
+        assert np.array_equal(grid.row(-1), psi ** -1 * grid.row(2))
+
+    def test_json_period_two_strip_cracked_on_both_rows(self, tmp_path):
+        config = tmp_path / "strip.json"
+        config.write_text(json.dumps({
+            "lattice": "square", "omega": [1.2, 0.1], "theta": 0.7, "half_width": 30,
+            "defects": [{"kind": "crack", "row": 0}, {"kind": "crack", "row": 1, "tip": 3}],
+            "bloch": {"period": 2},
+        }))
+        out = tmp_path / "strip.csv"
+        assert run(["oracle", "--config", str(config), "-o", str(out)]) == 0
+        assert FieldGrid.from_csv(out).y_range == (0, 1)
+
+    def test_csv_without_bloch_rows_has_no_multiplier(self, tmp_path):
+        """A window's CSV holds no multiplier line, reads back as a grid
+        without one, and writes back the same bytes."""
+        out, again = tmp_path / "field.csv", tmp_path / "again.csv"
+        assert run(["oracle", "--family", "sq_crack", "-L", "20", "-o", str(out)]) == 0
+        assert "bloch_multiplier" not in out.read_text()
+        grid = FieldGrid.from_csv(out)
+        assert grid.bloch_multiplier is None
+        with pytest.raises(WindowMismatch, match="row 21 outside"):
+            grid.row(21)
+        grid.to_csv(again)
+        assert again.read_bytes() == out.read_bytes()
 
 
 class TestDeterminism:

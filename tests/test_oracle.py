@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,11 +509,11 @@ class TestProblemFor:
         assert prob.bloch.multiplier == psi
 
 
-# Layouts without Bloch rows, solved by the capacitance matrix method (the
-# sine transform on the square lattice, the torus on the others): the
-# non-Bloch entries of LAYOUTS, array_cracks with nu = 2, and hand-made
-# defect sets
-CAPACITANCE_KERNELS = [kernel for kernel, _, _, period in LAYOUTS if period is None]
+# Layouts solved by the capacitance matrix method (the sine transform on
+# the square lattice, the torus on the others, and along the rows of a
+# Bloch strip the twisted DFT): every entry of LAYOUTS, array_cracks with
+# nu = 2, hand-made defect sets and the period-2 strip
+CAPACITANCE_KERNELS = [kernel for kernel, *_ in LAYOUTS]
 CAPACITANCE_KERNELS.append(MatrixKernelSpec("array_cracks", OMEGA, count=2, sep=3,
                                             offsets=(0, 2)))
 DEFECT_SETS = {
@@ -525,7 +529,7 @@ DEFECT_SETS = {
     "tri_defect_free": ("triangular", ()),
     "hex_defect_free": ("honeycomb", ()),
 }
-CAPACITANCE_LAYOUTS = CAPACITANCE_KERNELS + list(DEFECT_SETS)
+CAPACITANCE_LAYOUTS = CAPACITANCE_KERNELS + list(DEFECT_SETS) + ["period_two_strip"]
 
 
 def _layout_id(layout):
@@ -538,9 +542,6 @@ def _lattice(layout):
     if isinstance(layout, str):
         return DEFECT_SETS[layout][0]
     return family_record(layout.family).lattice.value
-
-
-SQUARE_LAYOUTS = [layout for layout in CAPACITANCE_LAYOUTS if _lattice(layout) == "square"]
 
 
 def _spec(request, layout):
@@ -1153,33 +1154,70 @@ class TestCapacitanceSolve:
             fast = _fast(system)
             assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
+    @settings(max_examples=40, deadline=None)
+    @given(period=st.integers(2, 5),
+           rows=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
+               [("crack",), ("constraint",), ("crack", "constraint")]), st.integers(-9, 9)),
+               min_size=1, max_size=2, unique_by=lambda row: row[0]),
+           phase=st.one_of(st.none(), st.floats(-np.pi, np.pi)),
+           half_width=st.integers(20, 30), re_w=st.floats(0.5, 1.6), im_w=st.floats(0.05, 0.25),
+           theta=st.floats(-1, 1))
+    @example(period=2, rows=[(0, ("crack",), 0), (1, ("crack",), 3)], phase=None, half_width=20,
+             re_w=1.2, im_w=0.1, theta=0.7)
+    @example(period=2, rows=[(0, ("crack", "constraint"), 0), (1, ("crack",), -4)], phase=2.0,
+             half_width=20, re_w=1.0, im_w=0.05, theta=0.3)
+    def test_random_strips_match_sparse_lu(self, period, rows, phase, half_width, re_w, im_w,
+                                           theta):
+        """Bloch strips of period 2 to 5 with left-pointing cracks and
+        constraints on one or two rows (taken modulo the period), the
+        multiplier read off the incidence or exp(i phase): a period-2 strip
+        with both rows cracked breaks both couplings of one folded slot."""
+        inc = dispersion_solve("square", Frequency(complex(re_w, im_w)), theta)
+        rows = {row % period: (kinds, tip) for row, kinds, tip in rows}
+        psi = np.exp(-1j * inc.kappa_y * period) if phase is None else np.exp(1j * phase)
+        spec = LatticeProblemSpec("square", tuple(
+            Defect(kind, row, "left", tip) for row, (kinds, tip) in rows.items() for kind in kinds),
+            inc, BlochSpec(period, complex(psi)))
+        system = assemble(spec, half_width)
+        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        fast = _fast(system)
+        assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
+
     @pytest.mark.parametrize("kernel,lattice,pins,bonds", [
         (ScalarKernel("hex_crack", OMEGA), "honeycomb", 0, 20),
         (ScalarKernel("tri_dirichlet", OMEGA), "triangular", 20, 0),
         (MatrixKernelSpec("tri_crack_2x2", OMEGA), "triangular", 0, 2 * 20),
         (ScalarKernel("sq_crack", OMEGA), "square", 0, 20),
         (ScalarKernel("sq_constraint", OMEGA), "square", 20, 0),
-    ], ids=["hex_crack", "tri_dirichlet", "tri_crack_2x2", "sq_crack", "sq_constraint"])
+        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square", 20, 20),
+    ], ids=["hex_crack", "tri_dirichlet", "tri_crack_2x2", "sq_crack", "sq_constraint",
+            "mixed_array"])
     def test_capacitance_matrix_is_symmetric_with_a_row_per_pin_and_bond(
             self, request, kernel, lattice, pins, bonds):
         """At L = 20 the torus of the slant lattices is the window itself,
         so M holds the defect's pins and bonds only, as on the square.  A
         triangular crack breaks a vertical and a slant bond per column; its
         slant bond from x = -L wraps to an intact column, where a zero
-        Dirichlet window broke a 41st bond to the outside."""
+        Dirichlet window broke a 41st bond to the outside.  On a Bloch strip
+        M holds the pins and bonds too, each of mixed_array's cracked bonds
+        running from a free site to a pinned one across the wrap; A0 couples
+        the wrapped rows by psi one way and 1 / psi the other, so there M is
+        not symmetric."""
         system = assemble(problem_for(kernel, request.getfixturevalue(f"inc_{lattice}")), 20)
         capacitance, _ = oracle._capacitance(system)
         assert capacitance.shape == (pins + bonds, pins + bonds)
-        assert np.max(np.abs(capacitance - capacitance.T)) <= 1e-14 * np.max(np.abs(capacitance))
+        asymmetry = np.max(np.abs(capacitance - capacitance.T)) / np.max(np.abs(capacitance))
+        assert (asymmetry > 1e-3) if system.spec.bloch else (asymmetry <= 1e-14)
 
     @pytest.mark.parametrize("changes", [
         [("own", 0.5)],                      # a mass defect
         [("right", -0.5), ("left", -0.5)],   # a weakened bond, from both ends
         [("own", 1.0), ("right", -1.0)],     # a bond broken from one end only
     ], ids=["mass", "weak_bond", "one_sided_break"])
-    def test_other_deviations_fall_back_to_sparse_lu(self, splu_calls, crack_spec, changes):
-        """Equations that differ from A0 by more than pins and bonds are
-        solved by the sparse LU, not by a capacitance solve of other ones."""
+    def test_other_deviations_raise_solve_failure(self, crack_spec, changes):
+        """Equations that differ from A0 by more than assemble's pins and
+        bonds are not solved by a capacitance solve of other ones: the
+        residual, read off the changed table, misses its contract."""
         system = assemble(crack_spec, 20)
         i, k = system.site_id(5, 0), system.site_id(6, 0)  # an intact bond on stored rows
         for which, delta in changes:
@@ -1187,49 +1225,37 @@ class TestCapacitanceSolve:
             row = np.searchsorted(system.stored, unknown)
             assert system.stored[row] == unknown
             system.weights[row, system.neighbours[row] == col] += delta
-        assert oracle._capacitance(system) is None
-        solve_direct(system)  # checked against the changed matrix
-        assert len(splu_calls) == 1
+        with pytest.raises(SolveFailure, match="residual"):
+            solve_direct(system)
 
-    @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        calls = []
-        splu = oracle.spla.splu
-
-        def counting(matrix, *args, **kwargs):
-            calls.append(matrix.shape)
-            return splu(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(oracle.spla, "splu", counting)
-        return calls
-
-    @pytest.mark.parametrize("layout", SQUARE_LAYOUTS, ids=_layout_id)
-    def test_square_skips_sparse_lu(self, request, splu_calls, layout):
+    @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
+    def test_one_solve_path(self, request, monkeypatch, layout):
+        """The oracle holds no sparse LU: every window, on each lattice and
+        Bloch strips included, is one capacitance solve."""
+        assert not hasattr(oracle, "spla")
+        calls, capacitance = [], oracle._capacitance
+        monkeypatch.setattr(oracle, "_capacitance",
+                            lambda system: calls.append(1) or capacitance(system))
         solve_direct(assemble(_spec(request, layout), 20))
-        assert splu_calls == []
+        assert calls == [1]
 
-    @pytest.mark.parametrize("kernel,lattice,calls", [
-        (ScalarKernel("tri_dirichlet", OMEGA), "triangular", 0),
-        (ScalarKernel("hex_crack", OMEGA), "honeycomb", 0),
-        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square", 1),
-    ], ids=["tri_dirichlet", "hex_crack", "mixed_array"])
-    def test_other_layouts_use_sparse_lu(self, request, splu_calls, kernel, lattice, calls):
-        """Only Bloch strips reach the sparse LU; the slant windows go to the torus."""
-        inc = request.getfixturevalue(f"inc_{lattice}")
-        solve_direct(assemble(problem_for(kernel, inc), 20))
-        assert len(splu_calls) == calls
+    def test_the_package_loads_no_sparse_solver(self):
+        code = "import latticewh, sys; print('scipy.sparse.linalg' in sys.modules)"
+        src = str(Path(oracle.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False", done.stderr
 
-    @pytest.mark.parametrize("kernel,lattice,builds", [
-        (ScalarKernel("sq_crack", OMEGA), "square", 0),
-        (ScalarKernel("tri_dirichlet", OMEGA), "triangular", 0),
-        (ScalarKernel("hex_crack", OMEGA), "honeycomb", 0),
-        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square", 1),
+    @pytest.mark.parametrize("kernel,lattice", [
+        (ScalarKernel("sq_crack", OMEGA), "square"),
+        (ScalarKernel("tri_dirichlet", OMEGA), "triangular"),
+        (ScalarKernel("hex_crack", OMEGA), "honeycomb"),
+        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square"),
     ], ids=["sq_crack", "tri_dirichlet", "hex_crack", "mixed_array"])
-    def test_only_the_sparse_lu_builds_a_csr_matrix(self, request, monkeypatch, kernel,
-                                                   lattice, builds):
-        """The stencil table is the only stored form of the equations:
-        assembling and solving a window builds a CSR matrix only to hand it
-        to the sparse LU."""
+    def test_only_the_sparse_lu_builds_a_csr_matrix(self, request, monkeypatch, kernel, lattice):
+        """The stencil table is the only stored form of the equations, and
+        the package holds no sparse LU: assembling and solving a window,
+        Bloch strips included, builds no CSR matrix."""
         class CountingSparse:
             builds = 0
 
@@ -1243,7 +1269,7 @@ class TestCapacitanceSolve:
         counting = CountingSparse()
         monkeypatch.setattr(oracle, "sp", counting)
         solve_direct(assemble(problem_for(kernel, request.getfixturevalue(f"inc_{lattice}")), 20))
-        assert counting.builds == builds
+        assert counting.builds == 0
 
     @staticmethod
     def _returns(monkeypatch, field):
