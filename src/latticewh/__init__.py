@@ -2,7 +2,8 @@
 
 Subpackages by responsibility:
 
-* branches  -- branch functions, dispersion solving, incident waves
+* branches  -- the lattices' equations of motion (one stencil table),
+               branch functions, dispersion solving, incident waves
 * series    -- circle sampling, Laurent coefficients, WH splitting
 * kernels   -- the scalar/matrix kernel catalog with determinants and
                Daniele-Khrapkov forms

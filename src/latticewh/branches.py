@@ -1,8 +1,11 @@
 """Branch functions, dispersion solving and incident-wave parameterization.
 
 Three lattice geometries are supported (square, triangular in slant
-coordinates, honeycomb in the matching slant coordinates).  Everything in
-the transform domain is driven by a per-row propagation multiplier:
+coordinates, honeycomb in the matching slant coordinates), each defined by
+its entry in one table of equations of motion, _STENCILS, which the oracle
+assembles from; the dispersion relation is det S = 0 for the table's
+plane-wave matrix S.  Everything in the transform domain is driven by a
+per-row propagation multiplier:
 
 * square:      lam(z), the root of  lam + 1/lam + z + 1/z - 4 + w^2 = 0
                with |lam| <= 1, realized as lam = (r - h)/(r + h) where
@@ -53,6 +56,7 @@ __all__ = [
     "hex_coupling",
     "dispersion_solve",
     "dispersion_residual",
+    "lattice_omega_shift",
     "annulus_bounds",
     "branch_points",
 ]
@@ -67,6 +71,27 @@ class Lattice(str, Enum):
     SQUARE = "square"
     TRIANGULAR = "triangular"
     HONEYCOMB = "honeycomb"
+
+
+# Each lattice's equations of motion: per sublattice, a site's neighbours, each of weight one,
+# as (dx, dy, neighbour sublattice, bond cell or None; see the oracle's docstring), and
+# lattice_omega_shift(w^2) on the site itself.
+_SQUARE = ((1, 0, "u", None), (-1, 0, "u", None), (0, 1, "u", (0, 1)), (0, -1, "u", (0, 0)))
+_STENCILS = {
+    Lattice.SQUARE: {"u": _SQUARE},
+    Lattice.TRIANGULAR: {"u": _SQUARE + ((-1, 1, "u", (-1, 1)), (1, -1, "u", (0, 0)))},
+    Lattice.HONEYCOMB: {
+        "u": ((0, 0, "v", None), (-1, 0, "v", None), (0, -1, "v", (0, 0))),
+        "v": ((0, 0, "u", None), (1, 0, "u", None), (0, 1, "u", (0, 1))),
+    },
+}
+
+
+def lattice_omega_shift(lattice: Lattice, w2: complex) -> complex:
+    """Coefficient of the center site in the interior equation, n (w^2/4 - 1)
+    for n neighbours per site."""
+    n = len(_STENCILS[Lattice(lattice)]["u"])
+    return 0.25 * n * w2 - n
 
 
 @dataclass(frozen=True)
@@ -279,41 +304,50 @@ def hex_branch(z, omega):
     return _slant_root(z, hex_reduced_omega_sq(omega))
 
 
-def _square_symbol(kx, ky, w):
-    return 4.0 - 2.0 * cmath.cos(kx) - 2.0 * cmath.cos(ky) - w * w
+def _plane_wave(lattice, w, c, s):
+    """The plane-wave matrix of the lattice's table along (c, s), as a function
+    of the magnitude k: S[a][b] = diag [a = b] + sum of exp(-i k p) over the
+    neighbours of sublattice a on sublattice b, p = c dx + s dy.  Returns
+    det S and its k-derivative at k, and S itself; c, s = kx, ky at k = 1
+    read S at a wave vector."""
+    stencils = _STENCILS[lattice]
+    subs = list(stencils)
+    diag = lattice_omega_shift(lattice, w * w)
+    entries = [(a, subs.index(nsub), c * dx + s * dy)
+               for a, stencil in enumerate(stencils.values()) for dx, dy, nsub, _ in stencil]
 
+    def at(k):
+        S = [[diag if a == b else 0j for b in subs] for a in subs]
+        dS = [[0j for _ in subs] for _ in subs]
+        for a, b, p in entries:
+            e = cmath.exp(-1j * k * p)
+            S[a][b] += e
+            dS[a][b] -= 1j * p * e
+        if len(subs) == 1:
+            return S[0][0], dS[0][0], S
+        (s00, s01), (s10, s11) = S
+        (d00, d01), (d10, d11) = dS
+        return s00 * s11 - s01 * s10, d00 * s11 + s00 * d11 - d01 * s10 - s01 * d10, S
 
-def _tri_symbol(kx, ky, w):
-    return 6.0 - 2.0 * cmath.cos(kx) - 2.0 * cmath.cos(ky) - 2.0 * cmath.cos(kx - ky) - 1.5 * w * w
-
-
-def _hex_symbol(kx, ky, w):
-    beta = 3.0 - 0.75 * w * w
-    p = 1.0 + cmath.exp(1j * kx) + cmath.exp(1j * ky)
-    m = 1.0 + cmath.exp(-1j * kx) + cmath.exp(-1j * ky)
-    return p * m - beta * beta
+    return at
 
 
 def dispersion_residual(lattice, kappa_x, kappa_y, omega) -> float:
-    """|plane-wave symbol| of the governing equation at (kx, ky, omega)."""
-    w = _omega_value(omega)
-    lattice = Lattice(lattice)
-    if lattice is Lattice.SQUARE:
-        return abs(_square_symbol(kappa_x, kappa_y, w))
-    if lattice is Lattice.TRIANGULAR:
-        return abs(_tri_symbol(kappa_x, kappa_y, w))
-    return abs(_hex_symbol(kappa_x, kappa_y, w))
+    """|det S| of the lattice's plane-wave matrix at (kx, ky, omega)."""
+    return abs(_plane_wave(Lattice(lattice), _omega_value(omega), kappa_x, kappa_y)(1.0)[0])
 
 
 def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> Incidence:
     """Solve the lattice dispersion for kx = k cos(theta), ky = k sin(theta).
 
-    Newton iteration on the complex magnitude k from the long-wave initial
-    guess.  Convergence is declared at |symbol| < 1e-13; up to three more
-    steps follow while the residual still falls, so the returned incidence
-    satisfies the plane-wave form of the governing equation to rounding.
-    For honeycomb the companion sublattice amplitude ratio is solved from
-    the two coupled equations.
+    Newton iteration on det S, S the plane-wave matrix of the lattice's
+    table, in the complex magnitude k from the long-wave initial guess
+    k0 = w n / sqrt(2 (n sum p^2 - (sum p)^2)) over the n neighbours of a
+    u-site, p = cos(theta) dx + sin(theta) dy.  Convergence is declared at
+    |det S| < 1e-13; up to three more steps follow while the residual still
+    falls, so the returned incidence satisfies the plane-wave form of the
+    governing equation to rounding.  For honeycomb the companion sublattice
+    amplitude ratio solves the v-equation, -S[v][u] / S[v][v].
 
     Raises OutsidePassBand when a real frequency admits no propagating
     (real-k) root in this direction, NoConvergence after 100 iterations.
@@ -327,43 +361,15 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
         raise OutsidePassBand("square lattice pass band is 0 < Re(omega) < 2*sqrt(2)")
 
     c, s = math.cos(theta), math.sin(theta)
-    sin2t = math.sin(2.0 * theta)
-
-    if lattice is Lattice.SQUARE:
-        def g(k):
-            return _square_symbol(k * c, k * s, w)
-
-        def dg(k):
-            return 2.0 * c * cmath.sin(k * c) + 2.0 * s * cmath.sin(k * s)
-
-        k = w
-    elif lattice is Lattice.TRIANGULAR:
-        def g(k):
-            return _tri_symbol(k * c, k * s, w)
-
-        def dg(k):
-            return (2.0 * c * cmath.sin(k * c) + 2.0 * s * cmath.sin(k * s)
-                    + 2.0 * (c - s) * cmath.sin(k * (c - s)))
-
-        k = w * math.sqrt(1.5 / (2.0 - sin2t))
-    else:
-        def g(k):
-            return _hex_symbol(k * c, k * s, w)
-
-        def dg(k):
-            ep_x, ep_y = cmath.exp(1j * k * c), cmath.exp(1j * k * s)
-            em_x, em_y = cmath.exp(-1j * k * c), cmath.exp(-1j * k * s)
-            p = 1.0 + ep_x + ep_y
-            m = 1.0 + em_x + em_y
-            return (1j * c * ep_x + 1j * s * ep_y) * m - p * (1j * c * em_x + 1j * s * em_y)
-
-        k = w * math.sqrt(4.5 / (2.0 - sin2t))
+    at = _plane_wave(lattice, w, c, s)
+    ps = [c * dx + s * dy for dx, dy, _, _ in _STENCILS[lattice]["u"]]
+    n = len(ps)
+    k = w * n / math.sqrt(2.0 * (n * sum(p * p for p in ps) - sum(ps) ** 2))
 
     for _ in range(100):
-        gval = g(k)
+        gval, deriv, _ = at(k)
         if abs(gval) < 1e-13:
             break
-        deriv = dg(k)
         if deriv == 0:
             raise NoConvergence("dispersion Newton hit a stationary point")
         k = k - gval / deriv
@@ -376,14 +382,13 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
     # converged; a few more steps take the residual down to rounding, and
     # stop as soon as a step no longer lowers it
     for _ in range(_POLISH_STEPS):
-        deriv = dg(k)
         if deriv == 0:
             break
         trial = k - gval / deriv
-        gtrial = g(trial)
+        gtrial, dtrial, _ = at(trial)
         if not abs(gtrial) < abs(gval):
             break
-        k, gval = trial, gtrial
+        k, gval, deriv = trial, gtrial, dtrial
 
     if freq.omega2 == 0.0:
         if abs(k.imag) > 1e-9:
@@ -395,10 +400,8 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
         raise OutsidePassBand(f"damped frequency gave k = {k}, no wave travelling along theta")
 
     kx, ky = k * c, k * s
-    hex_ratio = None
-    if lattice is Lattice.HONEYCOMB:
-        beta = 3.0 - 0.75 * w * w
-        hex_ratio = (1.0 + cmath.exp(-1j * kx) + cmath.exp(-1j * ky)) / beta
+    S = at(k)[2]
+    hex_ratio = -S[1][0] / S[1][1] if len(S) == 2 else None
     return Incidence(
         amplitude=complex(amplitude),
         theta=theta,
@@ -441,7 +444,7 @@ def branch_points(lattice, omega) -> np.ndarray:
     if lattice is Lattice.SQUARE:
         sums = (2.0 - w2, 6.0 - w2)
     else:
-        s = w2 if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(omega)
+        s = hex_reduced_omega_sq(omega) if lattice is Lattice.HONEYCOMB else w2
         g = 6.0 - 1.5 * s
         root = 2.0 * cmath.sqrt(g + 3.0)
         sums = (g + 2.0 + root, g + 2.0 - root)

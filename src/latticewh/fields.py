@@ -19,17 +19,7 @@ __all__ = [
     "FieldGrid",
     "ComparisonReport",
     "compare_fields",
-    "lattice_omega_shift",
 ]
-
-
-def lattice_omega_shift(lattice: Lattice, w2: complex) -> complex:
-    """Coefficient of the center site in the interior equation."""
-    if lattice is Lattice.SQUARE:
-        return w2 - 4.0
-    if lattice is Lattice.TRIANGULAR:
-        return 1.5 * w2 - 6.0
-    return 0.75 * w2 - 3.0
 
 
 @dataclass
@@ -86,22 +76,30 @@ class FieldGrid:
         return complex(self.row(y, sublattice)[x - x0])
 
     def window(self, x_range, y_range) -> "FieldGrid":
-        """Copy restricted to the given inclusive index window."""
+        """Copy restricted to the given inclusive index window; a Bloch
+        grid's rows are read through row(), so its window may take any rows."""
         x0, x1 = x_range
         y0, y1 = y_range
         if x0 > x1 or y0 > y1:
             raise WindowMismatch(f"reversed window {(x0, x1)} x {(y0, y1)}")
+        bloch = self.bloch_multiplier is not None
         if (x0 < self.x_range[0] or x1 > self.x_range[1]
-                or y0 < self.y_range[0] or y1 > self.y_range[1]):
+                or not bloch and (y0 < self.y_range[0] or y1 > self.y_range[1])):
             raise WindowMismatch("requested window exceeds the stored grid")
         sx = slice(x0 - self.x_range[0], x1 - self.x_range[0] + 1)
         sy = slice(y0 - self.y_range[0], y1 - self.y_range[0] + 1)
+
+        def part(sub):
+            if bloch:
+                return np.array([self.row(y, sub)[sx] for y in range(y0, y1 + 1)])
+            return getattr(self, sub)[sy, sx].copy()
+
         return FieldGrid(
             lattice=self.lattice,
             x_range=(x0, x1),
             y_range=(y0, y1),
-            u=self.u[sy, sx].copy(),
-            v=None if self.v is None else self.v[sy, sx].copy(),
+            u=part("u"),
+            v=None if self.v is None else part("v"),
             bloch_multiplier=None,
             meta=self.meta,
         )

@@ -7,14 +7,15 @@ wrapped both ways) and solves them.  Defects are semi-infinite rows of
 broken bonds (cracks) or pinned sites (rigid constraints), pointing left
 (x < tip) or right (x >= tip).
 
-Assembly is array code driven by one table, _STENCILS: per lattice, one
-neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
-bond cell).  Masks on the window padded by one site (periodically on a
-torus) mark pinned sites and cracked bonds; crack[y, x] is the bond
-between (x, y) and the row below (honeycomb: u(x, y) -- v(x, y-1)), and
-the bond to the neighbour is broken when crack[y+by, x+bx] is set for the
-bond cell (bx, by).  A broken bond raises the diagonal by one; a pinned
-neighbour (total field zero) drops out.
+Assembly is array code driven by one table of the lattices' equations of
+motion, _STENCILS, which lives in branches beside Lattice: per lattice,
+one neighbour list per sublattice of entries (dx, dy, neighbour
+sublattice, bond cell).  Masks on the window padded by one site
+(periodically on a torus) mark pinned sites and cracked bonds; crack[y, x]
+is the bond between (x, y) and the row below (honeycomb: u(x, y) --
+v(x, y-1)), and the bond to the neighbour is broken when crack[y+by, x+bx]
+is set for the bond cell (bx, by).  A broken bond raises the diagonal by
+one; a pinned neighbour (total field zero) drops out.
 
 Only the rows next to a defect differ from the defect-free operator A0
 of the window, and the right-hand side is exactly zero off them.  So
@@ -75,14 +76,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .branches import Incidence, Lattice
+from .branches import _STENCILS, Incidence, Lattice, lattice_omega_shift
 from .errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
-from .fields import (
-    ComparisonReport,
-    FieldGrid,
-    compare_fields,
-    lattice_omega_shift,
-)
+from .fields import ComparisonReport, FieldGrid, compare_fields
 from .kernels import ScalarKernel, family_record, nodes_at, scalar_forcing, vector_forcing
 from .series import CircleGrid, sample
 
@@ -232,18 +228,6 @@ def _straight_backgrounds(spec: LatticeProblemSpec) -> tuple:
 
 # --- assembly ----------------------------------------------------------------
 
-# per sublattice: (dx, dy, neighbour sublattice, bond cell or None); see the module docstring
-_SQUARE = ((1, 0, "u", None), (-1, 0, "u", None), (0, 1, "u", (0, 1)), (0, -1, "u", (0, 0)))
-_STENCILS = {
-    Lattice.SQUARE: {"u": _SQUARE},
-    Lattice.TRIANGULAR: {"u": _SQUARE + ((-1, 1, "u", (-1, 1)), (1, -1, "u", (0, 0)))},
-    Lattice.HONEYCOMB: {
-        "u": ((0, 0, "v", None), (-1, 0, "v", None), (0, -1, "v", (0, 0))),
-        "v": ((0, 0, "u", None), (1, 0, "u", None), (0, 1, "u", (0, 1))),
-    },
-}
-
-
 @dataclass
 class AssembledSystem:
     """The window's equations: sum_j weights[r, j] w[neighbours[r, j]] = rhs[i]
@@ -251,15 +235,15 @@ class AssembledSystem:
     neighbour once a row.  The table holds the stored rows only, the
     unknowns whose equation differs from A0 (all of them on a Bloch
     strip); every other equation is A0's: lattice_omega_shift(omega^2) on
-    the diagonal, weight one to each _STENCILS neighbour and right-hand
-    side 0.  full_table expands the table to every unknown, and matrix
-    builds it as a CSR matrix, on each read; nothing stores either, the
-    solver reads neither, and row_entries reads one stored row or builds
-    A0's row alone.  bonds holds each broken slot from before a two-row
-    strip folds two couplings into one.  The unknowns are the free sites
-    row by row, sublattice by sublattice, so without pinned sites unknown
-    i is grid site i.  bg_u is None without a background, and then no grid
-    of its zeros is formed."""
+    the diagonal, weight one to each neighbour in the lattice's entry of
+    branches._STENCILS and right-hand side 0.  full_table expands the
+    table to every unknown, and matrix builds it as a CSR matrix, on each
+    read; nothing stores either, the solver reads neither, and row_entries
+    reads one stored row or builds A0's row alone.  bonds holds each broken
+    slot from before a two-row strip folds two couplings into one.  The
+    unknowns are the free sites row by row, sublattice by sublattice, so
+    without pinned sites unknown i is grid site i.  bg_u is None without a
+    background, and then no grid of its zeros is formed."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
     neighbours: np.ndarray    # [stored row, slot]: unknown coupled, -1 if pinned or outside

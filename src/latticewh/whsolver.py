@@ -26,9 +26,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .branches import Incidence, Lattice, annulus_bounds, branch_points, hex_coupling
+from .branches import (
+    Incidence,
+    Lattice,
+    annulus_bounds,
+    branch_points,
+    hex_coupling,
+    lattice_omega_shift,
+)
 from .errors import IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowTooLarge
-from .fields import FieldGrid, lattice_omega_shift
+from .fields import FieldGrid
 from .kernels import AffineForcing, ScalarKernel, family_record, nodes_at, scalar_forcing
 from .series import (
     CircleGrid,

@@ -215,6 +215,26 @@ class TestOracleCompare:
         assert np.array_equal(grid.row(3), psi * grid.row(0))
         assert np.array_equal(grid.row(-1), psi ** -1 * grid.row(2))
 
+    def test_bloch_strips_compare(self, tmp_path):
+        """A strip stores rows 0..2 only, yet compares on any window: its
+        window reads row j as psi^(j div 3) times stored row j mod 3.  The
+        columns still end where the grid does."""
+        out, rep = tmp_path / "strip.csv", tmp_path / "cmp.json"
+        assert run(["oracle", "-L", "30", "--family", "mixed_array", "--sep", "3",
+                    "--omega", "1,0.1", "--theta", "0.5", "-o", str(out)]) == 0
+        for window in ("5", "1"):
+            assert run(["compare", str(out), str(out), "--window", window,
+                        "--report", str(rep)]) == 0
+            assert json.loads(rep.read_text())["rel_l2"] == 0.0
+        grid = FieldGrid.from_csv(out)
+        part = grid.window((-30, 30), (-5, 5))
+        assert part.bloch_multiplier is None and part.y_range == (-5, 5)
+        for j in range(-5, 6):
+            shift, row = divmod(j, 3)
+            assert np.array_equal(part.u[j + 5], grid.bloch_multiplier ** shift * grid.u[row])
+        with pytest.raises(WindowMismatch, match="exceeds the stored grid"):
+            grid.window((-31, 30), (0, 2))
+
     def test_json_period_two_strip_cracked_on_both_rows(self, tmp_path):
         config = tmp_path / "strip.json"
         config.write_text(json.dumps({

@@ -12,9 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticewh import checks, kernels, oracle
-from latticewh.branches import Frequency, Lattice, dispersion_solve, square_branches
+from latticewh.branches import (
+    _STENCILS,
+    Frequency,
+    Lattice,
+    dispersion_solve,
+    lattice_omega_shift,
+    square_branches,
+)
 from latticewh.errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
-from latticewh.fields import FieldGrid, compare_fields, lattice_omega_shift
+from latticewh.fields import FieldGrid, compare_fields
 from latticewh.kernels import FAMILIES, MatrixKernelSpec, ScalarKernel, family_record, kernel_lattice
 from latticewh.oracle import (
     BlochSpec,
@@ -911,7 +918,7 @@ def _dense_free_operator(lattice, diag, size, torus):
     """A0 as a dense matrix from _STENCILS: diag on the diagonal and one per
     stencil coupling, on the size x size window with zero Dirichlet data or
     on the torus of period size."""
-    stencils = oracle._STENCILS[lattice]
+    stencils = _STENCILS[lattice]
     subs = list(stencils)
     a0 = diag * np.eye(len(subs) * size * size, dtype=complex)
     for a, stencil in enumerate(stencils.values()):
@@ -943,7 +950,7 @@ class TestFreeOperators:
         period on a torus; and a source given with repeated sites, which add."""
         diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
         torus = lattice is not Lattice.SQUARE
-        stencils = oracle._STENCILS[lattice]
+        stencils = _STENCILS[lattice]
         modes, read, field, green = oracle._free_operator(stencils, diag, size, torus)
         shape = (len(stencils), size, size)
 
@@ -1015,7 +1022,7 @@ class TestTorusSolveCost:
         sublattice); and a solve holds its two arrays of s n^2, the modes
         and w, and less than n^2 besides."""
         system = assemble(_family_spec(family), 100)
-        n, subs = system.index_u.shape[0], len(oracle._STENCILS[system.spec.lattice])
+        n, subs = system.index_u.shape[0], len(_STENCILS[system.spec.lattice])
         grid = n * n * np.dtype(complex).itemsize
         oracle._axis_transform(n, system.spec.torus)  # cached per size: built outside the count
         full, peaks, checks_run = [], [], []
