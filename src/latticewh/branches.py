@@ -308,33 +308,42 @@ def _plane_wave(lattice, w, c, s):
     """The plane-wave matrix of the lattice's table along (c, s), as a function
     of the magnitude k: S[a][b] = diag [a = b] + sum of exp(-i k p) over the
     neighbours of sublattice a on sublattice b, p = c dx + s dy.  Returns
-    det S and its k-derivative at k, and S itself; c, s = kx, ky at k = 1
-    read S at a wave vector."""
+    det(k), giving det S and its k-derivative, and entry(k, a, b), giving
+    S[a][b] and its k-derivative; c, s = kx, ky at k = 1 read S at a wave
+    vector."""
     stencils = _STENCILS[lattice]
-    subs = list(stencils)
+    subs = tuple(stencils)
     diag = lattice_omega_shift(lattice, w * w)
-    entries = [(a, subs.index(nsub), c * dx + s * dy)
-               for a, stencil in enumerate(stencils.values()) for dx, dy, nsub, _ in stencil]
+    phases = [[[] for _ in subs] for _ in subs]
+    for a, sub in enumerate(subs):
+        for dx, dy, nsub, _ in stencils[sub]:
+            p = c * dx + s * dy
+            phases[a][subs.index(nsub)].append((p, 1j * p))
 
-    def at(k):
-        S = [[diag if a == b else 0j for b in subs] for a in subs]
-        dS = [[0j for _ in subs] for _ in subs]
-        for a, b, p in entries:
-            e = cmath.exp(-1j * k * p)
-            S[a][b] += e
-            dS[a][b] -= 1j * p * e
+    def entry(k, a, b):
+        val, der, mik = (diag if a == b else 0j), 0j, -1j * k
+        for p, ip in phases[a][b]:
+            e = cmath.exp(mik * p)
+            val += e
+            der -= ip * e
+        return val, der
+
+    def det(k):
         if len(subs) == 1:
-            return S[0][0], dS[0][0], S
-        (s00, s01), (s10, s11) = S
-        (d00, d01), (d10, d11) = dS
-        return s00 * s11 - s01 * s10, d00 * s11 + s00 * d11 - d01 * s10 - s01 * d10, S
+            return entry(k, 0, 0)
+        s00, d00 = entry(k, 0, 0)
+        s01, d01 = entry(k, 0, 1)
+        s10, d10 = entry(k, 1, 0)
+        s11, d11 = entry(k, 1, 1)
+        return s00 * s11 - s01 * s10, d00 * s11 + s00 * d11 - d01 * s10 - s01 * d10
 
-    return at
+    return det, entry
 
 
 def dispersion_residual(lattice, kappa_x, kappa_y, omega) -> float:
     """|det S| of the lattice's plane-wave matrix at (kx, ky, omega)."""
-    return abs(_plane_wave(Lattice(lattice), _omega_value(omega), kappa_x, kappa_y)(1.0)[0])
+    det, _ = _plane_wave(Lattice(lattice), _omega_value(omega), kappa_x, kappa_y)
+    return abs(det(1.0)[0])
 
 
 def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> Incidence:
@@ -361,13 +370,13 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
         raise OutsidePassBand("square lattice pass band is 0 < Re(omega) < 2*sqrt(2)")
 
     c, s = math.cos(theta), math.sin(theta)
-    at = _plane_wave(lattice, w, c, s)
+    det, entry = _plane_wave(lattice, w, c, s)
     ps = [c * dx + s * dy for dx, dy, _, _ in _STENCILS[lattice]["u"]]
     n = len(ps)
     k = w * n / math.sqrt(2.0 * (n * sum(p * p for p in ps) - sum(ps) ** 2))
 
     for _ in range(100):
-        gval, deriv, _ = at(k)
+        gval, deriv = det(k)
         if abs(gval) < 1e-13:
             break
         if deriv == 0:
@@ -385,7 +394,7 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
         if deriv == 0:
             break
         trial = k - gval / deriv
-        gtrial, dtrial, _ = at(trial)
+        gtrial, dtrial = det(trial)
         if not abs(gtrial) < abs(gval):
             break
         k, gval, deriv = trial, gtrial, dtrial
@@ -400,8 +409,7 @@ def dispersion_solve(lattice, omega, theta: float, amplitude: complex = 1.0) -> 
         raise OutsidePassBand(f"damped frequency gave k = {k}, no wave travelling along theta")
 
     kx, ky = k * c, k * s
-    S = at(k)[2]
-    hex_ratio = -S[1][0] / S[1][1] if len(S) == 2 else None
+    hex_ratio = -entry(k, 1, 0)[0] / entry(k, 1, 1)[0] if len(_STENCILS[lattice]) == 2 else None
     return Incidence(
         amplitude=complex(amplitude),
         theta=theta,
@@ -444,7 +452,7 @@ def branch_points(lattice, omega) -> np.ndarray:
     if lattice is Lattice.SQUARE:
         sums = (2.0 - w2, 6.0 - w2)
     else:
-        s = hex_reduced_omega_sq(omega) if lattice is Lattice.HONEYCOMB else w2
+        s = w2 if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(omega)
         g = 6.0 - 1.5 * s
         root = 2.0 * cmath.sqrt(g + 3.0)
         sums = (g + 2.0 + root, g + 2.0 - root)

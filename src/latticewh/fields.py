@@ -76,23 +76,19 @@ class FieldGrid:
         return complex(self.row(y, sublattice)[x - x0])
 
     def window(self, x_range, y_range) -> "FieldGrid":
-        """Copy restricted to the given inclusive index window; a Bloch
-        grid's rows are read through row(), so its window may take any rows."""
+        """Copy restricted to the given inclusive index window, read row by
+        row through row(), so a Bloch grid's window may take any rows."""
         x0, x1 = x_range
         y0, y1 = y_range
         if x0 > x1 or y0 > y1:
             raise WindowMismatch(f"reversed window {(x0, x1)} x {(y0, y1)}")
-        bloch = self.bloch_multiplier is not None
-        if (x0 < self.x_range[0] or x1 > self.x_range[1]
-                or not bloch and (y0 < self.y_range[0] or y1 > self.y_range[1])):
+        if (x0 < self.x_range[0] or x1 > self.x_range[1] or self.bloch_multiplier is None
+                and (y0 < self.y_range[0] or y1 > self.y_range[1])):
             raise WindowMismatch("requested window exceeds the stored grid")
         sx = slice(x0 - self.x_range[0], x1 - self.x_range[0] + 1)
-        sy = slice(y0 - self.y_range[0], y1 - self.y_range[0] + 1)
 
         def part(sub):
-            if bloch:
-                return np.array([self.row(y, sub)[sx] for y in range(y0, y1 + 1)])
-            return getattr(self, sub)[sy, sx].copy()
+            return np.array([self.row(y, sub)[sx] for y in range(y0, y1 + 1)])
 
         return FieldGrid(
             lattice=self.lattice,

@@ -310,6 +310,8 @@ class TestCompareFields:
     def test_window_mismatch(self, crack_field):
         with pytest.raises(WindowMismatch):
             compare_fields(crack_field, crack_field, ((-100, 100), (0, 0)))
+        with pytest.raises(WindowMismatch, match="exceeds the stored grid"):
+            compare_fields(crack_field, crack_field, ((0, 0), (-100, 100)))
 
     def test_lattice_mismatch(self):
         """A square grid and a triangular grid holding the same numbers are
