@@ -105,10 +105,10 @@ class FieldGrid:
             return self.u
         return np.concatenate([self.u.ravel(), self.v.ravel()])
 
-    def to_csv(self, path, extra_meta: dict | None = None):
+    def to_csv(self, path):
         """Columns x, y, re_u, im_u (plus re_v, im_v for honeycomb), under a
         header naming the grid's own lattice, whatever meta holds, and its Bloch multiplier."""
-        meta = {**(self.meta or {}), **(extra_meta or {}), "lattice": self.lattice.value}
+        meta = {**(self.meta or {}), "lattice": self.lattice.value}
         if self.bloch_multiplier is not None:
             meta["bloch_multiplier"] = complex(self.bloch_multiplier)
         with open(path, "w") as fh:

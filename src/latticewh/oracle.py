@@ -5,7 +5,8 @@ The solver assembles the scattered-field equations on a truncated window
 otherwise, on the triangular and honeycomb lattices, a torus: the window
 wrapped both ways) and solves them.  Defects are semi-infinite rows of
 broken bonds (cracks) or pinned sites (rigid constraints), pointing left
-(x < tip) or right (x >= tip).
+(x < tip) or right (x >= tip), on a row of the window (any row of a strip,
+taken modulo its period).
 
 Assembly is array code driven by one table of the lattices' equations of
 motion, _STENCILS, which lives in branches beside Lattice: per lattice,
@@ -59,7 +60,10 @@ the closed-form response of the corresponding *infinite* straight defect
 (a one-dimensional reflection problem solved exactly) and applies the
 window to the remainder, which decays in every direction.  One such
 background per window: two or more right-pointing defects are refused.
-The returned FieldGrid always contains the full scattered field.
+The system holds only the window's equations; solve_direct evaluates the
+known fields on the window for its output, which always contains the full
+scattered field: the background added back at the free sites, and
+-incident at the pinned ones.
 
 wh_residual checks the paper's functional equation f+ + K f- = c directly
 against oracle data: half-range transforms are truncated sums of the
@@ -186,44 +190,40 @@ class _StraightBackground:
         return np.exp(-1j * self.kappa_x * np.asarray(x)) * self.profile(y)
 
 
-def _straight_backgrounds(spec: LatticeProblemSpec) -> tuple:
-    """Backgrounds for every right-pointing defect (empty tuple if none).
+def _straight_background(spec: LatticeProblemSpec) -> _StraightBackground | None:
+    """Background of the right-pointing defect, None without one.
 
     At the incident's kx the square dispersion leaves two vertical modes,
     exp(-i ky) and exp(i ky); the background takes the one of modulus below
     one.  At ky = 0 (grazing incidence) neither decays, so InvalidSpec.
 
-    Each background solves its own infinite defect alone.  On another
+    A background solves its own infinite defect alone.  On another
     right-pointing defect's row it leaves sources that grow toward +x with
     the incident, so a window never converges there: two or more
     right-pointing defects raise InvalidSpec too.
     """
     right = [d for d in spec.defects if d.side == "right"]
     if not right:
-        return ()
+        return None
     if len(right) > 1:
         raise InvalidSpec(f"{len(right)} right-pointing defects: the straight-defect "
                           "backgrounds support one")
+    (d,) = right
     inc = spec.incidence
-    kx, ky, amp = inc.kappa_x, inc.kappa_y, inc.amplitude
+    ky, amp = inc.kappa_y, inc.amplitude
     if ky.imag == 0:
         raise InvalidSpec("right-pointing defects need ky != 0: at grazing incidence "
                           "no vertical mode decays")
     down = ky.imag < 0  # the incident itself decays upward: mode = exp(-i ky)
     mode = np.exp(-1j * ky) if down else np.exp(1j * ky)
-
-    def coefficients(d):
-        r = d.row
-        if d.kind == "constraint":  # -incident on the pinned row, decaying to both sides
-            above = -amp * np.exp(-1j * ky * r)
-            return above, above * mode
-        # -(sigma inc(r) + inc(r + 1)) / (sigma + mode) above and its mirror
+    if d.kind == "constraint":  # -incident on the pinned row, decaying to both sides
+        above = -amp * np.exp(-1j * ky * d.row)
+        below = above * mode
+    else:  # -(sigma inc(r) + inc(r + 1)) / (sigma + mode) above and its mirror
         # below, sigma = 1 - 2 cos ky, with the 0/0 at ky -> 0 cancelled
-        edge = amp * np.exp(-1j * ky * (r if down else r - 1))
-        return (-edge, edge) if down else (edge, -edge)
-
-    return tuple(_StraightBackground(d.kind, d.row, kx, mode, *map(complex, coefficients(d)))
-                 for d in right)
+        edge = amp * np.exp(-1j * ky * (d.row if down else d.row - 1))
+        above, below = (-edge, edge) if down else (edge, -edge)
+    return _StraightBackground(d.kind, d.row, inc.kappa_x, mode, complex(above), complex(below))
 
 
 # --- assembly ----------------------------------------------------------------
@@ -242,8 +242,8 @@ class AssembledSystem:
     reads one stored row or builds A0's row alone.  bonds holds each broken
     slot from before a two-row strip folds two couplings into one.  The
     unknowns are the free sites row by row, sublattice by sublattice, so
-    without pinned sites unknown i is grid site i.  bg_u is None without a
-    background, and then no grid of its zeros is formed."""
+    without pinned sites unknown i is grid site i.  Slot 0 of a row is the
+    unknown itself, slot j its lattice's stencil entry j."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
     neighbours: np.ndarray    # [stored row, slot]: unknown coupled, -1 if pinned or outside
@@ -257,9 +257,6 @@ class AssembledSystem:
     y_range: tuple[int, int]
     index_u: np.ndarray
     index_v: np.ndarray | None
-    bg_u: np.ndarray | None   # background-only values on the window (adds back), None if none
-    incident_u: np.ndarray    # incident values on the window
-    incident_v: np.ndarray | None
 
     def full_table(self) -> tuple:
         """The stencil table of every unknown, (weights, neighbours): the
@@ -273,13 +270,11 @@ class AssembledSystem:
     def _free_rows(self, rows: np.ndarray) -> tuple:
         """A0's stencil table (weights, neighbours) of the free sites on the
         window rows `rows`, sublattice by sublattice (see _neighbour_table)."""
-        stencils, omega = _STENCILS[self.spec.lattice], self.spec.incidence.omega
         neighbours = _neighbour_table(self.spec, self._index(), rows)
-        weights = np.ones((len(stencils), len(neighbours) // len(stencils), neighbours.shape[1]),
-                          complex)
-        for k, slots in enumerate(_slot_order(stencils)):  # A0's diagonal on the own slot
-            weights[k, :, slots[0]] = lattice_omega_shift(self.spec.lattice, omega * omega)
-        return weights.reshape(neighbours.shape), neighbours
+        weights = np.ones(neighbours.shape, complex)
+        omega = self.spec.incidence.omega
+        weights[:, 0] = lattice_omega_shift(self.spec.lattice, omega * omega)  # A0's diagonal
+        return weights, neighbours
 
     def _index(self) -> dict:
         """The unknown ids of the window per sublattice of the lattice."""
@@ -323,16 +318,6 @@ class AssembledSystem:
         return int(idx[y - y0, x - x0])
 
 
-def _slot_order(stencils) -> list:
-    """Per sublattice, the table slots of its own site and of each stencil
-    entry in turn: the order of (sublattice, dy, dx), which is column order
-    unless rows wrap."""
-    subs = list(stencils)
-    return [np.argsort(np.argsort([9 * k] + [9 * subs.index(nsub) + 3 * dy + dx
-                                             for dx, dy, nsub, _ in stencil]))
-            for k, stencil in enumerate(stencils.values())]
-
-
 def _neighbour_table(spec: LatticeProblemSpec, index: dict, rows: np.ndarray) -> np.ndarray:
     """Neighbours [unknown, slot] of the free sites on the window rows `rows`,
     sublattice by sublattice, from the unknown ids `index` of the window.
@@ -349,13 +334,12 @@ def _neighbour_table(spec: LatticeProblemSpec, index: dict, rows: np.ndarray) ->
         for rows_read in band.values():
             rows_read[outside] = -1
     tables = []
-    for slots, (sub, stencil) in zip(_slot_order(_STENCILS[spec.lattice]),
-                                     _STENCILS[spec.lattice].items()):
+    for sub, stencil in _STENCILS[spec.lattice].items():
         own = index[sub][rows]
         free = own >= 0
-        table = np.empty((np.count_nonzero(free), slots.size), np.int64)
-        table[:, slots[0]] = own[free]
-        for j, (dx, dy, nsub, _) in zip(slots[1:], stencil):
+        table = np.empty((np.count_nonzero(free), 1 + len(stencil)), np.int64)
+        table[:, 0] = own[free]
+        for j, (dx, dy, nsub, _) in enumerate(stencil, 1):
             table[:, j] = band[nsub][:, 1 + dy, 1 + dx:nx + 1 + dx][free]
         tables.append(table)
     return np.concatenate(tables)
@@ -371,15 +355,16 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     """Assemble the truncated scattered-field equations.
 
     The solved unknown is the scattered field minus the closed-form
-    straight-defect backgrounds (zero when no right-pointing defect is
+    straight-defect background (zero when no right-pointing defect is
     present).  Zero Dirichlet data closes a square window or a Bloch
     strip's columns; a triangular or honeycomb window without Bloch rows
     wraps into a torus, neighbours across an edge coupled with weight one.
     Every equation is the exact lattice equation of motion with all known
-    parts (incident plus backgrounds) moved to the right-hand side.  The
+    parts (incident plus background) moved to the right-hand side.  The
     stencil table keeps the equations that differ from A0: per stored
-    unknown, one slot for itself and one per stencil neighbour, in column
-    order unless rows wrap.
+    unknown, one slot for itself and one per stencil neighbour.  A defect
+    row must lie in the window (taken modulo the period on a Bloch strip):
+    one past it raises WindowTooSmall.
 
     The incident solves the defect-free equations A0, so the right-hand
     side holds only the terms the defects change (the equivalent sources
@@ -406,6 +391,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     for d in spec.defects:
         if abs(d.tip) >= L // 2:
             raise WindowTooSmall(f"tip offset {d.tip} needs half width >= {2 * abs(d.tip) + 2}")
+        if spec.bloch is None and abs(d.row) > L:
+            raise WindowTooSmall(f"defect row {d.row} needs half width >= {abs(d.row)}")
     inc = spec.incidence
     w = inc.omega
     if w.imag <= 0:
@@ -416,7 +403,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     y0, y1 = (0, bloch.period - 1) if bloch is not None else (-L, L)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
-    # masks and known field (incident + backgrounds) on the padded grid
+    # masks and known field (incident + background) on the padded grid
     # [x0-1, x1+1] x [y0-1, y1+1]; window cells are [1:ny+1, 1:nx+1].  On a
     # torus the padded coordinates wrap, so every padded array is the
     # periodic pad of its window
@@ -436,22 +423,17 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     # unwrapped), so the terms of that defect with incident + bg give A0 bg;
     # on a pinned row a free vertical mode runs on to both sides, and there
     # A0 bg = bg (mode - 1 / mode).  Without a background no grid is formed
-    bg_pad = image = None
-    infinite = []
-    reach = crack.any(1) | pinned.any(1)  # padded rows holding a defect or a background's row
-    for bg in _straight_backgrounds(spec):  # at most one
+    known, image = incident, None
+    reach = crack.any(1) | pinned.any(1)  # padded rows holding a defect or the background's row
+    bg = _straight_background(spec)
+    if bg is not None:
         bg_pad, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, padded)
         reach |= row[:, 0]
         none = np.zeros(padded, bool)
-        cut_pin = (row, none) if bg.kind == "crack" else (none, row)
-        infinite.append((cut_pin, incident["u"] + bg_pad))
+        cuts, pins = (row, none) if bg.kind == "crack" else (none, row)
+        known = dict(incident, u=incident["u"] + bg_pad)
         if bg.kind == "constraint":
             image = np.where(row, bg_pad * (bg.mode - 1 / bg.mode), 0)
-    known = incident if bg_pad is None else dict(incident, u=incident["u"] + bg_pad)
-
-    def shifted(arr, dx, dy):
-        """Padded-grid values at (x+dx, y+dy) for every window site (x, y)."""
-        return arr[1 + dy:ny + 1 + dy, 1 + dx:nx + 1 + dx]
 
     # the window rows whose stencil reaches a row of reach (padded rows y..y+2):
     # only their equations differ from A0, so the table stores their rows
@@ -465,12 +447,12 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
                                  padded)
 
     def local(arr, dx, dy):
-        """shifted(arr, dx, dy) on the rows near only."""
+        """Padded-grid values at (x+dx, y+dy) for every window site (x, y) of the rows near."""
         return arr[near + 1 + dy, 1 + dx:nx + 1 + dx]
 
     # unknowns: free u sites row by row, then free v sites; pinned sites
     # (total field zero) are eliminated
-    free = ~shifted(pinned, 0, 0)
+    free = ~pinned[1:ny + 1, 1:nx + 1]
     first = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
     first -= 1
     n_free = int(first[-1, -1]) + 1
@@ -489,12 +471,12 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     weights = np.ones(table.shape, complex)
     rhs = np.zeros((len(stencils), n_free), complex)
     bonds = []  # per broken slot: the unknown, its neighbour, A0's coupling between them
-    for k, (slots, (sub, stencil)) in enumerate(zip(_slot_order(stencils), stencils.items())):
+    for k, (sub, stencil) in enumerate(stencils.items()):
         own = local(known[sub], 0, 0)
-        # backgrounds live on u only (square lattice)
+        # the background lives on u only (square lattice)
         source = np.zeros(own.shape, complex) if image is None else 0 - local(image, 0, 0)
         n_broken = np.zeros(own.shape, np.int64)  # coordination reduced by the missing bonds
-        for j, (dx, dy, nsub, cell) in zip(slots[1:], stencil):
+        for j, (dx, dy, nsub, cell) in enumerate(stencil, 1):
             if bloch is not None:
                 weights[k, :, j] = local(weight, dx, dy)[free_near]
             cut = local(crack, *cell) if cell else np.zeros(own.shape, bool)
@@ -503,12 +485,12 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
             bonds.append((at[broken] + k * n_free, table[k, broken, j], weights[k, broken, j]))
             weights[k, broken, j] = 0
             terms = _slot_sources(cut, local(pinned, dx, dy), local(known[nsub], dx, dy), own)
-            for (cuts, pins), total in infinite:  # less A0 bg, as its infinite defect's terms
+            if bg is not None:  # less A0 bg, as its infinite defect's terms
                 terms = terms - _slot_sources(local(cuts, *cell) if cell else False,
-                                              local(pins, dx, dy), local(total, dx, dy),
-                                              local(total, 0, 0))
+                                              local(pins, dx, dy), local(known["u"], dx, dy),
+                                              local(known["u"], 0, 0))
             source += terms
-        weights[k, :, slots[0]] = (diag_base + n_broken)[free_near]
+        weights[k, :, 0] = (diag_base + n_broken)[free_near]
         rhs[k, at] = source[free_near]
     weights = weights.reshape(neighbours.shape)
     if bloch is not None:  # a two-row strip couples a row twice to one site: one slot sums both
@@ -528,9 +510,6 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         y_range=(y0, y1),
         index_u=index["u"],
         index_v=index.get("v"),
-        bg_u=None if bg_pad is None else shifted(bg_pad, 0, 0),
-        incident_u=shifted(incident["u"], 0, 0),
-        incident_v=shifted(incident["v"], 0, 0) if "v" in incident else None,
     )
 
 
@@ -829,8 +808,7 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     table on the stored rows, where alone b is nonzero.
     """
     product, scale = _free_products(system, w)
-    # w at each slot's neighbour, 0 at none; both sums add the slots in turn, in
-    # the order of a CSR product off the Bloch rows
+    # w at each slot's neighbour, 0 at none
     weights, neighbours, stored = system.weights, system.neighbours, system.stored
     at = w[neighbours]
     at[neighbours < 0] = 0
@@ -900,11 +878,13 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     backward error of one equation (see _backward_errors), read off the
     table, must come out below 1e-10, or SolveFailure is raised, as for a
     table edited to differ from A0 by more than its pins and bonds.
-    Eliminated (pinned) sites are filled with -incident so boundary
-    conditions can be checked on the output; without them the field's
-    grids are views of the solution.
+    Eliminated (pinned) sites are filled with -incident, evaluated on the
+    window as assemble does, so boundary conditions can be checked on the
+    output; without them the field's grids are views of the solution.  The
+    free sites get the straight-defect background back, evaluated on the
+    window too.
     """
-    spec = system.spec
+    spec, inc = system.spec, system.spec.incidence
     w, residual, errors = _refined_solve(system, _capacitance(system)[1])  # M itself goes
     residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(system.rhs)) or 1.0)
     backward = float(np.max(errors, initial=0.0))
@@ -913,17 +893,20 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
             raise SolveFailure(f"direct solve missed the {name} contract", value)
 
     free = system.index_u >= 0
+    (x0, x1), (y0, y1) = system.x_range, system.y_range
+    xs, ys = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
     grids = w.reshape(len(_STENCILS[spec.lattice]), -1)
     if grids.shape[1] == free.size:  # nothing pinned: the field's grids are views of w
         u, *v = grids.reshape(-1, *free.shape)
     else:
-        u, *v = (-known for known in (system.incident_u, system.incident_v) if known is not None)
+        u, *v = (-(np.exp(-1j * inc.kappa_y * ys) * inc.field(xs, 0, sub))
+                 for sub in _STENCILS[spec.lattice])
         for values, grid in zip(grids, (u, *v)):
             grid[free] = values
-    if system.bg_u is not None:
-        u[free] += system.bg_u[free]
+    bg = _straight_background(spec)
+    if bg is not None:
+        u[free] += bg.evaluate(xs, ys)[free]
     v = v[0] if v else None
-    inc = spec.incidence
     meta = {
         "lattice": spec.lattice.value,
         "omega": inc.omega,
@@ -986,7 +969,7 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     nodes = grid.nodes
     # row combinations making up f, top defect row first
     layout = family_record(kernel.family).components(kernel)
-    backgrounds = _straight_backgrounds(problem)
+    bg = _straight_background(problem)
     q = np.exp(1j * inc.kappa_x)
 
     dim = len(layout)
@@ -996,8 +979,7 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     mode = np.exp(-1j * inc.kappa_x * xs)
     for i, (combine, row, offset) in enumerate(layout):
         vals = _combine(field.row, combine, row)
-        gamma = sum((complex(_combine(lambda y, _: bg.profile(y), combine, row))
-                     for bg in backgrounds), 0j)
+        gamma = 0j if bg is None else complex(_combine(lambda y, _: bg.profile(y), combine, row))
         rem = vals - gamma * mode
         plus, minus = _half_sums(rem, xs, offset, grid.count)
         amp = gamma * np.exp(-1j * inc.kappa_x * offset)

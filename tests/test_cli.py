@@ -177,6 +177,19 @@ class TestOracleCompare:
         assert run(["oracle", "--config", str(config), "-L", "20", "-o", str(out)]) == 0
         assert FieldGrid.from_csv(out).x_range == (-20, 20)
 
+    def test_json_defect_row_beyond_the_window_exits_1(self, tmp_path, capsys):
+        """A defect row past half_width raises WindowTooSmall; it used to
+        write a zero scattered field."""
+        config = tmp_path / "prob.json"
+        config.write_text(json.dumps({
+            "lattice": "square", "omega": [1.0, 0.15], "theta": 0.5,
+            "defects": [{"kind": "crack", "row": 25}], "half_width": 20,
+        }))
+        out = tmp_path / "field.csv"
+        assert run(["oracle", "--config", str(config), "-o", str(out)]) == 1
+        assert "defect row 25 needs half width >= 25" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_amplitude_number_or_pair(self, tmp_path):
         problem = {"lattice": "square", "omega": [1.0, 0.15], "theta": 0.5,
                    "defects": [{"kind": "crack", "row": 0}], "half_width": 20}

@@ -77,6 +77,26 @@ class TestSpecValidation:
             assemble(spec, 21)
         assert assemble(spec, 22).half_width == 22
 
+    @pytest.mark.parametrize("lattice", ["square", "triangular"])
+    @pytest.mark.parametrize("kind", ["crack", "constraint"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_defect_row_must_lie_in_the_window(self, request, lattice, kind, sign):
+        """Rows +-L solve, on the square window and on the torus.  A row past
+        the window once stored no equation, and the solve returned a zero
+        scattered field; now it raises.  Bloch rows are taken modulo the
+        period, so any row fits a strip."""
+        inc = request.getfixturevalue(f"inc_{lattice}")
+        edge = LatticeProblemSpec(lattice, (Defect(kind, sign * 20),), inc)
+        assert np.any(solve_direct(assemble(edge, 20)).u)
+        for row in (sign * 21, sign * 150):
+            past = LatticeProblemSpec(lattice, (Defect(kind, row),), inc)
+            with pytest.raises(WindowTooSmall, match=f"defect row {row} needs half width"):
+                assemble(past, 20)
+        if lattice == "square":
+            strip = LatticeProblemSpec(lattice, (Defect(kind, sign * 25),), inc,
+                                       BlochSpec(3, complex(np.exp(-3j * inc.kappa_y))))
+            assert np.any(assemble(strip, 20).rhs)
+
 
 class TestAssembly:
     def test_crack_unknown_count(self, inc_square):
@@ -595,7 +615,7 @@ def _reference_assembly(spec, L):
     inc, bloch, lattice = spec.incidence, spec.bloch, spec.lattice.value
     ys = range(bloch.period) if bloch else range(-L, L + 1)
     xs = range(-L, L + 1)
-    backgrounds = oracle._straight_backgrounds(spec)
+    bg = oracle._straight_background(spec)
     torus = bloch is None and lattice != "square"
 
     def wrap(x, y):
@@ -607,7 +627,7 @@ def _reference_assembly(spec, L):
 
     def known(x, y, sub):
         """The known field at a site and the size of its parts."""
-        parts = [inc.field(x, y, sub)] + [bg.evaluate(x, y) for bg in backgrounds if sub == "u"]
+        parts = [inc.field(x, y, sub)] + ([bg.evaluate(x, y)] if bg and sub == "u" else [])
         return complex(sum(parts)), sum(map(abs, parts))
 
     sites = [(x, y, sub) for sub in NEIGHBOURS[lattice] for y in ys for x in xs
@@ -798,7 +818,7 @@ class TestExactRightHandSide:
         w = 1.5 + 0.25j
         inc = dispersion_solve("square", Frequency(w), theta)
         spec = LatticeProblemSpec("square", (Defect(kind, 2, "right", 0),), inc)
-        bg, = oracle._straight_backgrounds(spec)
+        bg = oracle._straight_background(spec)
         x, y = np.meshgrid(np.arange(-6, 7), np.arange(-4, 9))
         total = inc.field(x, y) + bg.evaluate(x, y)
         neighbours = total[1:-1, 2:] + total[1:-1, :-2] + total[2:, 1:-1] + total[:-2, 1:-1]
@@ -1070,16 +1090,18 @@ class TestTorusSolveCost:
         assert solve < (2 * subs + 1) * grid
 
     # tracemalloc peak of one assemble + solve_direct at theta = 0.5, about
-    # 15% above the measured value: at L = 100, 1+0.1i, 10.3 MB (hex_crack),
-    # 5.6 MB (tri_dirichlet) and 4.7 MB (sq_crack); at L = 400, 1+0.01i,
-    # 71.8 MB (sq_crack) and 160.0 MB (hex_crack).  With a fresh grid per
-    # step of the free solve and the backward errors they read 13.5, 7.3,
-    # 7.3, 114.7 and 212.5 MB; with the stencil table of every unknown,
-    # 23.7, 16.5, 13.3 and 211.2 MB (hex_crack at L = 400 not measured)
+    # 15% above the measured value: at L = 100, 1+0.1i, 8.9 MB (hex_crack),
+    # 4.9 MB (tri_dirichlet) and 4.0 MB (sq_crack); at L = 400, 1+0.01i,
+    # 60.9 MB (sq_crack) and 138.8 MB (hex_crack).  With the window's
+    # incident grids kept on the assembled system they read 10.2, 5.5, 4.6,
+    # 71.2 and 159.4 MB; with a fresh grid per step of the free solve and
+    # the backward errors, 13.5, 7.3, 7.3, 114.7 and 212.5 MB; with the
+    # stencil table of every unknown, 23.7, 16.5, 13.3 and 211.2 MB
+    # (hex_crack at L = 400 not measured)
     @pytest.mark.parametrize("family,omega,half_width,gate_mb", [
-        ("hex_crack", 1 + 0.1j, 100, 11.9), ("tri_dirichlet", 1 + 0.1j, 100, 6.4),
-        ("sq_crack", 1 + 0.1j, 100, 5.4), ("sq_crack", 1 + 0.01j, 400, 82.6),
-        ("hex_crack", 1 + 0.01j, 400, 184.0),
+        ("hex_crack", 1 + 0.1j, 100, 10.2), ("tri_dirichlet", 1 + 0.1j, 100, 5.6),
+        ("sq_crack", 1 + 0.1j, 100, 4.6), ("sq_crack", 1 + 0.01j, 400, 70.0),
+        ("hex_crack", 1 + 0.01j, 400, 159.6),
     ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400", "hex_crack_400"])
     def test_traced_peak(self, family, omega, half_width, gate_mb):
         spec = _family_spec(family, omega)
@@ -1144,14 +1166,18 @@ class TestCapacitanceSolve:
                                             theta):
         """Cracks and constraints at random rows and tips, pointing right only
         on the square lattice, rows up to and past the window edge.  assemble
-        refuses two or more right-pointing defects, and at grazing incidence
-        (ky = 0) a right-pointing defect, which has no decaying background."""
+        refuses a row past the edge, two or more right-pointing defects, and
+        at grazing incidence (ky = 0) a right-pointing defect, which has no
+        decaying background."""
         inc = dispersion_solve(lattice, Frequency(complex(re_w, im_w)), theta)
         spec = LatticeProblemSpec(lattice, tuple(
             Defect(kind, row, "right" if right and lattice == "square" else "left", tip)
             for kind, row, right, tip in defects), inc)
         right = sum(d.side == "right" for d in spec.defects)
-        if right > 1:
+        if any(abs(d.row) > half_width for d in spec.defects):
+            with pytest.raises(WindowTooSmall, match="defect row"):
+                assemble(spec, half_width)
+        elif right > 1:
             with pytest.raises(InvalidSpec, match="right-pointing defects: "):
                 assemble(spec, half_width)
         elif theta == 0 and right:
@@ -1247,6 +1273,30 @@ class TestCapacitanceSolve:
                             lambda system: calls.append(1) or capacitance(system))
         solve_direct(assemble(_spec(request, layout), 20))
         assert calls == [1]
+
+    @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
+    def test_output_holds_the_solution_and_zero_total_field_where_pinned(self, request, layout):
+        """solve_direct evaluates the known fields on the window itself: at
+        every pinned site, on every row and sublattice, the total field is
+        zero to rounding, and every free site is the capacitance solve plus
+        the closed-form background of a right-pointing defect.  The incident
+        is evaluated here as one exponential of kx x + ky y, whose rounding
+        grows with that phase: 4 eps |incident| per unit of it (at most 0.5
+        eps per unit was measured; on row 0 the two evaluations agree)."""
+        spec = _spec(request, layout)
+        system = assemble(spec, 20)
+        field = solve_direct(system)
+        free = system.index_u >= 0
+        x, y = np.meshgrid(field.xs, field.ys)
+        inc, bg = spec.incidence, oracle._straight_background(spec)
+        phase = 1 + np.abs(inc.kappa_x * x) + np.abs(inc.kappa_y * y)
+        w = _fast(system).reshape(-1, free.sum())
+        for k, (sub, values) in enumerate(zip(_STENCILS[spec.lattice], (field.u, field.v))):
+            incident = inc.field(x, y, sub)
+            pinned = np.abs(values + incident)[~free]
+            assert np.all(pinned <= 4 * np.finfo(float).eps * (phase * np.abs(incident))[~free])
+            expected = w[k] + (bg.evaluate(x, y)[free] if bg and sub == "u" else 0)
+            np.testing.assert_array_equal(values[free], expected)
 
     def test_the_package_loads_no_sparse_solver(self):
         code = "import latticewh, sys; print('scipy.sparse.linalg' in sys.modules)"
