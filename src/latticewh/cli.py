@@ -12,7 +12,8 @@ verify     run a named invariant suite; exits nonzero on any violation
 Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 Outputs are deterministic: identical configurations produce identical bytes
 for a fixed BLAS thread count.  Oracle CSVs differ between thread counts at
-rounding level; CI checks two runs at one thread count.
+rounding level (numpy's OpenBLAS runs the capacitance LU and the transform
+products); CI checks two runs at one thread count.
 """
 
 from __future__ import annotations

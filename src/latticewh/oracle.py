@@ -75,16 +75,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from .branches import _STENCILS, Incidence, Lattice, lattice_omega_shift
 from .errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
 from .fields import ComparisonReport, FieldGrid, compare_fields
 from .kernels import ScalarKernel, family_record, nodes_at, scalar_forcing, vector_forcing
 from .series import CircleGrid, sample
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Defect",
@@ -281,8 +283,13 @@ class AssembledSystem:
         return dict(zip(_STENCILS[self.spec.lattice], (self.index_u, self.index_v)))
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """Every slot of the full table with a neighbour and a nonzero weight, as CSR."""
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        """Every slot of the full table with a neighbour and a nonzero weight, as CSR.
+
+        scipy.sparse is imported here, on the first read: no solve reads the
+        matrix, so the package loads no scipy module."""
+        import scipy.sparse as sp
+
         weights, neighbours = self.full_table()
         keep = (neighbours >= 0) & (weights != 0)
         matrix = sp.csr_matrix((weights[keep], neighbours[keep],
@@ -702,7 +709,7 @@ def _capacitance(system: AssembledSystem) -> tuple:
     a_ji = 1 / a_ij (u = v = e_i without a j).  With K_L = [P U],
     K_R = [P V] and G = A0^-1: A0 w + P lambda + U mu = b, P^T w = 0 and
     V^T w = mu, the capacitance matrix method (Buzbee, Dorr, George and
-    Golub), factored by LU (zgetrf; a singular M raises SolveFailure):
+    Golub):
 
         M = K_R^T G K_L + [[0, 0], [0, I]],   M x = K_R^T G b,   w = G (b - K_L x).
 
@@ -715,7 +722,10 @@ def _capacitance(system: AssembledSystem) -> tuple:
     for the one full transform.  It holds two full-grid arrays besides the
     operator's symbol, the modes and w; without pinned sites w is returned
     as it is, with no scatter or gather, and with them one gather of the
-    free sites reuses the modes' memory.
+    free sites reuses the modes' memory.  Each solve factors M by numpy's
+    LU (np.linalg.solve), and a singular M raises SolveFailure there: a
+    window is solved once, unless _refined_solve takes a step, so no
+    factorization is kept between solves.
     """
     spec = system.spec
     s = len(_STENCILS[spec.lattice])
@@ -748,9 +758,6 @@ def _capacitance(system: AssembledSystem) -> tuple:
     capacitance[paired, paired] += right[:, None] * green(minus, minus) * left
     bond = np.arange(pins, plus.size)
     capacitance[bond, bond] += 1.0
-    lu, pivots, info = scipy.linalg.lapack.zgetrf(capacitance) if plus.size else (0, 0, 0)
-    if info != 0:
-        raise SolveFailure("singular capacitance matrix")
     multipliers = np.r_[plus, minus]
 
     def solve(rhs):
@@ -761,7 +768,10 @@ def _capacitance(system: AssembledSystem) -> tuple:
         y = read(spectrum, multipliers)  # K_R^T G b needs G b only at the multiplier sites
         r = y[:plus.size]
         r[paired] -= right * y[plus.size:]
-        x = scipy.linalg.lapack.zgetrs(lu, pivots, r)[0] if r.size else r
+        try:
+            x = np.linalg.solve(capacitance, r)
+        except np.linalg.LinAlgError:
+            raise SolveFailure("singular capacitance matrix") from None
         modes(np.r_[source, multipliers], np.r_[values, -x, left * x[paired]], spectrum, w)
         field(spectrum, out=w)
         del spectrum  # the gather of the free sites reuses its memory
@@ -783,7 +793,7 @@ def _refined_solve(system: AssembledSystem, solve) -> tuple:
 
     A free solve spreads rounding of order eps |b| over the whole grid, which
     buries equations of small scale when a defect row runs through a much
-    larger incident.  Solving again with the same factors for the residual
+    larger incident.  Solving again with the same M for the residual
     of the equations whose backward error exceeds _REFINE_TOL recovers them;
     where the defect rows pass near the origin no step is taken.
     """

@@ -20,11 +20,11 @@ system alpha = G(alpha) is solved exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .branches import (
     Incidence,
@@ -242,6 +242,26 @@ def inverse_transform_row(series: LaurentSeries, x_range) -> np.ndarray:
     return np.where(inside, series.coeff[np.where(inside, i, 0)], 0j)
 
 
+@functools.lru_cache(maxsize=8)
+def _sine_modes(n: int) -> tuple:
+    """The orthonormal DST-I of n points (symmetric, its own inverse) and the
+    eigenvalues 2 cos(pi k / (n + 1)) of tridiag(1, 0, 1) on its modes
+    k = 1 .. n, kept read-only per n.
+
+    The oracle builds its DST-I tables apart (oracle._axis_transform), on
+    purpose: the WH path and the oracle check each other, so they share no
+    solver code.
+    """
+    m = np.pi * np.arange(2 * n + 2) / (n + 1)  # sin(pi m / (n + 1)) has period 2n + 2 in m
+    k = np.arange(1, n + 1)
+    sine = np.sin(m)[np.outer(k, k) % (2 * n + 2)]
+    sine *= math.sqrt(2.0 / (n + 1))
+    eigen = 2.0 * np.cos(m[1:n + 1])
+    for table in (sine, eigen):
+        table.flags.writeable = False
+    return sine, eigen
+
+
 def _row0_half_line(kernel: ScalarKernel, row1: np.ndarray,
                     left_boundary: complex | np.ndarray, span: int) -> np.ndarray:
     """Defect-row values u_{x,0}, x = 0..span, from the adjacent row.
@@ -252,16 +272,22 @@ def _row0_half_line(kernel: ScalarKernel, row1: np.ndarray,
     as a tridiagonal system with the given left boundary value u_{-1,0}
     and a zero tail at x = span + 1.  Each row of row1 (u_{x,1}, x = -1 ..
     span+1) with its left boundary is a right-hand side of one solve.
+
+    The system is tridiag(1, diag, 1) with a constant diag on both
+    lattices, so the DST-I S of _sine_modes diagonalizes it:
+    u = S diag(1 / (diag + 2 cos(pi k / (span + 2)))) S b, two real table
+    products over the interleaved real and imaginary parts of b.
     """
     w = kernel.omega_value
     diag = lattice_omega_shift(kernel.lattice, w * w)
     neighbours = [row1[..., 1 + s: span + 2 + s] for s in family_record(kernel.family).closure]
-    rhs = -2.0 * sum(neighbours[1:], neighbours[0])
-    ab = np.ones((3, span + 1), dtype=complex)  # ab[0, 0] and ab[2, -1] lie outside the band
-    ab[1] = diag
-    b = rhs.astype(complex)
+    b = (-2.0 * sum(neighbours[1:], neighbours[0])).astype(complex, copy=False)
     b[..., 0] -= left_boundary
-    return scipy.linalg.solve_banded((1, 1), ab, b.T).T
+    sine, eigen = _sine_modes(span + 1)
+    columns = np.ascontiguousarray(b.reshape(-1, span + 1).T)  # [site, right-hand side]
+    modes = (sine @ columns.view(float)).view(complex)
+    modes /= (diag + eigen)[:, None]
+    return (sine @ modes.view(float)).view(complex).T.reshape(b.shape)
 
 
 def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):

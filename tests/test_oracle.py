@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1298,37 +1297,54 @@ class TestCapacitanceSolve:
             expected = w[k] + (bg.evaluate(x, y)[free] if bg and sub == "u" else 0)
             np.testing.assert_array_equal(values[free], expected)
 
-    def test_the_package_loads_no_sparse_solver(self):
-        code = "import latticewh, sys; print('scipy.sparse.linalg' in sys.modules)"
+    @pytest.mark.parametrize("family", ["sq_crack", "sq_constraint", "tri_dirichlet",
+                                        "hex_crack", "mixed_array"])
+    def test_the_package_and_its_solves_load_no_scipy(self, family):
+        """A fresh interpreter imports the package, solves and rebuilds a
+        scalar family on the WH path (a constraint family through the
+        closure's half-line solve) and assembles and solves its oracle
+        window, or mixed_array's Bloch strip, without loading any scipy
+        module."""
+        code = f"""
+import sys
+import latticewh
+from latticewh.branches import Frequency, dispersion_solve
+from latticewh.kernels import MatrixKernelSpec, ScalarKernel, kernel_lattice
+from latticewh.oracle import assemble, problem_for, solve_direct
+from latticewh.whsolver import ScalarWHProblem, reconstruct_field, solve_scalar
+
+family, omega = {family!r}, {OMEGA!r}
+inc = dispersion_solve(kernel_lattice(family), Frequency(omega), {THETA!r})
+if family == "mixed_array":
+    kernel = MatrixKernelSpec(family, omega, sep=3, psi=0.8 + 0.3j)
+else:
+    problem = ScalarWHProblem.for_family(family, inc)
+    reconstruct_field(problem, solve_scalar(problem), ((-10, 10), (-10, 10)))
+    kernel = problem.kernel
+solve_direct(assemble(problem_for(kernel, inc), 20))
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
         src = str(Path(oracle.__file__).parents[1])
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
-        assert done.stdout.strip() == "False", done.stderr
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("kernel,lattice", [
-        (ScalarKernel("sq_crack", OMEGA), "square"),
-        (ScalarKernel("tri_dirichlet", OMEGA), "triangular"),
-        (ScalarKernel("hex_crack", OMEGA), "honeycomb"),
-        (MatrixKernelSpec("mixed_array", OMEGA, sep=3, psi=0.8 + 0.3j), "square"),
-    ], ids=["sq_crack", "tri_dirichlet", "hex_crack", "mixed_array"])
-    def test_only_the_sparse_lu_builds_a_csr_matrix(self, request, monkeypatch, kernel, lattice):
-        """The stencil table is the only stored form of the equations, and
-        the package holds no sparse LU: assembling and solving a window,
-        Bloch strips included, builds no CSR matrix."""
-        class CountingSparse:
-            builds = 0
+    def test_a_singular_capacitance_matrix_raises_solve_failure(self, monkeypatch,
+                                                                inc_square):
+        """With a Green's function that reads zero, M of a pinned half-row is
+        the zero matrix: the solve raises SolveFailure, not numpy's error."""
+        free_operator = oracle._free_operator
 
-            def csr_matrix(self, *args, **kwargs):
-                self.builds += 1
-                return sp.csr_matrix(*args, **kwargs)
+        def zero_green(*args):
+            modes, read, field, green = free_operator(*args)
+            return modes, read, field, lambda rows, cols: np.zeros((rows.size, cols.size), complex)
 
-            def __getattr__(self, name):
-                return getattr(sp, name)
-
-        counting = CountingSparse()
-        monkeypatch.setattr(oracle, "sp", counting)
-        solve_direct(assemble(problem_for(kernel, request.getfixturevalue(f"inc_{lattice}")), 20))
-        assert counting.builds == 0
+        monkeypatch.setattr(oracle, "_free_operator", zero_green)
+        system = assemble(problem_for(ScalarKernel("sq_constraint", OMEGA), inc_square), 20)
+        assert not np.any(oracle._capacitance(system)[0])
+        with pytest.raises(SolveFailure, match="singular capacitance matrix"):
+            solve_direct(system)
 
     @staticmethod
     def _returns(monkeypatch, field):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -636,6 +637,33 @@ class TestClosure:
             ref = fld.value(x, y)
             assert abs(sol.constants[key] - ref) / abs(ref) < 2e-2
         assert sol.closure_condition < 1e6
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["sq_constraint", "tri_dirichlet"]),
+           re_w=st.floats(0.05, 3.0), im_w=st.floats(0.002, 0.3),
+           span=st.sampled_from([_CLOSURE_SPAN, 2 * 300 + 51]), stacked=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_half_line_solve_matches_a_banded_lu(self, family, re_w, im_w, span, stacked,
+                                                 seed):
+        """The closure's tridiagonal solve by the DST-I agrees with a banded
+        LU to 1e-12 relative, on one and on stacked right-hand sides, at
+        the closure's span and at the span a window of 300 reads; 1.3e-14
+        at most was measured over Re omega in [0.05, 3]."""
+        kernel = ScalarKernel(family, complex(re_w, im_w))
+        rng = np.random.default_rng(seed)
+        shape = (3, span + 3) if stacked else (span + 3,)
+        row1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        left = rng.standard_normal(shape[:-1]) + 1j * rng.standard_normal(shape[:-1])
+        got = _row0_half_line(kernel, row1, left, span)
+
+        w = kernel.omega_value
+        ab = np.ones((3, span + 1), dtype=complex)
+        ab[1] = branches.lattice_omega_shift(kernel.lattice, w * w)
+        b = -2.0 * sum(row1[..., 1 + s: span + 2 + s] for s in family_record(family).closure)
+        b[..., 0] -= left
+        expected = scipy.linalg.solve_banded((1, 1), ab, b.T).T
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestParameterCorners:
