@@ -35,18 +35,22 @@ window with zero Dirichlet data, the torus of period 2L + 1 that a
 triangular or honeycomb window wraps into, or the Bloch strip, so the
 multipliers are the defects' alone.  One free operator serves all three,
 by dense per-axis tables: the DST-I, the DFT, or along a strip's rows
-the DFT twisted by the multiplier.  It transforms a source along y over
-its few rows only, and the whole grid once per solve, for the field; the
-capacitance matrix is filled from Toeplitz blocks of its Green's
-function (less Hankel ones off the torus).  A solve holds two full-grid
-arrays besides the operator's symbol, and copies none it does not read:
-without pinned sites the unknowns are the grid sites in order, so the
-field is the solution vector and the returned FieldGrid's arrays are
-views of it.  The answer is refined where a defect row runs through an
-incident far larger than the field elsewhere (_refined_solve), and must
-meet the relative residual and every equation's backward error, read off
-the stored rows and, for A0's rows, off shifted slices of the field on
-the grid, summed in place.
+the DFT twisted by the multiplier, one scalar per mode.  On the
+honeycomb it eliminates v, whose neighbours are all u sites: u solves
+the triangular lattice's operator at the reduced frequency, composed
+from _STENCILS (_reduced_stencil), and v follows from u by its stencil.
+It transforms a source along y over its few rows only, and u on the
+whole grid once per solve, for the field; the capacitance matrix is
+filled from Toeplitz blocks of its Green's function (less Hankel ones
+off the torus).  A solve holds two full-grid arrays besides the
+operator's symbol, the modes of u and the field, and copies none it
+does not read: without pinned sites the unknowns are the grid sites in
+order, so the field is the solution vector and the returned FieldGrid's
+arrays are views of it.  The answer is refined where a defect row runs
+through an incident far larger than the field elsewhere (_refined_solve),
+and must meet the relative residual and every equation's backward error,
+read off the stored rows and, for A0's rows, off shifted slices of the
+field on the grid, summed in place.
 
 Truncation relies on the damping Im(omega) > 0.  The square window puts
 zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
@@ -384,13 +388,14 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     exactly 0: an equation differs from A0 only if its stencil reaches a
     crack row, a pinned row or a background's row, so the table, the
     sources, the zeroed weights of broken bonds and the raised diagonals
-    are formed on those window rows alone (every row of a Bloch strip, for
-    its wrap weights).  Bloch rows read the unwrapped incident, so
-    this holds for any multiplier.  A torus reads the wrapped one: the
-    incident then solves A0 everywhere but on the seam, and the right-hand
-    side leaves that seam residual out, so the field solved is what the
-    defects scatter.  Read unwrapped, a pinned row crossing the seam would
-    get a false source |inc(L + 1) - inc(-L)|.
+    are formed on those window rows alone, and the known fields on them
+    and the rows next to them (every row of a Bloch strip, for its wrap
+    weights).  Bloch rows read the unwrapped incident, so this holds for
+    any multiplier.  A torus reads the wrapped one: the incident then
+    solves A0 everywhere but on the seam, and the right-hand side leaves
+    that seam residual out, so the field solved is what the defects
+    scatter.  Read unwrapped, a pinned row crossing the seam would get a
+    false source |inc(L + 1) - inc(-L)|.
     """
     L = int(half_width)
     if L < 20:
@@ -410,10 +415,10 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     y0, y1 = (0, bloch.period - 1) if bloch is not None else (-L, L)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
-    # masks and known field (incident + background) on the padded grid
-    # [x0-1, x1+1] x [y0-1, y1+1]; window cells are [1:ny+1, 1:nx+1].  On a
-    # torus the padded coordinates wrap, so every padded array is the
-    # periodic pad of its window
+    # masks on the padded grid [x0-1, x1+1] x [y0-1, y1+1], and the known
+    # field (incident + background) on the padded rows read below; window
+    # cells are [1:ny+1, 1:nx+1].  On a torus the padded coordinates wrap,
+    # so every padded array is the periodic pad of its window
     xs, ys = np.arange(x0 - 1, x1 + 2), np.arange(y0 - 1, y1 + 2)[:, None]
     if torus:
         xs, ys = x0 + (xs - x0) % nx, y0 + (ys - y0) % ny
@@ -424,6 +429,25 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
             (xs < d.tip) if d.side == "left" else (xs >= d.tip))
     crack, pinned = masks["crack"], masks["constraint"]
 
+    # the window rows whose stencil reaches a row of reach (padded rows y..y+2):
+    # only their equations differ from A0, so the table stores their rows
+    # alone and every other equation gets exactly 0.  A Bloch strip stores
+    # every row: a row wrapped by shift periods couples with multiplier**shift
+    reach = crack.any(1) | pinned.any(1)  # padded rows holding a defect or the background's row
+    bg = _straight_background(spec)
+    if bg is not None:
+        reach |= ys[:, 0] == bg.row
+    if bloch is None:
+        near = np.flatnonzero(np.convolve(reach, np.ones(3, int), "valid"))
+    else:
+        near = np.arange(ny)
+    # the padded rows those rows read, where alone the known fields are formed
+    read = np.unique(near[:, None] + np.arange(3))
+    ys, crack, pinned_read = ys[read], crack[read], pinned[read]
+    if bloch is not None:
+        weight = np.broadcast_to((bloch.multiplier ** (np.arange(-1, ny + 1) // ny))[:, None],
+                                 padded)[read]
+
     stencils = _STENCILS[spec.lattice]
     incident = {sub: np.exp(-1j * inc.kappa_y * ys) * inc.field(xs, 0, sub) for sub in stencils}
     # a background solves the equations of its infinite defect (its row
@@ -431,31 +455,20 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     # on a pinned row a free vertical mode runs on to both sides, and there
     # A0 bg = bg (mode - 1 / mode).  Without a background no grid is formed
     known, image = incident, None
-    reach = crack.any(1) | pinned.any(1)  # padded rows holding a defect or the background's row
-    bg = _straight_background(spec)
     if bg is not None:
-        bg_pad, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, padded)
-        reach |= row[:, 0]
-        none = np.zeros(padded, bool)
+        bg_pad, row = bg.evaluate(xs, ys), np.broadcast_to(ys == bg.row, crack.shape)
+        none = np.zeros(crack.shape, bool)
         cuts, pins = (row, none) if bg.kind == "crack" else (none, row)
         known = dict(incident, u=incident["u"] + bg_pad)
         if bg.kind == "constraint":
             image = np.where(row, bg_pad * (bg.mode - 1 / bg.mode), 0)
 
-    # the window rows whose stencil reaches a row of reach (padded rows y..y+2):
-    # only their equations differ from A0, so the table stores their rows
-    # alone and every other equation gets exactly 0.  A Bloch strip stores
-    # every row: a row wrapped by shift periods couples with multiplier**shift
-    if bloch is None:
-        near = np.flatnonzero(np.convolve(reach, np.ones(3, int), "valid"))
-    else:
-        near = np.arange(ny)
-        weight = np.broadcast_to((bloch.multiplier ** (np.arange(-1, ny + 1) // ny))[:, None],
-                                 padded)
+    at_y = np.searchsorted(read, near) + 1  # the row of read holding each row of near
 
     def local(arr, dx, dy):
-        """Padded-grid values at (x+dx, y+dy) for every window site (x, y) of the rows near."""
-        return arr[near + 1 + dy, 1 + dx:nx + 1 + dx]
+        """Values at (x+dx, y+dy) for every window site (x, y) of the rows
+        near, from an array over the padded rows read."""
+        return arr[at_y + dy, 1 + dx:nx + 1 + dx]
 
     # unknowns: free u sites row by row, then free v sites; pinned sites
     # (total field zero) are eliminated
@@ -464,7 +477,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     first -= 1
     n_free = int(first[-1, -1]) + 1
     first[~free] = -1
-    index = {sub: first if k == 0 else np.where(free, first + k * n_free, -1)
+    index = {sub: first if k == 0 else np.add(first, k * n_free, out=np.full_like(first, -1),
+                                              where=free)
              for k, sub in enumerate(stencils)}
     free_near = free[near]
     at = first[near][free_near]  # unknown per free site of near, less k * n_free
@@ -491,7 +505,8 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
             broken = cut[free_near]
             bonds.append((at[broken] + k * n_free, table[k, broken, j], weights[k, broken, j]))
             weights[k, broken, j] = 0
-            terms = _slot_sources(cut, local(pinned, dx, dy), local(known[nsub], dx, dy), own)
+            terms = _slot_sources(cut, local(pinned_read, dx, dy), local(known[nsub], dx, dy),
+                                  own)
             if bg is not None:  # less A0 bg, as its infinite defect's terms
                 terms = terms - _slot_sources(local(cuts, *cell) if cell else False,
                                               local(pins, dx, dy), local(known["u"], dx, dy),
@@ -564,9 +579,37 @@ def _axis_transform(n: int, torus: bool, twist: complex = 1.0) -> tuple:
 
 def _runs(sites: np.ndarray, n: int) -> list:
     """Slices of the maximal runs of consecutive grid sites on one line of n."""
-    bounds = np.r_[0, np.flatnonzero((np.diff(sites) != 1) | (np.diff(sites // n) != 0)) + 1,
-                   sites.size]
-    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:]) if stop > start]
+    if not sites.size:
+        return []
+    after = sites[1:]  # a run breaks before a site that does not follow the last, or starts a line
+    bounds = [0, *(np.flatnonzero((after != sites[:-1] + 1) | (after % n == 0)) + 1).tolist(),
+              sites.size]
+    return [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
+def _reduced_stencil(stencils, diag: complex) -> tuple:
+    """The scalar operator A on the first sublattice of stencils that
+    _free_operator inverts, read off the table: (entries, diagonal, factor),
+    A having the diagonal and weight one to the site at each entry (dx, dy),
+    repeated entries adding.  A lattice of one sublattice is A = A0 itself,
+    factor 1.  On a lattice whose other sublattices couple to the first
+    alone, with diag on their diagonal (the honeycomb's v), eliminating
+    them leaves the Schur complement S = diag - B B^T / diag on the first,
+    B its couplings to the others: A = factor S with factor = -diag, the
+    u -> v -> u steps composed, those back to the site itself on the
+    diagonal.  On the honeycomb that is the triangular lattice's operator
+    at the reduced frequency, 3 - diag^2 =
+    lattice_omega_shift(TRIANGULAR, hex_reduced_omega_sq(omega))."""
+    (kept, own), *others = stencils.items()
+    if not others:
+        return [entry[:2] for entry in own], diag, 1.0
+    if any(entry[2] == kept for entry in own) or any(
+            entry[2] != kept for _, stencil in others for entry in stencil):
+        raise InvalidSpec("only a lattice whose other sublattices couple to the first alone "
+                          "reduces to it")
+    steps = [(dx + ex, dy + ey) for dx, dy, sub, _ in own for ex, ey, _, _ in stencils[sub]]
+    entries = [step for step in steps if step != (0, 0)]
+    return entries, len(steps) - len(entries) - diag * diag, -diag
 
 
 def _free_operator(stencils, diag: complex, n: int, torus: bool,
@@ -575,110 +618,156 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
     window with zero Dirichlet data or, with torus set, the torus of period
     n; or the Bloch strip of bloch, ny = period rows of the zero Dirichlet n.
 
-    The 2-D transform of _axis_transform diagonalizes A0 into an s x s matrix
-    per mode over the s sublattices (2 x 2 on the honeycomb), inverted mode
-    by mode; the DST-I does so for the square lattice's axis-aligned stencil
-    only.  Along y a strip takes the twisted DFT of its period.  Returns
-    (modes, read, field, green), which solve A0 w = b, for b given by its
-    values at a few grid sites, on two full-grid arrays of s ny n complex
-    values that the caller owns: modes(sites, values, out, scratch) writes
-    symbol^-1 times the 2-D transform of b into out, [sublattice, kx, ky],
-    transformed along y over the rows of b only; read(modes, sites) is
-    (A0^-1 b)[sites]; field(modes, out) writes A0^-1 b on the grid into out,
-    [sublattice, y, x], by two products of a per-axis table, spending modes
-    for its one transpose.  green(rows, cols) is the block G[R, C] of
-    G = A0^-1 for grid sites R and C.
+    A0 is solved on its first sublattice, through the scalar operator A =
+    factor S of _reduced_stencil (S = A0 on a lattice of one sublattice):
+    A0^-1 = E^T S^-1 E + D, where E lifts a grid site to the first
+    sublattice, as the site itself or as an eliminated site's neighbours
+    there times -1 / diag, and D is 1 / diag on the eliminated sites, zero
+    on the others.  An eliminated sublattice is read on a torus (every
+    honeycomb window wraps).  The elimination's pivot diag vanishes at
+    omega = 2 on the honeycomb, and near it the first solve's largest
+    backward error grows about like |diag|^-3: at L = 40, 2e-13 at |diag|
+    = 0.04 (omega = 1.99 + 0.01i), 4e-10 at 3e-3 (2 + 0.001i) and 1e-6 at
+    3e-4 (2 + 1e-4 i), each refined below 1e-13 by _refined_solve.  That
+    is the floor: at 3e-5 (2 + 1e-5 i) a pinned window's first solve misses
+    by 0.7, refinement cannot recover it, and solve_direct raises
+    SolveFailure.  The 2-D transform of _axis_transform diagonalizes A into
+    a scalar symbol, inverted mode by mode; the DST-I does so for the square
+    lattice's axis-aligned stencil only.  Along y a strip takes the twisted
+    DFT of its period.
+
+    Returns (modes, read, field, green), which solve A0 w = b, for b given
+    by its values at a few grid sites [sublattice, y, x]: modes(sites,
+    values, out) writes S^-1 times the 2-D transform of E b into out, ny n
+    complex values [kx, ky] that the caller owns, transformed along y over
+    the rows of E b only, and returns D b as (ascending sites, values), to
+    pass on with it; read(modes, local, sites) is (A0^-1 b)[sites];
+    field(modes, local, out) writes A0^-1 b on the grid into out,
+    [sublattice, y, x]: the first sublattice by two products of a per-axis
+    table, spending modes for its one transpose, then E^T of it on shifted
+    slices.  green(rows, cols) is the block G[R, C] of G = A0^-1 for grid
+    sites R and C.
     """
     forward, inverse, shift, pair = _axis_transform(n, torus)
     forward_y, inverse_y, shift_y = ((forward, inverse, shift) if bloch is None else
                                      _axis_transform(bloch.period, True, bloch.multiplier)[:3])
     ny = inverse_y.shape[0]
-    subs = list(stencils)
-    s = len(subs)
-    # [a, b, kx, ky]: diag if a = b, plus the x times the y shift factors
-    # summed over the stencil entries from a to b, as one product over them
-    symbol = np.empty((s, s, n, ny), complex)
-    for a, stencil in enumerate(stencils.values()):
-        for b, nsub in enumerate(subs):
-            dx, dy = (np.array([entry[i] for entry in stencil if entry[2] == nsub], int) + 1
-                      for i in (0, 1))
-            np.matmul(shift[dx].T, shift_y[dy].astype(complex), out=symbol[a, b])
-        symbol[a, a] += diag
-    # inverted in place: 1 / symbol, or the 2 x 2 adjugate (diagonal blocks
-    # swapped, the others negated) times 1 / det, det being the adjugate's too
-    if s == 1:
-        np.reciprocal(symbol, out=symbol)
-    else:
-        (p, q), (r, u) = symbol
-        swap = p.copy()
-        p[...], u[...] = u, swap
-        q *= -1
-        r *= -1
-        det = np.multiply(p, u, out=swap)
-        det -= q * r
-        symbol *= np.divide(1.0, det, out=det)
+    # [kx, ky]: S^-1 = factor / A, A the diagonal plus the x times the y
+    # shift factors summed over its entries, as one product over them
+    entries, diag_a, factor = _reduced_stencil(stencils, diag)
+    dx, dy = (np.array([entry[i] for entry in entries], int) + 1 for i in (0, 1))
+    symbol = np.matmul(shift[dx].T, shift_y[dy].astype(complex))
+    symbol += diag_a
+    np.reciprocal(symbol, out=symbol)
+    symbol *= factor
+    # E per sublattice: the offsets of a site's sites on the first sublattice
+    # and their weights, padded with the site itself at weight zero
+    eliminated = list(stencils.values())[1:]
+    s, width = 1 + len(eliminated), max([1, *map(len, eliminated)])
+    offsets, weights = np.zeros((2, s, width), int), np.zeros((s, width), complex)
+    weights[0, 0] = 1.0
+    for a, stencil in enumerate(eliminated, 1):
+        offsets[:, a, :len(stencil)] = np.array([entry[:2] for entry in stencil]).T
+        weights[a, :len(stencil)] = -1 / diag
 
-    def modes(sites, values, out, scratch):
-        """out = symbol^-1 times the 2-D transform of the b with the given
-        values at the grid sites (added where a site repeats), [a, kx, ky];
-        scratch, of out's size, is spent."""
+    def lift(sites):
+        """E at the grid sites, per [site, entry] of their sites on the first
+        sublattice: (rows, at, x, weights), the rows, ascending, and each
+        entry's place among them, column and weight."""
         a, y, x = np.unravel_index(sites, (s, ny, n))
+        y, x = (y[:, None] + offsets[1, a]) % ny, (x[:, None] + offsets[0, a]) % n
         rows, at = np.unique(y, return_inverse=True)
-        source = np.zeros((s, rows.size, n), complex)
-        np.add.at(source, (a, at, x), values)
-        along_x = _product(forward, source.transpose(0, 2, 1))  # [a, kx, row]
-        scratch = scratch.reshape(out.shape)
-        np.matmul(along_x, forward_y[:, rows].T, out=scratch)
-        for k in range(s):
-            np.multiply(symbol[k, k], scratch[k], out=out[k])
-        if s == 2:  # the blocks off the diagonal, in place on scratch
-            scratch[0] *= symbol[1, 0]
-            scratch[1] *= symbol[0, 1]
-            out += scratch[::-1]
+        return rows, at.reshape(x.shape), x, weights[a]
 
-    def read(modes, sites):
-        """The field of modes at the grid sites, transformed back over their rows only."""
-        a, y, x = np.unravel_index(sites, (s, ny, n))
-        targets, at = np.unique(y, return_inverse=True)
-        along_y = np.matmul(modes, inverse_y[targets].T)  # [a, kx, target]
-        return _product(inverse, along_y)[a, x, at]
+    def modes(sites, values, out):
+        """out = S^-1 times the 2-D transform of E b, for the b with the given
+        values at the grid sites (added where a site repeats), [kx, ky];
+        returns D b."""
+        rows, at, x, factors = lift(sites)
+        source = np.zeros((rows.size, n), complex)
+        np.add.at(source, (at, x), factors * values[:, None])
+        along_x = _product(forward, source.T)  # [kx, row]
+        np.matmul(along_x, forward_y[:, rows].T, out=out)
+        np.multiply(symbol, out, out=out)
+        off = sites >= ny * n
+        local, at = np.unique(sites[off], return_inverse=True)
+        b = np.zeros(local.size, complex)
+        np.add.at(b, at, values[off])
+        return local, b / diag
 
-    def field(modes, out):
-        _product(inverse, modes, out=out.reshape(modes.shape))  # [a, x, ky]
-        np.copyto(modes.reshape(out.shape), out.reshape(modes.shape).transpose(0, 2, 1))
-        _product(inverse_y, modes.reshape(out.shape), out=out)
+    def read(modes, local, sites):
+        """The field at the grid sites: E^T of modes' field, transformed back
+        over the rows it is read on only, plus D b."""
+        rows, at, x, factors = lift(sites)
+        along_y = np.matmul(modes, inverse_y[rows].T)  # [kx, row]
+        values = np.sum(factors * _product(inverse, along_y)[x, at], axis=1)
+        local, b = local
+        hit = np.isin(sites, local)
+        values[hit] += b[np.searchsorted(local, sites[hit])]
+        return values
+
+    def field(modes, local, out):
+        first = out[0]
+        _product(inverse, modes, out=first.reshape(modes.shape))  # [x, ky]
+        np.copyto(modes.reshape(first.shape), first.reshape(modes.shape).T)
+        _product(inverse_y, modes.reshape(first.shape), out=first)
+        for a, stencil in enumerate(eliminated, 1):
+            out[a] = 0
+            for dx, dy, *_ in stencil:
+                _add_shifted(out[a], first, dx, dy, True)
+            out[a] *= -1 / diag
+        out.reshape(-1)[local[0]] += local[1]
 
     window = np.lib.stride_tricks.sliding_window_view
     k = np.arange(n - 1, -n, -1)  # x_r - x_c from n - 1 down: the Toeplitz windows run forward
     fold = k % n if torus else abs(k)
 
+    def row_pairs(rows_r, rows_c):
+        """c [row of R, row of C, x_r - x_c] of S^-1 between rows of the first
+        sublattice: the x-mode weights sum the y-modes of the two, and the
+        pair table sums those."""
+        both = inverse_y[rows_r][:, None] * forward_y[:, rows_c].T  # [row of R, row of C, ky]
+        weights = both.reshape(-1, ny) @ symbol.T
+        return _product(pair, weights.T).T.reshape(*both.shape[:2], len(pair))
+
     def green(rows, cols):
-        """G[R, C] by blocks of runs of R and of C at consecutive sites of one
-        line (sublattice, row) each.  Per pair of lines the x-mode weights
-        sum the y-modes of its two rows, and the pair table sums those for a
-        function c of the columns x_r, x_c: c(x_r - x_c) on the torus,
-        c(|x_r - x_c|) - c(x_r + x_c + 2) off it (2 sin a sin b = cos(a - b)
-        - cos(a + b)).  So a block is a Toeplitz matrix, less a Hankel one
-        off the torus: strided windows of c, copied into G."""
+        """G[R, C] = (E^T S^-1 E + D)[R, C] by blocks of runs of R and of C at
+        consecutive sites of one line (sublattice, row) each.  Per pair of
+        lines a function c of the columns x_r, x_c gives the block
+        (row_pairs): c(x_r - x_c) on the torus, c(|x_r - x_c|) - c(x_r + x_c
+        + 2) off it (2 sin a sin b = cos(a - b) - cos(a + b)); E sums those of
+        the rows the two lines lift to, each shifted by the lifts' x offsets
+        (only on a torus does a site lift elsewhere).  So a block is a
+        Toeplitz matrix, less a Hankel one off the torus: strided windows of
+        c, copied into G."""
         (line_r, x_r), (line_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
         (lines_r, at_r), (lines_c, at_c) = (np.unique(line, return_inverse=True)
                                             for line in (line_r, line_c))
-        (a, y_r), (b, y_c) = np.divmod(lines_r, ny), np.divmod(lines_c, ny)
-        both = inverse_y[y_r][:, None] * forward_y[:, y_c].T  # [line of R, line of C, ky]
-        weights = np.empty((*both.shape[:2], n), complex)
-        for i in range(s):
-            for j in range(s):
-                pairs = (a[:, None] == i) & (b == j)
-                weights[pairs] = both[pairs] @ symbol[i, j].T
-        c = _product(pair, weights.reshape(-1, n).T).T.reshape(*both.shape[:2], len(pair))
+        if s == 1:  # E = I, D = 0
+            lines = row_pairs(lines_r, lines_c)
+        else:
+            (a, y_r), (b, y_c) = np.divmod(lines_r, ny), np.divmod(lines_c, ny)
+            (rows_r, to_r), (rows_c, to_c) = (np.unique((y[:, None] + offsets[1, sub]) % ny,
+                                                        return_inverse=True)
+                                              for y, sub in ((y_r, a), (y_c, b)))
+            # [line of R, its lift, line of C, its lift]
+            shift = (offsets[0, a][:, :, None, None] - offsets[0, b])[..., None]
+            c = row_pairs(rows_r, rows_c)[to_r.reshape(a.size, width, 1, 1, 1),
+                                          to_c.reshape(b.size, width, 1),
+                                          (np.arange(n) + shift) % n]
+            lines = np.einsum("iajb,iajbx->ijx", weights[a][:, :, None, None] * weights[b], c)
         g = np.empty((rows.size, cols.size), complex)
+        runs_c = _runs(cols, n)
         for r in _runs(rows, n):
-            for q in _runs(cols, n):
-                line, xr, xc = c[at_r[r.start], at_c[q.start]], x_r[r.start], x_c[q.start]
-                size, width = r.stop - r.start, q.stop - q.start
-                g[r, q] = window(line[fold], width)[n - 1 - xr + xc::-1][:size]
+            for q in runs_c:
+                line, xr, xc = lines[at_r[r.start], at_c[q.start]], x_r[r.start], x_c[q.start]
+                size, span = r.stop - r.start, q.stop - q.start
+                g[r, q] = window(line[fold], span)[n - 1 - xr + xc::-1][:size]
                 if not torus:
-                    g[r, q] -= window(line, width)[xr + xc + 2:][:size]
+                    g[r, q] -= window(line, span)[xr + xc + 2:][:size]
+        on = np.flatnonzero(rows >= ny * n)  # D's sites
+        i, j = np.nonzero(rows[on, None] == cols)
+        g[on[i], j] += 1 / diag
         return g
 
     return modes, read, field, green
@@ -720,12 +809,13 @@ def _capacitance(system: AssembledSystem) -> tuple:
     G b at the multiplier sites off them, and then forms the modes of
     b - K_L x, on the same rows and the multipliers', into the same array
     for the one full transform.  It holds two full-grid arrays besides the
-    operator's symbol, the modes and w; without pinned sites w is returned
-    as it is, with no scatter or gather, and with them one gather of the
-    free sites reuses the modes' memory.  Each solve factors M by numpy's
-    LU (np.linalg.solve), and a singular M raises SolveFailure there: a
-    window is solved once, unless _refined_solve takes a step, so no
-    factorization is kept between solves.
+    operator's symbol, the modes of u and w; without pinned sites w is
+    returned as it is, with no scatter or gather, and with them one gather
+    of the free sites, which on one sublattice reuses the modes' memory.
+    Each solve factors M by numpy's LU (np.linalg.solve), and a singular M
+    raises SolveFailure there: a window is solved once, unless
+    _refined_solve takes a step, so no factorization is kept between
+    solves.
     """
     spec = system.spec
     s = len(_STENCILS[spec.lattice])
@@ -761,20 +851,20 @@ def _capacitance(system: AssembledSystem) -> tuple:
     multipliers = np.r_[plus, minus]
 
     def solve(rhs):
-        at = np.flatnonzero(rhs)
+        at = np.flatnonzero(rhs != 0)  # faster than nonzero on the complex values
         source, values = grid(at), rhs[at]
-        spectrum, w = np.empty((s, n, ny), complex), np.empty((s, ny, n), complex)
-        modes(source, values, spectrum, w)  # out, scratch
-        y = read(spectrum, multipliers)  # K_R^T G b needs G b only at the multiplier sites
+        spectrum, w = np.empty((n, ny), complex), np.empty((s, ny, n), complex)
+        local = modes(source, values, spectrum)
+        y = read(spectrum, local, multipliers)  # K_R^T G b needs G b only at the multiplier sites
         r = y[:plus.size]
         r[paired] -= right * y[plus.size:]
         try:
             x = np.linalg.solve(capacitance, r)
         except np.linalg.LinAlgError:
             raise SolveFailure("singular capacitance matrix") from None
-        modes(np.r_[source, multipliers], np.r_[values, -x, left * x[paired]], spectrum, w)
-        field(spectrum, out=w)
-        del spectrum  # the gather of the free sites reuses its memory
+        local = modes(np.r_[source, multipliers], np.r_[values, -x, left * x[paired]], spectrum)
+        field(spectrum, local, out=w)
+        del spectrum  # on one sublattice the gather of the free sites reuses its memory
         return w[free] if holes.size else w.reshape(-1)
 
     return capacitance, solve
@@ -786,6 +876,7 @@ def _capacitance(system: AssembledSystem) -> tuple:
 _SOLVE_TOL = 1e-10
 _REFINE_TOL = 1e-13
 _REFINE_STEPS = 8
+_BLOCK = 1 << 16  # equations per block of the backward errors' last step
 
 
 def _refined_solve(system: AssembledSystem, solve) -> tuple:
@@ -828,22 +919,38 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     residual[stored] += system.rhs[stored]
     scale[stored] += np.abs(system.rhs[stored])
     np.maximum(scale, abs(system.spec.incidence.amplitude), out=scale)
-    errors = np.abs(residual)  # stays 0 where the scale is: |A w| <= |A| |w|
-    np.divide(errors, scale, out=errors, where=scale > 0)
-    return residual, errors
+    # |r| / scale into scale's memory, by blocks: no full |r| is held.  It
+    # stays 0 where the scale is: |A w| <= |A| |w|
+    for start in range(0, scale.size, _BLOCK):
+        part = scale[start:start + _BLOCK]
+        np.divide(np.abs(residual[start:start + _BLOCK]), part, out=part, where=part > 0)
+    return residual, scale
 
 
 def _add_shifted(out: np.ndarray, grid: np.ndarray, dx: int, dy: int, wrap: bool):
     """out[y, x] += grid[y + dy, x + dx] over the window, by slices: past an
-    edge a neighbour adds nothing, or with wrap set the opposite edge's."""
+    edge a neighbour adds nothing, or with wrap set the opposite edge's.
+    out is C-contiguous, and a block of its rows adds as one run shifted by
+    dx (numpy buffers a strided 2-D +=, several times slower); the run feeds
+    the edge column from the next row, so that column is put back and given
+    its wrapped neighbour, if any."""
     def spans(d, size):  # (target, source) slices, source = target + d, |d| <= 1
         inner = [(slice(max(-d, 0), size - max(d, 0)), slice(max(d, 0), size + min(d, 0)))]
         first, last = slice(0, 1), slice(size - 1, size)
         return inner + [(last, first) if d > 0 else (first, last)] if wrap and d else inner
 
+    n = out.shape[1]
+    edge = n - 1 if dx > 0 else 0
+    kept = out[:, edge].copy() if dx else None
     for to_y, from_y in spans(dy, out.shape[0]):
-        for to_x, from_x in spans(dx, out.shape[1]):
-            out[to_y, to_x] += grid[from_y, from_x]
+        run, source = out[to_y].reshape(-1), grid[from_y].reshape(-1)
+        ((to_x, from_x),) = spans(dx, run.size)[:1]
+        run[to_x] += source[from_x]
+    if dx:
+        out[:, edge] = kept
+        if wrap:
+            for to_y, from_y in spans(dy, out.shape[0]):
+                out[to_y, edge] += grid[from_y, n - 1 - edge]
 
 
 def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
@@ -896,7 +1003,8 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     """
     spec, inc = system.spec, system.spec.incidence
     w, residual, errors = _refined_solve(system, _capacitance(system)[1])  # M itself goes
-    residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(system.rhs)) or 1.0)
+    rhs = system.rhs[system.stored]  # b is zero off the stored rows
+    residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(rhs)) or 1.0)
     backward = float(np.max(errors, initial=0.0))
     for name, value in (("residual", residual), ("backward error", backward)):
         if not value <= _SOLVE_TOL:  # NaN counts as missed

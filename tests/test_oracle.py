@@ -10,12 +10,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticewh import checks, kernels, oracle
+from latticewh import branches, checks, kernels, oracle
 from latticewh.branches import (
     _STENCILS,
     Frequency,
     Lattice,
     dispersion_solve,
+    hex_reduced_omega_sq,
     lattice_omega_shift,
     square_branches,
 )
@@ -956,32 +957,43 @@ def _dense_free_operator(lattice, diag, size, torus):
 
 
 class TestFreeOperators:
-    @pytest.mark.parametrize("lattice,size", [
-        (Lattice.SQUARE, 7), (Lattice.TRIANGULAR, 8), (Lattice.HONEYCOMB, 8),
-        (Lattice.TRIANGULAR, 9), (Lattice.HONEYCOMB, 9),
+    @pytest.mark.parametrize("lattice,size,omega", [
+        (Lattice.SQUARE, 7, OMEGA), (Lattice.TRIANGULAR, 8, OMEGA), (Lattice.HONEYCOMB, 8, OMEGA),
+        (Lattice.TRIANGULAR, 9, OMEGA), (Lattice.HONEYCOMB, 9, OMEGA),
+        *((Lattice.HONEYCOMB, size, omega) for omega in (1 + 0.01j, 0.4 + 0.003j, 1.95 + 0.05j)
+          for size in (8, 9)),
     ], ids=["square_window", "triangular_torus", "honeycomb_torus", "triangular_torus_odd",
-            "honeycomb_torus_odd"])
-    def test_match_the_dense_inverse(self, lattice, size):
+            "honeycomb_torus_odd", *(f"honeycomb_torus{odd}_{omega}"
+                                     for omega in ("weak", "low", "band_top")
+                                     for odd in ("", "_odd"))])
+    def test_match_the_dense_inverse(self, lattice, size, omega):
         """green, and solves through modes, read and field, against the
         inverse of the dense A0: the whole of G, which must be symmetric, an
         unsorted block of it, one solve, and one solve read at unsorted
         sites for a source on two rows; then a source on three rows apart,
         the first and the last among them, and blocks of G between the
         first two and the last two rows, whose row offsets wrap past the
-        period on a torus; and a source given with repeated sites, which add."""
-        diag = lattice_omega_shift(lattice, OMEGA * OMEGA)
+        period on a torus; and a source given with repeated sites, which add.
+        On the honeycomb, where the free operator eliminates v, also each of
+        G's four u/v blocks at its own scale, and sources on v sites alone;
+        its frequencies put |diag| at 2.25 (1 + 0.01i), 2.88 (0.4 + 0.003i)
+        and 0.21 (1.95 + 0.05i, near the band top, where 1 / diag is large)."""
+        diag = lattice_omega_shift(lattice, omega * omega)
         torus = lattice is not Lattice.SQUARE
         stencils = _STENCILS[lattice]
         modes, read, field, green = oracle._free_operator(stencils, diag, size, torus)
         shape = (len(stencils), size, size)
 
         def solve(sites, values, at=None):
-            spectrum, w = np.empty(shape, complex), np.empty(shape, complex)
-            modes(sites, values, out=spectrum, scratch=w)
+            spectrum, w = np.empty(shape[1:], complex), np.empty(shape, complex)
+            local = modes(sites, values, out=spectrum)
             if at is not None:
-                return read(spectrum, at)
-            field(spectrum, out=w)
+                return read(spectrum, local, at)
+            field(spectrum, local, out=w)
             return w.ravel()
+
+        def gap(approx, exact):
+            return np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
 
         inverse = np.linalg.inv(_dense_free_operator(lattice, diag, size, torus))
         scale = np.max(np.abs(inverse))
@@ -993,13 +1005,13 @@ class TestFreeOperators:
         rows, cols = rng.permutation(sites)[:10], rng.permutation(sites)[:13]
         assert np.max(np.abs(green(rows, cols) - inverse[np.ix_(rows, cols)])) <= 1e-12 * scale
         b = rng.normal(size=sites.size) + 1j * rng.normal(size=sites.size)
-        assert np.max(np.abs(solve(sites, b) - inverse @ b)) <= 1e-12 * np.max(np.abs(inverse @ b))
+        assert gap(solve(sites, b), inverse @ b) <= 1e-12
         y = (sites // size) % size
         for on in ((0, 1), (0, size // 2, size - 1)):
             source = np.where(np.isin(y, on), b, 0)
             exact = inverse @ source
             at = np.flatnonzero(source)
-            assert np.max(np.abs(solve(at, source[at]) - exact)) <= 1e-12 * np.max(np.abs(exact))
+            assert gap(solve(at, source[at]), exact) <= 1e-12
             assert np.max(np.abs(solve(at, source[at], rows) - exact[rows])) <= \
                 1e-12 * np.max(np.abs(exact))
         first, last = rng.permutation(sites[y < 2]), rng.permutation(sites[y >= size - 2])
@@ -1009,8 +1021,20 @@ class TestFreeOperators:
         values = rng.normal(size=twice.size) + 1j * rng.normal(size=twice.size)
         source = np.zeros(sites.size, complex)
         np.add.at(source, twice, values)
-        exact = inverse @ source
-        assert np.max(np.abs(solve(twice, values) - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert gap(solve(twice, values), inverse @ source) <= 1e-12
+        if lattice is Lattice.HONEYCOMB:
+            u, v = np.split(rng.permutation(sites), 2)
+            for r in (u, v):
+                for c in (u, v):
+                    assert gap(green(r, c), inverse[np.ix_(r, c)]) <= 1e-12
+            on_v = sites[sites >= size * size]
+            for at in (on_v, np.r_[on_v[:5], on_v[:3]]):  # every v site; a few, repeated
+                values = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+                source = np.zeros(sites.size, complex)
+                np.add.at(source, at, values)
+                exact = inverse @ source
+                assert gap(solve(at, values), exact) <= 1e-12
+                assert gap(solve(at, values, rows), exact[rows]) <= 1e-12
 
     @pytest.mark.parametrize("torus", [False, True], ids=["sine", "dft"])
     def test_tables_are_built_once_and_read_only(self, torus):
@@ -1034,14 +1058,16 @@ class TestTorusSolveCost:
     def test_one_full_grid_transform_and_no_tile(self, monkeypatch, family):
         """An L = 100 solve, on the square window or the torus, that takes no
         refinement step transforms the whole grid once, for the field: two
-        products of an n x n table with s n^2 outputs each, one per axis.
-        Every other product runs over the few rows of the defects.  Memory
-        (tracemalloc peaks): the set-up holds the symbol, s^2 n^2 complex
-        values, and at most s n^2 more while it inverts the 2 x 2 blocks;
-        the three blocks of G, the two modes, the read and the field each
-        hold less than n^2 (a g tiled to 2n x 2n once held 4 n^2 per
-        sublattice); and a solve holds its two arrays of s n^2, the modes
-        and w, and less than n^2 besides."""
+        products of an n x n table with n^2 outputs each, one per axis, on
+        u alone (the honeycomb's v follows from u by slices).  Every other
+        product runs over the few rows of the defects.  Memory (tracemalloc
+        peaks): the set-up holds the symbol, n^2 complex values, whatever
+        the lattice (the honeycomb's 2 x 2 blocks per mode once held 4 n^2
+        and 2 n^2 more while inverted); the three blocks of G, the two
+        modes, the read and the field each hold less than n^2 (a g tiled to
+        2n x 2n once held 4 n^2 per sublattice); and a solve holds its two
+        arrays, the modes of n^2 and w of s n^2, and less than n^2
+        besides."""
         system = assemble(_family_spec(family), 100)
         n, subs = system.index_u.shape[0], len(_STENCILS[system.spec.lattice])
         grid = n * n * np.dtype(complex).itemsize
@@ -1051,7 +1077,7 @@ class TestTorusSolveCost:
 
         def spy(table, values, out=None):
             result = product(table, values, out)
-            full.append(table.shape == (n, n) and result.size >= subs * n * n)
+            full.append(table.shape == (n, n) and result.size >= n * n)
             return result
         monkeypatch.setattr(oracle, "_product", spy)
 
@@ -1084,23 +1110,25 @@ class TestTorusSolveCost:
         # the field, and the solve itself, which returns last
         setup, *stages, solve = peaks
         assert len(stages) == 3 + 4
-        assert setup <= (subs * subs + subs) * grid + 64 * n  # and O(n) for index arrays
+        assert setup <= grid + 256 * n  # and O(n): the shift factors per stencil entry
         assert max(stages) < grid
-        assert solve < (2 * subs + 1) * grid
+        assert solve < (subs + 2) * grid
 
     # tracemalloc peak of one assemble + solve_direct at theta = 0.5, about
-    # 15% above the measured value: at L = 100, 1+0.1i, 8.9 MB (hex_crack),
-    # 4.9 MB (tri_dirichlet) and 4.0 MB (sq_crack); at L = 400, 1+0.01i,
-    # 60.9 MB (sq_crack) and 138.8 MB (hex_crack).  With the window's
-    # incident grids kept on the assembled system they read 10.2, 5.5, 4.6,
-    # 71.2 and 159.4 MB; with a fresh grid per step of the free solve and
-    # the backward errors, 13.5, 7.3, 7.3, 114.7 and 212.5 MB; with the
-    # stencil table of every unknown, 23.7, 16.5, 13.3 and 211.2 MB
-    # (hex_crack at L = 400 not measured)
+    # 15% above the measured value: at L = 100, 1+0.1i, 6.8 MB (hex_crack),
+    # 4.9 MB (tri_dirichlet) and 3.9 MB (sq_crack); at L = 400, 1+0.01i,
+    # 55.7 MB (sq_crack) and 97.4 MB (hex_crack).  With the honeycomb's
+    # 2 x 2 symbol per mode and a full |r| in the backward errors they read
+    # 8.9, 4.9, 4.0, 60.9 and 138.8 MB; with the window's incident grids
+    # kept on the assembled system, 10.2, 5.5, 4.6, 71.2 and 159.4 MB; with
+    # a fresh grid per step of the free solve and the backward errors,
+    # 13.5, 7.3, 7.3, 114.7 and 212.5 MB; with the stencil table of every
+    # unknown, 23.7, 16.5, 13.3 and 211.2 MB (hex_crack at L = 400 not
+    # measured)
     @pytest.mark.parametrize("family,omega,half_width,gate_mb", [
-        ("hex_crack", 1 + 0.1j, 100, 10.2), ("tri_dirichlet", 1 + 0.1j, 100, 5.6),
-        ("sq_crack", 1 + 0.1j, 100, 4.6), ("sq_crack", 1 + 0.01j, 400, 70.0),
-        ("hex_crack", 1 + 0.01j, 400, 159.6),
+        ("hex_crack", 1 + 0.1j, 100, 7.9), ("tri_dirichlet", 1 + 0.1j, 100, 5.6),
+        ("sq_crack", 1 + 0.1j, 100, 4.6), ("sq_crack", 1 + 0.01j, 400, 64.0),
+        ("hex_crack", 1 + 0.01j, 400, 112.0),
     ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400", "hex_crack_400"])
     def test_traced_peak(self, family, omega, half_width, gate_mb):
         spec = _family_spec(family, omega)
@@ -1139,6 +1167,70 @@ def far_crack():
     inc = dispersion_solve("square", Frequency(w), 1.0)
     system = assemble(LatticeProblemSpec("square", (Defect("crack", 25, "left", 0),), inc), 30)
     return system, spla.splu(system.matrix.tocsc()).solve(system.rhs)
+
+
+def _hex_spec(family, omega):
+    """The oracle layout of a honeycomb family, scalar or matrix, at theta = 0.5."""
+    inc = dispersion_solve("honeycomb", Frequency(omega), 0.5)
+    kernel = ScalarKernel if family == "hex_crack" else MatrixKernelSpec
+    return problem_for(kernel(family, omega), inc)
+
+
+class TestHoneycombReduction:
+    """The free operator solves the honeycomb on u alone: v, whose
+    neighbours are all u sites, is eliminated with the pivot diag =
+    3 (omega^2 / 4 - 1), which vanishes at omega = 2."""
+
+    @pytest.mark.parametrize("family", ["hex_crack", "hex_constraint_2x2"])
+    @pytest.mark.parametrize("omega", [1.99 + 0.01j, 2.0 + 0.1j, 1 + 0.01j],
+                             ids=["band_top", "band_top_damped", "weak"])
+    def test_matches_sparse_lu_near_the_band_top(self, family, omega):
+        """At L = 40 the solve matches sparse LU within 1e-12 relative; at
+        1.99 + 0.01i (|diag| = 0.042) it reads 4.5e-13 (hex_crack) and
+        4.0e-13 (hex_constraint_2x2) after one refinement step."""
+        system = assemble(_hex_spec(family, omega), 40)
+        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        assert np.linalg.norm(_fast(system) - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_past_the_floor_raises_solve_failure(self):
+        """At omega = 2 + 1e-5 i (|diag| = 3e-5) the first solve of the pinned
+        window misses by a backward error of 0.7, refinement cannot recover
+        it, and the contract raises."""
+        with pytest.raises(SolveFailure, match="contract"):
+            solve_direct(assemble(_hex_spec("hex_constraint_2x2", 2 + 1e-5j), 40))
+
+    @pytest.mark.parametrize("family", ["hex_crack", "hex_constraint_2x2"])
+    def test_independent_of_the_wh_path(self, monkeypatch, family):
+        """assemble and solve_direct read the honeycomb off _STENCILS alone:
+        with the WH path's honeycomb branch, reduced frequency, sublattice
+        coupling and kernel evaluation raising, they still solve."""
+        spec = _hex_spec(family, OMEGA)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the WH path")
+        for module, name in ((branches, "hex_branch"), (branches, "hex_reduced_omega_sq"),
+                             (branches, "hex_coupling"), (kernels, "nodes_at"),
+                             (oracle, "nodes_at")):
+            monkeypatch.setattr(module, name, refuse)
+        solve_direct(assemble(spec, 20))
+
+    def test_reduced_operator_is_the_triangular_lattice_s(self):
+        """The operator the oracle derives from _STENCILS on the honeycomb's u
+        is the triangular lattice's, its diagonal 3 - diag^2 the triangular
+        lattice_omega_shift at the WH path's reduced frequency, over seeded
+        omegas."""
+        rng = np.random.default_rng(11)
+        tri = sorted(entry[:2] for entry in _STENCILS[Lattice.TRIANGULAR]["u"])
+        for w in rng.uniform(0.2, 2.6, 20) + 1j * rng.uniform(0.0, 0.3, 20):
+            diag = lattice_omega_shift(Lattice.HONEYCOMB, w * w)
+            entries, diagonal, factor = oracle._reduced_stencil(_STENCILS[Lattice.HONEYCOMB], diag)
+            expected = lattice_omega_shift(Lattice.TRIANGULAR, hex_reduced_omega_sq(w))
+            assert abs(diagonal - expected) <= 1e-14 * max(1.0, abs(expected))
+            assert sorted(entries) == tri and factor == -diag
+        honeycomb = _STENCILS[Lattice.HONEYCOMB]
+        v_to_v = dict(honeycomb, v=honeycomb["v"] + ((1, 1, "v", None),))
+        with pytest.raises(InvalidSpec, match="couple"):
+            oracle._reduced_stencil(v_to_v, 1.0)
 
 
 class TestCapacitanceSolve:
