@@ -20,13 +20,15 @@ one; a pinned neighbour (total field zero) drops out.
 
 Only the rows next to a defect differ from the defect-free operator A0
 of the window, and the right-hand side is exactly zero off them.  So
-assemble stores the equations as a stencil table of those rows alone, a
-weight and a neighbour per stored unknown and slot; every other equation
-is A0's, read off _STENCILS.  A Bloch strip stores every row, for their
-wrap weights.  assemble also records each bond it breaks, with A0's
-coupling across it.  AssembledSystem.full_table expands the table to
-every row, for AssembledSystem.matrix, which the solver never reads, and
-for the tests.
+assemble stores the equations of those rows alone, on the window's grid
+sites ([sublattice, y, x] flattened; a pinned site has no equation): a
+stencil table of a weight and a neighbouring site per stored site and
+slot, and one right-hand side value per stored site; every other
+equation is A0's, read off _STENCILS.  A Bloch strip stores every row,
+for their wrap weights.  assemble also records each bond it breaks, with
+A0's coupling across it.  AssembledSystem.full_table numbers the
+unknowns, the free sites, and expands the table to each, for
+AssembledSystem.matrix, which the solver never reads, and for the tests.
 
 Every window is solved by the capacitance matrix method (_capacitance):
 one free solve of A0, plus multipliers that hold the pinned sites at
@@ -43,14 +45,13 @@ It transforms a source along y over its few rows only, and u on the
 whole grid once per solve, for the field; the capacitance matrix is
 filled from Toeplitz blocks of its Green's function (less Hankel ones
 off the torus).  A solve holds two full-grid arrays besides the
-operator's symbol, the modes of u and the field, and copies none it
-does not read: without pinned sites the unknowns are the grid sites in
-order, so the field is the solution vector and the returned FieldGrid's
-arrays are views of it.  The answer is refined where a defect row runs
-through an incident far larger than the field elsewhere (_refined_solve),
-and must meet the relative residual and every equation's backward error,
-read off the stored rows and, for A0's rows, off shifted slices of the
-field on the grid, summed in place.
+operator's symbol, the modes of u and the field, and copies neither: the
+field, exactly zero at the pinned sites, is the solution vector, and the
+returned FieldGrid's arrays are views of it.  The answer is refined
+where a defect row runs through an incident far larger than the field
+elsewhere (_refined_solve), and must meet the relative residual and
+every equation's backward error, read off the stored rows and, for A0's
+rows, off shifted slices of the field on the grid, summed in place.
 
 Truncation relies on the damping Im(omega) > 0.  The square window puts
 zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
@@ -146,6 +147,8 @@ class LatticeProblemSpec:
         object.__setattr__(self, "defects", tuple(self.defects))
         if self.incidence.lattice is not self.lattice:
             raise InvalidSpec("incidence lattice does not match the problem lattice")
+        if self.incidence.omega is None:
+            raise InvalidSpec("the incidence carries no omega (dispersion_solve sets it)")
         seen = set()
         for d in self.defects:
             key = (d.kind, self._norm_row(d.row))
@@ -236,55 +239,68 @@ def _straight_background(spec: LatticeProblemSpec) -> _StraightBackground | None
 
 @dataclass
 class AssembledSystem:
-    """The window's equations: sum_j weights[r, j] w[neighbours[r, j]] = rhs[i]
-    for the unknown i = stored[r], over the slots j with a neighbour, each
-    neighbour once a row.  The table holds the stored rows only, the
-    unknowns whose equation differs from A0 (all of them on a Bloch
-    strip); every other equation is A0's: lattice_omega_shift(omega^2) on
-    the diagonal, weight one to each neighbour in the lattice's entry of
-    branches._STENCILS and right-hand side 0.  full_table expands the
-    table to every unknown, and matrix builds it as a CSR matrix, on each
-    read; nothing stores either, the solver reads neither, and row_entries
-    reads one stored row or builds A0's row alone.  bonds holds each broken
-    slot from before a two-row strip folds two couplings into one.  The
-    unknowns are the free sites row by row, sublattice by sublattice, so
-    without pinned sites unknown i is grid site i.  Slot 0 of a row is the
-    unknown itself, slot j its lattice's stencil entry j."""
+    """The window's equations on its grid sites, [sublattice, y, x]
+    flattened: sum_j weights[r, j] w[neighbours[r, j]] = rhs[r] at the site
+    stored[r], over the slots j with a neighbour, each neighbour once a
+    row.  The table holds the stored rows only, the free sites whose
+    equation differs from A0 (all of them on a Bloch strip); every other
+    free site's equation is A0's: lattice_omega_shift(omega^2) on the
+    diagonal, weight one to each neighbour in the lattice's entry of
+    branches._STENCILS and right-hand side 0.  A pinned site has no
+    equation.  bonds holds each broken slot from before a two-row strip
+    folds two couplings into one.  Slot 0 of a row is the site itself, slot
+    j its lattice's stencil entry j.  The solver reads grid sites alone;
+    full_table, matrix, row_entries and site_id number the unknowns, the
+    free sites row by row, sublattice by sublattice (_unknowns).  full_table
+    expands the table to every unknown, and matrix builds it as CSR, on
+    each read; nothing stores either, and row_entries reads one stored row
+    or builds A0's row alone."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
-    neighbours: np.ndarray    # [stored row, slot]: unknown coupled, -1 if pinned or outside
-    stored: np.ndarray        # the unknowns of the table's rows, ascending
-    bonds: tuple              # per broken slot: unknown, neighbour or -1, A0's coupling (1, or
+    neighbours: np.ndarray    # [stored row, slot]: grid site coupled, -1 if pinned or outside
+    stored: np.ndarray        # the grid sites of the table's rows, ascending
+    bonds: tuple              # per broken slot: grid site, neighbour or -1, A0's coupling (1, or
                               # psi^+-1 across a strip's wrap)
-    rhs: np.ndarray
+    rhs: np.ndarray           # [stored row]
     spec: LatticeProblemSpec
     half_width: int
     x_range: tuple[int, int]
     y_range: tuple[int, int]
-    index_u: np.ndarray
-    index_v: np.ndarray | None
+    free: np.ndarray          # [y, x]: not pinned (a pinned site pins every sublattice)
+
+    @property
+    def pinned(self) -> np.ndarray:
+        """The pinned grid sites, ascending."""
+        s = len(_STENCILS[self.spec.lattice])
+        return np.flatnonzero(~np.broadcast_to(self.free, (s, *self.free.shape)))
 
     def full_table(self) -> tuple:
-        """The stencil table of every unknown, (weights, neighbours): the
-        stored rows, and A0's rows elsewhere."""
-        if self.stored.size == self.rhs.size:
-            return self.weights, self.neighbours
-        weights, neighbours = self._free_rows(np.arange(self.index_u.shape[0]))
-        weights[self.stored], neighbours[self.stored] = self.weights, self.neighbours
-        return weights, neighbours
+        """The stencil table of every unknown and the right-hand side b,
+        (weights, neighbours, b): the stored rows, and A0's rows with b = 0
+        elsewhere."""
+        unknowns = self._unknowns()
+        weights, neighbours = self._free_rows(np.arange(self.free.shape[0]))
+        at = unknowns[self.stored]
+        weights[at], neighbours[at] = self.weights, self.neighbours
+        b = np.zeros(len(weights), complex)
+        b[at] = self.rhs
+        return weights, np.where(neighbours >= 0, unknowns[neighbours], -1), b
 
     def _free_rows(self, rows: np.ndarray) -> tuple:
         """A0's stencil table (weights, neighbours) of the free sites on the
         window rows `rows`, sublattice by sublattice (see _neighbour_table)."""
-        neighbours = _neighbour_table(self.spec, self._index(), rows)
+        neighbours = _neighbour_table(self.spec, self.free, rows)
         weights = np.ones(neighbours.shape, complex)
         omega = self.spec.incidence.omega
         weights[:, 0] = lattice_omega_shift(self.spec.lattice, omega * omega)  # A0's diagonal
         return weights, neighbours
 
-    def _index(self) -> dict:
-        """The unknown ids of the window per sublattice of the lattice."""
-        return dict(zip(_STENCILS[self.spec.lattice], (self.index_u, self.index_v)))
+    def _unknowns(self) -> np.ndarray:
+        """The unknown id of each grid site, -1 where pinned."""
+        free = np.broadcast_to(self.free, (len(_STENCILS[self.spec.lattice]), *self.free.shape))
+        ids = np.full(free.shape, -1, np.int64)
+        ids[free] = np.arange(np.count_nonzero(free))
+        return ids.reshape(-1)
 
     @property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -294,64 +310,74 @@ class AssembledSystem:
         matrix, so the package loads no scipy module."""
         import scipy.sparse as sp
 
-        weights, neighbours = self.full_table()
+        weights, neighbours, _ = self.full_table()
         keep = (neighbours >= 0) & (weights != 0)
         matrix = sp.csr_matrix((weights[keep], neighbours[keep],
-                                np.r_[0, np.cumsum(keep.sum(1))]), shape=(self.rhs.size,) * 2)
+                                np.r_[0, np.cumsum(keep.sum(1))]), shape=(len(weights),) * 2)
         matrix.sort_indices()  # the wrapped rows of a Bloch strip
         return matrix
 
     def row_entries(self, x: int, y: int, sublattice: str = "u") -> dict:
         """Matrix row of the equation at a free site, keyed by column id: the
         stored row, or A0's, built for the site's window row alone."""
-        i = self.site_id(x, y, sublattice)
-        if i < 0:
+        site = self._site(x, y, sublattice)
+        unknowns = self._unknowns()
+        if unknowns[site] < 0:
             raise InvalidSpec(f"site ({x},{y},{sublattice}) is not a free unknown")
-        r = np.searchsorted(self.stored, i)
-        if r < self.stored.size and self.stored[r] == i:
+        r = np.searchsorted(self.stored, site)
+        if r < self.stored.size and self.stored[r] == site:
             weights, neighbours = self.weights[r], self.neighbours[r]
-        else:  # the table's rows are the row's free sites, sublattice by sublattice
-            row = y - self.y_range[0]
-            own = np.concatenate([idx[row][idx[row] >= 0] for idx in self._index().values()])
-            weights, neighbours = (part[own == i][0] for part in self._free_rows(np.array([row])))
-        return {int(c): complex(val) for c, val in zip(neighbours, weights)
+        else:  # slot 0 of a row is its own site
+            weights, neighbours = self._free_rows(np.array([y - self.y_range[0]]))
+            own = neighbours[:, 0] == site
+            weights, neighbours = weights[own][0], neighbours[own][0]
+        return {int(unknowns[c]): complex(val) for c, val in zip(neighbours, weights)
                 if c >= 0 and val != 0}
 
     def site_id(self, x: int, y: int, sublattice: str = "u") -> int:
         """Unknown id of a window site, -1 if it is pinned."""
-        idx = self._index().get(sublattice)
-        if idx is None:
+        return int(self._unknowns()[self._site(x, y, sublattice)])
+
+    def _site(self, x: int, y: int, sublattice: str) -> int:
+        """Grid site of a window site."""
+        subs = list(_STENCILS[self.spec.lattice])
+        if sublattice not in subs:
             raise InvalidSpec(f"no sublattice {sublattice!r} on the {self.spec.lattice.value} "
                               "lattice")
         (x0, x1), (y0, y1) = self.x_range, self.y_range
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             raise WindowMismatch(f"site ({x},{y}) outside the window [{x0}, {x1}] x [{y0}, {y1}]")
-        return int(idx[y - y0, x - x0])
+        ny, nx = self.free.shape
+        return (subs.index(sublattice) * ny + y - y0) * nx + x - x0
 
 
-def _neighbour_table(spec: LatticeProblemSpec, index: dict, rows: np.ndarray) -> np.ndarray:
-    """Neighbours [unknown, slot] of the free sites on the window rows `rows`,
-    sublattice by sublattice, from the unknown ids `index` of the window.
+def _neighbour_table(spec: LatticeProblemSpec, free: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Grid sites [row, slot] of the free sites (mask free [y, x]) on the
+    window rows `rows` and of their neighbours, sublattice by sublattice.
     A torus wraps both ways and Bloch rows wrap along y; otherwise a
     neighbour is -1 outside the window, and -1 pinned.  Only the rows next
     to `rows` are read, padded by one column."""
-    ny, nx = index["u"].shape
+    ny, nx = free.shape
+    stencils = _STENCILS[spec.lattice]
+
+    def sites(k, y):  # the grid sites of window rows y of sublattice k, -1 where pinned
+        return np.where(free[y], (k * ny + y)[..., None] * nx + np.arange(nx), -1)
+
     near = rows[:, None] + np.arange(-1, 2)  # window rows y - 1, y, y + 1 of each row y
     outside = None if spec.bloch is not None or spec.torus else (near < 0) | (near >= ny)
     near %= ny
     pad = {"mode": "wrap"} if spec.torus else {"constant_values": -1}
-    band = {sub: np.pad(idx[near], ((0, 0), (0, 0), (1, 1)), **pad) for sub, idx in index.items()}
+    band = {sub: np.pad(sites(k, near), ((0, 0), (0, 0), (1, 1)), **pad)
+            for k, sub in enumerate(stencils)}
     if outside is not None:
         for rows_read in band.values():
             rows_read[outside] = -1
-    tables = []
-    for sub, stencil in _STENCILS[spec.lattice].items():
-        own = index[sub][rows]
-        free = own >= 0
-        table = np.empty((np.count_nonzero(free), 1 + len(stencil)), np.int64)
-        table[:, 0] = own[free]
+    tables, kept = [], free[rows]
+    for k, stencil in enumerate(stencils.values()):
+        table = np.empty((np.count_nonzero(kept), 1 + len(stencil)), np.int64)
+        table[:, 0] = sites(k, rows)[kept]
         for j, (dx, dy, nsub, _) in enumerate(stencil, 1):
-            table[:, j] = band[nsub][:, 1 + dy, 1 + dx:nx + 1 + dx][free]
+            table[:, j] = band[nsub][:, 1 + dy, 1 + dx:nx + 1 + dx][kept]
         tables.append(table)
     return np.concatenate(tables)
 
@@ -373,7 +399,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     Every equation is the exact lattice equation of motion with all known
     parts (incident plus background) moved to the right-hand side.  The
     stencil table keeps the equations that differ from A0: per stored
-    unknown, one slot for itself and one per stencil neighbour.  A defect
+    site, one slot for itself and one per stencil neighbour.  A defect
     row must lie in the window (taken modulo the period on a Bloch strip):
     one past it raises WindowTooSmall.
 
@@ -470,28 +496,19 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
         near, from an array over the padded rows read."""
         return arr[at_y + dy, 1 + dx:nx + 1 + dx]
 
-    # unknowns: free u sites row by row, then free v sites; pinned sites
-    # (total field zero) are eliminated
+    # a pinned site (total field zero) has no equation
     free = ~pinned[1:ny + 1, 1:nx + 1]
-    first = np.cumsum(free, dtype=np.int64).reshape(ny, nx)
-    first -= 1
-    n_free = int(first[-1, -1]) + 1
-    first[~free] = -1
-    index = {sub: first if k == 0 else np.add(first, k * n_free, out=np.full_like(first, -1),
-                                              where=free)
-             for k, sub in enumerate(stencils)}
     free_near = free[near]
-    at = first[near][free_near]  # unknown per free site of near, less k * n_free
 
     # the stencil table, a row per free site of near and sublattice: weight
     # one on an intact bond (Bloch: its wrap weight), zero on a broken one,
     # and the diagonal on the own slot
-    neighbours = _neighbour_table(spec, index, near)
-    table = neighbours.reshape(len(stencils), at.size, neighbours.shape[1])  # a view
+    neighbours = _neighbour_table(spec, free, near)
+    table = neighbours.reshape(len(stencils), -1, neighbours.shape[1])  # a view
     diag_base = lattice_omega_shift(spec.lattice, w * w)
     weights = np.ones(table.shape, complex)
-    rhs = np.zeros((len(stencils), n_free), complex)
-    bonds = []  # per broken slot: the unknown, its neighbour, A0's coupling between them
+    rhs = np.empty(table.shape[:2], complex)
+    bonds = []  # per broken slot: the site, its neighbour, A0's coupling between them
     for k, (sub, stencil) in enumerate(stencils.items()):
         own = local(known[sub], 0, 0)
         # the background lives on u only (square lattice)
@@ -503,7 +520,7 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
             cut = local(crack, *cell) if cell else np.zeros(own.shape, bool)
             n_broken += cut
             broken = cut[free_near]
-            bonds.append((at[broken] + k * n_free, table[k, broken, j], weights[k, broken, j]))
+            bonds.append((table[k, broken, 0], table[k, broken, j], weights[k, broken, j]))
             weights[k, broken, j] = 0
             terms = _slot_sources(cut, local(pinned_read, dx, dy), local(known[nsub], dx, dy),
                                   own)
@@ -513,8 +530,9 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
                                               local(known["u"], 0, 0))
             source += terms
         weights[k, :, 0] = (diag_base + n_broken)[free_near]
-        rhs[k, at] = source[free_near]
+        rhs[k] = source[free_near]
     weights = weights.reshape(neighbours.shape)
+    stored = neighbours[:, 0].copy()  # slot 0 of a row is its own site
     if bloch is not None:  # a two-row strip couples a row twice to one site: one slot sums both
         for i, j in zip(*np.triu_indices(weights.shape[1], 1)):
             twice = (neighbours[:, i] == neighbours[:, j]) & (neighbours[:, j] >= 0)
@@ -523,15 +541,14 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     return AssembledSystem(
         weights=weights,
         neighbours=neighbours,
-        stored=(at + n_free * np.arange(len(stencils))[:, None]).ravel(),
+        stored=stored,
         bonds=tuple(map(np.concatenate, zip(*bonds))),
         rhs=rhs.ravel(),
         spec=spec,
         half_width=L,
         x_range=(x0, x1),
         y_range=(y0, y1),
-        index_u=index["u"],
-        index_v=index.get("v"),
+        free=free,
     )
 
 
@@ -743,19 +760,16 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
         (line_r, x_r), (line_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
         (lines_r, at_r), (lines_c, at_c) = (np.unique(line, return_inverse=True)
                                             for line in (line_r, line_c))
-        if s == 1:  # E = I, D = 0
-            lines = row_pairs(lines_r, lines_c)
-        else:
-            (a, y_r), (b, y_c) = np.divmod(lines_r, ny), np.divmod(lines_c, ny)
-            (rows_r, to_r), (rows_c, to_c) = (np.unique((y[:, None] + offsets[1, sub]) % ny,
-                                                        return_inverse=True)
-                                              for y, sub in ((y_r, a), (y_c, b)))
-            # [line of R, its lift, line of C, its lift]
-            shift = (offsets[0, a][:, :, None, None] - offsets[0, b])[..., None]
-            c = row_pairs(rows_r, rows_c)[to_r.reshape(a.size, width, 1, 1, 1),
-                                          to_c.reshape(b.size, width, 1),
-                                          (np.arange(n) + shift) % n]
-            lines = np.einsum("iajb,iajbx->ijx", weights[a][:, :, None, None] * weights[b], c)
+        (a, y_r), (b, y_c) = np.divmod(lines_r, ny), np.divmod(lines_c, ny)
+        (rows_r, to_r), (rows_c, to_c) = (np.unique((y[:, None] + offsets[1, sub]) % ny,
+                                                    return_inverse=True)
+                                          for y, sub in ((y_r, a), (y_c, b)))
+        # [line of R, its lift, line of C, its lift]
+        shift = (offsets[0, a][:, :, None, None] - offsets[0, b])[..., None]
+        c = row_pairs(rows_r, rows_c)[to_r.reshape(a.size, width, 1, 1, 1),
+                                      to_c.reshape(b.size, width, 1),
+                                      (np.arange(len(pair)) + shift) % len(pair)]
+        lines = np.einsum("iajb,iajbx->ijx", weights[a][:, :, None, None] * weights[b], c)
         g = np.empty((rows.size, cols.size), complex)
         runs_c = _runs(cols, n)
         for r in _runs(rows, n):
@@ -775,9 +789,9 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
 
 def _bonds(system: AssembledSystem) -> tuple:
     """The broken bonds of AssembledSystem.bonds, each once: a bond between
-    two unknowns is recorded from both, and kept from the lower one; one to
-    a pinned site, or outside the square window, has -1 for the other.
-    The bonds between two unknowns come first."""
+    two free sites is recorded from both, and kept from the lower one; one
+    to a pinned site, or outside the square window, has -1 for the other.
+    The bonds between two free sites come first."""
     ends, other, coupling = system.bonds
     once = np.flatnonzero((other < 0) | (ends < other))
     once = once[np.argsort(other[once] < 0, kind="stable")]
@@ -785,7 +799,7 @@ def _bonds(system: AssembledSystem) -> tuple:
 
 
 def _capacitance(system: AssembledSystem) -> tuple:
-    """Capacitance matrix M of the window, and solve(rhs).
+    """Capacitance matrix M of the window, and solve(sites, values).
 
     A0 is the free operator of the window itself (_free_operator): with
     zero Dirichlet data on the square, on the torus a triangular or
@@ -808,37 +822,27 @@ def _capacitance(system: AssembledSystem) -> tuple:
     rows (assemble), so a solve forms the modes of b from those rows, reads
     G b at the multiplier sites off them, and then forms the modes of
     b - K_L x, on the same rows and the multipliers', into the same array
-    for the one full transform.  It holds two full-grid arrays besides the
-    operator's symbol, the modes of u and w; without pinned sites w is
-    returned as it is, with no scatter or gather, and with them one gather
-    of the free sites, which on one sublattice reuses the modes' memory.
-    Each solve factors M by numpy's LU (np.linalg.solve), and a singular M
-    raises SolveFailure there: a window is solved once, unless
-    _refined_solve takes a step, so no factorization is kept between
-    solves.
+    for the one full transform.  solve(sites, values) takes b by its
+    nonzero values at grid sites and returns w on the grid, exactly 0 at
+    the pinned sites.  It holds two full-grid arrays besides the operator's
+    symbol, the modes of u and w.  Each solve factors M by numpy's LU
+    (np.linalg.solve), and a singular M raises SolveFailure there: a window
+    is solved once, unless _refined_solve takes a step, so no factorization
+    is kept between solves.
     """
     spec = system.spec
     s = len(_STENCILS[spec.lattice])
-    ny, n = system.index_u.shape
+    ny, n = system.free.shape
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
     modes, read, field, green = _free_operator(_STENCILS[spec.lattice], diag, n, spec.torus,
                                                spec.bloch)
-    # a pinned site pins every sublattice.  The i-th unknown of a sublattice
-    # lies past each pinned site with at most i free sites before it
-    free = np.broadcast_to(system.index_u >= 0, (s, ny, n))
-    holes = np.flatnonzero(~free[0])
-    before = holes - np.arange(holes.size)
-
-    def grid(unknowns):
-        sub, i = np.divmod(unknowns, ny * n - holes.size)
-        return sub * ny * n + i + np.searchsorted(before, i, side="right")
-
     # per multiplier the grid site of its +1, and of its -a if paired
+    pinned = system.pinned
     ends, other, coupling = _bonds(system)
-    plus = np.concatenate([np.flatnonzero(~free), grid(ends)])
-    minus = grid(other[other >= 0])
+    plus = np.concatenate([pinned, ends])
+    minus = other[other >= 0]
     right, left = coupling[:minus.size], 1 / coupling[:minus.size]  # a_ij of V, a_ji of U
-    pins = plus.size - ends.size
+    pins = pinned.size
     paired = slice(pins, pins + minus.size)
     capacitance = green(plus, plus)  # M - [0, 0; 0, I] = K_R^T G K_L
     cross = green(plus, minus)
@@ -850,11 +854,9 @@ def _capacitance(system: AssembledSystem) -> tuple:
     capacitance[bond, bond] += 1.0
     multipliers = np.r_[plus, minus]
 
-    def solve(rhs):
-        at = np.flatnonzero(rhs != 0)  # faster than nonzero on the complex values
-        source, values = grid(at), rhs[at]
-        spectrum, w = np.empty((n, ny), complex), np.empty((s, ny, n), complex)
-        local = modes(source, values, spectrum)
+    def solve(sites, values):
+        spectrum, w = np.empty((n, ny), complex), np.empty(s * ny * n, complex)
+        local = modes(sites, values, spectrum)
         y = read(spectrum, local, multipliers)  # K_R^T G b needs G b only at the multiplier sites
         r = y[:plus.size]
         r[paired] -= right * y[plus.size:]
@@ -862,10 +864,10 @@ def _capacitance(system: AssembledSystem) -> tuple:
             x = np.linalg.solve(capacitance, r)
         except np.linalg.LinAlgError:
             raise SolveFailure("singular capacitance matrix") from None
-        local = modes(np.r_[source, multipliers], np.r_[values, -x, left * x[paired]], spectrum)
-        field(spectrum, local, out=w)
-        del spectrum  # on one sublattice the gather of the free sites reuses its memory
-        return w[free] if holes.size else w.reshape(-1)
+        local = modes(np.r_[sites, multipliers], np.r_[values, -x, left * x[paired]], spectrum)
+        field(spectrum, local, out=w.reshape(s, ny, n))
+        w[pinned] = 0
+        return w
 
     return capacitance, solve
 
@@ -880,7 +882,8 @@ _BLOCK = 1 << 16  # equations per block of the backward errors' last step
 
 
 def _refined_solve(system: AssembledSystem, solve) -> tuple:
-    """solve(system.rhs), refined where needed: w, its residual and backward errors.
+    """The solve of the system's right-hand side, refined where needed: w,
+    its residual and backward errors, on the grid.
 
     A free solve spreads rounding of order eps |b| over the whole grid, which
     buries equations of small scale when a defect row runs through a much
@@ -888,25 +891,26 @@ def _refined_solve(system: AssembledSystem, solve) -> tuple:
     of the equations whose backward error exceeds _REFINE_TOL recovers them;
     where the defect rows pass near the origin no step is taken.
     """
-    w = solve(system.rhs)
+    at = np.flatnonzero(system.rhs)
+    w = solve(system.stored[at], system.rhs[at])
     for step in range(_REFINE_STEPS + 1):
         residual, errors = _backward_errors(system, w)
-        good = errors <= _REFINE_TOL  # NaN counts as missed
-        if step == _REFINE_STEPS or good.all():
+        missed = np.flatnonzero(~(errors <= _REFINE_TOL))  # NaN counts as missed
+        if step == _REFINE_STEPS or not missed.size:
             return w, residual, errors
-        residual[good] = 0
-        w += solve(residual)
+        w += solve(missed, residual[missed])
 
 
 def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
-    """Residual r = b - A w and each equation's backward error.
+    """Residual r = b - A w and each equation's backward error, on the grid.
 
     That is the componentwise backward error |r_i| / (|A| |w| + |b|)_i of
     Oettli and Prager, except that the scale of an equation never drops
     below the incident amplitude: the field is compared at that scale, and
     no fast solve resolves equations 30 orders of magnitude below it.  A w
     and |A| |w| are A0's on the grid (_free_products), then read off the
-    table on the stored rows, where alone b is nonzero.
+    table on the stored rows, where alone b is nonzero.  A pinned site has
+    no equation: its residual and backward error are 0.
     """
     product, scale = _free_products(system, w)
     # w at each slot's neighbour, 0 at none
@@ -916,11 +920,13 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     product[stored] = np.einsum("ij,ij->i", weights, at)
     scale[stored] = sum((np.abs(weights) * np.abs(at)).T)
     residual = np.negative(product, out=product)
-    residual[stored] += system.rhs[stored]
-    scale[stored] += np.abs(system.rhs[stored])
+    residual[stored] += system.rhs
+    scale[stored] += np.abs(system.rhs)
     np.maximum(scale, abs(system.spec.incidence.amplitude), out=scale)
+    pinned = system.pinned
+    residual[pinned], scale[pinned] = 0, 0
     # |r| / scale into scale's memory, by blocks: no full |r| is held.  It
-    # stays 0 where the scale is: |A w| <= |A| |w|
+    # stays 0 where the scale is: at the pinned sites
     for start in range(0, scale.size, _BLOCK):
         part = scale[start:start + _BLOCK]
         np.divide(np.abs(residual[start:start + _BLOCK]), part, out=part, where=part > 0)
@@ -954,25 +960,14 @@ def _add_shifted(out: np.ndarray, grid: np.ndarray, dx: int, dy: int, wrap: bool
 
 
 def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
-    """A0 w and |A0| |w| at every unknown: the diagonal times w plus shifted
+    """A0 w and |A0| |w| on the grid: the diagonal times w plus shifted
     slices of w on the window (zero past the square window's edge, wrapped
-    on the torus), added in place on the grid.  Without pinned sites w is
-    the grid itself and the sums are the outputs; with them w is scattered
-    onto a grid with zeros at the pinned sites, and the sums are gathered
-    at the free ones.  Left empty on a Bloch strip, whose rows are all
-    stored."""
-    n, spec = w.size, system.spec
-    if system.stored.size == n:
-        return np.empty(n, complex), np.empty(n)
+    on the torus), added in place.  w is 0 at the pinned sites, so they add
+    nothing to their neighbours."""
+    spec = system.spec
     stencils = _STENCILS[spec.lattice]
     subs = list(stencils)
-    free = np.broadcast_to(system.index_u >= 0, (len(subs), *system.index_u.shape))
-    pinned = n < free.size
-    if pinned:
-        grid = np.zeros(free.shape, complex)
-        grid[free] = w
-    else:
-        grid = w.reshape(free.shape)
+    grid = w.reshape(len(subs), *system.free.shape)
 
     def accumulate(grid, diag):
         sums = np.empty(grid.shape, grid.dtype)
@@ -980,7 +975,7 @@ def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
             np.multiply(grid[k], diag, out=sums[k])
             for dx, dy, nsub, _ in stencil:
                 _add_shifted(sums[k], grid[subs.index(nsub)], dx, dy, spec.torus)
-        return sums[free] if pinned else sums.reshape(-1)
+        return sums.reshape(-1)
 
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
     size = accumulate(np.abs(grid), abs(diag))  # first, so |w| is gone before A0 w is formed
@@ -994,33 +989,28 @@ def solve_direct(system: AssembledSystem) -> FieldGrid:
     refined by _refined_solve.  The relative residual and the largest
     backward error of one equation (see _backward_errors), read off the
     table, must come out below 1e-10, or SolveFailure is raised, as for a
-    table edited to differ from A0 by more than its pins and bonds.
-    Eliminated (pinned) sites are filled with -incident, evaluated on the
-    window as assemble does, so boundary conditions can be checked on the
-    output; without them the field's grids are views of the solution.  The
-    free sites get the straight-defect background back, evaluated on the
-    window too.
+    table edited to differ from A0 by more than its pins and bonds.  The
+    field's grids are views of the solution w: its pinned sites get
+    -incident, evaluated on their rows of the window as assemble does, so
+    boundary conditions can be checked on the output, and its free sites
+    the straight-defect background back, evaluated on the window too.
     """
     spec, inc = system.spec, system.spec.incidence
     w, residual, errors = _refined_solve(system, _capacitance(system)[1])  # M itself goes
-    rhs = system.rhs[system.stored]  # b is zero off the stored rows
-    residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(rhs)) or 1.0)
+    residual = float(np.linalg.norm(residual)) / (float(np.linalg.norm(system.rhs)) or 1.0)
     backward = float(np.max(errors, initial=0.0))
     for name, value in (("residual", residual), ("backward error", backward)):
         if not value <= _SOLVE_TOL:  # NaN counts as missed
             raise SolveFailure(f"direct solve missed the {name} contract", value)
 
-    free = system.index_u >= 0
+    free = system.free
     (x0, x1), (y0, y1) = system.x_range, system.y_range
     xs, ys = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
-    grids = w.reshape(len(_STENCILS[spec.lattice]), -1)
-    if grids.shape[1] == free.size:  # nothing pinned: the field's grids are views of w
-        u, *v = grids.reshape(-1, *free.shape)
-    else:
-        u, *v = (-(np.exp(-1j * inc.kappa_y * ys) * inc.field(xs, 0, sub))
-                 for sub in _STENCILS[spec.lattice])
-        for values, grid in zip(grids, (u, *v)):
-            grid[free] = values
+    u, *v = w.reshape(-1, *free.shape)
+    pinned = ~free
+    rows = np.flatnonzero(pinned.any(1))
+    for sub, grid in zip(_STENCILS[spec.lattice], (u, *v)):
+        grid[pinned] = -(np.exp(-1j * inc.kappa_y * ys[rows]) * inc.field(xs, 0, sub))[pinned[rows]]
     bg = _straight_background(spec)
     if bg is not None:
         u[free] += bg.evaluate(xs, ys)[free]

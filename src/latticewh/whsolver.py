@@ -106,6 +106,8 @@ class ScalarWHProblem:
         At 4096 the solve is exactly that of an explicit CircleGrid(1.0, 4096).
         An explicit grid is used as given.
         """
+        if incidence.omega is None:
+            raise InvalidSpec("the incidence carries no omega (dispersion_solve sets it)")
         kernel = ScalarKernel(family, incidence.omega)
         forcing = scalar_forcing(family, incidence)
         if grid is not None:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,12 @@ class TestSpecValidation:
     def test_lattice_mismatch(self, inc_honeycomb):
         with pytest.raises(InvalidSpec):
             LatticeProblemSpec("square", (), inc_honeycomb)
+
+    def test_incidence_without_omega_is_refused(self, inc_square):
+        """Incidence defaults omega to None; assemble raised a bare
+        AttributeError on it."""
+        with pytest.raises(InvalidSpec, match="no omega"):
+            LatticeProblemSpec("square", (Defect("crack", 0),), replace(inc_square, omega=None))
 
     def test_window_too_small(self, inc_square):
         spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", 30),),
@@ -674,11 +681,41 @@ def period_two_strip():
 
 def _csr_residual(system, w):
     """The residual b - A w and each equation's backward error scale,
-    max(|A| |w| + |b|, |amplitude|), as defined on the CSR matrix."""
-    matrix = system.matrix
-    scale = np.maximum(abs(matrix) @ np.abs(w) + np.abs(system.rhs),
-                       abs(system.spec.incidence.amplitude))
-    return system.rhs - matrix @ w, scale
+    max(|A| |w| + |b|, |amplitude|), as defined on the CSR matrix, for w
+    given per unknown."""
+    matrix, b = system.matrix, system.full_table()[2]
+    scale = np.maximum(abs(matrix) @ np.abs(w) + np.abs(b), abs(system.spec.incidence.amplitude))
+    return b - matrix @ w, scale
+
+
+def _free_sites(system):
+    """The grid sites of the unknowns, in their order: the free sites row by
+    row, sublattice by sublattice."""
+    subs = len(_STENCILS[system.spec.lattice])
+    return np.flatnonzero(np.broadcast_to(system.free, (subs, *system.free.shape)))
+
+
+def _on_grid(system, values):
+    """Values given per unknown, on the grid [sublattice, y, x] flattened,
+    zero at the pinned sites."""
+    grid = np.zeros(len(_STENCILS[system.spec.lattice]) * system.free.size, complex)
+    grid[_free_sites(system)] = values
+    return grid
+
+
+def _grid_rhs(system):
+    """The right-hand side on the grid, [sublattice, y, x]."""
+    b = np.zeros(len(_STENCILS[system.spec.lattice]) * system.free.size, complex)
+    b[system.stored] = system.rhs
+    return b.reshape(-1, *system.free.shape)
+
+
+def _grid_site(system, x, y, sub="u"):
+    """The grid site [sublattice, y, x] of a window site."""
+    subs = list(_STENCILS[system.spec.lattice])
+    (x0, _), (y0, _) = system.x_range, system.y_range
+    return int(np.ravel_multi_index((subs.index(sub), y - y0, x - x0),
+                                    (len(subs), *system.free.shape)))
 
 
 class TestReferenceAssembly:
@@ -693,10 +730,12 @@ class TestReferenceAssembly:
         entries, rhs, scale, ids = _reference_assembly(spec, 20)
         coo = system.matrix.tocoo()
         assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
-        assert np.all(np.abs(system.rhs - rhs) <= 1e-14 * scale)
+        _, neighbours, b = system.full_table()
+        assert np.all(np.abs(b - rhs) <= 1e-14 * scale)
         assert {site: system.site_id(*site) for site in ids} == ids
         assert system.matrix.shape[0] == len(ids)
-        slots = np.sort(system.full_table()[1], axis=1)
+        assert system.rhs.size == system.stored.size
+        slots = np.sort(neighbours, axis=1)
         assert not np.any((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] >= 0))
 
     @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
@@ -712,10 +751,11 @@ class TestReferenceAssembly:
         sites = [(x, y, sub) for sub in NEIGHBOURS[spec.lattice.value]
                  for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
                  if system.site_id(x, y, sub) >= 0]
-        assert [system.site_id(*site) for site in sites] == list(range(system.rhs.size))
+        b = system.full_table()[2]
+        assert [system.site_id(*site) for site in sites] == list(range(b.size))
         to_free = np.array([free.site_id(*site) for site in sites])
-        off = np.setdiff1d(np.arange(system.rhs.size), system.stored)
-        assert not np.any(system.rhs[off])
+        off = np.flatnonzero(~np.isin(_free_sites(system), system.stored))
+        assert not np.any(b[off])
         ours, theirs = system.matrix[off].tocoo(), free.matrix[to_free[off]].tocoo()
         assert set(zip(ours.row.tolist(), to_free[ours.col].tolist(), ours.data.tolist())) == \
             set(zip(theirs.row.tolist(), theirs.col.tolist(), theirs.data.tolist()))
@@ -729,7 +769,7 @@ class TestReferenceAssembly:
         of Bloch strips.  It reads the row alone, never the full table."""
         spec = _spec(request, layout)
         system = assemble(spec, 20)
-        weights, neighbours = system.full_table()
+        weights, neighbours, _ = system.full_table()
         monkeypatch.setattr(oracle.AssembledSystem, "full_table",
                             lambda self: pytest.fail("row_entries expanded the full table"))
         (x0, x1), (y0, y1) = system.x_range, system.y_range
@@ -743,7 +783,7 @@ class TestReferenceAssembly:
                             int(c): complex(v) for c, v in zip(neighbours[i], weights[i])
                             if c >= 0 and v != 0}
                         read.add(i)
-        stored = read & set(system.stored.tolist())
+        stored = read & set(np.searchsorted(_free_sites(system), system.stored).tolist())
         assert stored and (stored == read) == (spec.bloch is not None)
 
 
@@ -752,14 +792,17 @@ class TestTableChecks:
                              + ["period_two_strip"], ids=_layout_id)
     def test_backward_errors_match_the_csr_definition(self, request, layout):
         """The residual and backward errors read off the table equal those of
-        the CSR matrix to rounding, for a random w at L = 20."""
+        the CSR matrix to rounding, for a random w at L = 20, zero at the
+        pinned sites, where both are 0."""
         system = assemble(_spec(request, layout), 20)
         rng = np.random.default_rng(5)
-        w = rng.normal(size=system.rhs.size) + 1j * rng.normal(size=system.rhs.size)
-        residual, errors = oracle._backward_errors(system, w)
+        free = _free_sites(system)
+        w = rng.normal(size=free.size) + 1j * rng.normal(size=free.size)
+        residual, errors = oracle._backward_errors(system, _on_grid(system, w))
         reference, scale = _csr_residual(system, w)
-        assert np.all(np.abs(residual - reference) <= 1e-15 * scale)
-        assert np.allclose(errors, np.abs(residual) / scale, rtol=1e-14, atol=0)
+        assert np.all(np.abs(residual[free] - reference) <= 1e-15 * scale)
+        assert np.allclose(errors[free], np.abs(residual[free]) / scale, rtol=1e-14, atol=0)
+        assert not np.any(residual[system.pinned]) and not np.any(errors[system.pinned])
 
     def test_period_two_strip_solve_meets_the_csr_definition(self, monkeypatch,
                                                               period_two_strip):
@@ -778,9 +821,10 @@ class TestTableChecks:
         monkeypatch.setattr(oracle, "_backward_errors", spy)
         solve_direct(system)
         w, residual, errors = seen[-1]
-        reference, scale = _csr_residual(system, w)
-        assert np.all(np.abs(residual - reference) <= 1e-15 * scale)
-        assert np.allclose(errors, np.abs(residual) / scale, rtol=1e-14, atol=0)
+        free = _free_sites(system)
+        reference, scale = _csr_residual(system, w[free])
+        assert np.all(np.abs(residual[free] - reference) <= 1e-15 * scale)
+        assert np.allclose(errors[free], np.abs(residual[free]) / scale, rtol=1e-14, atol=0)
 
 
 def _wh_against_oracle(family, omega, half_width, theta=0.5):
@@ -805,10 +849,7 @@ class TestExactRightHandSide:
         ys = np.arange(system.y_range[0], system.y_range[1] + 1)
         near = np.isin(spec._norm_row(ys), [spec._norm_row(d.row + k)
                                             for d in spec.defects for k in (-1, 0, 1)])
-        for index in (system.index_u, system.index_v):
-            if index is not None:
-                far = index[~near]
-                assert not np.any(system.rhs[far[far >= 0]])
+        assert not np.any(_grid_rhs(system)[:, ~near])
 
     @pytest.mark.parametrize("kind", ["crack", "constraint"])
     @pytest.mark.parametrize("theta", [0.5, -0.5, 1e-6, -1e-6])
@@ -839,9 +880,9 @@ class TestExactRightHandSide:
         and next to its row carry no source there, not even rounding."""
         spec = LatticeProblemSpec("square", (Defect(kind, 2, "right", 3),), inc_square)
         system = assemble(spec, 20)
-        past = system.index_u[21:24, 23:]  # rows 1-3, x >= 3
-        assert not np.any(system.rhs[past[past >= 0]])
-        assert np.all(system.rhs[system.index_u[22, :23]] != 0)  # row 2 before the tip
+        b = _grid_rhs(system)[0]
+        assert not np.any(b[21:24, 23:])  # rows 1-3, x >= 3
+        assert np.all(b[22, :23] != 0)  # row 2 before the tip
 
     @pytest.mark.parametrize("second", [("crack", "right"), ("constraint", "right"),
                                         ("crack", "left")])
@@ -1069,7 +1110,7 @@ class TestTorusSolveCost:
         arrays, the modes of n^2 and w of s n^2, and less than n^2
         besides."""
         system = assemble(_family_spec(family), 100)
-        n, subs = system.index_u.shape[0], len(_STENCILS[system.spec.lattice])
+        n, subs = system.free.shape[0], len(_STENCILS[system.spec.lattice])
         grid = n * n * np.dtype(complex).itemsize
         oracle._axis_transform(n, system.spec.torus)  # cached per size: built outside the count
         full, peaks, checks_run = [], [], []
@@ -1115,21 +1156,26 @@ class TestTorusSolveCost:
         assert solve < (subs + 2) * grid
 
     # tracemalloc peak of one assemble + solve_direct at theta = 0.5, about
-    # 15% above the measured value: at L = 100, 1+0.1i, 6.8 MB (hex_crack),
-    # 4.9 MB (tri_dirichlet) and 3.9 MB (sq_crack); at L = 400, 1+0.01i,
-    # 55.7 MB (sq_crack) and 97.4 MB (hex_crack).  With the honeycomb's
-    # 2 x 2 symbol per mode and a full |r| in the backward errors they read
-    # 8.9, 4.9, 4.0, 60.9 and 138.8 MB; with the window's incident grids
-    # kept on the assembled system, 10.2, 5.5, 4.6, 71.2 and 159.4 MB; with
-    # a fresh grid per step of the free solve and the backward errors,
-    # 13.5, 7.3, 7.3, 114.7 and 212.5 MB; with the stencil table of every
-    # unknown, 23.7, 16.5, 13.3 and 211.2 MB (hex_crack at L = 400 not
-    # measured)
+    # 15% above the measured value: at L = 100, 1+0.1i, 4.9 MB (hex_crack),
+    # 3.0 MB (tri_dirichlet) and 3.0 MB (sq_crack); at L = 400, 1+0.01i,
+    # 40.4 MB (sq_crack), 67.0 MB (hex_crack) and 40.4 MB (tri_dirichlet,
+    # pinned).  With the unknowns numbered apart from the grid sites (a
+    # gather of the free sites, a scatter into the residuals' grid and a
+    # right-hand side over every unknown) they read 6.8, 4.9, 3.9, 55.7,
+    # 97.4 and 76.1 MB.  Before that, tri_dirichlet at L = 400 unmeasured:
+    # with the honeycomb's 2 x 2 symbol per mode and a full |r| in the
+    # backward errors, 8.9, 4.9, 4.0, 60.9 and 138.8 MB; with the window's
+    # incident grids kept on the assembled system, 10.2, 5.5, 4.6, 71.2 and
+    # 159.4 MB; with a fresh grid per step of the free solve and the
+    # backward errors, 13.5, 7.3, 7.3, 114.7 and 212.5 MB; with the stencil
+    # table of every unknown, 23.7, 16.5, 13.3 and 211.2 MB (hex_crack at
+    # L = 400 not measured)
     @pytest.mark.parametrize("family,omega,half_width,gate_mb", [
-        ("hex_crack", 1 + 0.1j, 100, 7.9), ("tri_dirichlet", 1 + 0.1j, 100, 5.6),
-        ("sq_crack", 1 + 0.1j, 100, 4.6), ("sq_crack", 1 + 0.01j, 400, 64.0),
-        ("hex_crack", 1 + 0.01j, 400, 112.0),
-    ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400", "hex_crack_400"])
+        ("hex_crack", 1 + 0.1j, 100, 5.7), ("tri_dirichlet", 1 + 0.1j, 100, 3.5),
+        ("sq_crack", 1 + 0.1j, 100, 3.5), ("sq_crack", 1 + 0.01j, 400, 47.0),
+        ("hex_crack", 1 + 0.01j, 400, 78.0), ("tri_dirichlet", 1 + 0.01j, 400, 47.0),
+    ], ids=["hex_crack", "tri_dirichlet", "sq_crack", "sq_crack_400", "hex_crack_400",
+            "tri_dirichlet_400"])
     def test_traced_peak(self, family, omega, half_width, gate_mb):
         spec = _family_spec(family, omega)
         solve_direct(assemble(spec, half_width))  # numpy's one-off allocations out of the count
@@ -1143,8 +1189,20 @@ class TestTorusSolveCost:
 
 
 def _fast(system):
-    """The capacitance solve with its refinement."""
+    """The capacitance solve with its refinement, on the grid."""
     return oracle._refined_solve(system, oracle._capacitance(system)[1])[0]
+
+
+def _first_solve(system, solve=None):
+    """One capacitance solve of the right-hand side, unrefined, on the grid."""
+    solve = solve or oracle._capacitance(system)[1]
+    at = np.flatnonzero(system.rhs)
+    return solve(system.stored[at], system.rhs[at])
+
+
+def _sparse_lu(system):
+    """Sparse LU's solution of the CSR matrix, on the grid (0 where pinned)."""
+    return _on_grid(system, spla.splu(system.matrix.tocsc()).solve(system.full_table()[2]))
 
 
 @pytest.fixture(scope="module")
@@ -1156,7 +1214,7 @@ def damped_hex():
     w = 1.22 + 0.23j
     inc = dispersion_solve("honeycomb", Frequency(w), 0.72)
     system = assemble(problem_for(ScalarKernel("hex_crack", w), inc), 60)
-    return system, spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    return system, _sparse_lu(system)
 
 
 @pytest.fixture(scope="module")
@@ -1166,7 +1224,7 @@ def far_crack():
     w = 2.6 + 0.3j
     inc = dispersion_solve("square", Frequency(w), 1.0)
     system = assemble(LatticeProblemSpec("square", (Defect("crack", 25, "left", 0),), inc), 30)
-    return system, spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    return system, _sparse_lu(system)
 
 
 def _hex_spec(family, omega):
@@ -1189,7 +1247,7 @@ class TestHoneycombReduction:
         1.99 + 0.01i (|diag| = 0.042) it reads 4.5e-13 (hex_crack) and
         4.0e-13 (hex_constraint_2x2) after one refinement step."""
         system = assemble(_hex_spec(family, omega), 40)
-        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        reference = _sparse_lu(system)
         assert np.linalg.norm(_fast(system) - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_past_the_floor_raises_solve_failure(self):
@@ -1238,7 +1296,7 @@ class TestCapacitanceSolve:
     @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
     def test_matches_sparse_lu(self, request, layout, half_width):
         system = assemble(_spec(request, layout), half_width)
-        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        reference = _sparse_lu(system)
         fast = _fast(system)
         assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -1276,7 +1334,7 @@ class TestCapacitanceSolve:
                 assemble(spec, half_width)
         else:
             system = assemble(spec, half_width)
-            reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            reference = _sparse_lu(system)
             fast = _fast(system)
             assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -1305,7 +1363,7 @@ class TestCapacitanceSolve:
             Defect(kind, row, "left", tip) for row, (kinds, tip) in rows.items() for kind in kinds),
             inc, BlochSpec(period, complex(psi)))
         system = assemble(spec, half_width)
-        reference = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        reference = _sparse_lu(system)
         fast = _fast(system)
         assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -1345,11 +1403,11 @@ class TestCapacitanceSolve:
         bonds are not solved by a capacitance solve of other ones: the
         residual, read off the changed table, misses its contract."""
         system = assemble(crack_spec, 20)
-        i, k = system.site_id(5, 0), system.site_id(6, 0)  # an intact bond on stored rows
+        i, k = _grid_site(system, 5, 0), _grid_site(system, 6, 0)  # an intact bond, stored rows
         for which, delta in changes:
-            unknown, col = {"own": (i, i), "right": (i, k), "left": (k, i)}[which]
-            row = np.searchsorted(system.stored, unknown)
-            assert system.stored[row] == unknown
+            site, col = {"own": (i, i), "right": (i, k), "left": (k, i)}[which]
+            row = np.searchsorted(system.stored, site)
+            assert system.stored[row] == site
             system.weights[row, system.neighbours[row] == col] += delta
         with pytest.raises(SolveFailure, match="residual"):
             solve_direct(system)
@@ -1366,6 +1424,20 @@ class TestCapacitanceSolve:
         assert calls == [1]
 
     @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
+    def test_solves_on_grid_sites_alone(self, request, monkeypatch, layout):
+        """assemble and solve_direct build and read no numbering of the
+        unknowns: with it raising they still solve, and the right-hand side
+        holds one value per stored row."""
+        def refuse(self):
+            raise AssertionError("the solve path numbered the unknowns")
+        monkeypatch.setattr(oracle.AssembledSystem, "_unknowns", refuse)
+        system = assemble(_spec(request, layout), 20)
+        assert system.rhs.size == system.stored.size
+        solve_direct(system)
+        with pytest.raises(AssertionError, match="numbered the unknowns"):
+            system.site_id(0, 0)
+
+    @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
     def test_output_holds_the_solution_and_zero_total_field_where_pinned(self, request, layout):
         """solve_direct evaluates the known fields on the window itself: at
         every pinned site, on every row and sublattice, the total field is
@@ -1377,16 +1449,16 @@ class TestCapacitanceSolve:
         spec = _spec(request, layout)
         system = assemble(spec, 20)
         field = solve_direct(system)
-        free = system.index_u >= 0
+        free = system.free
         x, y = np.meshgrid(field.xs, field.ys)
         inc, bg = spec.incidence, oracle._straight_background(spec)
         phase = 1 + np.abs(inc.kappa_x * x) + np.abs(inc.kappa_y * y)
-        w = _fast(system).reshape(-1, free.sum())
+        w = _fast(system).reshape(-1, *free.shape)
         for k, (sub, values) in enumerate(zip(_STENCILS[spec.lattice], (field.u, field.v))):
             incident = inc.field(x, y, sub)
             pinned = np.abs(values + incident)[~free]
             assert np.all(pinned <= 4 * np.finfo(float).eps * (phase * np.abs(incident))[~free])
-            expected = w[k] + (bg.evaluate(x, y)[free] if bg and sub == "u" else 0)
+            expected = w[k][free] + (bg.evaluate(x, y)[free] if bg and sub == "u" else 0)
             np.testing.assert_array_equal(values[free], expected)
 
     @pytest.mark.parametrize("family", ["sq_crack", "sq_constraint", "tri_dirichlet",
@@ -1447,8 +1519,7 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         monkeypatch.setattr(oracle, "_refined_solve", refined)
 
     def test_residual_check_guards_the_fast_path(self, monkeypatch, crack_spec, inc_honeycomb):
-        self._returns(monkeypatch,
-                      lambda system: oracle._capacitance(system)[1](system.rhs) * (1 + 1e-6))
+        self._returns(monkeypatch, lambda system: _first_solve(system) * (1 + 1e-6))
         for spec in (crack_spec, problem_for(ScalarKernel("hex_crack", OMEGA), inc_honeycomb)):
             with pytest.raises(SolveFailure):
                 solve_direct(assemble(spec, 20))
@@ -1457,11 +1528,12 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         """With the exact right-hand side no equation needs refinement, and
         the field near the crack matches the sparse LU to 1e-12."""
         system, reference = damped_hex
-        near = system.index_u[40:81, 40:81].ravel()  # |x|, |y| <= 20
-        fast = oracle._capacitance(system)[1](system.rhs)
+        fast = _first_solve(system)
         _, errors = oracle._backward_errors(system, fast)
         assert np.max(errors) <= oracle._REFINE_TOL
-        assert np.linalg.norm(fast[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
+        fast, reference = (w.reshape(-1, *system.free.shape)[0, 40:81, 40:81]  # |x|, |y| <= 20
+                           for w in (fast, reference))
+        assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_refinement_recovers_equations_far_below_the_largest_source(self, far_crack):
         """The crack row's sources reach 4e7, far above the field near the
@@ -1469,12 +1541,13 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         refinement meets it, and the field matches the sparse LU."""
         system, reference = far_crack
         solve = oracle._capacitance(system)[1]
-        _, first = oracle._backward_errors(system, solve(system.rhs))
+        _, first = oracle._backward_errors(system, _first_solve(system, solve))
         assert np.max(first) > oracle._SOLVE_TOL
         w, _, errors = oracle._refined_solve(system, solve)
         assert np.max(errors) <= oracle._REFINE_TOL
-        near = system.index_u[20:41, 20:41].ravel()  # |x|, |y| <= 10
-        assert np.linalg.norm(w[near] - reference[near]) <= 1e-12 * np.linalg.norm(reference[near])
+        w, reference = (field.reshape(-1, *system.free.shape)[0, 20:41, 20:41]  # |x|, |y| <= 10
+                        for field in (w, reference))
+        assert np.linalg.norm(w - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_backward_error_check_guards_the_field_near_the_defect(self, monkeypatch, far_crack):
         # off by 1e-6 on the crack face at its far end, where the field is
@@ -1482,7 +1555,7 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
         # tip dominate (norm of b about 8e7)
         system, reference = far_crack
         bumped = reference.copy()
-        bumped[system.site_id(-29, 25)] += 1e-6
+        bumped[_grid_site(system, -29, 25)] += 1e-6
         self._returns(monkeypatch, lambda system: bumped)
         with pytest.raises(SolveFailure, match="backward error"):
             solve_direct(system)

@@ -103,6 +103,12 @@ class TestSplitSolve:
         with pytest.raises(InvalidSpec, match="outside the annulus"):
             ScalarWHProblem.for_family("sq_crack", inc, CircleGrid(2.0, 256))
 
+    def test_incidence_without_omega_is_refused(self, inc_square):
+        """Incidence defaults omega to None; for_family raised a bare TypeError
+        on it."""
+        with pytest.raises(InvalidSpec, match="no omega"):
+            ScalarWHProblem.for_family("sq_crack", replace(inc_square, omega=None))
+
 
 BAND_TOP = {"square": 2 * math.sqrt(2), "triangular": math.sqrt(6), "honeycomb": 2.0}
 
