@@ -271,17 +271,25 @@ def tri_branch(z, omega):
     Raises PoleAtMinusOne within 1e-13 of z = -1 (F has a simple pole
     there; kernel evaluators use the cleared quadratic instead).
     """
-    w2 = _omega_value(omega) ** 2
     za = np.asarray(z, dtype=complex)
     if np.any(np.abs(1.0 + 1.0 / np.atleast_1d(za)) < _POLE_TOL):
         raise PoleAtMinusOne("F(z) has a pole at z = -1")
-    return _slant_root(z, w2)
+    return _slant_root(z, _slant_omega_sq(Lattice.TRIANGULAR, omega))
 
 
 def hex_reduced_omega_sq(omega) -> complex:
     """Reduced squared frequency wT^2 = (3/2) w^2 (2 - w^2/4)."""
     w2 = _omega_value(omega) ** 2
     return 1.5 * w2 * (2.0 - 0.25 * w2)
+
+
+def _slant_omega_sq(lattice: Lattice, omega) -> complex:
+    """The squared frequency of the slant lattices' row quadratic
+    (_slant_root): w^2 on the triangular lattice, the reduced wT^2 on the
+    honeycomb."""
+    if lattice is Lattice.HONEYCOMB:
+        return hex_reduced_omega_sq(omega)
+    return _omega_value(omega) ** 2
 
 
 def hex_coupling(omega) -> complex:
@@ -301,7 +309,7 @@ def hex_branch(z, omega):
     za = np.asarray(z, dtype=complex)
     if np.any(np.abs(1.0 + 1.0 / np.atleast_1d(za)) < _POLE_TOL):
         raise PoleAtMinusOne("F(z) has a pole at z = -1")
-    return _slant_root(z, hex_reduced_omega_sq(omega))
+    return _slant_root(z, _slant_omega_sq(Lattice.HONEYCOMB, omega))
 
 
 def _plane_wave(lattice, w, c, s):
@@ -444,16 +452,15 @@ def branch_points(lattice, omega) -> np.ndarray:
     square, u = 2 - w^2 and 6 - w^2 (h = 0 and r = 0); slant lattices, the
     roots of the discriminant quartic of the multiplier's quadratic,
     z^4 - (2g + 4) z^3 + (g^2 - 6) z^2 - (2g + 4) z + 1 with g = 6 - (3/2) s,
-    which is palindromic and gives u = g + 2 +- 2 sqrt(g + 3); s is w^2 on
-    the triangular lattice and the reduced wT^2 on the honeycomb.
+    which is palindromic and gives u = g + 2 +- 2 sqrt(g + 3); s is
+    _slant_omega_sq.
     """
     lattice = Lattice(lattice)
-    w2 = _omega_value(omega) ** 2
     if lattice is Lattice.SQUARE:
+        w2 = _omega_value(omega) ** 2
         sums = (2.0 - w2, 6.0 - w2)
     else:
-        s = w2 if lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(omega)
-        g = 6.0 - 1.5 * s
+        g = 6.0 - 1.5 * _slant_omega_sq(lattice, omega)
         root = 2.0 * cmath.sqrt(g + 3.0)
         sums = (g + 2.0 + root, g + 2.0 - root)
     points = []

@@ -123,6 +123,9 @@ class FieldGrid:
 
     @staticmethod
     def from_csv(path) -> "FieldGrid":
+        """The grid to_csv wrote.  InvalidSpec unless the file has data
+        rows, all of 4 or all of 6 columns, whose sites fill the rectangle
+        of their x and y ranges exactly once."""
         meta = {}
         rows = []
         with open(path) as fh:
@@ -133,6 +136,10 @@ class FieldGrid:
                     meta[key.strip()] = val.strip()
                 elif line and not line.startswith("x,"):
                     rows.append([float(tok) for tok in line.split(",")])
+        if not rows:
+            raise InvalidSpec(f"{path} holds no data rows")
+        if {len(row) for row in rows} not in ({4}, {6}):
+            raise InvalidSpec(f"{path}: data rows need 4 columns (x, y, u) or 6, all alike")
         data = np.asarray(rows)
         xs = data[:, 0].astype(int)
         ys = data[:, 1].astype(int)
@@ -140,9 +147,11 @@ class FieldGrid:
         y_range = (int(ys.min()), int(ys.max()))
         nx = x_range[1] - x_range[0] + 1
         ny = y_range[1] - y_range[0] + 1
+        site = (ys - y_range[0], xs - x_range[0])
+        if len(data) != nx * ny or np.unique(np.ravel_multi_index(site, (ny, nx))).size != nx * ny:
+            raise InvalidSpec(f"{path}: the sites do not fill their x/y rectangle exactly once")
         u = np.zeros((ny, nx), dtype=complex)
         v = np.zeros((ny, nx), dtype=complex) if data.shape[1] > 4 else None
-        site = (ys - y_range[0], xs - x_range[0])
         u[site] = data[:, 2] + 1j * data[:, 3]
         if v is not None:
             v[site] = data[:, 4] + 1j * data[:, 5]

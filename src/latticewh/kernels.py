@@ -47,6 +47,7 @@ from .branches import (
     Incidence,
     Lattice,
     _omega_value,
+    _slant_omega_sq,
     _slant_root,
     hex_coupling,
     hex_reduced_omega_sq,
@@ -139,11 +140,9 @@ def _branch(spec, z):
     """The lattice branch every kernel of the family is built on, at z:
     square_branches' (h, r, lam), or the slant root t (triangular) or hh
     (honeycomb)."""
-    w = spec.omega_value
     if spec.lattice is Lattice.SQUARE:
-        return square_branches(z, w)
-    s = w * w if spec.lattice is Lattice.TRIANGULAR else hex_reduced_omega_sq(w)
-    return np.asarray(_slant_root(z, s))
+        return square_branches(z, spec.omega_value)
+    return np.asarray(_slant_root(z, _slant_omega_sq(spec.lattice, spec.omega_value)))
 
 
 def _evaluate(fn, spec, z):

@@ -26,9 +26,9 @@ stencil table of a weight and a neighbouring site per stored site and
 slot, and one right-hand side value per stored site; every other
 equation is A0's, read off _STENCILS.  A Bloch strip stores every row,
 for their wrap weights.  assemble also records each bond it breaks, with
-A0's coupling across it.  AssembledSystem.full_table numbers the
-unknowns, the free sites, and expands the table to each, for
-AssembledSystem.matrix, which the solver never reads, and for the tests.
+A0's coupling across it.  AssembledSystem.matrix is the one view that
+numbers the unknowns, the free sites, as CSR: the solver never reads it,
+but the tests' sparse LU references and perfbench's counts do.
 
 Every window is solved by the capacitance matrix method (_capacitance):
 one free solve of A0, plus multipliers that hold the pinned sites at
@@ -80,18 +80,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .branches import _STENCILS, Incidence, Lattice, lattice_omega_shift
-from .errors import InvalidSpec, SolveFailure, WindowMismatch, WindowTooSmall
-from .fields import ComparisonReport, FieldGrid, compare_fields
+from .errors import InvalidSpec, SolveFailure, WindowTooSmall
+from .fields import FieldGrid
 from .kernels import ScalarKernel, family_record, nodes_at, scalar_forcing, vector_forcing
 from .series import CircleGrid, sample
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "Defect",
@@ -100,8 +96,6 @@ __all__ = [
     "AssembledSystem",
     "assemble",
     "solve_direct",
-    "compare_fields",
-    "ComparisonReport",
     "wh_residual",
     "problem_for",
 ]
@@ -160,6 +154,8 @@ class LatticeProblemSpec:
                 raise InvalidSpec("Bloch periodicity is implemented for the square lattice")
             if self.bloch.period < 2:
                 raise InvalidSpec("Bloch period must be >= 2")
+            if self.bloch.multiplier == 0 or not np.isfinite(self.bloch.multiplier):
+                raise InvalidSpec("the Bloch multiplier must be finite and nonzero")
         if any(d.side == "right" for d in self.defects) and self.lattice is not Lattice.SQUARE:
             raise InvalidSpec("right-pointing defects are supported on the square lattice")
 
@@ -250,11 +246,8 @@ class AssembledSystem:
     equation.  bonds holds each broken slot from before a two-row strip
     folds two couplings into one.  Slot 0 of a row is the site itself, slot
     j its lattice's stencil entry j.  The solver reads grid sites alone;
-    full_table, matrix, row_entries and site_id number the unknowns, the
-    free sites row by row, sublattice by sublattice (_unknowns).  full_table
-    expands the table to every unknown, and matrix builds it as CSR, on
-    each read; nothing stores either, and row_entries reads one stored row
-    or builds A0's row alone."""
+    matrix is the one view that numbers the unknowns, for the tests' sparse
+    LU references and perfbench's counts."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
     neighbours: np.ndarray    # [stored row, slot]: grid site coupled, -1 if pinned or outside
@@ -274,81 +267,28 @@ class AssembledSystem:
         s = len(_STENCILS[self.spec.lattice])
         return np.flatnonzero(~np.broadcast_to(self.free, (s, *self.free.shape)))
 
-    def full_table(self) -> tuple:
-        """The stencil table of every unknown and the right-hand side b,
-        (weights, neighbours, b): the stored rows, and A0's rows with b = 0
-        elsewhere."""
-        unknowns = self._unknowns()
-        weights, neighbours = self._free_rows(np.arange(self.free.shape[0]))
-        at = unknowns[self.stored]
-        weights[at], neighbours[at] = self.weights, self.neighbours
-        b = np.zeros(len(weights), complex)
-        b[at] = self.rhs
-        return weights, np.where(neighbours >= 0, unknowns[neighbours], -1), b
-
-    def _free_rows(self, rows: np.ndarray) -> tuple:
-        """A0's stencil table (weights, neighbours) of the free sites on the
-        window rows `rows`, sublattice by sublattice (see _neighbour_table)."""
-        neighbours = _neighbour_table(self.spec, self.free, rows)
-        weights = np.ones(neighbours.shape, complex)
-        omega = self.spec.incidence.omega
-        weights[:, 0] = lattice_omega_shift(self.spec.lattice, omega * omega)  # A0's diagonal
-        return weights, neighbours
-
-    def _unknowns(self) -> np.ndarray:
-        """The unknown id of each grid site, -1 where pinned."""
-        free = np.broadcast_to(self.free, (len(_STENCILS[self.spec.lattice]), *self.free.shape))
-        ids = np.full(free.shape, -1, np.int64)
-        ids[free] = np.arange(np.count_nonzero(free))
-        return ids.reshape(-1)
-
     @property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        """Every slot of the full table with a neighbour and a nonzero weight, as CSR.
-
-        scipy.sparse is imported here, on the first read: no solve reads the
-        matrix, so the package loads no scipy module."""
+    def matrix(self):
+        """The window's equations as a scipy.sparse CSR matrix on the
+        unknowns, the free sites numbered row by row, sublattice by
+        sublattice: A0's rows with the stored rows laid over them, each slot
+        with a neighbour and a nonzero weight.  Built on each read, importing
+        scipy.sparse here: importing the package loads no scipy module."""
         import scipy.sparse as sp
 
-        weights, neighbours, _ = self.full_table()
+        spec, free, w = self.spec, self.free, self.spec.incidence.omega
+        # the unknown id of each free grid site, the count of free sites before it
+        ids = np.cumsum(np.broadcast_to(free, (len(_STENCILS[spec.lattice]), *free.shape))) - 1
+        neighbours = _neighbour_table(spec, free, np.arange(free.shape[0]))
+        weights = np.ones(neighbours.shape, complex)
+        weights[:, 0] = lattice_omega_shift(spec.lattice, w * w)  # A0's diagonal
+        at = ids[self.stored]
+        weights[at], neighbours[at] = self.weights, self.neighbours
         keep = (neighbours >= 0) & (weights != 0)
-        matrix = sp.csr_matrix((weights[keep], neighbours[keep],
+        matrix = sp.csr_matrix((weights[keep], ids[neighbours[keep]],
                                 np.r_[0, np.cumsum(keep.sum(1))]), shape=(len(weights),) * 2)
         matrix.sort_indices()  # the wrapped rows of a Bloch strip
         return matrix
-
-    def row_entries(self, x: int, y: int, sublattice: str = "u") -> dict:
-        """Matrix row of the equation at a free site, keyed by column id: the
-        stored row, or A0's, built for the site's window row alone."""
-        site = self._site(x, y, sublattice)
-        unknowns = self._unknowns()
-        if unknowns[site] < 0:
-            raise InvalidSpec(f"site ({x},{y},{sublattice}) is not a free unknown")
-        r = np.searchsorted(self.stored, site)
-        if r < self.stored.size and self.stored[r] == site:
-            weights, neighbours = self.weights[r], self.neighbours[r]
-        else:  # slot 0 of a row is its own site
-            weights, neighbours = self._free_rows(np.array([y - self.y_range[0]]))
-            own = neighbours[:, 0] == site
-            weights, neighbours = weights[own][0], neighbours[own][0]
-        return {int(unknowns[c]): complex(val) for c, val in zip(neighbours, weights)
-                if c >= 0 and val != 0}
-
-    def site_id(self, x: int, y: int, sublattice: str = "u") -> int:
-        """Unknown id of a window site, -1 if it is pinned."""
-        return int(self._unknowns()[self._site(x, y, sublattice)])
-
-    def _site(self, x: int, y: int, sublattice: str) -> int:
-        """Grid site of a window site."""
-        subs = list(_STENCILS[self.spec.lattice])
-        if sublattice not in subs:
-            raise InvalidSpec(f"no sublattice {sublattice!r} on the {self.spec.lattice.value} "
-                              "lattice")
-        (x0, x1), (y0, y1) = self.x_range, self.y_range
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            raise WindowMismatch(f"site ({x},{y}) outside the window [{x0}, {x1}] x [{y0}, {y1}]")
-        ny, nx = self.free.shape
-        return (subs.index(sublattice) * ny + y - y0) * nx + x - x0
 
 
 def _neighbour_table(spec: LatticeProblemSpec, free: np.ndarray, rows: np.ndarray) -> np.ndarray:

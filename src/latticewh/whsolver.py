@@ -34,7 +34,9 @@ from .branches import (
     hex_coupling,
     lattice_omega_shift,
 )
-from .errors import IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowTooLarge
+from .errors import (
+    IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowMismatch, WindowTooLarge
+)
 from .fields import FieldGrid
 from .kernels import AffineForcing, ScalarKernel, family_record, nodes_at, scalar_forcing
 from .series import (
@@ -345,6 +347,8 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     comes from the same transform.
     """
     (x0, x1), (y0, y1) = window
+    if x0 > x1 or y0 > y1:
+        raise WindowMismatch(f"reversed window {(x0, x1)} x {(y0, y1)}")
     grid = solution.grid
     kernel = problem.kernel
     rec = family_record(kernel.family)

@@ -157,6 +157,24 @@ class TestOracleCompare:
         assert "square grid with a triangular grid" in capsys.readouterr().err
         assert not rep.exists()
 
+    @pytest.mark.parametrize("body,message", [
+        ("", "no data rows"),
+        ("0,0,1,0,1\n", "4 columns"),
+        ("0,0,1,0\n1,0,1,0,0,0\n", "4 columns"),
+        ("0,0,1,0\n1,1,1,0\n", "exactly once"),
+        ("0,0,1,0\n0,0,2,0\n", "exactly once"),
+    ], ids=["header_only", "five_columns", "mixed_columns", "missing_sites", "repeated_site"])
+    def test_malformed_csv_exits_one(self, tmp_path, capsys, body, message):
+        """compare exits 1 with "invalid input", not a traceback, on a CSV
+        without data rows, with 5 columns, or whose sites do not fill their
+        rectangle exactly once: the first two raised IndexError, and a
+        missing site read as 0."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# lattice = square\nx,y,re_u,im_u\n" + body)
+        assert run(["compare", str(bad), str(bad), "--window", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input") and message in err
+
     def test_family_default_half_width(self, tmp_path):
         out = tmp_path / "field.csv"
         assert run(["oracle", "--family", "sq_crack", "-o", str(out)]) == 0

@@ -72,6 +72,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="no omega"):
             LatticeProblemSpec("square", (Defect("crack", 0),), replace(inc_square, omega=None))
 
+    @pytest.mark.parametrize("multiplier", [0, np.nan, np.inf, complex(1, np.inf)])
+    def test_bloch_multiplier_must_be_finite_and_nonzero(self, inc_square, multiplier):
+        """A zero multiplier made assemble raise numpy's bare ValueError on a
+        negative integer power; NaN and inf reached solve_direct, which
+        reported only SolveFailure."""
+        with pytest.raises(InvalidSpec, match="Bloch multiplier"):
+            LatticeProblemSpec("square", (Defect("crack", 0),), inc_square,
+                               BlochSpec(3, multiplier))
+
     def test_window_too_small(self, inc_square):
         spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", 30),),
                                   inc_square)
@@ -121,14 +130,14 @@ class TestAssembly:
         spec = LatticeProblemSpec("square", (Defect("crack", 0, "left", 0),), inc_square)
         system = assemble(spec, 40)
         # broken side (x < 0): coordination 3, no down coupling
-        row = system.row_entries(-5, 0)
-        assert abs(row[system.site_id(-5, 0)] - (W2 - 3)) < 1e-14
-        assert system.site_id(-5, -1) not in row
-        assert row[system.site_id(-4, 0)] == 1.0
+        row = _row(system, -5, 0)
+        assert abs(row[_site_id(system, -5, 0)] - (W2 - 3)) < 1e-14
+        assert _site_id(system, -5, -1) not in row
+        assert row[_site_id(system, -4, 0)] == 1.0
         # intact side (x >= 0): full stencil
-        row = system.row_entries(5, 0)
-        assert abs(row[system.site_id(5, 0)] - (W2 - 4)) < 1e-14
-        assert row[system.site_id(5, -1)] == 1.0
+        row = _row(system, 5, 0)
+        assert abs(row[_site_id(system, 5, 0)] - (W2 - 4)) < 1e-14
+        assert row[_site_id(system, 5, -1)] == 1.0
 
     def test_opposing_rows_match_printed_equations(self, inc_square):
         # opposing cracks N=3, M=3: rows N, N-1, 0, -1 carry the Heaviside
@@ -137,29 +146,29 @@ class TestAssembly:
             MatrixKernelSpec("opposing_cracks", OMEGA, sep=3, offsets=(3,)), inc_square)
         system = assemble(spec, 40)
         # at y = N, x <= M-1 the bond down is intact; x >= M broken
-        row = system.row_entries(1, 3)
-        assert row[system.site_id(1, 2)] == 1.0
-        assert abs(row[system.site_id(1, 3)] - (W2 - 4)) < 1e-14
-        row = system.row_entries(6, 3)
-        assert system.site_id(6, 2) not in row
-        assert abs(row[system.site_id(6, 3)] - (W2 - 3)) < 1e-14
+        row = _row(system, 1, 3)
+        assert row[_site_id(system, 1, 2)] == 1.0
+        assert abs(row[_site_id(system, 1, 3)] - (W2 - 4)) < 1e-14
+        row = _row(system, 6, 3)
+        assert _site_id(system, 6, 2) not in row
+        assert abs(row[_site_id(system, 6, 3)] - (W2 - 3)) < 1e-14
         # at y = 0 the crack points left
-        row = system.row_entries(-6, 0)
-        assert system.site_id(-6, -1) not in row
-        row = system.row_entries(6, 0)
-        assert row[system.site_id(6, -1)] == 1.0
+        row = _row(system, -6, 0)
+        assert _site_id(system, -6, -1) not in row
+        row = _row(system, 6, 0)
+        assert row[_site_id(system, 6, -1)] == 1.0
 
     def test_right_pointing_crack_stencils(self, inc_square):
         spec = LatticeProblemSpec("square", (Defect("crack", 0, "right", 3),), inc_square)
         system = assemble(spec, 20)
         # broken for x >= 3, from both faces of the crack
         for y, other in ((0, -1), (-1, 0)):
-            row = system.row_entries(5, y)
-            assert system.site_id(5, other) not in row
-            assert abs(row[system.site_id(5, y)] - (W2 - 3)) < 1e-14
-            row = system.row_entries(2, y)
-            assert row[system.site_id(2, other)] == 1.0
-            assert abs(row[system.site_id(2, y)] - (W2 - 4)) < 1e-14
+            row = _row(system, 5, y)
+            assert _site_id(system, 5, other) not in row
+            assert abs(row[_site_id(system, 5, y)] - (W2 - 3)) < 1e-14
+            row = _row(system, 2, y)
+            assert row[_site_id(system, 2, other)] == 1.0
+            assert abs(row[_site_id(system, 2, y)] - (W2 - 4)) < 1e-14
 
     def test_triangular_slant_bonds_at_crack(self, inc_triangular):
         spec = LatticeProblemSpec("triangular", (Defect("crack", 0, "left", 0),),
@@ -168,28 +177,28 @@ class TestAssembly:
         base = 1.5 * W2 - 6
         # below the crack face (x < 0): the vertical and the (1,-1) slant
         # bond break together, coordination drops by 2
-        row = system.row_entries(-5, 0)
+        row = _row(system, -5, 0)
         assert len(row) == 5
-        assert system.site_id(-5, -1) not in row and system.site_id(-4, -1) not in row
-        assert row[system.site_id(-6, 1)] == 1.0
-        assert abs(row[system.site_id(-5, 0)] - (base + 2)) < 1e-14
+        assert _site_id(system, -5, -1) not in row and _site_id(system, -4, -1) not in row
+        assert row[_site_id(system, -6, 1)] == 1.0
+        assert abs(row[_site_id(system, -5, 0)] - (base + 2)) < 1e-14
         # above it the (-1,1) slant bond reads the crack cell of x - 1
-        row = system.row_entries(-5, -1)
+        row = _row(system, -5, -1)
         assert len(row) == 5
-        assert system.site_id(-5, 0) not in row and system.site_id(-6, 0) not in row
-        assert row[system.site_id(-4, -2)] == 1.0
-        assert abs(row[system.site_id(-5, -1)] - (base + 2)) < 1e-14
+        assert _site_id(system, -5, 0) not in row and _site_id(system, -6, 0) not in row
+        assert row[_site_id(system, -4, -2)] == 1.0
+        assert abs(row[_site_id(system, -5, -1)] - (base + 2)) < 1e-14
         # at the tip only the slant bond (-1,0)--(0,-1) is broken
-        row = system.row_entries(0, -1)
-        assert system.site_id(-1, 0) not in row
-        assert row[system.site_id(0, 0)] == 1.0
-        assert abs(row[system.site_id(0, -1)] - (base + 1)) < 1e-14
-        row = system.row_entries(-1, 0)
-        assert system.site_id(0, -1) not in row and system.site_id(-1, -1) not in row
-        assert abs(row[system.site_id(-1, 0)] - (base + 2)) < 1e-14
-        row = system.row_entries(0, 0)
-        assert row[system.site_id(0, -1)] == row[system.site_id(1, -1)] == 1.0
-        assert abs(row[system.site_id(0, 0)] - base) < 1e-14
+        row = _row(system, 0, -1)
+        assert _site_id(system, -1, 0) not in row
+        assert row[_site_id(system, 0, 0)] == 1.0
+        assert abs(row[_site_id(system, 0, -1)] - (base + 1)) < 1e-14
+        row = _row(system, -1, 0)
+        assert _site_id(system, 0, -1) not in row and _site_id(system, -1, -1) not in row
+        assert abs(row[_site_id(system, -1, 0)] - (base + 2)) < 1e-14
+        row = _row(system, 0, 0)
+        assert row[_site_id(system, 0, -1)] == row[_site_id(system, 1, -1)] == 1.0
+        assert abs(row[_site_id(system, 0, 0)] - base) < 1e-14
 
     def test_honeycomb_rows_at_crack(self, inc_honeycomb):
         spec = LatticeProblemSpec("honeycomb", (Defect("crack", 0, "left", 0),),
@@ -197,71 +206,66 @@ class TestAssembly:
         system = assemble(spec, 20)
         base = 0.75 * W2 - 3
         # u(x, 0) -- v(x, -1) is the broken bond for x < 0
-        row = system.row_entries(-5, 0, "u")
-        assert set(row) == {system.site_id(-5, 0, "u"), system.site_id(-5, 0, "v"),
-                            system.site_id(-6, 0, "v")}
-        assert abs(row[system.site_id(-5, 0, "u")] - (base + 1)) < 1e-14
-        row = system.row_entries(-5, -1, "v")
-        assert set(row) == {system.site_id(-5, -1, "v"), system.site_id(-5, -1, "u"),
-                            system.site_id(-4, -1, "u")}
-        assert abs(row[system.site_id(-5, -1, "v")] - (base + 1)) < 1e-14
+        row = _row(system, -5, 0, "u")
+        assert set(row) == {_site_id(system, -5, 0, "u"), _site_id(system, -5, 0, "v"),
+                            _site_id(system, -6, 0, "v")}
+        assert abs(row[_site_id(system, -5, 0, "u")] - (base + 1)) < 1e-14
+        row = _row(system, -5, -1, "v")
+        assert set(row) == {_site_id(system, -5, -1, "v"), _site_id(system, -5, -1, "u"),
+                            _site_id(system, -4, -1, "u")}
+        assert abs(row[_site_id(system, -5, -1, "v")] - (base + 1)) < 1e-14
         # intact side
-        row = system.row_entries(5, 0, "u")
-        assert row[system.site_id(5, -1, "v")] == 1.0
-        assert abs(row[system.site_id(5, 0, "u")] - base) < 1e-14
-        row = system.row_entries(5, -1, "v")
-        assert row[system.site_id(5, 0, "u")] == 1.0
-        assert abs(row[system.site_id(5, -1, "v")] - base) < 1e-14
+        row = _row(system, 5, 0, "u")
+        assert row[_site_id(system, 5, -1, "v")] == 1.0
+        assert abs(row[_site_id(system, 5, 0, "u")] - base) < 1e-14
+        row = _row(system, 5, -1, "v")
+        assert row[_site_id(system, 5, 0, "u")] == 1.0
+        assert abs(row[_site_id(system, 5, -1, "v")] - base) < 1e-14
 
     def test_honeycomb_pinned_neighbours(self, inc_honeycomb):
         spec = LatticeProblemSpec("honeycomb", (Defect("constraint", 0, "left", 0),),
                                   inc_honeycomb)
         system = assemble(spec, 20)
         base = 0.75 * W2 - 3
-        assert system.site_id(-5, 0, "u") < 0 and system.site_id(-5, 0, "v") < 0
+        assert _site_id(system, -5, 0, "u") < 0 and _site_id(system, -5, 0, "v") < 0
         # a pinned neighbour drops its column and leaves the diagonal alone
         for (x, y, sub), kept in (((-5, 1, "u"), {(-5, 1, "v"), (-6, 1, "v")}),
                                   ((-5, -1, "v"), {(-5, -1, "u"), (-4, -1, "u")}),
                                   ((0, 0, "u"), {(0, 0, "v"), (0, -1, "v")})):
-            row = system.row_entries(x, y, sub)
-            own = system.site_id(x, y, sub)
-            assert set(row) == {own} | {system.site_id(*site) for site in kept}
+            row = _row(system, x, y, sub)
+            own = _site_id(system, x, y, sub)
+            assert set(row) == {own} | {_site_id(system, *site) for site in kept}
             assert abs(row[own] - base) < 1e-14
 
     @pytest.mark.parametrize("family", ["sq_crack", "hex_crack"])
     def test_sites_outside_the_window_are_refused(self, request, family):
         """Past either edge of the L = 20 window, on either axis and either
-        honeycomb sublattice, a site has no id and no equation; a negative
-        offset used to wrap to the opposite edge."""
+        honeycomb sublattice, the solved field has no value; a negative
+        offset must not wrap to the opposite edge."""
         lattice = kernel_lattice(family).value
         spec = problem_for(ScalarKernel(family, OMEGA), request.getfixturevalue(f"inc_{lattice}"))
-        system = assemble(spec, 20)
+        field = solve_direct(assemble(spec, 20))
         for sub in NEIGHBOURS[lattice]:
             for x, y in ((-21, 0), (21, 0), (0, -21), (0, 21)):
                 with pytest.raises(WindowMismatch):
-                    system.site_id(x, y, sub)
-                with pytest.raises(WindowMismatch):
-                    system.row_entries(x, y, sub)
-            assert min(system.site_id(x, y, sub) for x in (-20, 20) for y in (-20, 20)) >= 0
+                    field.value(x, y, sub)
+            for x, y in ((-20, -20), (20, 20)):
+                assert field.value(x, y, sub) == field.row(y, sub)[x + 20]
 
     @pytest.mark.parametrize("family", ["sq_crack", "tri_dirichlet", "hex_crack"])
     def test_unknown_sublattices_are_refused(self, request, family):
         """A sublattice the lattice lacks ("v" off the honeycomb) or that no
-        lattice has raises InvalidSpec from the system and from its field:
-        "v" raised a bare TypeError on the square and triangular lattices,
-        and on the honeycomb any name but "u" read v."""
+        lattice has raises InvalidSpec from the solved field: "v" raised a
+        bare TypeError on the square and triangular lattices, and on the
+        honeycomb any name but "u" read v."""
         lattice = kernel_lattice(family).value
         spec = problem_for(ScalarKernel(family, OMEGA), request.getfixturevalue(f"inc_{lattice}"))
-        system = assemble(spec, 20)
-        field = solve_direct(system)
+        field = solve_direct(assemble(spec, 20))
         for name in ["w", "U", ""] + ([] if lattice == "honeycomb" else ["v"]):
-            for read in (lambda: system.site_id(5, 3, name),
-                         lambda: system.row_entries(5, 3, name),
-                         lambda: field.row(3, name), lambda: field.value(5, 3, name)):
+            for read in (lambda: field.row(3, name), lambda: field.value(5, 3, name)):
                 with pytest.raises(InvalidSpec, match="sublattice"):
                     read()
         for name in NEIGHBOURS[lattice]:
-            assert system.site_id(5, 3, name) >= 0
             assert field.value(5, 3, name) == field.row(3, name)[25]
 
     def test_bloch_wrap_entries(self, inc_square):
@@ -270,19 +274,19 @@ class TestAssembly:
                                   bloch=BlochSpec(period=3, multiplier=psi))
         system = assemble(spec, 20)
         # row 0 couples down to row -1 = psi^-1 * row 2, row 2 up to row 3 = psi * row 0
-        row = system.row_entries(5, 0)
-        assert abs(row[system.site_id(5, 2)] - psi**-1) < 1e-15
-        assert row[system.site_id(5, 1)] == 1.0
-        row = system.row_entries(5, 2)
-        assert abs(row[system.site_id(5, 0)] - psi) < 1e-15
-        assert row[system.site_id(5, 1)] == 1.0
+        row = _row(system, 5, 0)
+        assert abs(row[_site_id(system, 5, 2)] - psi**-1) < 1e-15
+        assert row[_site_id(system, 5, 1)] == 1.0
+        row = _row(system, 5, 2)
+        assert abs(row[_site_id(system, 5, 0)] - psi) < 1e-15
+        assert row[_site_id(system, 5, 1)] == 1.0
         # the crack at row 0 (x < 0) cuts the wrapped bond from both sides
-        row = system.row_entries(-5, 0)
-        assert system.site_id(-5, 2) not in row
-        assert abs(row[system.site_id(-5, 0)] - (W2 - 3)) < 1e-14
-        row = system.row_entries(-5, 2)
-        assert system.site_id(-5, 0) not in row
-        assert abs(row[system.site_id(-5, 2)] - (W2 - 3)) < 1e-14
+        row = _row(system, -5, 0)
+        assert _site_id(system, -5, 2) not in row
+        assert abs(row[_site_id(system, -5, 0)] - (W2 - 3)) < 1e-14
+        row = _row(system, -5, 2)
+        assert _site_id(system, -5, 0) not in row
+        assert abs(row[_site_id(system, -5, 2)] - (W2 - 3)) < 1e-14
 
 
 class TestSolveDirect:
@@ -683,7 +687,7 @@ def _csr_residual(system, w):
     """The residual b - A w and each equation's backward error scale,
     max(|A| |w| + |b|, |amplitude|), as defined on the CSR matrix, for w
     given per unknown."""
-    matrix, b = system.matrix, system.full_table()[2]
+    matrix, b = system.matrix, _grid_rhs(system).ravel()[_free_sites(system)]
     scale = np.maximum(abs(matrix) @ np.abs(w) + np.abs(b), abs(system.spec.incidence.amplitude))
     return b - matrix @ w, scale
 
@@ -718,73 +722,59 @@ def _grid_site(system, x, y, sub="u"):
                                     (len(subs), *system.free.shape)))
 
 
+def _site_id(system, x, y, sub="u"):
+    """The unknown id of a window site, its row and column of matrix; -1
+    where pinned."""
+    sites, site = _free_sites(system), _grid_site(system, x, y, sub)
+    i = int(np.searchsorted(sites, site))
+    return i if i < sites.size and sites[i] == site else -1
+
+
+def _row(system, x, y, sub="u"):
+    """The matrix row of a free site's equation, {unknown id: value}."""
+    i = _site_id(system, x, y, sub)
+    assert i >= 0, f"({x}, {y}, {sub}) is pinned"
+    row = system.matrix[i]
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
 class TestReferenceAssembly:
     @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS)
                              + ["period_two_strip"], ids=_layout_id)
     def test_matches_the_equations_of_motion(self, request, layout):
         """Every matrix entry exactly, the right-hand side to 1e-14 of the
         scale of each equation, and the unknown numbering, at L = 20; no
-        two slots of a row of the table share a neighbour."""
+        two slots of a stored row share a neighbour."""
         spec = _spec(request, layout)
         system = assemble(spec, 20)
         entries, rhs, scale, ids = _reference_assembly(spec, 20)
         coo = system.matrix.tocoo()
         assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
-        _, neighbours, b = system.full_table()
-        assert np.all(np.abs(b - rhs) <= 1e-14 * scale)
-        assert {site: system.site_id(*site) for site in ids} == ids
+        free = _free_sites(system)
+        assert np.all(np.abs(_grid_rhs(system).ravel()[free] - rhs) <= 1e-14 * scale)
+        assert [_grid_site(system, *site) for site in ids] == free.tolist()
         assert system.matrix.shape[0] == len(ids)
         assert system.rhs.size == system.stored.size
-        slots = np.sort(neighbours, axis=1)
+        slots = np.sort(system.neighbours, axis=1)
         assert not np.any((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] >= 0))
 
     @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
                              ids=_layout_id)
     def test_rows_off_the_table_are_the_defect_free_equations(self, request, layout):
         """Every equation outside the stored rows equals the same site's
-        equation in the defect-free window, matched through site_id, and has
-        a zero right-hand side (L = 20)."""
+        equation in the defect-free window, matched by grid site, and has a
+        zero right-hand side (L = 20).  The defect-free window pins nothing,
+        so its unknowns are its grid sites."""
         spec = _spec(request, layout)
         system = assemble(spec, 20)
         free = assemble(LatticeProblemSpec(spec.lattice, (), spec.incidence, spec.bloch), 20)
-        (x0, x1), (y0, y1) = system.x_range, system.y_range
-        sites = [(x, y, sub) for sub in NEIGHBOURS[spec.lattice.value]
-                 for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
-                 if system.site_id(x, y, sub) >= 0]
-        b = system.full_table()[2]
-        assert [system.site_id(*site) for site in sites] == list(range(b.size))
-        to_free = np.array([free.site_id(*site) for site in sites])
-        off = np.flatnonzero(~np.isin(_free_sites(system), system.stored))
-        assert not np.any(b[off])
-        ours, theirs = system.matrix[off].tocoo(), free.matrix[to_free[off]].tocoo()
-        assert set(zip(ours.row.tolist(), to_free[ours.col].tolist(), ours.data.tolist())) == \
+        assert free.pinned.size == 0
+        sites = _free_sites(system)
+        off = np.flatnonzero(~np.isin(sites, system.stored))
+        assert not np.any(_grid_rhs(system).ravel()[sites[off]])
+        ours, theirs = system.matrix[off].tocoo(), free.matrix[sites[off]].tocoo()
+        assert set(zip(ours.row.tolist(), sites[ours.col].tolist(), ours.data.tolist())) == \
             set(zip(theirs.row.tolist(), theirs.col.tolist(), theirs.data.tolist()))
-
-    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + ["period_two_strip"],
-                             ids=_layout_id)
-    def test_row_entries_read_one_row(self, request, monkeypatch, layout):
-        """row_entries is the full table's row at every free site of four
-        columns, both edges among them, on every row of the L = 20 window:
-        the stored rows, A0's rows, both honeycomb sublattices and the rows
-        of Bloch strips.  It reads the row alone, never the full table."""
-        spec = _spec(request, layout)
-        system = assemble(spec, 20)
-        weights, neighbours, _ = system.full_table()
-        monkeypatch.setattr(oracle.AssembledSystem, "full_table",
-                            lambda self: pytest.fail("row_entries expanded the full table"))
-        (x0, x1), (y0, y1) = system.x_range, system.y_range
-        read = set()
-        for sub in NEIGHBOURS[spec.lattice.value]:
-            for y in range(y0, y1 + 1):
-                for x in (x0, -1, 0, x1):
-                    i = system.site_id(x, y, sub)
-                    if i >= 0:
-                        assert system.row_entries(x, y, sub) == {
-                            int(c): complex(v) for c, v in zip(neighbours[i], weights[i])
-                            if c >= 0 and v != 0}
-                        read.add(i)
-        stored = read & set(np.searchsorted(_free_sites(system), system.stored).tolist())
-        assert stored and (stored == read) == (spec.bloch is not None)
 
 
 class TestTableChecks:
@@ -944,20 +934,23 @@ class TestTorusWindows:
                                         "right_crack", "defect_free"])
     def test_only_square_tables_have_an_outside(self, request, layout):
         """A triangular or honeycomb window without Bloch rows wraps both
-        ways, so a slot's neighbour in the full table is -1 only where it is
+        ways, so a slot's neighbour in A0's table is -1 only where it is
         pinned; a square window keeps its zero Dirichlet edge.  A defect-free
         window stores no rows."""
+        def outside(system):
+            rows = np.arange(system.free.shape[0])
+            return np.any(oracle._neighbour_table(system.spec, system.free, rows) < 0)
+
         spec = _spec(request, layout)
         system = assemble(spec, 20)
-        outside = np.any(system.full_table()[1] < 0)
         assert (system.stored.size == 0) == (not spec.defects)
         if spec.lattice is Lattice.SQUARE:
-            assert outside
+            assert outside(system)
         else:
-            assert outside == any(d.kind == "constraint" for d in spec.defects)
+            assert outside(system) == any(d.kind == "constraint" for d in spec.defects)
             cracks = [d for d in spec.defects if d.kind == "crack"]
-            cracked = assemble(LatticeProblemSpec(spec.lattice, cracks, spec.incidence), 20)
-            assert not np.any(cracked.full_table()[1] < 0)
+            assert not outside(assemble(LatticeProblemSpec(spec.lattice, cracks,
+                                                           spec.incidence), 20))
 
     @pytest.mark.parametrize("family,gate", [("tri_dirichlet", 1e-7), ("hex_crack", 3e-12)])
     def test_seam(self, family, gate):
@@ -1202,7 +1195,8 @@ def _first_solve(system, solve=None):
 
 def _sparse_lu(system):
     """Sparse LU's solution of the CSR matrix, on the grid (0 where pinned)."""
-    return _on_grid(system, spla.splu(system.matrix.tocsc()).solve(system.full_table()[2]))
+    b = _grid_rhs(system).ravel()[_free_sites(system)]
+    return _on_grid(system, spla.splu(system.matrix.tocsc()).solve(b))
 
 
 @pytest.fixture(scope="module")
@@ -1426,16 +1420,16 @@ class TestCapacitanceSolve:
     @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
     def test_solves_on_grid_sites_alone(self, request, monkeypatch, layout):
         """assemble and solve_direct build and read no numbering of the
-        unknowns: with it raising they still solve, and the right-hand side
-        holds one value per stored row."""
+        unknowns: with matrix, its one view, raising they still solve, and
+        the right-hand side holds one value per stored row."""
         def refuse(self):
             raise AssertionError("the solve path numbered the unknowns")
-        monkeypatch.setattr(oracle.AssembledSystem, "_unknowns", refuse)
+        monkeypatch.setattr(oracle.AssembledSystem, "matrix", property(refuse))
         system = assemble(_spec(request, layout), 20)
         assert system.rhs.size == system.stored.size
         solve_direct(system)
         with pytest.raises(AssertionError, match="numbered the unknowns"):
-            system.site_id(0, 0)
+            system.matrix
 
     @pytest.mark.parametrize("layout", CAPACITANCE_LAYOUTS, ids=_layout_id)
     def test_output_holds_the_solution_and_zero_total_field_where_pinned(self, request, layout):

@@ -25,6 +25,7 @@ from latticewh.errors import (
     LatticeWHError,
     LengthMismatch,
     PhaseStepTooLarge,
+    WindowMismatch,
     WindowTooLarge,
 )
 from latticewh.fields import FieldGrid, compare_fields
@@ -615,6 +616,15 @@ class TestReconstruction:
         sol = solve_scalar(problem)
         with pytest.raises(WindowTooLarge):
             reconstruct_field(problem, sol, ((-40, 40), (-40, 40)))
+
+    @pytest.mark.parametrize("window", [((5, -5), (-5, 5)), ((-5, 5), (5, -5))],
+                             ids=["x", "y"])
+    def test_reversed_window(self, inc_square, window):
+        """A window with x0 > x1 or y0 > y1 is a WindowMismatch, as for
+        FieldGrid.window, not FieldGrid's bare ValueError on its shape."""
+        problem = ScalarWHProblem.for_family("sq_crack", inc_square, CircleGrid(1.0, 64))
+        with pytest.raises(WindowMismatch, match="reversed window"):
+            reconstruct_field(problem, solve_scalar(problem), window)
 
 
 class TestClosure:
