@@ -776,6 +776,21 @@ class TestReferenceAssembly:
         assert set(zip(ours.row.tolist(), sites[ours.col].tolist(), ours.data.tolist())) == \
             set(zip(theirs.row.tolist(), theirs.col.tolist(), theirs.data.tolist()))
 
+    @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + ["period_two_strip"],
+                             ids=_layout_id)
+    def test_row_entries_read_one_row(self, request, layout):
+        """_row reads each stored site's matrix row at L = 20: its stored
+        row's neighbours of nonzero weight, on both honeycomb sublattices,
+        the window's edges and every row of a Bloch strip."""
+        system = assemble(_spec(request, layout), 20)
+        (x0, _), (y0, _) = system.x_range, system.y_range
+        subs, sites = list(NEIGHBOURS[system.spec.lattice.value]), _free_sites(system)
+        for site, c, v in zip(system.stored, system.neighbours, system.weights):
+            k, y, x = np.unravel_index(site, (len(subs), *system.free.shape))
+            keep = (c >= 0) & (v != 0)
+            assert _row(system, x0 + x, y0 + y, subs[k]) == dict(zip(
+                np.searchsorted(sites, c[keep]).tolist(), v[keep].tolist()))
+
 
 class TestTableChecks:
     @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS)
