@@ -323,23 +323,30 @@ def _build_parser() -> _Parser:
         p.add_argument("--omega", default="1,0.1", help="complex frequency, e.g. 1,0.1")
         p.add_argument("--theta", type=float, default=0.0, help="incidence angle (rad)")
         p.add_argument("--amplitude", default="1", help="incident amplitude, e.g. 1,0")
+
+    def add_circle(p):
         p.add_argument("--nq", type=int, default=4096, help="circle sample count")
         p.add_argument("--radius", type=float, default=1.0, help="circle radius")
+
+    def add_rows(p):
+        p.add_argument("--nu", type=int, default=None, help="defect count (array kernels)")
+        p.add_argument("--sep", type=int, default=1, help="row separation N")
+        p.add_argument("--offsets", default="", help="tip offsets, e.g. 0,2,5")
 
     pk = sub.add_parser("kernel", help="sample a kernel on a circle")
     pk.add_argument("--family")
     pk.add_argument("--list", action="store_true", dest="list_families",
                     help="print the kernel catalog and exit")
     add_common(pk)
-    pk.add_argument("--nu", type=int, default=None, help="defect count (array kernels)")
-    pk.add_argument("--sep", type=int, default=1, help="row separation N")
-    pk.add_argument("--offsets", default="", help="tip offsets, e.g. 0,2,5")
+    add_circle(pk)
+    add_rows(pk)
     pk.add_argument("-o", "--output", default=None)
     pk.set_defaults(func=_cmd_kernel)
 
     pf = sub.add_parser("factorize", help="factorize a scalar kernel")
     pf.add_argument("--family", required=True)
     add_common(pf)
+    add_circle(pf)
     pf.add_argument("--output-plus", default="factor_plus.csv")
     pf.add_argument("--output-minus", default="factor_minus.csv")
     pf.add_argument("--report", default=None, help="JSON report path (stdout if omitted)")
@@ -348,6 +355,7 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="solve a scalar WH problem end to end")
     ps.add_argument("--family", required=True)
     add_common(ps)
+    add_circle(ps)
     ps.add_argument("--window", type=_half_window, default=20, help="field half window")
     ps.add_argument("-o", "--output", required=True, help="field CSV path")
     ps.add_argument("--report", default=None)
@@ -356,12 +364,8 @@ def _build_parser() -> _Parser:
     po = sub.add_parser("oracle", help="finite-lattice direct solve")
     po.add_argument("--family", default=None)
     po.add_argument("--config", default=None, help="JSON problem spec")
-    po.add_argument("--omega", default="1,0.1")
-    po.add_argument("--theta", type=float, default=0.0)
-    po.add_argument("--amplitude", default="1")
-    po.add_argument("--nu", type=int, default=None)
-    po.add_argument("--sep", type=int, default=1)
-    po.add_argument("--offsets", default="")
+    add_common(po)
+    add_rows(po)
     po.add_argument("-L", "--half-width", type=int, default=None,
                     help="window half width (default: the JSON half_width, else 100)")
     po.add_argument("-o", "--output", required=True)

@@ -36,7 +36,7 @@ kernels have removable limits (t -> 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -53,7 +53,7 @@ from .branches import (
     hex_reduced_omega_sq,
     square_branches,
 )
-from .errors import LengthMismatch, SingularN, UnsupportedFamily
+from .errors import InvalidSpec, SingularN, UnsupportedFamily
 from .series import half_transform_exp
 
 __all__ = [
@@ -682,16 +682,16 @@ class MatrixKernelSpec(_Descriptor):
         rec = FAMILIES[self.family]
         if rec.count:
             if self.count is None or self.count < 2:
-                raise ValueError("array kernels require count (nu) >= 2")
+                raise InvalidSpec("array kernels require count (nu) >= 2")
             if len(self.offsets) != self.count:
-                raise ValueError("array kernels require one tip offset per defect row")
+                raise InvalidSpec("array kernels require one tip offset per defect row")
         elif len(self.offsets) != rec.offsets:
-            raise ValueError(f"{self.family} takes {rec.offsets} tip offset(s), "
-                             f"got {len(self.offsets)}")
+            raise InvalidSpec(f"{self.family} takes {rec.offsets} tip offset(s), "
+                              f"got {len(self.offsets)}")
         if self.sep < 1:
-            raise ValueError("row separation must be >= 1")
-        if rec.psi and (self.psi is None or self.psi == 0):
-            raise ValueError(f"{self.family} requires a nonzero Floquet multiplier")
+            raise InvalidSpec("row separation must be >= 1")
+        if rec.psi and (self.psi is None or self.psi == 0 or not np.isfinite(self.psi)):
+            raise InvalidSpec(f"{self.family} requires a finite, nonzero Floquet multiplier")
 
     @property
     def dim(self) -> int:
@@ -764,33 +764,17 @@ def diag_limit_defect(spec: MatrixKernelSpec) -> Callable:
 
 @dataclass(frozen=True)
 class AffineForcing:
-    """Forcing c(z; alpha) = base(z) + sum_k alpha_k term_k(z).
+    """Forcing c(z; alpha) = c_0(z) + sum_k alpha_k c_k(z) as its stacked rows.
 
-    Unknown lattice constants enter linearly; keys are site tuples like
-    ("u", x, y).  Scalar problems use dim == 1 with complex-valued
-    callables, matrix problems return length-dim vectors.  rows(z, nodes)
-    stacks base and each term at z.  A family's forcing computes the stack
-    (stacked) through one projector, reading nodes when they are its own
-    kernel's, and its base and terms are rows of it.
+    The unknown lattice constants alpha_k are keyed by site tuples like
+    ("u", x, y) in constant_ids.  rows(z, nodes=None) stacks c_0, then each
+    c_k in that order: shape (1 + len(constant_ids),) + z.shape, plus a
+    length-dim axis for matrix problems.  A family's forcing computes them
+    through one projector, reading nodes when they are its own kernel's.
     """
 
-    dim: int
-    base: Callable
-    terms: tuple = field(default_factory=tuple)
-    stacked: Callable | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def constant_ids(self) -> tuple:
-        return tuple(key for key, _ in self.terms)
-
-    def rows(self, z, nodes=None) -> np.ndarray:
-        if self.stacked is not None:
-            return self.stacked(z, nodes)
-        fns = [self.base] + [fn for _, fn in self.terms]
-        rows = np.stack([np.asarray(fn(z), dtype=complex) for fn in fns])
-        if rows.shape[1:1 + np.ndim(z)] != np.shape(z):
-            raise LengthMismatch(f"forcing rows of shape {rows.shape} at z of shape {np.shape(z)}")
-        return rows
+    constant_ids: tuple
+    rows: Callable
 
 
 def _incident_half(inc: Incidence, combine: str, row: int, offset: int, side: str,
@@ -816,7 +800,7 @@ def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
     """AffineForcing c = P(z) chi(z) from the family record's data."""
     rec = FAMILIES[kernel.family]
     if inc.lattice is not rec.lattice:
-        raise ValueError(f"incidence is for {inc.lattice.value}, kernel needs {rec.lattice.value}")
+        raise InvalidSpec(f"incidence is for {inc.lattice.value}, kernel needs {rec.lattice.value}")
     w2 = kernel.omega_value**2
     chi = rec.chi(kernel)
     halves = [(p, weight, _incident_half(inc, combine, row, offset, side, strict))
@@ -848,11 +832,7 @@ def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
         parts = [chi_at(za, i) for i in range(1 + len(chi.unknown))]
         return rec.project(kernel, nodes, *map(np.stack, zip(*parts)))  # halves, points
 
-    def row(i, z):
-        return _scalar_out(rows(z)[i])
-
-    terms = tuple((key, partial(row, i)) for i, (key, _, _) in enumerate(chi.unknown, start=1))
-    return AffineForcing(dim=kernel.dim, base=partial(row, 0), terms=terms, stacked=rows)
+    return AffineForcing(tuple(key for key, _, _ in chi.unknown), rows)
 
 
 def scalar_forcing(family: str, inc: Incidence) -> AffineForcing:

@@ -1040,10 +1040,8 @@ def wh_residual(problem: LatticeProblemSpec, kernel, field: FieldGrid,
     else:
         forcing = vector_forcing(kernel, inc)
     at = nodes_at(kernel, nodes)
-    rows = forcing.rows(nodes, at).reshape(-1, nodes.size, dim)
-    c = rows[0]
-    for i, (sub, x, y) in enumerate(forcing.constant_ids, start=1):
-        c = c + field.value(x, y, sub) * rows[i]
+    weights = np.array([1.0] + [field.value(x, y, sub) for sub, x, y in forcing.constant_ids])
+    c = (weights @ forcing.rows(nodes, at).reshape(weights.size, -1)).reshape(nodes.size, dim)
     k = at.kernel if kernel_eval is None else sample(kernel_eval, grid)
     k = k.reshape(nodes.size, dim, dim)
     res = f_plus + np.einsum("nij,nj->ni", k, f_minus) - c

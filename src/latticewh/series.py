@@ -286,9 +286,12 @@ def mult_factorize(samples, grid: CircleGrid):
     report are bit-identical to those from additive_split of coefficients().
 
     Raises NonzeroWinding if the index is not 0 (this factorization form
-    does not exist then) and ZeroOnContour for vanishing samples.
+    does not exist then), ZeroOnContour for vanishing samples and
+    LengthMismatch for samples that are not one per grid node.
     """
     vals = np.asarray(samples, dtype=complex)
+    if vals.shape != (grid.count,):
+        raise LengthMismatch(f"expected {grid.count} samples, got {vals.shape}")
     modulus = np.abs(vals)
     steps, wn = _phase_steps(vals, modulus)  # one pass for the winding and the phase
     if wn != 0:

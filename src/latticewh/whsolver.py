@@ -34,9 +34,8 @@ from .branches import (
     hex_coupling,
     lattice_omega_shift,
 )
-from .errors import (
-    IllConditionedClosure, InvalidSpec, PhaseStepTooLarge, WindowMismatch, WindowTooLarge
-)
+from .errors import (IllConditionedClosure, InvalidSpec, LengthMismatch, PhaseStepTooLarge,
+                     UnsupportedFamily, WindowMismatch, WindowTooLarge)
 from .fields import FieldGrid
 from .kernels import AffineForcing, ScalarKernel, family_record, nodes_at, scalar_forcing
 from .series import (
@@ -172,13 +171,18 @@ def solve_scalar(problem: ScalarWHProblem) -> WHSolution:
 
 
 def _node_samples(problem: ScalarWHProblem, grid: CircleGrid):
-    """K, the forcing rows (base, then each unit term) and the row multiplier
-    at the grid's nodes; a plain callable kernel is sampled as given."""
-    kernel = problem.kernel
-    if not isinstance(kernel, ScalarKernel):
-        return sample(kernel, grid), problem.forcing.rows(grid.nodes), None
-    nodes = nodes_at(kernel, grid.nodes)
-    return nodes.kernel, problem.forcing.rows(grid.nodes, nodes), nodes.multiplier
+    """K, the forcing rows (one forcing.rows call) and the row multiplier at the
+    grid's nodes; a plain callable kernel is sampled as given, with no multiplier.
+    Rows of a shape other than (1 + len(constant_ids), count) raise LengthMismatch."""
+    kernel, forcing = problem.kernel, problem.forcing
+    nodes = nodes_at(kernel, grid.nodes) if isinstance(kernel, ScalarKernel) else None
+    rows = forcing.rows(grid.nodes, nodes)
+    shape = (1 + len(forcing.constant_ids), grid.count)
+    if np.shape(rows) != shape:
+        raise LengthMismatch(f"forcing rows of shape {np.shape(rows)}, expected {shape}")
+    if nodes is None:
+        return sample(kernel, grid), rows, None
+    return nodes.kernel, rows, nodes.multiplier
 
 
 def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None:
@@ -205,10 +209,7 @@ def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None
     fm_rows /= km_vals
     fp_rows *= kp_vals
     keys = problem.forcing.constant_ids
-    constants, condition = {}, None
-    if keys:
-        constants, condition = close_constants(problem, (fp_rows[0], fm_rows[0]),
-                                               list(zip(keys, zip(fp_rows[1:], fm_rows[1:]))))
+    constants, condition = close_constants(problem, fp_rows + fm_rows) if keys else ({}, None)
     weights = np.array([1.0] + [constants[key] for key in keys])
     fp_vals, fm_vals, c_vals = weights @ fp_rows, weights @ fm_rows, weights @ c_rows
 
@@ -294,12 +295,13 @@ def _row0_half_line(kernel: ScalarKernel, row1: np.ndarray,
     return (sine @ modes.view(float)).view(complex).T.reshape(b.shape)
 
 
-def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
+def close_constants(problem: ScalarWHProblem, rows):
     """Solve the fixed point alpha = G(alpha) of the re-derivation map.
 
-    base_pair is (f+, f-) samples for the known part of the forcing and
-    term_pairs a list of (key, (f+, f-)) for each unknown's unit
-    component.  Returns (constants, condition number of I - G).
+    rows are samples of f+ + f- on the problem's grid, stacked as the forcing's:
+    the known part, then each unknown's unit component in constant_ids order;
+    any other shape raises LengthMismatch, a family without a closure rule
+    UnsupportedFamily.  Returns (constants, condition number of I - G).
 
     f = u_1 for both constraint problems; one batched transform gives
     every component's row 1.  Each unknown is re-derived from it: a row-1
@@ -308,13 +310,14 @@ def close_constants(problem: ScalarWHProblem, base_pair, term_pairs):
     with a zero tail (justified by the exponential damping decay).  Only
     the known part carries the incident boundary value u_{-1,0}.
     """
-    kernel = problem.kernel
+    kernel, keys = problem.kernel, problem.forcing.constant_ids
     if family_record(kernel.family).closure is None:
-        raise ValueError(f"no closure rule for family {kernel.family!r}")
-    keys = [key for key, _ in term_pairs]
-    pairs = [base_pair] + [pair for _, pair in term_pairs]
-    rows1 = row_coefficients(np.stack([fp + fm for fp, fm in pairs]), problem.grid,
-                             -np.arange(-1, _CLOSURE_SPAN + 2))  # u_1 = a_{-x}, x = -1 .. span+1
+        raise UnsupportedFamily(f"no closure rule for family {kernel.family!r}")
+    shape = (1 + len(keys), problem.grid.count)
+    if np.shape(rows) != shape:
+        raise LengthMismatch(f"closure rows of shape {np.shape(rows)}, expected {shape}")
+    # u_1 = a_{-x}, x = -1 .. span+1
+    rows1 = row_coefficients(rows, problem.grid, -np.arange(-1, _CLOSURE_SPAN + 2))
     left = np.array([-complex(problem.incidence.field(-1, 0))] + [0j] * len(keys))
     rows0 = _row0_half_line(kernel, rows1, left, _CLOSURE_SPAN)
     estimates = np.array([[row1[x + 1] if y == 1 else row0[x] for _, x, y in keys]

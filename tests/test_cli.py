@@ -57,11 +57,12 @@ class TestKernelCommand:
             assert np.array_equal(data[:, 1] + 1j * data[:, 2], nodes[index[0]])
             assert np.array_equal(data[:, -2] + 1j * data[:, -1], vals.ravel())
 
-    def test_invalid_count_exits_one(self, tmp_path):
+    def test_invalid_count_exits_one(self, tmp_path, capsys):
         code = run(["kernel", "--family", "array_cracks", "--omega", "1,0.1",
                     "--nu", "1", "--offsets", "0", "--nq", "16",
                     "-o", str(tmp_path / "x.csv")])
         assert code == 1
+        assert capsys.readouterr().err.startswith("invalid input: array kernels require count")
 
 
 class TestFactorizeCommand:

@@ -5,7 +5,7 @@ import pytest
 
 from latticewh import kernels
 from latticewh.branches import square_branches, tri_branch
-from latticewh.errors import UnsupportedFamily
+from latticewh.errors import InvalidSpec, UnsupportedFamily
 from latticewh.branches import Lattice
 from latticewh.kernels import (
     FAMILIES,
@@ -281,14 +281,14 @@ class TestLimits:
 class TestForcing:
     def test_sq_crack_row_shift_structure(self, inc_square):
         forcing = scalar_forcing("sq_crack", inc_square)
-        assert forcing.terms == ()
+        assert forcing.constant_ids == ()
         kern = ScalarKernel("sq_crack", OMEGA)
         q = np.exp(1j * inc_square.kappa_x)
         shift = np.exp(1j * inc_square.kappa_y)
         for z in np.exp(1j * np.array([0.5, 2.0, 4.4])):
             u0m = inc_square.amplitude * q * z / (1 - q * z)
             expect = 0.5 * (1 - eval_scalar_kernel(kern, z)) * (1 - shift) * u0m
-            assert abs(forcing.base(z) - expect) < 1e-13
+            assert abs(forcing.rows(z)[0] - expect) < 1e-13
 
     def test_sq_constraint_term_is_half_one_minus_k_times_z(self, inc_square):
         forcing = scalar_forcing("sq_constraint", inc_square)
@@ -296,7 +296,7 @@ class TestForcing:
         kern = ScalarKernel("sq_constraint", OMEGA)
         for z in np.exp(1j * np.array([0.5, 2.0, 4.4])):
             expect = 0.5 * (1 - eval_scalar_kernel(kern, z)) * z
-            assert abs(forcing.terms[0][1](z) - expect) < 1e-13
+            assert abs(forcing.rows(z)[1] - expect) < 1e-13
 
     def test_tri_dirichlet_unknowns(self, inc_triangular):
         forcing = scalar_forcing("tri_dirichlet", inc_triangular)
@@ -304,10 +304,10 @@ class TestForcing:
 
     def test_hex_crack_no_unknowns_and_finite(self, inc_honeycomb):
         forcing = scalar_forcing("hex_crack", inc_honeycomb)
-        assert forcing.terms == ()
+        assert forcing.constant_ids == ()
         zs = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
-        vals = forcing.base(zs)
-        assert np.all(np.isfinite(vals))
+        rows = forcing.rows(zs)
+        assert rows.shape == (1, 64) and np.all(np.isfinite(rows))
 
     def test_hex_crack_matches_partial_sums(self, inc_honeycomb):
         # c = (u0_in_minus - v(-1)_in_minus)/(Ns + 1): check the incident
@@ -318,14 +318,14 @@ class TestForcing:
             u0m = sum(inc_honeycomb.field(x, 0, "u") * z ** (-x) for x in range(-10_000, 0))
             vm1 = sum(inc_honeycomb.field(x, -1, "v") * z ** (-x) for x in range(-10_000, 0))
             expect = 0.5 * (1 - eval_scalar_kernel(kern, z)) * (u0m - vm1)
-            assert abs(forcing.base(z) - expect) < 1e-10
+            assert abs(forcing.rows(z)[0] - expect) < 1e-10
 
     def test_array_cracks_fully_known(self, inc_square):
         spec = MatrixKernelSpec("array_cracks", OMEGA, count=2, sep=3, offsets=(0, 2))
         forcing = vector_forcing(spec, inc_square)
-        assert forcing.terms == ()
-        val = forcing.base(complex(np.exp(0.3j)))
-        assert val.shape == (2,) and np.all(np.isfinite(val))
+        assert forcing.constant_ids == ()
+        rows = forcing.rows(complex(np.exp(0.3j)))
+        assert rows.shape == (1, 2) and np.all(np.isfinite(rows))
 
     def test_array_constraints_unknown_list(self, inc_square):
         spec = MatrixKernelSpec("array_constraints", OMEGA, count=2, sep=3,
@@ -337,7 +337,7 @@ class TestForcing:
     def test_opposing_cracks_base_structure(self, inc_square):
         spec = MatrixKernelSpec("opposing_cracks", OMEGA, sep=3, offsets=(3,))
         forcing = vector_forcing(spec, inc_square)
-        assert forcing.terms == ()
+        assert forcing.constant_ids == ()
         z = complex(np.exp(0.7j))
         k = eval_matrix_kernel(spec, z)
         sel = np.diag([-1.0, 1.0])
@@ -348,11 +348,25 @@ class TestForcing:
         vn_plus = amp_n * q * z / (q * z - 1)
         v0_minus = inc_square.amplitude * (1 - shift) * q * z / (1 - q * z)
         expect = (np.eye(2) - k) @ (sel @ np.array([vn_plus, v0_minus]))
-        assert np.max(np.abs(forcing.base(z) - expect)) < 1e-12
+        assert np.max(np.abs(forcing.rows(z)[0] - expect)) < 1e-12
 
     def test_lattice_mismatch_rejected(self, inc_square):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec, match="incidence is for square"):
             scalar_forcing("hex_crack", inc_square)
+
+
+@pytest.mark.parametrize("family,kwargs,message", [
+    ("array_cracks", {"count": 1, "offsets": (0,)}, "count"),
+    ("array_cracks", {"count": 2, "offsets": (0,)}, "one tip offset"),
+    ("opposing_cracks", {}, "1 tip offset"),
+    ("pair_crack_constraint", {"sep": 0}, "separation"),
+    *(("mixed_array", {"psi": psi}, "Floquet") for psi in (None, 0, complex("nan"), complex("inf"))),
+])
+def test_matrix_spec_refusals(family, kwargs, message):
+    """Each refusal is an InvalidSpec; all were bare ValueErrors, and a NaN or
+    infinite psi was accepted, making mixed_array's K NaN at every z."""
+    with pytest.raises(InvalidSpec, match=message):
+        MatrixKernelSpec(family, OMEGA, **kwargs)
 
 
 def test_every_matrix_family_evaluates():
@@ -416,19 +430,9 @@ def test_array_and_point_evaluation_agree(name, request):
     if rec.limit is not None:
         _assert_matches_points(diag_limit_defect(kern), zs, matrix_shape)
     forcing = scalar_forcing(name, inc) if scalar else vector_forcing(kern, inc)
-    fns = (forcing.base, *(term for _, term in forcing.terms))
-    for fn in fns:
-        _assert_matches_points(fn, zs, vector_shape)
-    # the stacked rows: base first, then each term, bit-equal to them at the same z
-    rows = forcing.rows(zs)
-    assert rows.shape == (len(fns),) + zs.shape + vector_shape
-    point_rows = [forcing.rows(z) for z in zs.ravel()]
-    points = np.stack(point_rows, axis=1).reshape(rows.shape)
-    assert np.max(np.abs(rows - points)) <= 1e-13 * np.max(np.abs(points))
-    for i, fn in enumerate(fns):
-        assert np.array_equal(rows[i], fn(zs))
-        assert all(np.array_equal(r[i], fn(z)) for r, z in zip(point_rows, zs.ravel()))
-
-    assert forcing.dim == d
+    # the stacked rows: c_0 first, then each unknown's unit term, in constant_ids order
+    assert forcing.rows(zs).shape == (1 + len(forcing.constant_ids),) + zs.shape + vector_shape
+    for i in range(1 + len(forcing.constant_ids)):  # each row within 1e-13 of its own scale
+        _assert_matches_points(lambda z, i=i: forcing.rows(z)[i], zs, vector_shape)
     assert len(rec.components(kern)) == d
     assert problem_for(kern, inc).lattice is rec.lattice

@@ -293,6 +293,15 @@ class TestFactorization:
             assert (rep.leakage_plus, rep.leakage_minus) == tuple(leaks)
             assert rep.reconstruction_residual == residual and rep.winding == 0
 
+    def test_samples_not_one_per_node_raise(self):
+        """A 4096-node grid's samples on a 256-node one gave 4096-order factors
+        reported as count 256; 2-D samples died in numpy broadcasting."""
+        kern = ScalarKernel("sq_crack", 1 + 0.003j)
+        grid = CircleGrid(1.0, 256)
+        for vals in (sample(kern, CircleGrid(1.0, 4096)), np.stack(2 * [sample(kern, grid)])):
+            with pytest.raises(LengthMismatch, match="expected 256 samples"):
+                mult_factorize(vals, grid)
+
     def test_nonzero_winding_rejected(self):
         with pytest.raises(NonzeroWinding) as err:
             mult_factorize(sample(lambda z: z, GRID), GRID)

@@ -25,6 +25,7 @@ from latticewh.errors import (
     LatticeWHError,
     LengthMismatch,
     PhaseStepTooLarge,
+    UnsupportedFamily,
     WindowMismatch,
     WindowTooLarge,
 )
@@ -52,10 +53,10 @@ from conftest import OMEGA, THETA
 W2 = OMEGA * OMEGA
 
 
-def _synthetic_problem(inc, kernel, base, terms=()):
+def _synthetic_problem(inc, kernel, base):
     return ScalarWHProblem(
         kernel=kernel,
-        forcing=AffineForcing(dim=1, base=base, terms=terms),
+        forcing=AffineForcing((), lambda z, nodes=None: np.asarray([base(z)], complex)),
         grid=CircleGrid(1.0, 256),
         incidence=inc,
     )
@@ -266,18 +267,15 @@ class TestOncePerGrid:
     @pytest.mark.parametrize("unit", [True, False], ids=["unit", "inner_radius"])
     def test_shared_samples_equal_the_public_evaluators(self, family, unit):
         """The solve's K, forcing rows and row multiplier are bit-equal to
-        sample() of the kernel, of the forcing's base and of each term, and
-        to the multiplier straight from the branch functions."""
+        sample() of the kernel, to the forcing's rows at the nodes, and to
+        the multiplier straight from the branch functions."""
         inc = dispersion_solve(kernel_lattice(family), Frequency(OMEGA), THETA)
         radius = 1.0 if unit else 1.0 - 0.5 * (1.0 - annulus_bounds(inc)[0])
         problem = ScalarWHProblem.for_family(family, inc, CircleGrid(radius, 1024))
         grid, forcing = problem.grid, problem.forcing
         k_vals, c_rows, prop = whsolver._node_samples(problem, grid)
         assert np.array_equal(k_vals, sample(problem.kernel, grid))
-        expected = [sample(forcing.base, grid)] + [sample(fn, grid) for _, fn in forcing.terms]
-        assert len(c_rows) == len(expected)
-        for got, want in zip(c_rows, expected):
-            assert np.array_equal(got, want)
+        assert np.array_equal(c_rows, forcing.rows(grid.nodes))
         multiplier = _row_multiplier(problem.kernel.lattice, problem.kernel.omega_value, grid.nodes)
         assert np.array_equal(prop, multiplier)
         assert np.array_equal(solve_scalar(problem).multiplier, multiplier)
@@ -293,6 +291,24 @@ class TestOncePerGrid:
         with pytest.raises(LengthMismatch):
             solve_scalar(problem)
 
+    def test_forcing_rows_of_the_wrong_shape_raise(self, inc_square):
+        """Rows disagreeing with constant_ids or with the grid raise LengthMismatch,
+        in the solve (a family forcing's too: it was checked for neither) and in
+        close_constants (a short or long stack died in numpy broadcasting); a
+        family without a closure rule raises UnsupportedFamily there."""
+        own = ScalarWHProblem.for_family("sq_constraint", inc_square, CircleGrid(1.0, 256))
+        ids = own.forcing.constant_ids
+        for forcing in (AffineForcing(ids + (("u", 1, 1),), own.forcing.rows),
+                        AffineForcing(ids, lambda z, nodes=None: own.forcing.rows(z[::2]))):
+            with pytest.raises(LengthMismatch, match="forcing rows of shape"):
+                solve_scalar(replace(own, forcing=forcing))
+        for shape in ((1, 256), (3, 256), (2, 128)):
+            with pytest.raises(LengthMismatch, match="closure rows of shape"):
+                whsolver.close_constants(own, np.zeros(shape, complex))
+        crack = replace(own, kernel=ScalarKernel("sq_crack", inc_square.omega))
+        with pytest.raises(UnsupportedFamily):
+            whsolver.close_constants(crack, np.zeros((1, 256), complex))
+
     def test_a_family_forcing_with_another_kernel_projects_through_its_own(self, inc_square):
         """The forcing's projector reads the nodes it is given only when they are
         its own kernel's: a problem pairing it with another kernel keeps the
@@ -302,7 +318,7 @@ class TestOncePerGrid:
         other = replace(own, kernel=ScalarKernel("sq_constraint", inc_square.omega))
         k_vals, c_rows, _ = whsolver._node_samples(other, grid)
         assert np.array_equal(k_vals, sample(other.kernel, grid))
-        assert np.array_equal(c_rows[0], sample(own.forcing.base, grid))
+        assert np.array_equal(c_rows, own.forcing.rows(grid.nodes))
 
 
 class TestWHPassCost:
