@@ -152,9 +152,9 @@ class FieldGrid:
             raise InvalidSpec(f"{path}: the sites do not fill their x/y rectangle exactly once")
         u = np.zeros((ny, nx), dtype=complex)
         v = np.zeros((ny, nx), dtype=complex) if data.shape[1] > 4 else None
-        u[site] = data[:, 2] + 1j * data[:, 3]
-        if v is not None:
-            v[site] = data[:, 4] + 1j * data[:, 5]
+        for grid, column in ((u, 2), (v, 4)):  # part by part: x + 1j * y loses a -0.0
+            if grid is not None:
+                grid.real[site], grid.imag[site] = data[:, column], data[:, column + 1]
         lattice = Lattice(meta.get("lattice", "square" if v is None else "honeycomb"))
         bloch = meta.pop("bloch_multiplier", None)
         return FieldGrid(lattice=lattice, x_range=x_range, y_range=y_range, u=u, v=v,

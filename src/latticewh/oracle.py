@@ -1,22 +1,21 @@
 """Independent finite-lattice direct solver and WH-equation verification.
 
 The solver assembles the scattered-field equations on a truncated window
-[-L, L]^2 (one vertical period with twisted coupling for Bloch problems;
-otherwise, on the triangular and honeycomb lattices, a torus: the window
-wrapped both ways) and solves them.  Defects are semi-infinite rows of
-broken bonds (cracks) or pinned sites (rigid constraints), pointing left
-(x < tip) or right (x >= tip), on a row of the window (any row of a strip,
-taken modulo its period).
+[-L, L]^2, wrapped both ways into a torus (for Bloch problems one vertical
+period, wrapped along y with twisted coupling), and solves them.  Defects
+are semi-infinite rows of broken bonds (cracks) or pinned sites (rigid
+constraints), pointing left (x < tip) or right (x >= tip), on a row of the
+window (any row of a strip, taken modulo its period).
 
 Assembly is array code driven by one table of the lattices' equations of
-motion, _STENCILS, which lives in branches beside Lattice: per lattice,
-one neighbour list per sublattice of entries (dx, dy, neighbour
-sublattice, bond cell).  Masks on the window padded by one site
-(periodically on a torus) mark pinned sites and cracked bonds; crack[y, x]
-is the bond between (x, y) and the row below (honeycomb: u(x, y) --
-v(x, y-1)), and the bond to the neighbour is broken when crack[y+by, x+bx]
-is set for the bond cell (bx, by).  A broken bond raises the diagonal by
-one; a pinned neighbour (total field zero) drops out.
+motion, _STENCILS, which lives in branches beside Lattice: per lattice, one
+neighbour list per sublattice of entries (dx, dy, neighbour sublattice,
+bond cell).  Masks on the window padded periodically by one site mark
+pinned sites and cracked bonds; crack[y, x] is the bond between (x, y) and
+the row below (honeycomb: u(x, y) -- v(x, y-1)), and the bond to the
+neighbour is broken when crack[y+by, x+bx] is set for the bond cell (bx,
+by).  A broken bond raises the diagonal by one; a pinned neighbour (total
+field zero) drops out.
 
 Only the rows next to a defect differ from the defect-free operator A0
 of the window, and the right-hand side is exactly zero off them.  So
@@ -30,45 +29,43 @@ A0's coupling across it.  AssembledSystem.matrix is the one view that
 numbers the unknowns, the free sites, as CSR: the solver never reads it,
 but the tests' sparse LU references and perfbench's counts do.
 
-Every window is solved by the capacitance matrix method (_capacitance):
-one free solve of A0, plus multipliers that hold the pinned sites at
-zero and rank-one terms for the recorded broken bonds.  A0 is the square
-window with zero Dirichlet data, the torus of period 2L + 1 that a
-triangular or honeycomb window wraps into, or the Bloch strip, so the
-multipliers are the defects' alone.  One free operator serves all three,
-by dense per-axis tables: the DST-I, the DFT, or along a strip's rows
-the DFT twisted by the multiplier, one scalar per mode.  On the
-honeycomb it eliminates v, whose neighbours are all u sites: u solves
-the triangular lattice's operator at the reduced frequency, composed
-from _STENCILS (_reduced_stencil), and v follows from u by its stencil.
-It transforms a source along y over its few rows only, and u on the
-whole grid once per solve, for the field; the capacitance matrix is
-filled from Toeplitz blocks of its Green's function (less Hankel ones
-off the torus).  A solve holds two full-grid arrays besides the
-operator's symbol, the modes of u and the field, and copies neither: the
-field, exactly zero at the pinned sites, is the solution vector, and the
-returned FieldGrid's arrays are views of it.  The answer is refined
-where a defect row runs through an incident far larger than the field
-elsewhere (_refined_solve), and must meet the relative residual and
-every equation's backward error, read off the stored rows and, for A0's
-rows, off shifted slices of the field on the grid, summed in place.
+Every window is solved by the capacitance matrix method (_capacitance): one
+free solve of A0, plus multipliers that hold the pinned sites at zero and
+rank-one terms for the recorded broken bonds.  A0 is the window's own, on
+the torus of period 2L + 1 or the Bloch strip, so the multipliers are the
+defects' alone.  One free operator serves both, by dense per-axis tables of
+the period's DFT, one scalar per mode: in its real Hartley form on the
+square lattice, whose stencil is even along each axis, complex on the
+others, and along a strip's rows twisted by the multiplier.  On the
+honeycomb it eliminates v, whose neighbours are all u sites: u solves the
+triangular lattice's operator at the reduced frequency, composed from
+_STENCILS (_reduced_stencil), and v follows from u by its stencil.  It
+transforms a source along y over its few rows only, and u on the whole grid
+once per solve, for the field; the capacitance matrix is filled from
+Toeplitz blocks of its Green's function.  A solve holds two full-grid
+arrays besides the operator's symbol, the modes of u and the field, and
+copies neither: the field, exactly zero at the pinned sites, is the
+solution vector, and the returned FieldGrid's arrays are views of it.  The
+answer is refined where a defect row runs through an incident far larger
+than the field elsewhere (_refined_solve), and must meet the relative
+residual and every equation's backward error, read off the stored rows and,
+for A0's rows, off shifted slices of the field on the grid, summed in
+place.
 
-Truncation relies on the damping Im(omega) > 0.  The square window puts
-zero Dirichlet data on the solved unknown.  On a torus a wave that leaves
-at one edge re-enters at the other after about the path a reflection
+Truncation relies on the damping Im(omega) > 0.  A wave that leaves the
+window at one edge re-enters at the other after about the path a reflection
 takes; a defect row ends at the seam, so a crack there is finite.  The
 known field wraps with the window, so a source across the seam reads the
 site the seam leads to.  A right-pointing defect is illuminated by the
 growing flank of the damped incident wave, so the plain scattered field
-does not decay toward +x; for those configurations the solver subtracts
-the closed-form response of the corresponding *infinite* straight defect
-(a one-dimensional reflection problem solved exactly) and applies the
-window to the remainder, which decays in every direction.  One such
-background per window: two or more right-pointing defects are refused.
-The system holds only the window's equations; solve_direct evaluates the
-known fields on the window for its output, which always contains the full
-scattered field: the background added back at the free sites, and
--incident at the pinned ones.
+does not decay toward +x; for those configurations the solver subtracts the
+closed-form response of the corresponding *infinite* straight defect (a
+one-dimensional reflection problem solved exactly) and applies the window
+to the remainder, which decays in every direction.  One such background per
+window: two or more right-pointing defects are refused.  The system holds
+only the window's equations; solve_direct evaluates the known fields on the
+window for its output, which always contains the full scattered field: the
+background added back at the free sites, and -incident at the pinned ones.
 
 wh_residual checks the paper's functional equation f+ + K f- = c directly
 against oracle data: half-range transforms are truncated sums of the
@@ -159,11 +156,6 @@ class LatticeProblemSpec:
         if any(d.side == "right" for d in self.defects) and self.lattice is not Lattice.SQUARE:
             raise InvalidSpec("right-pointing defects are supported on the square lattice")
 
-    @property
-    def torus(self) -> bool:
-        """Whether the window wraps into a torus (see assemble)."""
-        return self.bloch is None and self.lattice is not Lattice.SQUARE
-
     def _norm_row(self, row: int) -> int:
         return row if self.bloch is None else row % self.bloch.period
 
@@ -250,7 +242,7 @@ class AssembledSystem:
     LU references and perfbench's counts."""
 
     weights: np.ndarray       # stencil table [stored row, slot]: coupling, 0 for a broken bond
-    neighbours: np.ndarray    # [stored row, slot]: grid site coupled, -1 if pinned or outside
+    neighbours: np.ndarray    # [stored row, slot]: grid site coupled, -1 if pinned
     stored: np.ndarray        # the grid sites of the table's rows, ascending
     bonds: tuple              # per broken slot: grid site, neighbour or -1, A0's coupling (1, or
                               # psi^+-1 across a strip's wrap)
@@ -287,31 +279,25 @@ class AssembledSystem:
         keep = (neighbours >= 0) & (weights != 0)
         matrix = sp.csr_matrix((weights[keep], ids[neighbours[keep]],
                                 np.r_[0, np.cumsum(keep.sum(1))]), shape=(len(weights),) * 2)
-        matrix.sort_indices()  # the wrapped rows of a Bloch strip
+        matrix.sort_indices()  # the rows that wrap
         return matrix
 
 
 def _neighbour_table(spec: LatticeProblemSpec, free: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Grid sites [row, slot] of the free sites (mask free [y, x]) on the
     window rows `rows` and of their neighbours, sublattice by sublattice.
-    A torus wraps both ways and Bloch rows wrap along y; otherwise a
-    neighbour is -1 outside the window, and -1 pinned.  Only the rows next
-    to `rows` are read, padded by one column."""
+    The window wraps both ways (a Bloch strip's rows with its multiplier,
+    which the weights carry), so a neighbour is -1 only where it is pinned.
+    Only the rows next to `rows` are read, padded by one column."""
     ny, nx = free.shape
     stencils = _STENCILS[spec.lattice]
 
     def sites(k, y):  # the grid sites of window rows y of sublattice k, -1 where pinned
         return np.where(free[y], (k * ny + y)[..., None] * nx + np.arange(nx), -1)
 
-    near = rows[:, None] + np.arange(-1, 2)  # window rows y - 1, y, y + 1 of each row y
-    outside = None if spec.bloch is not None or spec.torus else (near < 0) | (near >= ny)
-    near %= ny
-    pad = {"mode": "wrap"} if spec.torus else {"constant_values": -1}
-    band = {sub: np.pad(sites(k, near), ((0, 0), (0, 0), (1, 1)), **pad)
+    near = (rows[:, None] + np.arange(-1, 2)) % ny  # window rows y - 1, y, y + 1 of each row y
+    band = {sub: np.pad(sites(k, near), ((0, 0), (0, 0), (1, 1)), mode="wrap")
             for k, sub in enumerate(stencils)}
-    if outside is not None:
-        for rows_read in band.values():
-            rows_read[outside] = -1
     tables, kept = [], free[rows]
     for k, stencil in enumerate(stencils.values()):
         table = np.empty((np.count_nonzero(kept), 1 + len(stencil)), np.int64)
@@ -333,10 +319,10 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
 
     The solved unknown is the scattered field minus the closed-form
     straight-defect background (zero when no right-pointing defect is
-    present).  Zero Dirichlet data closes a square window or a Bloch
-    strip's columns; a triangular or honeycomb window without Bloch rows
-    wraps into a torus, neighbours across an edge coupled with weight one.
-    Every equation is the exact lattice equation of motion with all known
+    present).  Every window wraps along x, and along y unless it is a
+    Bloch strip, whose rows wrap with the multiplier: the torus of period
+    2L + 1, neighbours across an edge coupled with weight one.  Every
+    equation is the exact lattice equation of motion with all known
     parts (incident plus background) moved to the right-hand side.  The
     stencil table keeps the equations that differ from A0: per stored
     site, one slot for itself and one per stencil neighbour.  A defect
@@ -357,11 +343,13 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     are formed on those window rows alone, and the known fields on them
     and the rows next to them (every row of a Bloch strip, for its wrap
     weights).  Bloch rows read the unwrapped incident, so this holds for
-    any multiplier.  A torus reads the wrapped one: the incident then
-    solves A0 everywhere but on the seam, and the right-hand side leaves
-    that seam residual out, so the field solved is what the defects
-    scatter.  Read unwrapped, a pinned row crossing the seam would get a
-    false source |inc(L + 1) - inc(-L)|.
+    any multiplier.  Across every other seam the known field wraps with
+    the window: it then solves its own equations (A0, or the infinite
+    defect's) everywhere but on the seam, and the right-hand side leaves
+    that seam residual out, known(wrapped) - known(continued) per
+    neighbour that wraps, so the field solved is what the defects scatter.
+    Read unwrapped, a pinned row crossing the seam would get a false
+    source |inc(L + 1) - inc(-L)|.
     """
     L = int(half_width)
     if L < 20:
@@ -376,18 +364,19 @@ def assemble(spec: LatticeProblemSpec, half_width: int) -> AssembledSystem:
     if w.imag <= 0:
         raise InvalidSpec("oracle solves require Im(omega) > 0")
 
-    bloch, torus = spec.bloch, spec.torus
+    bloch = spec.bloch
     x0, x1 = -L, L
     y0, y1 = (0, bloch.period - 1) if bloch is not None else (-L, L)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
 
     # masks on the padded grid [x0-1, x1+1] x [y0-1, y1+1], and the known
     # field (incident + background) on the padded rows read below; window
-    # cells are [1:ny+1, 1:nx+1].  On a torus the padded coordinates wrap,
-    # so every padded array is the periodic pad of its window
-    xs, ys = np.arange(x0 - 1, x1 + 2), np.arange(y0 - 1, y1 + 2)[:, None]
-    if torus:
-        xs, ys = x0 + (xs - x0) % nx, y0 + (ys - y0) % ny
+    # cells are [1:ny+1, 1:nx+1].  The padded coordinates wrap (a Bloch
+    # strip's rows by its multiplier instead), so every padded array is the
+    # periodic pad of its window
+    xs, ys = x0 + np.arange(-1, nx + 1) % nx, np.arange(y0 - 1, y1 + 2)[:, None]
+    if bloch is None:
+        ys = y0 + (ys - y0) % ny
     padded = (ys.size, xs.size)
     masks = {"crack": np.zeros(padded, bool), "constraint": np.zeros(padded, bool)}
     for d in spec.defects:
@@ -502,33 +491,33 @@ def _product(table: np.ndarray, values: np.ndarray, out: np.ndarray | None = Non
 
 
 @functools.lru_cache(maxsize=8)
-def _axis_transform(n: int, torus: bool, twist: complex = 1.0) -> tuple:
-    """A0's transform along one axis of n sites, kept read-only per (n, torus,
-    twist): the forward table [mode, site], the inverse table [site, mode],
-    per mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]), and the
-    pair table [d, mode] of _free_operator's green.  That is the
-    orthonormal DST-I (its own inverse) with factors cos(d pi k / (n + 1))
-    and pair table cos(d pi k / (n + 1)) / (n + 1), d = 0 .. 2n; or on the
-    torus of period n the DFT with factors exp(2 pi i d k / n), whose pair
-    table is its inverse.  A twist wraps the torus with a Bloch multiplier:
-    mode k is mu_k^y, mu_k = twist^(1/n) exp(2 pi i k / n), so mu_k^n = twist,
-    and the tables gain the factors twist^(-y/n), twist^(y/n) and twist^(d/n)
-    (spread, all 1.0 untwisted)."""
-    d, k = np.arange(-1, 2), np.arange(n) if torus else np.arange(1, n + 1)
-    jk = np.outer(k, k)
-    if torus:
+def _axis_transform(n: int, even: bool, twist: complex = 1.0) -> tuple:
+    """A0's transform along one axis of period n, kept read-only per (n,
+    even, twist): the forward table [mode, site], the inverse table [site,
+    mode], per mode the factor of a shift by d = -1, 0, 1 ([d + 1, mode]),
+    and the pair table [d, mode] of _free_operator's green, its inverse.
+    That is the DFT, with factors exp(2 pi i d k / n); or, for a stencil
+    even in the axis (even set), its real Hartley form cas = cos + sin
+    (Bracewell), its own inverse up to 1 / n, with factors cos(2 pi d k / n):
+    a real even symbol's modes k and -k are one, and cas keeps them real.  A
+    twist wraps the DFT with a Bloch multiplier: mode k is mu_k^y, mu_k =
+    twist^(1/n) exp(2 pi i k / n), so mu_k^n = twist, and the tables gain
+    the factors twist^(-y/n), twist^(y/n) and twist^(d/n) (spread, all 1.0
+    untwisted)."""
+    d, k = np.arange(-1, 2), np.arange(n)
+    jk = np.remainder(np.outer(k, k), n)
+    if even:
+        angle = 2 * np.pi * k / n
+        forward = (np.cos(angle) + np.sin(angle))[jk]
+        inverse = forward / n
+        tables = (forward, inverse, np.cos(angle)[np.outer(d, k) % n], inverse)
+    else:
         root, spread = np.exp(2j * np.pi * k / n), twist ** (np.arange(-1, n) / n)
-        inverse = root[np.remainder(jk, n, out=jk)]
+        inverse = root[jk]
         shift = root[np.outer(d, k) % n] * spread[:3, None]
         tables = (inverse.conj() / spread[1:], inverse, shift, inverse)
         inverse *= spread[1:, None]
         inverse /= n
-    else:  # sin and cos of pi m / (n + 1) have period 2n + 2 in m
-        m = np.pi * np.arange(2 * n + 2) / (n + 1)
-        sine = np.sin(m)[np.remainder(jk, 2 * n + 2, out=jk)]
-        sine *= np.sqrt(2.0 / (n + 1))
-        pair = np.cos(m)[np.outer(np.arange(2 * n + 1), k) % (2 * n + 2)] / (n + 1)
-        tables = (sine, sine, np.cos(np.outer(d, np.pi * k / (n + 1))), pair)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -569,29 +558,28 @@ def _reduced_stencil(stencils, diag: complex) -> tuple:
     return entries, len(steps) - len(entries) - diag * diag, -diag
 
 
-def _free_operator(stencils, diag: complex, n: int, torus: bool,
-                   bloch: BlochSpec | None = None) -> tuple:
-    """Free solve and Green's function of A0 on ny rows of n sites: the n x n
-    window with zero Dirichlet data or, with torus set, the torus of period
-    n; or the Bloch strip of bloch, ny = period rows of the zero Dirichlet n.
+def _free_operator(stencils, diag: complex, n: int, bloch: BlochSpec | None = None) -> tuple:
+    """Free solve and Green's function of A0 on ny rows of n sites, periodic
+    along both: the torus of period n, or the Bloch strip of bloch, ny =
+    period rows wrapped by its multiplier.
 
     A0 is solved on its first sublattice, through the scalar operator A =
     factor S of _reduced_stencil (S = A0 on a lattice of one sublattice):
     A0^-1 = E^T S^-1 E + D, where E lifts a grid site to the first
     sublattice, as the site itself or as an eliminated site's neighbours
     there times -1 / diag, and D is 1 / diag on the eliminated sites, zero
-    on the others.  An eliminated sublattice is read on a torus (every
-    honeycomb window wraps).  The elimination's pivot diag vanishes at
-    omega = 2 on the honeycomb, and near it the first solve's largest
-    backward error grows about like |diag|^-3: at L = 40, 2e-13 at |diag|
-    = 0.04 (omega = 1.99 + 0.01i), 4e-10 at 3e-3 (2 + 0.001i) and 1e-6 at
-    3e-4 (2 + 1e-4 i), each refined below 1e-13 by _refined_solve.  That
-    is the floor: at 3e-5 (2 + 1e-5 i) a pinned window's first solve misses
-    by 0.7, refinement cannot recover it, and solve_direct raises
+    on the others.  The elimination's pivot diag vanishes at omega = 2 on
+    the honeycomb, and near it the first solve's largest backward error
+    grows about like |diag|^-3: at L = 40, 2e-13 at |diag| = 0.04
+    (omega = 1.99 + 0.01i), 4e-10 at 3e-3 (2 + 0.001i) and 1e-6 at 3e-4
+    (2 + 1e-4 i), each refined below 1e-13 by _refined_solve.  That is the
+    floor: at 3e-5 (2 + 1e-5 i) a pinned window's first solve misses by
+    0.7, refinement cannot recover it, and solve_direct raises
     SolveFailure.  The 2-D transform of _axis_transform diagonalizes A into
-    a scalar symbol, inverted mode by mode; the DST-I does so for the square
-    lattice's axis-aligned stencil only.  Along y a strip takes the twisted
-    DFT of its period.
+    a scalar symbol, inverted mode by mode: the DFT, in its real Hartley
+    form where A's entries are even under x -> -x and y -> -y (the square
+    lattice), else complex.  Along y a strip takes the twisted DFT of its
+    period.
 
     Returns (modes, read, field, green), which solve A0 w = b, for b given
     by its values at a few grid sites [sublattice, y, x]: modes(sites,
@@ -605,13 +593,15 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
     slices.  green(rows, cols) is the block G[R, C] of G = A0^-1 for grid
     sites R and C.
     """
-    forward, inverse, shift, pair = _axis_transform(n, torus)
+    entries, diag_a, factor = _reduced_stencil(stencils, diag)
+    even = all(sorted(entries) == sorted((sx * dx, sy * dy) for dx, dy in entries)
+               for sx, sy in ((-1, 1), (1, -1)))
+    forward, inverse, shift, pair = _axis_transform(n, even)
     forward_y, inverse_y, shift_y = ((forward, inverse, shift) if bloch is None else
-                                     _axis_transform(bloch.period, True, bloch.multiplier)[:3])
+                                     _axis_transform(bloch.period, False, bloch.multiplier)[:3])
     ny = inverse_y.shape[0]
     # [kx, ky]: S^-1 = factor / A, A the diagonal plus the x times the y
     # shift factors summed over its entries, as one product over them
-    entries, diag_a, factor = _reduced_stencil(stencils, diag)
     dx, dy = (np.array([entry[i] for entry in entries], int) + 1 for i in (0, 1))
     symbol = np.matmul(shift[dx].T, shift_y[dy].astype(complex))
     symbol += diag_a
@@ -671,13 +661,12 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
         for a, stencil in enumerate(eliminated, 1):
             out[a] = 0
             for dx, dy, *_ in stencil:
-                _add_shifted(out[a], first, dx, dy, True)
+                _add_shifted(out[a], first, dx, dy)
             out[a] *= -1 / diag
         out.reshape(-1)[local[0]] += local[1]
 
     window = np.lib.stride_tricks.sliding_window_view
-    k = np.arange(n - 1, -n, -1)  # x_r - x_c from n - 1 down: the Toeplitz windows run forward
-    fold = k % n if torus else abs(k)
+    fold = np.arange(n - 1, -n, -1) % n  # x_r - x_c from n - 1 down: the windows run forward
 
     def row_pairs(rows_r, rows_c):
         """c [row of R, row of C, x_r - x_c] of S^-1 between rows of the first
@@ -685,18 +674,15 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
         pair table sums those."""
         both = inverse_y[rows_r][:, None] * forward_y[:, rows_c].T  # [row of R, row of C, ky]
         weights = both.reshape(-1, ny) @ symbol.T
-        return _product(pair, weights.T).T.reshape(*both.shape[:2], len(pair))
+        return _product(pair, weights.T).T.reshape(*both.shape[:2], n)
 
     def green(rows, cols):
         """G[R, C] = (E^T S^-1 E + D)[R, C] by blocks of runs of R and of C at
         consecutive sites of one line (sublattice, row) each.  Per pair of
-        lines a function c of the columns x_r, x_c gives the block
-        (row_pairs): c(x_r - x_c) on the torus, c(|x_r - x_c|) - c(x_r + x_c
-        + 2) off it (2 sin a sin b = cos(a - b) - cos(a + b)); E sums those of
-        the rows the two lines lift to, each shifted by the lifts' x offsets
-        (only on a torus does a site lift elsewhere).  So a block is a
-        Toeplitz matrix, less a Hankel one off the torus: strided windows of
-        c, copied into G."""
+        lines a function c of x_r - x_c, modulo n, gives the block
+        (row_pairs); E sums those of the rows the two lines lift to, each
+        shifted by the lifts' x offsets.  So a block is a Toeplitz matrix:
+        strided windows of c, copied into G."""
         (line_r, x_r), (line_c, x_c) = np.divmod(rows, n), np.divmod(cols, n)
         (lines_r, at_r), (lines_c, at_c) = (np.unique(line, return_inverse=True)
                                             for line in (line_r, line_c))
@@ -708,7 +694,7 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
         shift = (offsets[0, a][:, :, None, None] - offsets[0, b])[..., None]
         c = row_pairs(rows_r, rows_c)[to_r.reshape(a.size, width, 1, 1, 1),
                                       to_c.reshape(b.size, width, 1),
-                                      (np.arange(len(pair)) + shift) % len(pair)]
+                                      (np.arange(n) + shift) % n]
         lines = np.einsum("iajb,iajbx->ijx", weights[a][:, :, None, None] * weights[b], c)
         g = np.empty((rows.size, cols.size), complex)
         runs_c = _runs(cols, n)
@@ -717,8 +703,6 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
                 line, xr, xc = lines[at_r[r.start], at_c[q.start]], x_r[r.start], x_c[q.start]
                 size, span = r.stop - r.start, q.stop - q.start
                 g[r, q] = window(line[fold], span)[n - 1 - xr + xc::-1][:size]
-                if not torus:
-                    g[r, q] -= window(line, span)[xr + xc + 2:][:size]
         on = np.flatnonzero(rows >= ny * n)  # D's sites
         i, j = np.nonzero(rows[on, None] == cols)
         g[on[i], j] += 1 / diag
@@ -728,10 +712,10 @@ def _free_operator(stencils, diag: complex, n: int, torus: bool,
 
 
 def _bonds(system: AssembledSystem) -> tuple:
-    """The broken bonds of AssembledSystem.bonds, each once: a bond between
-    two free sites is recorded from both, and kept from the lower one; one
-    to a pinned site, or outside the square window, has -1 for the other.
-    The bonds between two free sites come first."""
+    """The broken bonds of AssembledSystem.bonds, each once: a bond between two
+    free sites is recorded from both, and kept from the lower one; one to a
+    pinned site has -1 for the other.  The bonds between two free sites come
+    first."""
     ends, other, coupling = system.bonds
     once = np.flatnonzero((other < 0) | (ends < other))
     once = once[np.argsort(other[once] < 0, kind="stable")]
@@ -741,9 +725,8 @@ def _bonds(system: AssembledSystem) -> tuple:
 def _capacitance(system: AssembledSystem) -> tuple:
     """Capacitance matrix M of the window, and solve(sites, values).
 
-    A0 is the free operator of the window itself (_free_operator): with
-    zero Dirichlet data on the square, on the torus a triangular or
-    honeycomb window wraps into (LatticeProblemSpec.torus), or on the Bloch
+    A0 is the free operator of the window itself (_free_operator): on the
+    torus of period 2L + 1 that every window wraps into, or on the Bloch
     strip.  So M has a row per pinned site and per broken bond of the
     defects and no others, 100 for a left half-row at L = 100.  A pinned
     site p gets a multiplier lambda for a column e_p of P, and a bond from
@@ -774,8 +757,7 @@ def _capacitance(system: AssembledSystem) -> tuple:
     s = len(_STENCILS[spec.lattice])
     ny, n = system.free.shape
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)
-    modes, read, field, green = _free_operator(_STENCILS[spec.lattice], diag, n, spec.torus,
-                                               spec.bloch)
+    modes, read, field, green = _free_operator(_STENCILS[spec.lattice], diag, n, spec.bloch)
     # per multiplier the grid site of its +1, and of its -a if paired
     pinned = system.pinned
     ends, other, coupling = _bonds(system)
@@ -873,17 +855,16 @@ def _backward_errors(system: AssembledSystem, w: np.ndarray) -> tuple:
     return residual, scale
 
 
-def _add_shifted(out: np.ndarray, grid: np.ndarray, dx: int, dy: int, wrap: bool):
-    """out[y, x] += grid[y + dy, x + dx] over the window, by slices: past an
-    edge a neighbour adds nothing, or with wrap set the opposite edge's.
-    out is C-contiguous, and a block of its rows adds as one run shifted by
-    dx (numpy buffers a strided 2-D +=, several times slower); the run feeds
-    the edge column from the next row, so that column is put back and given
-    its wrapped neighbour, if any."""
+def _add_shifted(out: np.ndarray, grid: np.ndarray, dx: int, dy: int):
+    """out[y, x] += grid[y + dy, x + dx] over the window, by slices, past an
+    edge reading the opposite edge's.  out is C-contiguous, and a block of
+    its rows adds as one run shifted by dx (numpy buffers a strided 2-D +=,
+    several times slower); the run feeds the edge column from the next row,
+    so that column is put back and given its wrapped neighbour."""
     def spans(d, size):  # (target, source) slices, source = target + d, |d| <= 1
         inner = [(slice(max(-d, 0), size - max(d, 0)), slice(max(d, 0), size + min(d, 0)))]
         first, last = slice(0, 1), slice(size - 1, size)
-        return inner + [(last, first) if d > 0 else (first, last)] if wrap and d else inner
+        return inner + [(last, first) if d > 0 else (first, last)] if d else inner
 
     n = out.shape[1]
     edge = n - 1 if dx > 0 else 0
@@ -894,15 +875,15 @@ def _add_shifted(out: np.ndarray, grid: np.ndarray, dx: int, dy: int, wrap: bool
         run[to_x] += source[from_x]
     if dx:
         out[:, edge] = kept
-        if wrap:
-            for to_y, from_y in spans(dy, out.shape[0]):
-                out[to_y, edge] += grid[from_y, n - 1 - edge]
+        for to_y, from_y in spans(dy, out.shape[0]):
+            out[to_y, edge] += grid[from_y, n - 1 - edge]
 
 
 def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
     """A0 w and |A0| |w| on the grid: the diagonal times w plus shifted
-    slices of w on the window (zero past the square window's edge, wrapped
-    on the torus), added in place.  w is 0 at the pinned sites, so they add
+    slices of w on the window, wrapped at its edges, added in place (a Bloch
+    strip's rows, which wrap by its multiplier, are all stored, and the
+    table overwrites them).  w is 0 at the pinned sites, so they add
     nothing to their neighbours."""
     spec = system.spec
     stencils = _STENCILS[spec.lattice]
@@ -914,7 +895,7 @@ def _free_products(system: AssembledSystem, w: np.ndarray) -> tuple:
         for k, stencil in enumerate(stencils.values()):
             np.multiply(grid[k], diag, out=sums[k])
             for dx, dy, nsub, _ in stencil:
-                _add_shifted(sums[k], grid[subs.index(nsub)], dx, dy, spec.torus)
+                _add_shifted(sums[k], grid[subs.index(nsub)], dx, dy)
         return sums.reshape(-1)
 
     diag = lattice_omega_shift(spec.lattice, spec.incidence.omega * spec.incidence.omega)

@@ -253,9 +253,10 @@ def _sine_modes(n: int) -> tuple:
     eigenvalues 2 cos(pi k / (n + 1)) of tridiag(1, 0, 1) on its modes
     k = 1 .. n, kept read-only per n.
 
-    The oracle builds its DST-I tables apart (oracle._axis_transform), on
-    purpose: the WH path and the oracle check each other, so they share no
-    solver code.
+    The oracle has no DST-I: its windows wrap, and oracle._axis_transform
+    builds DFT and Hartley tables.  Were it to need one, it would build its
+    own, on purpose: the WH path and the oracle check each other, so they
+    share no solver code.
     """
     m = np.pi * np.arange(2 * n + 2) / (n + 1)  # sin(pi m / (n + 1)) has period 2n + 2 in m
     k = np.arange(1, n + 1)

@@ -734,6 +734,21 @@ class TestFieldCsv:
         assert back.lattice is lattice
         assert compare_fields(back, fld, ((-1, 2), (0, 2))).rel_l2 == 0.0
 
+    def test_signed_zeros_roundtrip_byte_for_byte(self, tmp_path):
+        """A -0.0 in either part of u or v reads back as -0.0, so a CSV read
+        and written again keeps its bytes; built as x + 1j * y, an imaginary
+        -0.0 read back as +0.0."""
+        zero = np.array([complex(-0.0, -0.0), complex(2, -0.0), complex(-0.0, 3)])
+        fld = FieldGrid(Lattice.HONEYCOMB, (0, 2), (0, 0), zero[None], zero[None, ::-1])
+        fld.to_csv(tmp_path / "field.csv")
+        back = FieldGrid.from_csv(tmp_path / "field.csv")
+        for grid, read in ((fld.u, back.u), (fld.v, back.v)):
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(read, part)),
+                                      np.signbit(getattr(grid, part)))
+        back.to_csv(tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "field.csv").read_bytes()
+
     def test_roundtrip(self, inc_square, tmp_path):
         problem = ScalarWHProblem.for_family("sq_crack", inc_square)
         sol = solve_scalar(problem)
