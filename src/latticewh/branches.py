@@ -184,9 +184,7 @@ def principal_sqrt(w):
 
 
 def _maybe_scalar(arr, scalar_input):
-    if scalar_input:
-        return complex(arr)
-    return arr
+    return complex(arr[0]) if scalar_input else arr
 
 
 def square_branches(z, omega):
@@ -207,21 +205,19 @@ def square_branches(z, omega):
     if np.any(za == 0):
         raise ValueError("square_branches requires z != 0")
 
-    h = np.sqrt(2.0 - za - 1.0 / za - w2)
+    h = np.sqrt((2.0 - w2) - (za + 1.0 / za))
     r = np.sqrt(h * h + 4.0)
-    if np.any(np.abs(r + h) < _DEGENERATE_TOL) or np.any(np.abs(r - h) < _DEGENERATE_TOL):
+    r_plus, r_minus = r + h, r - h
+    if np.any(np.abs(r_plus) < _DEGENERATE_TOL) or np.any(np.abs(r_minus) < _DEGENERATE_TOL):
         raise DegeneratePoint("r + h (or r - h) vanished; lam undefined")
-    lam = (r - h) / (r + h)
-    outside = np.abs(lam) > 1.0
-    lam = np.where(outside, 1.0 / lam, lam)
-    h = np.where(outside, -h, h)
-    if np.any(np.abs(np.abs(lam) - 1.0) < _CUT_TOL):
+    lam = np.divide(r_minus, r_plus, out=r_minus)
+    modulus = np.abs(lam)  # |lam| and 1 / |lam| are as near 1
+    if np.any(np.abs(modulus - 1.0) < _CUT_TOL):
         raise OnBranchCut("both propagation roots have unit modulus at this z")
-    return BranchValue(
-        h=_maybe_scalar(h if not scalar else h[0], scalar),
-        r=_maybe_scalar(r if not scalar else r[0], scalar),
-        lam=_maybe_scalar(lam if not scalar else lam[0], scalar),
-    )
+    outside = modulus > 1.0  # flipped in place to the inner root
+    np.divide(1.0, lam, out=lam, where=outside)
+    np.negative(h, out=h, where=outside)
+    return BranchValue(*(_maybe_scalar(a, scalar) for a in (h, r, lam)))
 
 
 def _slant_root(z, omega_sq_eff):
@@ -239,29 +235,26 @@ def _slant_root(z, omega_sq_eff):
     if np.any(za == 0):
         raise ValueError("slant-lattice root requires z != 0")
 
-    a = 1.0 + 1.0 / za
-    b = -(6.0 - za - 1.0 / za - 1.5 * omega_sq_eff)
+    inverse = 1.0 / za
+    a = 1.0 + inverse
+    b = (za + inverse) - (6.0 - 1.5 * omega_sq_eff)
     c = 1.0 + za
     disc = np.sqrt(b * b - 4.0 * a * c)
-    # q-method: pick the sign that avoids cancellation in -b -/+ disc.
-    plus = b + disc
-    minus = b - disc
-    q = np.where(np.abs(plus) >= np.abs(minus), -plus / 2.0, -minus / 2.0)
-
-    at_pole = np.abs(a) < _POLE_TOL
+    # q-method: disc's sign with Re(b conj(disc)) >= 0 avoids cancellation in b + disc
+    np.negative(disc, out=disc, where=b.real * disc.real + b.imag * disc.imag < 0)
+    q = -0.5 * (b + disc)
+    # the roots multiply to c / a = z: the small root c / q and its modulus decide.
+    # At the pole of F, z = -1, c and with it the inside root vanish (q = 0 only there)
     with np.errstate(divide="ignore", invalid="ignore"):
-        root_big = np.where(at_pole, np.inf, q / np.where(at_pole, 1.0, a))
-        root_small = np.where(np.abs(q) > 0, c / np.where(np.abs(q) > 0, q, 1.0), 0.0)
-    # both roots ~0 can only happen when c ~ 0 and q ~ 0 simultaneously,
-    # i.e. exactly the z = -1 degeneracy where the inside root is 0.
-    m_big = np.abs(root_big)
-    m_small = np.abs(root_small)
-    swap = m_small > m_big
-    inside = np.where(swap, root_big, root_small)
-    outside_mod = np.where(swap, m_small, m_big)
-    if np.any(np.abs(np.abs(inside) - outside_mod) < 1e-12):
+        inside = c / q
+        inside[q == 0] = 0.0
+        m_small = np.abs(inside)
+        m_big = np.abs(za) / m_small
+        swap = m_small > m_big
+        inside[swap] = q[swap] / a[swap]
+    if np.any(np.abs(m_big - m_small) < 1e-12):
         raise RootSelectionAmbiguous("both quadratic roots have the same modulus")
-    return _maybe_scalar(inside if not scalar else inside[0], scalar)
+    return _maybe_scalar(inside, scalar)
 
 
 def tri_branch(z, omega):
@@ -463,9 +456,11 @@ def branch_points(lattice, omega) -> np.ndarray:
         g = 6.0 - 1.5 * _slant_omega_sq(lattice, omega)
         root = 2.0 * cmath.sqrt(g + 3.0)
         sums = (g + 2.0 + root, g + 2.0 - root)
-    points = []
-    for u in sums:
-        disc = cmath.sqrt(u * u - 4.0)
-        big = (u + disc if abs(u + disc) >= abs(u - disc) else u - disc) / 2.0
-        points += [big, 1.0 / big]
-    return np.array(points)
+    return np.array([z for u in sums for z in _reciprocal_pair(u)])
+
+
+def _reciprocal_pair(u: complex) -> tuple:
+    """The roots z, 1/z of z + 1/z = u, the big one free of cancellation."""
+    disc = cmath.sqrt(u * u - 4.0)
+    big = (u + disc if abs(u + disc) >= abs(u - disc) else u - disc) / 2.0
+    return big, 1.0 / big

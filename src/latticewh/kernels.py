@@ -47,6 +47,7 @@ from .branches import (
     Incidence,
     Lattice,
     _omega_value,
+    _reciprocal_pair,
     _slant_omega_sq,
     _slant_root,
     hex_coupling,
@@ -321,10 +322,16 @@ class Chi(NamedTuple):
     unknown: tuple = ()
 
 
+def _chi(halves, points):
+    """chi on the stacked rows: halves join the base row of points, in place."""
+    points[0] += halves
+    return points
+
+
 def _i_minus_k(mix=None):
     """Projector c = (I - K) mix chi of the matrix forcings; mix(spec) defaults to I."""
     def project(spec, nodes, halves, points):
-        chi = halves + points
+        chi = _chi(halves, points)
         if mix is not None:
             chi = chi @ np.transpose(mix(spec))
         return _apply(np.eye(spec.dim) - nodes.kernel, chi)
@@ -332,21 +339,23 @@ def _i_minus_k(mix=None):
 
 
 def _sq_scalar_project(spec, nodes, halves, points):
-    return 0.5 * (1.0 - nodes.kernel) * (halves + points)
+    return 0.5 * (1.0 - nodes.kernel) * _chi(halves, points)
 
 
 def _tri_dirichlet_project(spec, nodes, halves, points):
     # c = -t (G u0m + u_in(-1,0) - 2 u(-1,1) + z u(0,0)) / D with
     # D = G - 2 t (1 + 1/z); stable through the removable point z = -1
     z, t = nodes.z, nodes.branch
-    return -t * (halves + points) / (_tri_G(z, spec.omega_value**2) - 2.0 * t * (1.0 + 1.0 / z))
+    return -t * _chi(halves, points) / (_tri_G(z, spec.omega_value**2) - 2.0 * t * (1.0 + 1.0 / z))
 
 
 def _tri_crack_project(spec, nodes, halves, points):
     # the tip value u(0,-1) enters through K/N, not through I - K
     k = nodes.kernel
     nz = _tri_n(nodes.z, spec.omega_value**2, nodes.branch)
-    return _apply(np.eye(2) - k, halves) + _apply(k / _scale(nz), points)
+    c = _apply(k / _scale(nz), points)
+    c[0] += _apply(np.eye(2) - k, halves)
+    return c
 
 
 def _mixed_chi(spec):
@@ -403,8 +412,8 @@ class Family:
                 evaluating its own branch: an independent reference
     chi         descriptor -> `Chi`: the data of the forcing vector chi(z)
     project     (spec, nodes, halves, points) -> c = P(z) chi(z) on rows
-                stacked base first, then each unknown's unit term, reading
-                `Nodes`; (I - K(z)) mix for most matrix families
+                stacked base first, then each unknown's unit term (halves the
+                base's, points every row's); (I - K(z)) mix for most matrix families
     components  the row combinations making up f, for `oracle.wh_residual`
     defects     the oracle layout: (kind, row, side, tip) tuples and a Bloch
                 period or None
@@ -505,7 +514,7 @@ FAMILIES = {
         project=_sq_scalar_project, components=_solved_row(1),
         defects=_single("constraint"), closure=(0,),
         image=Image(odd=False, row_shift=0, x_per_row=0, sources=(("u", "u", 0),)),
-        zeros=lambda w: np.roots([1.0, w * w - 4.0, 1.0])),  # h^2 + 2 = 0
+        zeros=lambda w: _reciprocal_pair(4.0 - w * w)),  # h^2 + 2 = 0
     "tri_dirichlet": Family(
         lattice=Lattice.TRIANGULAR, dim=1, kernel=_tri_dirichlet_k,
         alternate=_tri_dirichlet_alt,
@@ -521,7 +530,7 @@ FAMILIES = {
         chi=lambda s: Chi(halves=((0, None, "u_row", 0, 0, "minus"),
                                   (0, -1.0, "v_row", -1, 0, "minus"))),
         project=lambda s, n, halves, points: (
-            (halves + points) / (1.0 + _hex_ns(n.z, s.omega_value, n.branch))),
+            _chi(halves, points) / (1.0 + _hex_ns(n.z, s.omega_value, n.branch))),
         components=_solved_row(0), defects=_single("crack"),
         # odd across the crack line: u(x,y) = -v(x+y, -1-y), v(x,y) = -u(x+y+1, -1-y)
         image=Image(odd=True, row_shift=1, x_per_row=1,
@@ -810,12 +819,10 @@ def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
     def point(c, e, z):
         return c + np.multiply.outer(z, e)
 
-    def chi_at(za, i):
-        """(halves, points) of chi for the base (i = 0) or the i-th unknown's unit term."""
-        if i:
-            _, c, e = chi.unknown[i - 1]
-            pts = np.asarray(point(c, e, za), dtype=complex)
-            return np.zeros_like(pts), pts
+    def rows(z, nodes=None):
+        za = np.asarray(z, dtype=complex)
+        if nodes is None or nodes.spec != kernel:
+            nodes = nodes_at(kernel, za)
         comps = [0] * kernel.dim
         for p, weight, fn in halves:
             val = fn(za)
@@ -823,14 +830,12 @@ def _affine_forcing(kernel, inc: Incidence, strict: bool) -> AffineForcing:
                 val = (weight(za, w2) if callable(weight) else weight) * val
             comps[p] = comps[p] + val
         h = comps[0] if rec.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
-        return h, sum((value * point(c, e, za) for value, c, e in known), np.zeros_like(h))
-
-    def rows(z, nodes=None):
-        za = np.asarray(z, dtype=complex)
-        if nodes is None or nodes.spec != kernel:
-            nodes = nodes_at(kernel, za)
-        parts = [chi_at(za, i) for i in range(1 + len(chi.unknown))]
-        return rec.project(kernel, nodes, *map(np.stack, zip(*parts)))  # halves, points
+        # the point terms in one block: the known sites' on row 0, each unknown's on its own
+        points = np.empty((1 + len(chi.unknown),) + np.shape(h), dtype=complex)
+        points[0] = sum((value * point(c, e, za) for value, c, e in known), 0)
+        for i, (_, c, e) in enumerate(chi.unknown, 1):
+            points[i] = point(c, e, za)
+        return rec.project(kernel, nodes, h, points)
 
     return AffineForcing(tuple(key for key, _, _ in chi.unknown), rows)
 

@@ -7,10 +7,10 @@ Laurent orders n <= 0 and is analytic outside the annulus, while the
 vanishes at z = 0.  Additive splitting is therefore a lossless partition
 of coefficients at n = 0 | n = 1.
 
-Multiplicative factorization K = K_plus * K_minus is done through the
-unwrapped logarithm: split log K additively and exponentiate each part.
-This requires winding number 0 and no zeros on the contour, and fixes the
-normalization K_minus(0) = 1 (the minus-type log part vanishes at 0).
+Multiplicative factorization K = K_plus * K_minus goes through the
+unwrapped logarithm: split log K additively, K_minus = exp(minus part),
+K_plus = K / K_minus.  This requires winding number 0 and no zeros on the
+contour, and fixes K_minus(0) = 1 (the minus-type log part vanishes at 0).
 
 Coefficients are computed with the FFT on grids z_k = rho * exp(2*pi*i*k/Nq);
 stored coefficients are true Laurent coefficients (radius-independent).
@@ -174,6 +174,12 @@ def coefficients(samples, grid: CircleGrid) -> LaurentSeries:
     return LaurentSeries(row_coefficients(vals, grid), grid.radius)
 
 
+def _swap_halves(coeff: np.ndarray) -> np.ndarray:
+    """fftshift by slices: FFT order (n at index n % count) to centred order, or back."""
+    half = coeff.shape[-1] // 2
+    return np.concatenate((coeff[..., half:], coeff[..., :half]), axis=-1)
+
+
 def row_coefficients(samples, grid: CircleGrid, orders=None, out=None) -> np.ndarray:
     """Laurent coefficients of every row of samples, shape (..., count).
 
@@ -188,7 +194,7 @@ def row_coefficients(samples, grid: CircleGrid, orders=None, out=None) -> np.nda
     """
     raw = np.fft.fft(samples, axis=-1, norm="forward", out=out)
     if orders is None:
-        coeff, index = np.fft.fftshift(raw, axes=-1), slice(None)
+        coeff, index = _swap_halves(raw), slice(None)
     else:
         n = np.asarray(orders)
         half = grid.count // 2
@@ -204,8 +210,8 @@ def row_values(coeff, grid: CircleGrid) -> np.ndarray:
     The batched form of LaurentSeries.values_on: one unscaled inverse FFT
     along the last axis, each row bit-identical to values_on of that row.
     """
-    scaled = coeff if grid.radius == 1.0 else coeff * grid.radius_powers
-    return np.fft.ifft(np.fft.ifftshift(scaled, axes=-1), axis=-1, norm="forward")
+    fft_order = _swap_halves(coeff if grid.radius == 1.0 else coeff * grid.radius_powers)
+    return np.fft.ifft(fft_order, axis=-1, norm="forward", out=fft_order)
 
 
 def plus_values(samples, grid: CircleGrid) -> np.ndarray:
@@ -225,13 +231,11 @@ def additive_split(series: LaurentSeries) -> SplitPair:
 
 
 def _phase_steps(samples: np.ndarray, modulus: np.ndarray) -> tuple[np.ndarray, int]:
-    """Cyclic node-to-node phase increments wrapped into (-pi, pi], checked
-    (no zero on the contour, no step above pi/2), and their winding number."""
+    """Cyclic node-to-node phase increments, angles of neighbours' ratios, checked
+    (no zero on the contour, before dividing; no step above pi/2), and their winding."""
     if np.any(modulus < 1e-14):
         raise ZeroOnContour("sample with modulus < 1e-14 on the contour")
-    ph = np.angle(samples)
-    d = np.diff(np.append(ph, ph[0]))
-    steps = (d + np.pi) % (2.0 * np.pi) - np.pi
+    steps = np.angle(np.concatenate((samples[1:], samples[:1])) / samples)
     worst = float(np.max(np.abs(steps)))
     if worst > np.pi / 2:
         raise PhaseStepTooLarge(f"max phase step {worst:.3f} rad exceeds pi/2")
@@ -281,9 +285,11 @@ def mult_factorize(samples, grid: CircleGrid):
     reconstruction error of the truncated factor series against the input
     samples and the wrong-side coefficient leakage that was discarded.
 
-    log K is split and the factors truncated in FFT order (order n at
-    index n % count); on power-of-two unit-circle grids the factors and
-    report are bit-identical to those from additive_split of coefficients().
+    log K is split in FFT order (order n at index n % count); one
+    exponential, of its minus part, gives K_minus on the nodes and K_plus =
+    K / K_minus there, before both are transformed and truncated.  On
+    power-of-two unit-circle grids all is bit-identical to those steps
+    taken through additive_split of coefficients().
 
     Raises NonzeroWinding if the index is not 0 (this factorization form
     does not exist then), ZeroOnContour for vanishing samples and
@@ -298,30 +304,31 @@ def mult_factorize(samples, grid: CircleGrid):
         raise NonzeroWinding(wn)
 
     phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    log_samples = np.log(modulus) + 1j * phase
-
-    # log K's plus part (n <= 0) sits at index 0 and half.., its minus part at 1 .. half - 1
+    log_k = np.log(modulus) + 1j * phase
+    # log K's minus part sits at 1 .. half - 1; K_minus = exp of it, K_plus = K / K_minus
     half = grid.count // 2
-    factors = np.array(2 * [np.fft.fft(log_samples, norm="forward")])
-    factors[0, 1:half] = factors[1, :1] = factors[1, half:] = 0.0
-    np.exp(np.fft.ifft(factors, norm="forward", out=factors), out=factors)
+    np.fft.fft(log_k, norm="forward", out=log_k)
+    log_k[0] = log_k[half:] = 0.0
+    factors = np.empty((2, grid.count), dtype=complex)
+    np.exp(np.fft.ifft(log_k, norm="forward", out=log_k), out=factors[1])
+    np.divide(vals, factors[1], out=factors[0])
     np.fft.fft(factors, norm="forward", out=factors)  # the factors' coefficients
     if grid.radius != 1.0:  # true coefficients; the split above needed no scale
-        factors *= np.fft.ifftshift(grid.inverse_radius_powers)
+        factors *= _swap_halves(grid.inverse_radius_powers)
 
     def _leak(coeff, wrong):
-        # wrong-side share of the exponentiated factor, then discard it
+        # wrong-side share of the factor, then discard it
         scale = float(np.max(np.abs(coeff)))
         leak = float(np.max(np.abs(coeff[wrong]))) / scale
         coeff[wrong] = 0.0
         return leak
 
-    # plus factor keeps orders n <= 0; minus keeps n >= 0, which survive exponentiation
+    # plus factor keeps orders n <= 0; minus keeps n >= 0
     leak_plus = _leak(factors[0], slice(1, half))
     leak_minus = _leak(factors[1], slice(half, None))
-    plus_coeff, minus_coeff = np.fft.fftshift(factors, axes=-1)  # the two series returned
+    plus_coeff, minus_coeff = _swap_halves(factors)  # the two series returned
     if grid.radius != 1.0:
-        factors *= np.fft.ifftshift(grid.radius_powers)
+        factors *= _swap_halves(grid.radius_powers)
     plus_vals, minus_vals = np.fft.ifft(factors, norm="forward", out=factors)
     recon = plus_vals * minus_vals
     residual = float(np.max(np.abs(recon - vals) / modulus))
@@ -356,19 +363,14 @@ def half_transform_exp(amplitude: complex, phase: complex, side: str, strict: bo
     a = complex(amplitude)
     q = complex(phase)
 
+    minus = side == "minus"
+
     def transform(z):
         za = np.asarray(z, dtype=complex)
         qz = q * za
-        if strict:
-            mod = np.abs(qz)
-            if side == "minus" and np.any(mod >= 1.0):
-                raise DivergentSeries("minus transform requires |q z| < 1")
-            if side == "plus" and np.any(mod <= 1.0):
-                raise DivergentSeries("plus transform requires |q z| > 1")
-        if side == "minus":
-            out = a * qz / (1.0 - qz)
-        else:
-            out = a * qz / (qz - 1.0)
+        if strict and np.any(np.abs(qz) >= 1.0 if minus else np.abs(qz) <= 1.0):
+            raise DivergentSeries(f"{side} transform requires |q z| {'<' if minus else '>'} 1")
+        out = a * qz / (1.0 - qz) if minus else a * qz / (qz - 1.0)
         return complex(out) if za.ndim == 0 else out
 
     return transform

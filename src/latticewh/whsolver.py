@@ -100,7 +100,8 @@ class ScalarWHProblem:
         |log|z|| over the row multiplier's branch points (branch_points),
         the kernel's zeros off them (the family record's zeros) and the two
         radii of annulus_bounds: the trapezoidal rule converges like
-        exp(-nq d).  solve_scalar confirms the choice with numbers it
+        exp(-nq d).  Points and zeros are closed forms, pairs z, 1/z of
+        z + 1/z = u.  solve_scalar confirms the choice with numbers it
         computes anyway: the factorization's reconstruction residual and
         leakage, and at the end the equation residual.  If one of them is
         above 1e-12 while nq < 4096, it solves again at twice the count.
@@ -211,15 +212,18 @@ def _solve_on_grid(problem: ScalarWHProblem, confirm: bool) -> WHSolution | None
     keys = problem.forcing.constant_ids
     constants, condition = close_constants(problem, fp_rows + fm_rows) if keys else ({}, None)
     weights = np.array([1.0] + [constants[key] for key in keys])
-    fp_vals, fm_vals, c_vals = weights @ fp_rows, weights @ fm_rows, weights @ c_rows
+    f_block = np.empty((2, grid.count), dtype=complex)  # f+ and f-, transformed in place
+    np.matmul(weights, fp_rows, out=f_block[0])
+    np.matmul(weights, fm_rows, out=f_block[1])
+    c_vals = weights @ c_rows
 
-    residual = float(np.max(np.abs(fp_vals + k_vals * fm_vals - c_vals)))
+    residual = float(np.max(np.abs(f_block[0] + k_vals * f_block[1] - c_vals)))
     residual /= max(1.0, float(np.max(np.abs(c_vals))))
     if confirm and residual > _RESOLVED_TOL:
         return None
 
     # support-enforced series: f+ keeps orders n <= 0, f- keeps n >= 1
-    plus, minus = row_coefficients(np.stack([fp_vals, fm_vals]), grid)
+    plus, minus = row_coefficients(f_block, grid, out=f_block)
     plus[grid.count // 2 + 1:] = minus[:grid.count // 2 + 1] = 0.0
     return WHSolution(
         f_plus=LaurentSeries(plus, grid.radius),
@@ -344,20 +348,20 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     Rows y >= 0 follow u_y = u_0 * multiplier^y, the honeycomb v rows the
     v-site equation on them.  The lower half plane is filled by the
     family's reflection image (odd across the crack line, even across the
-    constraint row, slant-shifted for the slant lattices).  All u levels
-    are transformed by one FFT along the last axis, written over them, and
-    only the window's orders are read from it; each row is bit-identical
-    to coefficients() of its level.  The constraint families' closure row
-    comes from the same transform.
+    constraint row, slant-shifted for the slant lattices).  The u levels
+    run to y_top = max(y1, -y0 - row_shift, 1), the deepest row the image
+    reads, one more on the honeycomb.  The solved level, `first`, is f:
+    its orders and the constraint closure's row are read off f+ + f-.  The
+    levels above it, from one inverse FFT of f, are transformed by one FFT
+    written over them, of which only the window's orders are read; each
+    row is bit-identical to coefficients() of its level.
     """
     (x0, x1), (y0, y1) = window
     if x0 > x1 or y0 > y1:
         raise WindowMismatch(f"reversed window {(x0, x1)} x {(y0, y1)}")
-    grid = solution.grid
-    kernel = problem.kernel
-    rec = family_record(kernel.family)
-    w = kernel.omega_value
-    inc = problem.incidence
+    grid, kernel, inc = solution.grid, problem.kernel, problem.incidence
+    rec, w = family_record(kernel.family), kernel.omega_value
+    image = rec.image
 
     pad = abs(y0) + 1
     ex0, ex1 = x0 - pad, x1 + pad
@@ -365,7 +369,7 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     if reach >= grid.count // 2 - 2:
         raise WindowTooLarge(f"window reads Laurent order {reach}, past the range of an "
                              f"nq = {grid.count} grid; it needs nq >= {2 * reach + 6}")
-    y_top = max(y1, abs(y0) + 1, 1)
+    y_top = max(y1, -y0 - image.row_shift, 1)
 
     # the honeycomb v rows read u one column right and one row up
     extra = 1 if kernel.lattice is Lattice.HONEYCOMB else 0
@@ -373,38 +377,32 @@ def reconstruct_field(problem: ScalarWHProblem, solution: WHSolution, window) ->
     # crack problems solve for row 0 directly; constraint problems solve
     # for row 1 and never divide by the propagator (it vanishes at the
     # z = -1 node for the slant lattices)
-    constraint_like = rec.closure is not None
-    first = 1 if constraint_like else 0
-    # level y is f * multiplier^(y - first), one multiply at a time: a
-    # cumulative product rounds differently
-    f_vals = solution.transform_values(grid)
-    levels = np.empty((y_top + 1 + extra - first, grid.count), dtype=complex)
-    levels[0] = f_vals
-    for i in range(1, len(levels)):
-        np.multiply(levels[i - 1], solution.multiplier, out=levels[i])
-    # u_x = a_{-x}: every level from one FFT, written over them; constraint
-    # families also read row 1 at x = -1 .. span + 1 from it for the
-    # closure recurrence (orders past the grid read 0)
+    first = 0 if rec.closure is None else 1
     xs = np.arange(ex0, ex1 + 1 + extra)
-    span = max(_CLOSURE_SPAN, ex1 + 50)
-    reads = np.arange(min(ex0, -1), min(span + 1, grid.count // 2) + 1) if constraint_like else xs
-    coeff = row_coefficients(levels, grid, -reads, out=levels)
-    del f_vals, levels  # only the orders read are kept
     u = np.zeros((y_top + 1 + extra, xs.size), dtype=complex)
-    u[first:] = coeff[:, xs - reads[0]]
-
-    if constraint_like:
-        row1 = np.zeros(span + 3, dtype=complex)
-        row1[:reads[-1] + 2] = coeff[0, -1 - reads[0]:]
+    f = LaurentSeries(solution.f_plus.coeff + solution.f_minus.coeff, grid.radius)
+    u[first] = inverse_transform_row(f, xs)  # u_x = a_{-x}
+    if first:  # the closure recurrence reads row 1 at x = -1 .. span + 1
+        span = max(_CLOSURE_SPAN, ex1 + 50)
+        row1 = inverse_transform_row(f, np.arange(-1, span + 2))
         row0_pos = _row0_half_line(kernel, row1, -complex(inc.field(-1, 0)), span)
         pinned = xs < 0
         u[0, pinned] = -inc.field(xs[pinned], 0)  # u = -u_in on the constraint
         u[0, ~pinned] = row0_pos[xs[~pinned]]
+    level = f.values_on(grid)
+    del f
+
+    # level y > first is f * multiplier^(y - first), one multiply at a time:
+    # a cumulative product rounds differently
+    levels = np.empty((y_top + extra - first, grid.count), dtype=complex)
+    for i in range(len(levels)):
+        level = np.multiply(level, solution.multiplier, out=levels[i])
+    u[first + 1:] = row_coefficients(levels, grid, -xs, out=levels)
+    del level, levels  # only the orders read are kept
     upper = {"u": u}
     if extra:  # the v-site equation of motion
         upper = {"u": u[:-1, :-1], "v": (u[:-1, :-1] + u[:-1, 1:] + u[1:, :-1]) / hex_coupling(w)}
 
-    image = rec.image
     cols = np.arange(x0, x1 + 1) - ex0
     above = np.arange(max(y0, 0), y1 + 1)[:, None]
     below = np.arange(y0, min(y1, -1) + 1)[:, None]

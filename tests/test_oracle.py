@@ -617,13 +617,15 @@ def _reference_assembly(spec, L):
     and along y unless it is a Bloch strip: a neighbour across its edge is
     the site of the opposite edge, defects and known field included.  The
     known field then solves its equations everywhere but on the seam, so
-    its seam residual is taken off each right-hand side: known(wrapped) -
-    known(continued) for each neighbour whose site wraps, whether a defect
-    cuts or pins it or not.  The field solved is the one the defects scatter.
-    (A background whose infinite defect cuts a bond across the seam, a
-    right-pointing crack on row -L, is not covered: assemble then takes the
-    residual in that defect's own wrapped equations, so that the sources
-    past its tip still cancel.  No layout here has one.)
+    its seam residual is taken off each right-hand side: the known field's
+    term in its own equations read wrapped, less the term read continued,
+    for each neighbour whose site wraps, whether a defect cuts or pins it or
+    not.  Its own equations are A0's for the incident, and the infinite
+    defect's for a background: where that defect's row, wrapped, cuts a bond
+    (a right-pointing crack on row -L cuts rows L and -L apart across the
+    seam), the term is the site's own known value, as the raised diagonal
+    gives it, in place of the neighbour's.  The field solved is the one the
+    defects scatter.
 
     Returns the matrix entries {(row, column): value}, the right-hand side,
     the scale of each equation (the sum of the moduli of the incident and
@@ -647,6 +649,14 @@ def _reference_assembly(spec, L):
         parts = [inc.field(x, y, sub)] + ([bg.evaluate(x, y)] if bg and sub == "u" else [])
         return complex(sum(parts)), sum(map(abs, parts))
 
+    def own_term(x, y, sub, bond, site):
+        """The known field's term from the neighbour at site across the bond
+        whose upper site is bond, in its own equations: the site (x, y)'s
+        own value where the background's infinite crack cuts the bond."""
+        if bond and bg and bg.kind == "crack" and bond[1] == bg.row:
+            return known(x, y, sub)
+        return known(*site)
+
     sites = [(x, y, sub) for sub in NEIGHBOURS[lattice] for y in ys for x in xs
              if not on("constraint", x, y)]
     ids = {site: i for i, site in enumerate(sites)}
@@ -657,8 +667,10 @@ def _reference_assembly(spec, L):
         for dx, dy, nsub, upper in NEIGHBOURS[lattice][sub]:
             xn, yn = wrap(x + dx, y + dy)
             if (xn, yn) != (x + dx, y + dy):  # less the seam residual
-                (wrapped, size), (continued, other) = (known(xn, yn, nsub),
-                                                       known(x + dx, y + dy, nsub))
+                bond = upper and (x + upper[0], y + upper[1])
+                (wrapped, size), (continued, other) = (
+                    own_term(x, y, sub, bond and wrap(*bond), (xn, yn, nsub)),
+                    own_term(x, y, sub, bond, (x + dx, y + dy, nsub)))
                 known_terms.append((continued - wrapped, size + other))
             if upper and on("crack", *wrap(x + upper[0], y + upper[1])):
                 diag += 1  # a broken bond raises the diagonal by one
@@ -675,6 +687,24 @@ def _reference_assembly(spec, L):
         rhs.append(-(sum(value for value, _ in known_terms) + diag * own))
         scale.append(sum(size for _, size in known_terms) + abs(diag) * own_size)
     return entries, np.array(rhs), np.array(scale), ids
+
+
+def _assert_matches_the_reference(spec, L):
+    """Every matrix entry exactly, the right-hand side to 1e-14 of the scale
+    of each equation, and the unknown numbering; no two slots of a stored
+    row share a neighbour.  Returns the assembled system."""
+    system = assemble(spec, L)
+    entries, rhs, scale, ids = _reference_assembly(spec, L)
+    coo = system.matrix.tocoo()
+    assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
+    free = _free_sites(system)
+    assert np.all(np.abs(_grid_rhs(system).ravel()[free] - rhs) <= 1e-14 * scale)
+    assert [_grid_site(system, *site) for site in ids] == free.tolist()
+    assert system.matrix.shape[0] == len(ids)
+    assert system.rhs.size == system.stored.size
+    slots = np.sort(system.neighbours, axis=1)
+    assert not np.any((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] >= 0))
+    return system
 
 
 @pytest.fixture(scope="module")
@@ -749,18 +779,20 @@ class TestReferenceAssembly:
         """Every matrix entry exactly, the right-hand side to 1e-14 of the
         scale of each equation, and the unknown numbering, at L = 20; no
         two slots of a stored row share a neighbour."""
-        spec = _spec(request, layout)
-        system = assemble(spec, 20)
-        entries, rhs, scale, ids = _reference_assembly(spec, 20)
-        coo = system.matrix.tocoo()
-        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == entries
-        free = _free_sites(system)
-        assert np.all(np.abs(_grid_rhs(system).ravel()[free] - rhs) <= 1e-14 * scale)
-        assert [_grid_site(system, *site) for site in ids] == free.tolist()
-        assert system.matrix.shape[0] == len(ids)
-        assert system.rhs.size == system.stored.size
-        slots = np.sort(system.neighbours, axis=1)
-        assert not np.any((slots[:, 1:] == slots[:, :-1]) & (slots[:, 1:] >= 0))
+        _assert_matches_the_reference(_spec(request, layout), 20)
+
+    @pytest.mark.parametrize("kind", ["crack", "constraint"])
+    @pytest.mark.parametrize("row", [-20, 20])
+    def test_background_on_the_window_edge_row(self, inc_square, kind, row):
+        """A right-pointing defect on an edge row of the L = 20 window: on
+        row -L its background's infinite crack cuts rows L and -L apart
+        across the seam, where the reference reads that crack's own wrapped
+        equations.  Past the tip the defect and its background cut and pin
+        the same bonds and sites, so there the sources are exactly 0."""
+        tip = 3
+        spec = LatticeProblemSpec("square", (Defect(kind, row, "right", tip),), inc_square)
+        system = _assert_matches_the_reference(spec, 20)
+        assert not np.any(_grid_rhs(system)[0][:, np.arange(-20, 21) >= tip])
 
     @pytest.mark.parametrize("layout", [kernel for kernel, *_ in LAYOUTS] + list(DEFECT_SETS),
                              ids=_layout_id)

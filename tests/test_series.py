@@ -270,7 +270,8 @@ class TestFactorization:
     def test_fft_order_split_bit_identical_to_the_centred_split(self, family):
         """On power-of-two unit-circle grids the factors and every report field
         equal, bit for bit, a factorization through additive_split of
-        coefficients() and the batched transforms in centred order."""
+        coefficients() and the batched transforms in centred order, with
+        K- = exp(minus part of log K) and K+ = K / K-."""
         kern = ScalarKernel(family, 1 + 0.05j)
         for count in (512, 1024, 2048, 4096, 8192):
             grid = CircleGrid(1.0, count)
@@ -279,7 +280,8 @@ class TestFactorization:
             steps, _ = _phase_steps(vals, np.abs(vals))
             phase = np.angle(vals[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
             split = additive_split(coefficients(np.log(np.abs(vals)) + 1j * phase, grid))
-            factor_vals = np.exp(row_values(np.stack([split.plus.coeff, split.minus.coeff]), grid))
+            k_minus = np.exp(row_values(split.minus.coeff, grid))
+            factor_vals = np.stack([vals / k_minus, k_minus])
             coeff = row_coefficients(factor_vals, grid)
             leaks = []
             for row, wrong in zip(coeff, (grid.orders > 0, grid.orders < 0)):
